@@ -17,26 +17,22 @@ from .allocate import (
     proportional,
 )
 from .calibration import IsotonicMap, fit_isotonic, split_half, split_half_indices
-from .dataset import Population, Unit, attach_scores, from_units, ingest
+from .dataset import Population, attach_scores, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .estimators import (
     EstimateReport,
     confidence_interval,
-    difference_estimate,
-    horvitz_thompson,
     mse_df_prop,
     mse_df_srs,
     mse_ht_neyman,
     mse_ht_prop,
     mse_ht_srs,
     normal_quantile,
-    plugin_se,
-    plugin_se_srs,
-    plugin_se_ssrs,
+    stratified_estimate,
 )
 from .losses import LossKind, conditional_moments, eval_loss
 from .rng import derive_seed, generator, srs_indices, substream
-from .sampling import SampleDraw, draw_srs, draw_ssrs, load_worksheet, save_worksheet
+from .sampling import SampleDraw, draw_ssrs, load_worksheet, save_worksheet
 from .simulate import (
     MCResult,
     SuperpopSpec,
@@ -68,23 +64,18 @@ __all__ = [
     "SampleDraw",
     "StrataPartition",
     "SuperpopSpec",
-    "Unit",
     "attach_scores",
     "conditional_moments",
     "confidence_interval",
     "derive_seed",
-    "difference_estimate",
-    "draw_srs",
     "draw_ssrs",
     "efficiency_csv",
     "efficiency_table",
     "equal_width_bins",
     "eval_loss",
     "fit_isotonic",
-    "from_units",
     "generate",
     "generator",
-    "horvitz_thompson",
     "ingest",
     "kmeans_1d",
     "kmeans_embeddings",
@@ -98,15 +89,13 @@ __all__ = [
     "normal_quantile",
     "plugin_sd_accuracy",
     "plugin_sd_general",
-    "plugin_se",
-    "plugin_se_srs",
-    "plugin_se_ssrs",
     "proportional",
     "run_mc",
     "save_worksheet",
     "split_half",
     "split_half_indices",
     "srs_indices",
+    "stratified_estimate",
     "substream",
     "within_ss",
 ]

@@ -32,13 +32,7 @@ from .allocate import (
 from .calibration import fit_isotonic, split_half
 from .dataset import Population, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .estimators import (
-    EstimateReport,
-    confidence_interval,
-    difference_estimate,
-    horvitz_thompson,
-    plugin_se_ssrs,
-)
+from .estimators import EstimateReport, confidence_interval, stratified_estimate
 from .losses import LossKind, conditional_moments
 from .sampling import draw_ssrs, load_worksheet, worksheet_csv
 from .simulate import (
@@ -49,7 +43,13 @@ from .simulate import (
     generate,
     run_mc,
 )
-from .stratify import StrataPartition, equal_width_bins, kmeans_1d, kmeans_embeddings
+from .stratify import (
+    StrataPartition,
+    equal_width_bins,
+    kmeans_1d,
+    kmeans_embeddings,
+    partition_csv,
+)
 from .dataset import _check_loss_value
 
 EXIT_PARSE = 2
@@ -185,11 +185,7 @@ def cmd_plan(args) -> int:
         )
         draw = draw_ssrs(pop, partition, plan, args.seed_sample)
     out = _out_dir(args)
-    (out / "partition.csv").write_text(
-        _config_comment(cfg)
-        + "id,stratum\n"
-        + "".join(f"{uid},{int(h)}\n" for uid, h in zip(pop.ids, partition.assignment))
-    )
+    (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids))
     plan_doc = json.loads(plan.to_json())
     plan_doc["config"] = cfg
     _write_json(out / "plan.json", plan_doc)
@@ -246,8 +242,7 @@ def cmd_estimate(args) -> int:
         )
     out = _out_dir(args)
     n = ws.loss.size
-    theta = horvitz_thompson(ws.loss, ws.pi, pop.size)
-    se = plugin_se_ssrs(ws.loss, ws.strata, sizes)
+    theta, se = stratified_estimate(ws.loss, ws.strata, sizes)
     ht_report = EstimateReport(
         estimator="ht",
         design="srs" if labels.size == 1 else "ssrs",
@@ -270,11 +265,8 @@ def cmd_estimate(args) -> int:
     proxies = pop.get_proxy(args.proxy_col) if _has_proxy(pop, args.proxy_col) else None
     if proxies is not None and not np.any(np.isnan(proxies)):
         proxy_mean = float(np.mean(proxies))
-        residuals = ws.loss - proxies[sample_idx]
-        theta_df = difference_estimate(
-            ws.loss, proxies[sample_idx], ws.pi, proxy_mean, pop.size
-        )
-        se_df = plugin_se_ssrs(residuals, ws.strata, sizes)
+        correction, se_df = stratified_estimate(ws.loss - proxies[sample_idx], ws.strata, sizes)
+        theta_df = proxy_mean + correction
         df_report = EstimateReport(
             estimator="df",
             design=ht_report.design,

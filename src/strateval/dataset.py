@@ -29,16 +29,6 @@ from .errors import ConsistencyError, ParseError, PreconditionError
 from .losses import LossKind, _check_scores
 
 
-@dataclass
-class Unit:
-    """One evaluation example."""
-
-    id: str
-    proxy: float
-    loss: float | None = None
-    embedding: np.ndarray | None = None
-
-
 def _proxy_bounds(kind: LossKind) -> tuple[float, float]:
     # accuracy and squared error live in [0,1]; cross-entropy is an
     # unbounded nonnegative loss.
@@ -118,17 +108,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def unit(self, i: int) -> Unit:
-        return Unit(
-            id=self.ids[i],
-            proxy=float(self.proxy[i]),
-            loss=None if math.isnan(self.loss[i]) else float(self.loss[i]),
-            embedding=None if self.embeddings is None else self.embeddings[i],
-        )
-
-    def units(self) -> list[Unit]:
-        return [self.unit(i) for i in range(self.size)]
 
     def index_of(self, unit_id: str) -> int:
         try:
@@ -231,25 +210,6 @@ class Population:
 
     def to_csv(self, path) -> None:
         Path(path).write_text(self.canonical_csv())
-
-
-def from_units(units, kind: LossKind | str) -> Population:
-    """Build a population from :class:`Unit` records (given order is canonical)."""
-    kind = LossKind(kind)
-    ids = tuple(u.id for u in units)
-    proxy = np.array([u.proxy for u in units], dtype=float)
-    loss = np.array(
-        [math.nan if u.loss is None else float(u.loss) for u in units], dtype=float
-    )
-    embs = None
-    if units and units[0].embedding is not None:
-        embs = np.array([np.asarray(u.embedding, dtype=float) for u in units])
-    for i, u in enumerate(units):
-        where = f"unit {u.id!r}"
-        _check_proxy_value(kind, float(proxy[i]), where, "proxy")
-        if not math.isnan(loss[i]):
-            _check_loss_value(kind, float(loss[i]), where)
-    return Population(ids=ids, proxy=proxy, loss=loss, loss_kind=kind, embeddings=embs)
 
 
 # -- file ingest -----------------------------------------------------------

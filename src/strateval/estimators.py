@@ -1,14 +1,13 @@
 """Point estimates, design MSEs, and confidence intervals.
 
-Two point estimators of the pool mean loss:
-
-* ``horvitz_thompson`` — the inverse-probability weighted mean
-  ``(1/N) * sum_{i in S} Z_i / pi_i``; design-unbiased under any of the
-  designs here.
-* ``difference_estimate`` — starts from the pool mean of the proxy and
-  corrects it with the inverse-probability weighted mean of the sampled
-  residuals ``Z_i - Zhat_i``; also design-unbiased, and more precise the
-  better the proxy tracks the loss.
+Every design here is stratified simple random sampling; plain SRS is the
+one-stratum case.  ``stratified_estimate`` is the one estimator of the
+pool mean: the inverse-probability weighted mean
+``(1/N) * sum_{i in S} v_i / pi_i`` with its plug-in standard error.
+Taken on the sampled losses it is the Horvitz-Thompson estimate; taken
+on the sampled residuals ``Z_i - Zhat_i`` and added to the pool mean of
+the proxy it is the difference estimate, design-unbiased as well and
+more precise the better the proxy tracks the loss.
 
 The ``mse_*`` functions are the *closed-form* design MSEs of those
 estimators on a fully annotated population — the quantities a Monte
@@ -39,62 +38,69 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PreconditionError
-from .sampling import SampleDraw
 from .stratify import StrataPartition
 
 __all__ = [
-    "horvitz_thompson",
-    "difference_estimate",
+    "stratified_estimate",
     "mse_ht_srs",
     "mse_ht_prop",
     "mse_ht_neyman",
     "mse_df_srs",
     "mse_df_prop",
-    "plugin_se",
-    "plugin_se_srs",
-    "plugin_se_ssrs",
     "normal_quantile",
     "confidence_interval",
     "EstimateReport",
 ]
 
 
-# -- point estimators --------------------------------------------------------
+# -- the stratified estimate ---------------------------------------------------
 
 
-def _check_sample(values: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(values, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if values.shape != pi.shape or values.ndim != 1 or values.size == 0:
-        raise PreconditionError("sample values and pi must be aligned nonempty 1-D arrays")
-    if np.any(np.isnan(values)):
-        raise PreconditionError("every sampled unit needs an observed value")
-    if np.any(pi <= 0) or np.any(pi > 1):
-        raise PreconditionError("inclusion probabilities must lie in (0, 1]")
-    return values, pi
+def stratified_estimate(values, strata, sizes) -> tuple[float, float]:
+    """Stratified mean of sampled values and its plug-in standard error.
 
+    ``values[i]`` was observed on a sampled unit of stratum ``strata[i]``;
+    ``sizes`` holds ``N_h`` for every stratum of the design.  With ``n_h``
+    units sampled from stratum ``h`` and ``pi_h = n_h / N_h``::
 
-def horvitz_thompson(sample_losses, pi, pop_size: int) -> float:
-    """Inverse-probability weighted estimate of the pool mean loss."""
-    z, pi = _check_sample(sample_losses, pi)
-    if pop_size < z.size:
-        raise PreconditionError("population smaller than the sample")
-    return float(np.sum(z / pi) / pop_size)
+        theta = (1/N) sum_i values_i / pi_{h(i)}
+        se    = sqrt( sum_h (N_h/N)^2 (1 - n_h/N_h) s_h^2 / n_h )
 
-
-def difference_estimate(
-    sample_losses, sample_proxy, pi, proxy_pool_mean: float, pop_size: int
-) -> float:
-    """Proxy-anchored estimate: pool proxy mean plus weighted residual mean.
-
-    ``proxy_pool_mean`` is the mean of the proxy over the *entire* pool
-    (all N units); the sampled residuals correct its bias.
+    where ``s_h^2`` is the within-stratum sample variance, exactly 0 for
+    a stratum whose sampled values are all equal.  Every stratum needs at
+    least two sampled units, or its variance is not estimable.
     """
-    z, pi = _check_sample(sample_losses, pi)
-    zhat = np.asarray(sample_proxy, dtype=float)
-    if zhat.shape != z.shape:
-        raise PreconditionError("sample proxy misaligned with sample losses")
-    return float(proxy_pool_mean + np.sum((z - zhat) / pi) / pop_size)
+    v = np.asarray(values, dtype=float)
+    h = np.asarray(strata, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if v.ndim != 1 or v.shape != h.shape or v.size == 0:
+        raise PreconditionError("sample values and strata must be aligned nonempty 1-D arrays")
+    if np.isnan(v).any():
+        raise PreconditionError("every sampled unit needs an observed value")
+    n_strata = sizes.size
+    if h.min() < 0 or h.max() >= n_strata:
+        raise PreconditionError(f"stratum labels must lie in 0..{n_strata - 1}")
+    n_h = np.bincount(h, minlength=n_strata)
+    if n_h.min() < 2:
+        short = int(n_h.argmin())
+        raise PreconditionError(
+            f"stratum {short} has {n_h[short]} sampled unit(s); need >= 2 for a variance"
+        )
+    if (n_h > sizes).any():
+        raise PreconditionError("a stratum has more sampled units than members")
+    pi = n_h / sizes
+    pop = sizes.sum()
+    theta = float((v / pi[h]).sum() / pop)
+    # two passes over the values shifted by their stratum maximum: a
+    # constant stratum then has all-zero deviations and a variance of
+    # exactly 0, even when its mean is not representable (0.7 + 0.7 + 0.7 rounds)
+    top = np.full(n_strata, -np.inf)
+    np.maximum.at(top, h, v)
+    dev = v - top[h]
+    dev -= (np.bincount(h, dev, n_strata) / n_h)[h]
+    s2 = np.bincount(h, dev * dev, n_strata) / (n_h - 1)
+    w = sizes / pop
+    return theta, math.sqrt((w * w * (1.0 - pi) * s2 / n_h).sum())
 
 
 # -- closed-form design MSEs -------------------------------------------------
@@ -190,60 +196,6 @@ def mse_df_prop(losses, proxies, partition: StrataPartition, n: int) -> float:
         mask = partition.assignment == h
         gaps[h] = float(np.mean(z[mask])) - float(np.mean(zhat[mask]))
     return (1.0 - n / z.size) / n * (msq - float(np.dot(w, gaps**2)))
-
-
-# -- plug-in standard errors ---------------------------------------------------
-
-
-def plugin_se_srs(sample_values) -> float:
-    """SRS standard error, ``sqrt(sum (z - mean)^2) / n``.
-
-    The large-N form (no finite-population correction), matching the
-    usual reported standard error of a mean.
-    """
-    z = np.asarray(sample_values, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise PreconditionError("need at least 2 sampled values")
-    if np.any(np.isnan(z)):
-        raise PreconditionError("every sampled unit needs an observed value")
-    if np.ptp(z) == 0.0:
-        return 0.0
-    return float(np.sqrt(np.sum((z - z.mean()) ** 2))) / z.size
-
-
-def plugin_se_ssrs(sample_values, sample_strata, stratum_sizes) -> float:
-    """Stratified plug-in SE with finite-population corrections.
-
-    ``sqrt( sum_h (N_h/N)^2 (1 - n_h/N_h) s_h^2 / n_h )`` where ``s_h^2``
-    is the within-stratum sample variance.  Every design stratum must have
-    at least two sampled units, or the variance is not estimable.
-    """
-    z = np.asarray(sample_values, dtype=float)
-    strata = np.asarray(sample_strata, dtype=np.int64)
-    sizes = np.asarray(stratum_sizes, dtype=np.int64)
-    if z.shape != strata.shape or z.ndim != 1:
-        raise PreconditionError("values and strata must be aligned 1-D arrays")
-    if np.any(np.isnan(z)):
-        raise PreconditionError("every sampled unit needs an observed value")
-    pop = float(sizes.sum())
-    var = 0.0
-    for h in range(sizes.size):
-        v = z[strata == h]
-        if v.size < 2:
-            raise PreconditionError(
-                f"stratum {h} has {v.size} sampled unit(s); need >= 2 for a variance"
-            )
-        f_h = v.size / sizes[h]
-        s2 = float(np.var(v, ddof=1)) if np.ptp(v) > 0.0 else 0.0
-        var += (sizes[h] / pop) ** 2 * (1.0 - f_h) * s2 / v.size
-    return float(np.sqrt(max(var, 0.0)))
-
-
-def plugin_se(draw: SampleDraw, sample_values) -> float:
-    """Dispatch on the draw's design: SRS or stratified form."""
-    if draw.design == "srs":
-        return plugin_se_srs(sample_values)
-    return plugin_se_ssrs(sample_values, draw.strata, draw.stratum_sizes)
 
 
 # -- normal quantile and intervals --------------------------------------------

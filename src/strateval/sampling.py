@@ -1,11 +1,10 @@
 """Drawing the units to annotate, and the worksheet that records them.
 
-Draws operate on canonical (file) unit order.  A stratified draw gives
-stratum ``h`` its own substream derived from ``(seed, h)``, so strata are
-sampled independently and a single-stratum stratified draw reproduces a
-simple random draw made with the same derived sub-seed.  Each sampled
-unit carries its inclusion probability ``pi = n_h / N_h``, which is all
-the estimators downstream need.
+Draws operate on canonical (file) unit order.  Every draw is stratified:
+stratum ``h`` gets its own substream derived from ``(seed, h)``, so strata
+are sampled independently, and plain simple random sampling is the
+one-stratum draw.  Each sampled unit carries its inclusion probability
+``pi = n_h / N_h``, which is all the estimators downstream need.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ class SampleDraw:
 
     indices: np.ndarray  # canonical-order unit positions, selection order
     ids: tuple[str, ...]
-    strata: np.ndarray  # stratum label per sampled unit (0 for plain SRS)
+    strata: np.ndarray  # stratum label per sampled unit
     pi: np.ndarray  # inclusion probability per sampled unit
     stratum_sizes: np.ndarray  # N_h for every stratum in the design
     seed: int
-    design: str  # "srs" | "ssrs"
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -50,26 +48,18 @@ class SampleDraw:
         return self.indices.size
 
 
-def draw_srs(pop: Population, n: int, seed: int) -> SampleDraw:
-    """Simple random sample of ``n`` units without replacement.
+def stratified_indices(members, n_h, seed: int) -> np.ndarray:
+    """Canonical positions of one stratified draw, stratum by stratum.
 
-    Every size-``n`` subset of the pool is equally likely; each sampled
-    unit gets ``pi = n/N``.  Identical ``(pop, n, seed)`` give identical
-    draws.
+    Stratum ``h`` takes ``n_h[h]`` of the positions ``members[h]`` by
+    partial Fisher-Yates on the substream seeded by
+    ``derive_seed(seed, h)``; within a stratum, positions come in
+    selection order.
     """
-    if not 1 <= n <= pop.size:
-        raise PreconditionError(f"sample size {n} outside [1, {pop.size}]")
-    rng = generator(seed)
-    idx = srs_indices(rng, pop.size, n)
-    return SampleDraw(
-        indices=idx,
-        ids=tuple(pop.ids[i] for i in idx),
-        strata=np.zeros(n, dtype=np.int64),
-        pi=np.full(n, n / pop.size),
-        stratum_sizes=np.array([pop.size], dtype=np.int64),
-        seed=seed,
-        design="srs",
-    )
+    return np.concatenate([
+        m[srs_indices(generator(derive_seed(seed, h)), m.size, int(k))]
+        for h, (m, k) in enumerate(zip(members, n_h))
+    ])
 
 
 def draw_ssrs(
@@ -89,23 +79,15 @@ def draw_ssrs(
         raise ConsistencyError("allocation plan and partition disagree on strata count")
     if np.any(plan.n_h < 1) or np.any(plan.n_h > sizes):
         raise PreconditionError("need 1 <= n_h <= N_h in every stratum")
-    chunks_idx, chunks_h, chunks_pi = [], [], []
-    for h in range(partition.n_strata):
-        members = partition.members(h)
-        n_h = int(plan.n_h[h])
-        sub = srs_indices(generator(derive_seed(seed, h)), members.size, n_h)
-        chunks_idx.append(members[sub])
-        chunks_h.append(np.full(n_h, h, dtype=np.int64))
-        chunks_pi.append(np.full(n_h, n_h / members.size))
-    idx = np.concatenate(chunks_idx)
+    members = [partition.members(h) for h in range(partition.n_strata)]
+    idx = stratified_indices(members, plan.n_h, seed)
     return SampleDraw(
         indices=idx,
         ids=tuple(pop.ids[i] for i in idx),
-        strata=np.concatenate(chunks_h),
-        pi=np.concatenate(chunks_pi),
+        strata=np.repeat(np.arange(partition.n_strata), plan.n_h),
+        pi=np.repeat(plan.n_h / sizes, plan.n_h),
         stratum_sizes=sizes,
         seed=seed,
-        design="ssrs",
     )
 
 

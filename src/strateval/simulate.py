@@ -13,26 +13,26 @@ ground truth to be checked against.  Families:
   bit at the same seed.
 
 ``run_mc`` replays a design/estimator pair over many replicated draws.
-Replication ``r`` uses the substream derived from ``(seed, r)`` and draws
-exactly what ``draw_srs`` / ``draw_ssrs`` would draw with that sub-seed,
-so the harness validates the real sampling path.  Accumulation uses
-numpy's pairwise summation.
+Plain SRS is the one-stratum design.  Replication ``r`` draws exactly
+what ``draw_ssrs`` draws with sub-seed ``derive_seed(seed, r)`` and
+estimates with ``stratified_estimate``, so the harness validates the
+sampling path and the standard error that ``estimate`` reports.
+Accumulation uses numpy's pairwise summation.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .allocate import neyman, plugin_sd_accuracy, proportional
 from .dataset import Population
 from .errors import ParseError, PreconditionError
-from .estimators import normal_quantile
+from .estimators import normal_quantile, stratified_estimate
 from .losses import LossKind
-from .rng import derive_seed, generator, srs_indices
+from .rng import derive_seed, generator
+from .sampling import stratified_indices
 from .stratify import StrataPartition
 
 FAMILIES = ("two_point", "beta_conditional", "miscalibrated")
@@ -169,7 +169,8 @@ def run_mc(
     pop : Population
         Fully annotated pool (the target is its exact mean loss).
     design : {"srs", "ssrs"}
-        Sampling design; ``ssrs`` requires ``partition``.
+        Sampling design; ``ssrs`` requires ``partition``, ``srs`` samples
+        the pool as one stratum.
     estimator : {"ht", "df"}
         Weighted mean, or proxy-anchored difference estimate using
         ``proxy_col``.
@@ -188,8 +189,9 @@ def run_mc(
 
     Notes
     -----
-    The per-replication confidence interval uses the design-matched
-    plug-in standard error (for ``df``, computed from the residuals).
+    The per-replication estimate and confidence interval come from
+    ``stratified_estimate``, on the losses for ``ht`` and on the
+    residuals for ``df``: the standard error ``estimate`` reports.
     """
     if reps < MIN_REPS:
         raise PreconditionError(
@@ -205,92 +207,57 @@ def run_mc(
     losses = pop.loss
     target = pop.finite_mean()
     pool = pop.size
-    proxies = pop.get_proxy(proxy_col) if estimator == "df" else None
-    proxy_mean = float(np.mean(proxies)) if proxies is not None else 0.0
+    values, proxy_mean = losses, 0.0
+    if estimator == "df":
+        proxies = pop.get_proxy(proxy_col)
+        values, proxy_mean = losses - proxies, float(np.mean(proxies))
 
     if design == "srs":
-        if not 1 <= n <= pool:
-            raise PreconditionError(f"budget {n} outside [1, {pool}]")
-        members = [np.arange(pool)]
-        n_h = np.array([n], dtype=np.int64)
-        sizes = np.array([pool], dtype=np.int64)
-    else:
-        if partition is None:
-            raise PreconditionError("ssrs design needs a partition")
-        if partition.assignment.size != pool:
-            raise PreconditionError("partition does not cover the population")
-        sizes = partition.sizes
-        if allocation == "prop":
-            plan = proportional(sizes, n)
-        elif allocation == "neyman":
-            if sd_source == "true":
-                sds = np.array([
-                    np.std(losses[partition.assignment == h], ddof=1)
-                    if (partition.assignment == h).sum() >= 2 else 0.0
-                    for h in range(partition.n_strata)
-                ])
-            elif sd_source == "plugin":
-                if pop.loss_kind is not LossKind.ACCURACY:
-                    raise PreconditionError(
-                        "plugin SDs in run_mc are defined for 0/1 losses"
-                    )
-                ref = pop.get_proxy(proxy_col)
-                sds = np.array([
-                    plugin_sd_accuracy(float(np.mean(ref[partition.assignment == h])))
-                    for h in range(partition.n_strata)
-                ])
-            else:
-                raise PreconditionError(f"unknown sd_source {sd_source!r}")
-            plan = neyman(sizes, sds, n)
+        partition = StrataPartition(np.zeros(pool, dtype=np.int64), 1)
+        allocation = "prop"
+    elif partition is None:
+        raise PreconditionError("ssrs design needs a partition")
+    if partition.assignment.size != pool:
+        raise PreconditionError("partition does not cover the population")
+    sizes = partition.sizes
+    if allocation == "prop":
+        plan = proportional(sizes, n)
+    elif allocation == "neyman":
+        if sd_source == "true":
+            sds = np.array([
+                np.std(losses[partition.assignment == h], ddof=1)
+                if (partition.assignment == h).sum() >= 2 else 0.0
+                for h in range(partition.n_strata)
+            ])
+        elif sd_source == "plugin":
+            if pop.loss_kind is not LossKind.ACCURACY:
+                raise PreconditionError(
+                    "plugin SDs in run_mc are defined for 0/1 losses"
+                )
+            ref = pop.get_proxy(proxy_col)
+            sds = np.array([
+                plugin_sd_accuracy(float(np.mean(ref[partition.assignment == h])))
+                for h in range(partition.n_strata)
+            ])
         else:
-            raise PreconditionError(f"unknown allocation {allocation!r}")
-        members = [partition.members(h) for h in range(partition.n_strata)]
-        n_h = plan.n_h
-
-    weights = sizes / pool
-    f_h = n_h / sizes
-    inv_pi = sizes / n_h  # per-stratum expansion weight N_h/n_h
-    n_strata = len(members)
-    multi = n_strata > 1
-
+            raise PreconditionError(f"unknown sd_source {sd_source!r}")
+        plan = neyman(sizes, sds, n)
+    else:
+        raise PreconditionError(f"unknown allocation {allocation!r}")
+    n_h = plan.n_h
     if np.any(n_h < 2):
         raise PreconditionError("every stratum needs n_h >= 2 for plug-in SEs")
+    members = [partition.members(h) for h in range(partition.n_strata)]
+    strata = np.repeat(np.arange(partition.n_strata), n_h)
+
     zcrit = normal_quantile(0.5 + level / 2.0)
     estimates = np.empty(reps)
     ses = np.empty(reps)
-    covered = np.empty(reps, dtype=bool)
     for r in range(reps):
-        rep_seed = derive_seed(seed, r)
-        if multi:
-            theta = 0.0
-            var = 0.0
-            for h in range(n_strata):
-                sub = srs_indices(
-                    generator(derive_seed(rep_seed, h)), members[h].size, int(n_h[h])
-                )
-                vals = losses[members[h][sub]]
-                if proxies is not None:
-                    vals = vals - proxies[members[h][sub]]
-                theta += weights[h] * vals.mean()
-                var += (
-                    weights[h] ** 2
-                    * (1.0 - f_h[h])
-                    * float(np.var(vals, ddof=1))
-                    / n_h[h]
-                )
-            se = float(np.sqrt(var))
-        else:
-            sub = srs_indices(generator(rep_seed), pool, int(n_h[0]))
-            vals = losses[sub]
-            if proxies is not None:
-                vals = vals - proxies[sub]
-            theta = float(vals.mean())
-            se = float(np.sqrt(np.sum((vals - vals.mean()) ** 2))) / vals.size
-        if proxies is not None:
-            theta += proxy_mean
-        estimates[r] = theta
-        ses[r] = se
-        covered[r] = abs(theta - target) <= zcrit * se
+        idx = stratified_indices(members, n_h, derive_seed(seed, r))
+        theta, ses[r] = stratified_estimate(values[idx], strata, sizes)
+        estimates[r] = proxy_mean + theta
+    covered = np.abs(estimates - target) <= zcrit * ses
 
     sq = (estimates - target) ** 2
     return MCResult(
@@ -326,11 +293,3 @@ def efficiency_csv(table: dict[str, float], row_label: str = "pool") -> str:
     w.writerow(["population", *table.keys()])
     w.writerow([row_label, *(repr(float(v)) for v in table.values())])
     return buf.getvalue()
-
-
-def save_mc_results(path, results: dict, config: dict | None = None) -> None:
-    payload = {name: res.to_dict() for name, res in results.items()}
-    doc = {"results": payload}
-    if config is not None:
-        doc["config"] = config
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -52,9 +52,6 @@ class StrataPartition:
         """Canonical-order indices of stratum ``h``."""
         return np.flatnonzero(self.assignment == h)
 
-    def save_csv(self, path, ids) -> None:
-        Path(path).write_text(partition_csv(self, ids))
-
 
 def partition_csv(partition: StrataPartition, ids) -> str:
     if len(ids) != partition.assignment.size:
@@ -93,17 +90,6 @@ def load_partition_csv(path) -> dict[str, int]:
     if not out:
         raise ParseError(f"{path}: no data rows")
     return out
-
-
-def wcss(values, assignment) -> float:
-    """Plain within-cluster sum of squares, sum_h sum_i (v_i - vbar_h)^2."""
-    values = np.asarray(values, dtype=float)
-    assignment = np.asarray(assignment)
-    total = 0.0
-    for h in np.unique(assignment):
-        v = values[assignment == h]
-        total += float(np.sum((v - v.mean()) ** 2))
-    return total
 
 
 def within_ss(partition: StrataPartition, values) -> float:

@@ -68,6 +68,16 @@ def quadratic_dp_partition_cost(values, n_blocks):
     return float(dp[m - 1])
 
 
+def within_cluster_ss(values, labels):
+    """Plain within-cluster sum of squares, sum_h sum_i (v_i - vbar_h)^2."""
+    v = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    return sum(
+        float(np.sum((v[labels == h] - v[labels == h].mean()) ** 2))
+        for h in np.unique(labels)
+    )
+
+
 # -- isotonic regression ------------------------------------------------------
 
 
@@ -156,6 +166,21 @@ def enumerate_ssrs_mse(losses, assignment, n_h, proxies=None):
         )
         sq.append((est - target) ** 2)
     return float(np.mean(sq))
+
+
+def textbook_stratified_estimate(values, strata, sizes):
+    """Stratified mean and plug-in SE, summed stratum by stratum:
+    ``sum_h (N_h/N) ybar_h`` and
+    ``sqrt(sum_h (N_h/N)^2 (1 - n_h/N_h) s_h^2 / n_h)``."""
+    v = np.asarray(values, dtype=float)
+    strata = np.asarray(strata)
+    pop = float(sum(sizes))
+    mean = var = 0.0
+    for h, size in enumerate(sizes):
+        y = v[strata == h]
+        mean += size / pop * y.mean()
+        var += (size / pop) ** 2 * (1 - y.size / size) * np.var(y, ddof=1) / y.size
+    return mean, math.sqrt(var)
 
 
 def enumerate_srs_estimates(losses, n, proxies=None):

@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import best_interval_partition, best_monotone_fit
+from oracles import best_interval_partition, best_monotone_fit, within_cluster_ss
 from test_estimators import pipeline_instance
 from strateval import cli
 from strateval.calibration import fit_isotonic
 from strateval.estimators import mse_df_srs, mse_ht_neyman, mse_ht_prop, mse_ht_srs
 from strateval.simulate import SuperpopSpec, generate, run_mc
-from strateval.stratify import kmeans_1d, wcss
+from strateval.stratify import kmeans_1d
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -228,7 +228,7 @@ def test_criterion_5_solver_oracles(capfd):
         m = int(rng.integers(2, 13))
         v = rng.random(m) if i % 2 else np.round(rng.random(m), 1)
         h = int(rng.integers(1, min(4, np.unique(v).size) + 1))
-        got = wcss(v, kmeans_1d(v, h).assignment)
+        got = within_cluster_ss(v, kmeans_1d(v, h).assignment)
         partition_ok &= abs(got - best_interval_partition(v, h)) <= 1e-9
 
     monotone_ok = True

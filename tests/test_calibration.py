@@ -5,12 +5,18 @@ import pytest
 
 from oracles import best_monotone_fit
 from strateval.calibration import IsotonicMap, fit_isotonic, split_half, split_half_indices
-from strateval.dataset import Unit, from_units
+from strateval.dataset import Population
 from strateval.errors import ParseError, PreconditionError
+from strateval.losses import LossKind
 
 
 def make_pop(n):
-    return from_units([Unit(f"u{i}", (i % 10) / 10) for i in range(n)], "accuracy")
+    return Population(
+        ids=tuple(f"u{i}" for i in range(n)),
+        proxy=np.arange(n) % 10 / 10,
+        loss=np.full(n, np.nan),
+        loss_kind=LossKind.ACCURACY,
+    )
 
 
 # -- split_half ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from strateval.calibration import split_half
 from strateval.cli import main
 from strateval.dataset import ingest
 from strateval.estimators import normal_quantile
+from strateval.stratify import load_partition_csv
 
 ORDERING_SPEC = Path(__file__).resolve().parent.parent / "demos" / "configs" / "design_ordering.json"
 
@@ -154,6 +155,22 @@ def test_plan_h1_prop_equals_srs(tmp_path):
     srs_plan = json.loads((srs_out / "plan.json").read_text())
     prop_plan = json.loads((prop_out / "plan.json").read_text())
     assert srs_plan["n_h"] == prop_plan["n_h"] == [10]
+
+
+def test_plan_partition_round_trips_ids_with_commas_and_quotes(tmp_path):
+    ids = ["a,b", 'say "hi"', "u2", "u3", "u4", "u5"]
+    src = tmp_path / "pool.jsonl"
+    src.write_text("".join(
+        json.dumps({"id": uid, "proxy": i / 5}) + "\n" for i, uid in enumerate(ids)
+    ))
+    out = tmp_path / "plan"
+    argv = ["plan", "--input", str(src), "--out", str(out), "--budget", "4", "--strata", "2"]
+    assert main(argv) == 0
+    assert load_partition_csv(out / "partition.csv") == {
+        uid: int(i >= 3) for i, uid in enumerate(ids)
+    }
+    # plain ids are written bare, as before
+    assert data_rows(out / "partition.csv")[3:] == ["u2,0", "u3,1", "u4,1", "u5,1"]
 
 
 def test_plan_defaults_to_ten_strata(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from strateval.dataset import Population, Unit, attach_scores, from_units, ingest
+from strateval.dataset import Population, attach_scores, ingest
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
 
 
@@ -197,16 +197,6 @@ def test_get_proxy_column_selection(tmp_path):
         pop.get_proxy("proxy_cal")
     cal = pop.with_proxy_cal([0.2, 0.4, 0.8])
     assert cal.get_proxy("proxy_cal").tolist() == [0.2, 0.4, 0.8]
-
-
-def test_from_units():
-    pop = from_units(
-        [Unit("a", 0.1), Unit("b", 0.5, loss=1.0)], "accuracy"
-    )
-    assert pop.ids == ("a", "b")
-    assert math.isnan(pop.loss[0]) and pop.loss[1] == 1.0
-    with pytest.raises(ParseError):
-        from_units([Unit("a", 1.7)], "accuracy")
 
 
 def test_arrays_are_read_only(tmp_path):

@@ -5,6 +5,8 @@ every equally likely sample can be listed, so design MSEs and
 unbiasedness are checked *exactly* rather than by Monte Carlo.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,73 +15,85 @@ from oracles import (
     enumerate_srs_estimates,
     enumerate_srs_mse,
     enumerate_ssrs_mse,
+    textbook_stratified_estimate,
     two_group_losses,
 )
-from strateval.allocate import AllocationPlan
-from strateval.dataset import Unit, from_units
+from strateval.cli import main
 from strateval.errors import PreconditionError
 from strateval.estimators import (
     confidence_interval,
-    difference_estimate,
-    horvitz_thompson,
     mse_df_prop,
     mse_df_srs,
     mse_ht_neyman,
     mse_ht_prop,
     mse_ht_srs,
     normal_quantile,
-    plugin_se,
-    plugin_se_srs,
-    plugin_se_ssrs,
+    stratified_estimate,
 )
-from strateval.sampling import draw_srs, draw_ssrs
 from strateval.stratify import StrataPartition, kmeans_1d
 
 
 # -- point estimators ----------------------------------------------------------
+# HT is stratified_estimate on the sampled losses; DF adds the pool proxy
+# mean to stratified_estimate on the sampled residuals.
 
 
 def test_ht_reduces_to_sample_mean_under_srs():
-    assert horvitz_thompson([1, 0, 1, 1], [0.004] * 4, 1000) == pytest.approx(0.75)
+    theta, _ = stratified_estimate([1, 0, 1, 1], [0] * 4, [1000])
+    assert theta == pytest.approx(0.75)
 
 
 def test_ht_census_is_exact_mean():
     z = np.array([0.2, 0.4, 0.9])
-    assert horvitz_thompson(z, np.ones(3), 3) == pytest.approx(z.mean())
+    theta, se = stratified_estimate(z, [0, 0, 0], [3])
+    assert theta == pytest.approx(z.mean())
+    assert se == 0.0
 
 
 def test_ht_stratified_hand_value():
     # strata sizes (600, 400), n_h = (3, 2); stratum means 1 and 0
     losses = [1.0, 1.0, 1.0, 0.0, 0.0]
-    pi = [3 / 600] * 3 + [2 / 400] * 2
-    assert horvitz_thompson(losses, pi, 1000) == pytest.approx(0.6)
+    theta, _ = stratified_estimate(losses, [0, 0, 0, 1, 1], [600, 400])
+    assert theta == pytest.approx(0.6)
 
 
 def test_ht_requires_losses_and_valid_pi():
-    with pytest.raises(PreconditionError):
-        horvitz_thompson([1.0, np.nan], [0.5, 0.5], 4)
-    with pytest.raises(PreconditionError):
-        horvitz_thompson([1.0, 1.0], [0.5, 0.0], 4)
+    with pytest.raises(PreconditionError, match="observed"):
+        stratified_estimate([1.0, np.nan], [0, 0], [4])
+    # more sampled units than stratum members: pi = n_h / N_h > 1
+    with pytest.raises(PreconditionError, match="members"):
+        stratified_estimate([1.0, 1.0, 0.0], [0, 0, 0], [2])
+    with pytest.raises(PreconditionError, match="labels"):
+        stratified_estimate([1.0, 1.0], [1, 1], [4])
+    with pytest.raises(PreconditionError, match="aligned"):
+        stratified_estimate([1.0, 1.0], [0], [4])
 
 
 def test_df_residuals_vanish():
     # perfect proxy on the sample -> exactly the pool proxy mean
-    est = difference_estimate([1.0, 0.0], [1.0, 0.0], [0.5, 0.5], 0.37, 4)
-    assert est == pytest.approx(0.37)
+    correction, se = stratified_estimate(np.subtract([1.0, 0.0], [1.0, 0.0]), [0, 0], [4])
+    assert 0.37 + correction == 0.37
+    assert se == 0.0
 
 
-def test_df_zero_proxy_is_ht():
-    z = [1.0, 0.0, 1.0]
-    pi = [0.3] * 3
-    assert difference_estimate(z, [0.0] * 3, pi, 0.0, 10) == pytest.approx(
-        horvitz_thompson(z, pi, 10)
-    )
+def test_df_zero_proxy_is_ht(tmp_path):
+    # through `estimate`: a proxy column of zeros makes DF report exactly HT
+    pool = tmp_path / "pool.csv"
+    pool.write_text("id,proxy\n" + "".join(f"u{i},0.0\n" for i in range(10)))
+    sheet = tmp_path / "ws.csv"
+    sheet.write_text("id,stratum,pi,loss\nu1,0,0.3,1\nu4,0,0.3,0\nu7,0,0.3,1\n")
+    assert main(["estimate", "--input", str(pool), "--worksheet", str(sheet),
+                 "--out", str(tmp_path / "est")]) == 0
+    report = json.loads((tmp_path / "est" / "report.json").read_text())
+    assert report["df"]["theta"] == report["ht"]["theta"] == pytest.approx(2 / 3)
+    assert report["df"]["se"] == report["ht"]["se"]
 
 
 def test_df_census_exact():
     z = np.array([1.0, 0.0, 1.0, 1.0])
-    est = difference_estimate(z, [0.5] * 4, np.ones(4), 0.5, 4)
-    assert est == pytest.approx(0.75)
+    correction, se = stratified_estimate(z - 0.5, [0] * 4, [4])
+    assert 0.5 + correction == pytest.approx(0.75)
+    assert se == 0.0
 
 
 def test_ht_and_df_design_unbiased_by_enumeration():
@@ -316,39 +330,48 @@ def test_stratification_gain_identity_approximate():
 
 
 def test_plugin_se_srs_hand_value():
-    assert plugin_se_srs([0.0, 1.0]) == pytest.approx(0.35355, abs=1e-5)
-    assert plugin_se_srs([0.7, 0.7, 0.7]) == 0.0
+    # plain SRS is one stratum: values {0, 1} drawn 2 of N = 4 give
+    # s^2 = 0.5 and se^2 = (1 - 2/4) * 0.5 / 2
+    assert stratified_estimate([0.0, 1.0], [0, 0], [4])[1] == pytest.approx(
+        0.35355, abs=1e-5
+    )
+    assert stratified_estimate([0.7, 0.7, 0.7], [0, 0, 0], [10])[1] == 0.0
 
 
 def test_plugin_se_ssrs_census_is_zero():
-    se = plugin_se_ssrs([1.0, 0.0, 1.0, 1.0], [0, 0, 1, 1], [2, 2])
+    _, se = stratified_estimate([1.0, 0.0, 1.0, 1.0], [0, 0, 1, 1], [2, 2])
     assert se == 0.0
 
 
 def test_plugin_se_ssrs_hand_value():
     # one stratum of 100 sampled 2, values {0,1}: s^2 = 0.5,
     # var = (1/1)^2 * (1 - 0.02) * 0.5 / 2 with weight (100/100)^2
-    se = plugin_se_ssrs([0.0, 1.0], [0, 0], [100])
+    _, se = stratified_estimate([0.0, 1.0], [0, 0], [100])
     assert se == pytest.approx(np.sqrt(0.98 * 0.25), rel=1e-12)
+    # constant strata contribute exactly 0, though 0.7 * 3 rounds
+    values = [0.7, 0.7, 0.7, 0.3, 0.3, 0.3, 0.1, 0.1]
+    assert stratified_estimate(values, [0, 0, 0, 1, 1, 1, 2, 2], [10, 20, 5])[1] == 0.0
 
 
 def test_plugin_se_ssrs_needs_two_per_stratum():
-    with pytest.raises(PreconditionError):
-        plugin_se_ssrs([1.0, 0.0, 1.0], [0, 0, 1], [5, 5])
+    with pytest.raises(PreconditionError, match="stratum 1 has 1"):
+        stratified_estimate([1.0, 0.0, 1.0], [0, 0, 1], [5, 5])
 
 
-def test_plugin_se_dispatch():
-    pop = from_units([Unit(f"u{i}", 0.5, loss=float(i % 2)) for i in range(20)], "accuracy")
-    draw = draw_srs(pop, 6, seed=3)
-    vals = pop.loss[draw.indices]
-    assert plugin_se(draw, vals) == pytest.approx(plugin_se_srs(vals))
-    part = StrataPartition(np.repeat([0, 1], 10), 2)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([3, 3]))
-    sdraw = draw_ssrs(pop, part, plan, seed=4)
-    svals = pop.loss[sdraw.indices]
-    assert plugin_se(sdraw, svals) == pytest.approx(
-        plugin_se_ssrs(svals, sdraw.strata, sdraw.stratum_sizes)
-    )
+def test_stratified_estimate_matches_textbook_sums():
+    # random stratified samples in shuffled order, against the
+    # stratum-by-stratum transcription of the two formulas
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n_strata = int(rng.integers(1, 6))
+        n_h = rng.integers(2, 9, size=n_strata)
+        sizes = n_h + rng.integers(0, 40, size=n_strata)
+        strata = rng.permutation(np.repeat(np.arange(n_strata), n_h))
+        values = np.where(rng.random(strata.size) < 0.5, rng.random(strata.size), 1.0)
+        theta, se = stratified_estimate(values, strata, sizes)
+        want_theta, want_se = textbook_stratified_estimate(values, strata, sizes)
+        assert theta == pytest.approx(want_theta, rel=1e-12)
+        assert se == pytest.approx(want_se, rel=1e-12, abs=1e-15)
 
 
 # -- normal quantile and intervals ------------------------------------------------

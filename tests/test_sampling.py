@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from strateval.allocate import AllocationPlan, proportional
-from strateval.dataset import Unit, from_units
+from strateval.allocate import AllocationPlan
+from strateval.dataset import Population
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
+from strateval.losses import LossKind
 from strateval.rng import derive_seed, srs_indices, substream
 from strateval.sampling import (
     SampleDraw,
-    draw_srs,
     draw_ssrs,
     load_worksheet,
     save_worksheet,
@@ -20,7 +20,18 @@ from strateval.stratify import StrataPartition
 
 
 def make_pop(n):
-    return from_units([Unit(f"u{i:03d}", (i % 7) / 7) for i in range(n)], "accuracy")
+    return Population(
+        ids=tuple(f"u{i:03d}" for i in range(n)),
+        proxy=np.arange(n) % 7 / 7,
+        loss=np.full(n, np.nan),
+        loss_kind=LossKind.ACCURACY,
+    )
+
+
+def draw_srs(pop, n, seed):
+    """Plain SRS: the one-stratum stratified draw."""
+    one = StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
+    return draw_ssrs(pop, one, AllocationPlan(strategy="srs", n_h=np.array([n])), seed)
 
 
 def test_srs_basics():
@@ -29,7 +40,7 @@ def test_srs_basics():
     assert draw.size == 8
     assert len(set(draw.ids)) == 8
     assert np.all(draw.pi == 8 / 40)
-    assert draw.design == "srs"
+    assert np.all(draw.strata == 0)
 
 
 def test_srs_census():
@@ -64,16 +75,15 @@ def test_srs_inclusion_frequencies():
 
 
 def test_ssrs_single_stratum_matches_srs_substream():
-    # a 1-stratum stratified draw is exactly an SRS made with the
-    # stratum-0 derived sub-seed
+    # a 1-stratum stratified draw is exactly a partial Fisher-Yates pass
+    # over the whole pool on the stratum-0 substream
     pop = make_pop(50)
     part = StrataPartition(np.zeros(50, dtype=np.int64), 1)
     plan = AllocationPlan(strategy="prop", n_h=np.array([12]))
     a = draw_ssrs(pop, part, plan, seed=99)
-    b = draw_srs(pop, 12, derive_seed(99, 0))
-    assert a.ids == b.ids
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.pi, b.pi)
+    assert np.array_equal(a.indices, srs_indices(substream(99, 0), 50, 12))
+    assert a.ids == tuple(pop.ids[i] for i in a.indices)
+    assert np.all(a.pi == 12 / 50)
 
 
 def test_ssrs_census():
@@ -210,5 +220,4 @@ def test_draw_rejects_bad_pi():
             pi=np.array([1.5]),
             stratum_sizes=np.array([1]),
             seed=0,
-            design="srs",
         )

@@ -13,20 +13,20 @@ import pytest
 from scipy import stats
 
 from oracles import two_group_losses
-from strateval.allocate import proportional
+from strateval.allocate import AllocationPlan, proportional
+from strateval.cli import main
 from strateval.dataset import Population
 from strateval.errors import ParseError, PreconditionError
 from strateval.estimators import (
-    difference_estimate,
-    horvitz_thompson,
     mse_df_srs,
     mse_ht_neyman,
     mse_ht_prop,
     mse_ht_srs,
+    stratified_estimate,
 )
 from strateval.losses import LossKind
 from strateval.rng import derive_seed
-from strateval.sampling import draw_srs, draw_ssrs
+from strateval.sampling import draw_ssrs, worksheet_csv
 from strateval.simulate import (
     MCResult,
     SuperpopSpec,
@@ -34,7 +34,6 @@ from strateval.simulate import (
     efficiency_table,
     generate,
     run_mc,
-    save_mc_results,
 )
 from strateval.stratify import StrataPartition, kmeans_1d
 
@@ -253,15 +252,35 @@ def test_run_mc_validation():
         )
 
 
-def test_run_mc_replications_match_public_draws():
+def one_stratum(pop):
+    return StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
+
+
+def worksheet_ids(path):
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return tuple(row.split(",")[0] for row in rows[1:])
+
+
+def test_run_mc_replications_match_public_draws(tmp_path):
+    # one seed gives one SRS sample everywhere: `plan --strategy srs`, the
+    # one-stratum draw_ssrs, and run_mc's replication replayed from it
     pop = generate(two_point_spec(300, seed=33))
+    pool = tmp_path / "pool.csv"
+    pool.write_text(pop.canonical_csv())
     res = run_mc(
         pop, design="srs", estimator="ht", n=40, reps=120, seed=77, keep_estimates=True
     )
     assert res.estimates is not None and res.estimates.shape == (120,)
+    srs_plan = AllocationPlan(strategy="srs", n_h=np.array([40]))
     for r in (0, 57, 119):
-        draw = draw_srs(pop, 40, derive_seed(77, r))
-        ht = horvitz_thompson(pop.loss[draw.indices], draw.pi, pop.size)
+        sub_seed = derive_seed(77, r)
+        out = tmp_path / f"plan{r}"
+        argv = ["plan", "--input", str(pool), "--out", str(out), "--budget", "40",
+                "--strategy", "srs", "--seed-sample", str(sub_seed)]
+        assert main(argv) == 0
+        draw = draw_ssrs(pop, one_stratum(pop), srs_plan, sub_seed)
+        assert worksheet_ids(out / "worksheet.csv") == draw.ids
+        ht, _ = stratified_estimate(pop.loss[draw.indices], draw.strata, [pop.size])
         assert res.estimates[r] == pytest.approx(ht, rel=1e-12)
 
     part = kmeans_1d(pop.proxy, 2)
@@ -279,12 +298,43 @@ def test_run_mc_replications_match_public_draws():
     pool_mean = float(np.mean(pop.proxy))
     for r in (0, 119):
         draw = draw_ssrs(pop, part, plan, derive_seed(78, r))
-        df = difference_estimate(
-            pop.loss[draw.indices], pop.proxy[draw.indices], draw.pi, pool_mean, pop.size
-        )
-        assert res2.estimates[r] == pytest.approx(df, rel=1e-12)
+        residuals = pop.loss[draw.indices] - pop.proxy[draw.indices]
+        correction, _ = stratified_estimate(residuals, draw.strata, part.sizes)
+        assert res2.estimates[r] == pytest.approx(pool_mean + correction, rel=1e-12)
     # estimates are only materialized on request
     assert run_mc(pop, design="srs", estimator="ht", n=40, reps=120, seed=77).estimates is None
+
+
+@pytest.mark.parametrize("design", ["srs", "ssrs"])
+def test_run_mc_validates_the_se_estimate_reports(tmp_path, design):
+    # replay every replication through `estimate`: run_mc's estimates and
+    # mean standard error are the ones a user running the CLI would see
+    pop = generate(two_point_spec(90, seed=12))
+    pool = tmp_path / "pool.csv"
+    pool.write_text(pop.canonical_csv())
+    part = kmeans_1d(pop.proxy, 2) if design == "ssrs" else one_stratum(pop)
+    plan = proportional(part.sizes, 16)
+    kw = dict(design=design, n=16, reps=100, seed=91, partition=part, keep_estimates=True)
+    runs = {est: run_mc(pop, estimator=est, **kw) for est in ("ht", "df")}
+    reported = {"ht": ([], []), "df": ([], [])}
+    for r in range(100):
+        draw = draw_ssrs(pop, part, plan, derive_seed(91, r))
+        rows = worksheet_csv(draw).splitlines()
+        sheet = tmp_path / "annotated.csv"
+        sheet.write_text(
+            rows[0] + ",loss\n"
+            + "".join(f"{row},{float(pop.loss[i])!r}\n" for row, i in zip(rows[1:], draw.indices))
+        )
+        out = tmp_path / "est"
+        argv = ["estimate", "--input", str(pool), "--worksheet", str(sheet), "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        for est, (thetas, ses) in reported.items():
+            thetas.append(report[est]["theta"])
+            ses.append(report[est]["se"])
+    for est, (thetas, ses) in reported.items():
+        assert runs[est].estimates == pytest.approx(thetas, rel=1e-12)
+        assert runs[est].avg_plugin_se == pytest.approx(np.mean(ses), rel=1e-12)
 
 
 def test_run_mc_deterministic():
@@ -452,15 +502,3 @@ def test_efficiency_csv_layout():
     assert parsed[0] == ["population", "SRS+HT", "SRS+DF", "SSRS,p+HT", "SSRS,o+HT"]
     assert parsed[1][0] == "two_point"
     assert [float(v) for v in parsed[1][1:]] == [1.0, 0.5, 0.625, 0.375]
-
-
-def test_save_mc_results_round_trip(tmp_path):
-    results = {"SRS+HT": _result(4e-4), "SRS+DF": _result(2e-4)}
-    out = tmp_path / "mc.json"
-    save_mc_results(out, results, config={"n": 100, "seed": 7})
-    doc = json.loads(out.read_text())
-    assert doc["config"] == {"n": 100, "seed": 7}
-    assert set(doc["results"]) == {"SRS+HT", "SRS+DF"}
-    assert doc["results"]["SRS+DF"]["empirical_mse"] == 2e-4
-    assert doc["results"]["SRS+HT"]["coverage"] == 0.95
-    assert out.read_text().endswith("\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import best_interval_partition, quadratic_dp_partition_cost
+from oracles import best_interval_partition, quadratic_dp_partition_cost, within_cluster_ss
 from strateval.errors import PreconditionError
 from strateval.stratify import (
     StrataPartition,
@@ -10,7 +10,6 @@ from strateval.stratify import (
     kmeans_embeddings,
     load_partition_csv,
     partition_csv,
-    wcss,
     within_ss,
 )
 
@@ -21,7 +20,7 @@ from strateval.stratify import (
 def test_separable_clusters():
     part = kmeans_1d([0.0, 0.0, 1.0, 1.0], 2)
     assert part.assignment.tolist() == [0, 0, 1, 1]
-    assert wcss([0.0, 0.0, 1.0, 1.0], part.assignment) == 0.0
+    assert within_cluster_ss([0.0, 0.0, 1.0, 1.0], part.assignment) == 0.0
 
 
 def test_three_values_two_strata():
@@ -30,14 +29,14 @@ def test_three_values_two_strata():
     v = [0.0, 0.4, 1.0]
     part = kmeans_1d(v, 2)
     assert part.assignment.tolist() == [0, 0, 1]
-    assert wcss(v, part.assignment) == pytest.approx(0.08)
+    assert within_cluster_ss(v, part.assignment) == pytest.approx(0.08)
 
 
 def test_single_stratum_objective_is_total_ss():
     v = np.array([0.1, 0.4, 0.7, 0.9])
     part = kmeans_1d(v, 1)
     assert part.n_strata == 1
-    assert wcss(v, part.assignment) == pytest.approx(np.sum((v - v.mean()) ** 2))
+    assert within_cluster_ss(v, part.assignment) == pytest.approx(np.sum((v - v.mean()) ** 2))
 
 
 def test_labels_ordered_by_value():
@@ -69,7 +68,7 @@ def test_matches_exhaustive_search_small():
         n = int(rng.integers(2, 12))
         v = np.round(rng.random(n), 2)  # rounding manufactures ties
         for h in range(1, min(4, np.unique(v).size) + 1):
-            got = wcss(v, kmeans_1d(v, h).assignment)
+            got = within_cluster_ss(v, kmeans_1d(v, h).assignment)
             want = best_interval_partition(v, h)
             assert got == pytest.approx(want, abs=1e-9), (v, h)
 
@@ -80,7 +79,7 @@ def test_matches_quadratic_dp_mid_size():
     rng = np.random.default_rng(3)
     for n, h in [(80, 3), (150, 5), (400, 8), (257, 6)]:
         v = np.round(rng.random(n), 2 if n < 200 else 3)
-        got = wcss(v, kmeans_1d(v, h).assignment)
+        got = within_cluster_ss(v, kmeans_1d(v, h).assignment)
         want = quadratic_dp_partition_cost(v, h)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -88,7 +87,7 @@ def test_matches_quadratic_dp_mid_size():
 def test_objective_nonincreasing_in_strata_count():
     rng = np.random.default_rng(4)
     v = rng.random(60)
-    costs = [wcss(v, kmeans_1d(v, h).assignment) for h in range(1, 8)]
+    costs = [within_cluster_ss(v, kmeans_1d(v, h).assignment) for h in range(1, 8)]
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
 
 
@@ -156,10 +155,10 @@ def test_bins_never_beat_kmeans():
         h = int(rng.integers(1, 5))
         bins = equal_width_bins(v, h)
         km = kmeans_1d(v, min(h, np.unique(v).size))
-        total = wcss(v, np.zeros(v.size, dtype=int))
+        total = within_cluster_ss(v, np.zeros(v.size, dtype=int))
         assert (
-            wcss(v, km.assignment)
-            <= wcss(v, bins.assignment) + 1e-12
+            within_cluster_ss(v, km.assignment)
+            <= within_cluster_ss(v, bins.assignment) + 1e-12
             <= total + 1e-9
         )
 
@@ -205,7 +204,7 @@ def test_embeddings_1d_never_beats_exact_dp():
     for _ in range(10):
         v = rng.random(30)
         h = 3
-        exact = wcss(v, kmeans_1d(v, h).assignment)
+        exact = within_cluster_ss(v, kmeans_1d(v, h).assignment)
         lloyd_part = kmeans_embeddings(v.reshape(-1, 1), h, seed=2)
         lloyd = sum(
             float(np.sum((v[lloyd_part.assignment == s] - v[lloyd_part.assignment == s].mean()) ** 2))
