@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .losses import LossKind, conditional_moments, eval_loss
 from .rng import derive_seed, generator, srs_indices, substream
-from .sampling import SampleDraw, draw_ssrs, load_worksheet, save_worksheet
+from .sampling import SampleDraw, draw_ssrs, load_worksheet
 from .simulate import (
     MCResult,
     SuperpopSpec,
@@ -91,7 +91,6 @@ __all__ = [
     "plugin_sd_general",
     "proportional",
     "run_mc",
-    "save_worksheet",
     "split_half",
     "split_half_indices",
     "srs_indices",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -44,16 +43,12 @@ class AllocationPlan:
     def total(self) -> int:
         return int(self.n_h.sum())
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "strategy": self.strategy,
             "n_h": [int(v) for v in self.n_h],
             "warnings": list(self.warnings),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "AllocationPlan":

@@ -80,15 +80,11 @@ class IsotonicMap:
         pos = np.searchsorted(self.breakpoints, x, side="right") - 1
         return self.values[np.clip(pos, 0, self.values.size - 1)]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "breakpoints": [float(b) for b in self.breakpoints],
             "values": [float(v) for v in self.values],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "IsotonicMap":

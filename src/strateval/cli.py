@@ -30,7 +30,7 @@ from .allocate import (
     proportional,
 )
 from .calibration import fit_isotonic, split_half
-from .dataset import Population, ingest
+from .dataset import Population, check_losses, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .estimators import EstimateReport, confidence_interval, stratified_estimate
 from .losses import LossKind, conditional_moments
@@ -50,7 +50,6 @@ from .stratify import (
     kmeans_embeddings,
     partition_csv,
 )
-from .dataset import _check_loss_value
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -102,9 +101,7 @@ def cmd_calibrate(args) -> int:
         )
     iso = fit_isotonic(cal.proxy, cal.loss)
     out = _out_dir(args)
-    map_doc = json.loads(iso.to_json())
-    map_doc["config"] = cfg
-    _write_json(out / "map.json", map_doc)
+    _write_json(out / "map.json", {**iso.to_dict(), "config": cfg})
     ev = ev.with_proxy_cal(iso.apply(ev.proxy))
     (out / "calibrated.csv").write_text(_config_comment(cfg) + ev.canonical_csv())
     print(f"calibrate: fitted {iso.breakpoints.size} steps on {cal.size} units; "
@@ -186,9 +183,7 @@ def cmd_plan(args) -> int:
         draw = draw_ssrs(pop, partition, plan, args.seed_sample)
     out = _out_dir(args)
     (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids))
-    plan_doc = json.loads(plan.to_json())
-    plan_doc["config"] = cfg
-    _write_json(out / "plan.json", plan_doc)
+    _write_json(out / "plan.json", {**plan.to_dict(), "config": cfg})
     (out / "worksheet.csv").write_text(_config_comment(cfg) + worksheet_csv(draw))
     print(
         f"plan: {partition.n_strata} strata, allocation "
@@ -232,8 +227,7 @@ def cmd_estimate(args) -> int:
             f"sampled unit(s) missing a loss: {', '.join(missing[:5])}"
             + ("..." if len(missing) > 5 else "")
         )
-    for uid, val in zip(ws.ids, ws.loss):
-        _check_loss_value(pop.loss_kind, float(val), f"worksheet loss for {uid!r}")
+    check_losses(pop.loss_kind, ws.loss, lambda i: f"{Path(args.worksheet)} line {ws.lines[i]}")
     labels, sizes = _design_from_worksheet(ws)
     if int(sizes.sum()) != pop.size:
         raise ConsistencyError(

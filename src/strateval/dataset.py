@@ -8,23 +8,21 @@ interchangeable.
 
 Dataset files are CSV with header ``id,proxy[,proxy_cal][,loss][,emb_0..
 emb_{d-1}]`` or JSONL with the same field names (``embedding`` as an
-array).  Lines starting with ``#`` are skipped, which is how tool outputs
-embed their run config without breaking round-trips.  A class-score
-sidecar (JSONL records ``{"id":…, "label":…, "scores":[…]}``) can be
-attached to supply per-unit predictive distributions.
+array).  A class-score sidecar (JSONL records ``{"id":…, "label":…,
+"scores":[…]}``) can be attached to supply per-unit predictive
+distributions.  All three are read through the one table reader in
+:mod:`strateval.tables`, which owns the rules for ``#`` comment lines,
+physical line numbers in errors, and ids.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .losses import LossKind, _check_scores
 
@@ -33,28 +31,39 @@ def _proxy_bounds(kind: LossKind) -> tuple[float, float]:
     # accuracy and squared error live in [0,1]; cross-entropy is an
     # unbounded nonnegative loss.
     if kind is LossKind.CROSS_ENTROPY:
-        return 0.0, math.inf
+        return 0.0, np.inf
     return 0.0, 1.0
 
 
-def _check_loss_value(kind: LossKind, value: float, where: str) -> None:
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: loss {value!r} is not finite")
-    if kind is LossKind.ACCURACY:
-        if value not in (0.0, 1.0):
-            raise ParseError(f"{where}: accuracy loss must be 0 or 1, got {value!r}")
-    elif kind is LossKind.SQUARED_ERROR:
-        if not 0.0 <= value <= 1.0:
-            raise ParseError(f"{where}: squared-error loss must be in [0,1], got {value!r}")
-    elif value < 0.0:
-        raise ParseError(f"{where}: cross-entropy loss must be >= 0, got {value!r}")
-
-
-def _check_proxy_value(kind: LossKind, value: float, where: str, col: str) -> None:
+def _proxy_column(kind: LossKind, cells, col: str, where: tables.Where) -> np.ndarray | None:
+    if cells is None:
+        return None
+    v = tables.numbers(cells, col, where)
     lo, hi = _proxy_bounds(kind)
-    if not math.isfinite(value) or not lo <= value <= hi:
-        span = "[0,1]" if hi == 1.0 else ">= 0"
-        raise ParseError(f"{where}: {col} {value!r} outside {span}")
+    span = "[0,1]" if hi == 1.0 else ">= 0"
+    tables.check(np.isfinite(v) & (v >= lo) & (v <= hi), where,
+                 lambda i: f"{col} {float(v[i])!r} outside {span}")
+    return v
+
+
+def check_losses(kind: LossKind, values, where: tables.Where) -> None:
+    """Reject the first loss that is not finite or outside ``kind``'s range.
+
+    ``where(i)`` names the place of ``values[i]`` in the error message.
+    Every loss that enters the program -- from a pool file, a worksheet
+    or :meth:`Population.with_losses` -- passes through this check.
+    """
+    v = np.asarray(values, dtype=float)
+    finite = np.isfinite(v)
+    if kind is LossKind.ACCURACY:
+        ok, rule = (v == 0.0) | (v == 1.0), "accuracy loss must be 0 or 1"
+    elif kind is LossKind.SQUARED_ERROR:
+        ok, rule = (v >= 0.0) & (v <= 1.0), "squared-error loss must be in [0,1]"
+    else:
+        ok, rule = v >= 0.0, "cross-entropy loss must be >= 0"
+    tables.check(finite & ok, where, lambda i: (
+        f"{rule}, got {float(v[i])!r}" if finite[i] else f"loss {float(v[i])!r} is not finite"
+    ))
 
 
 @dataclass(eq=False)
@@ -100,7 +109,8 @@ class Population:
                 arr.setflags(write=False)
         self._index = {u: i for i, u in enumerate(self.ids)}
         if len(self._index) != n:
-            raise ParseError("duplicate unit id")
+            dup = next(u for i, u in enumerate(self.ids) if self._index[u] != i)
+            raise ParseError(f"duplicate id {dup!r}")
 
     @property
     def size(self) -> int:
@@ -141,203 +151,131 @@ class Population:
     def take(self, indices) -> "Population":
         """Sub-population at ``indices`` (order preserved as given)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Population(
+
+        def pick(arr):
+            return None if arr is None else arr[idx]
+
+        return replace(
+            self,
             ids=tuple(self.ids[i] for i in idx),
-            proxy=self.proxy[idx].copy(),
-            loss=self.loss[idx].copy(),
-            loss_kind=self.loss_kind,
-            proxy_cal=None if self.proxy_cal is None else self.proxy_cal[idx].copy(),
-            embeddings=None if self.embeddings is None else self.embeddings[idx].copy(),
-            labels=None if self.labels is None else self.labels[idx].copy(),
+            proxy=self.proxy[idx],
+            loss=self.loss[idx],
+            proxy_cal=pick(self.proxy_cal),
+            embeddings=pick(self.embeddings),
+            labels=pick(self.labels),
             scores=None if self.scores is None else [self.scores[i] for i in idx],
         )
 
     def with_proxy_cal(self, values) -> "Population":
-        values = np.asarray(values, dtype=float).copy()
+        values = np.array(values, dtype=float)
         if values.shape != (self.size,):
             raise PreconditionError("proxy_cal length must match population size")
-        return Population(
-            ids=self.ids,
-            proxy=self.proxy.copy(),
-            loss=self.loss.copy(),
-            loss_kind=self.loss_kind,
-            proxy_cal=values,
-            embeddings=self.embeddings,
-            labels=self.labels,
-            scores=self.scores,
-        )
+        return replace(self, proxy_cal=values)
 
     def with_losses(self, loss_by_id: dict) -> "Population":
         """New population with losses filled in from an id -> loss mapping."""
+        uids = list(loss_by_id)
+        values = np.array([float(loss_by_id[u]) for u in uids])
+        check_losses(self.loss_kind, values, lambda i: f"loss for id {uids[i]!r}")
         loss = self.loss.copy()
-        for uid, value in loss_by_id.items():
-            value = float(value)
-            _check_loss_value(self.loss_kind, value, f"loss for id {uid!r}")
-            loss[self.index_of(uid)] = value
-        return Population(
-            ids=self.ids,
-            proxy=self.proxy.copy(),
-            loss=loss,
-            loss_kind=self.loss_kind,
-            proxy_cal=None if self.proxy_cal is None else self.proxy_cal.copy(),
-            embeddings=self.embeddings,
-            labels=self.labels,
-            scores=self.scores,
-        )
+        loss[[self.index_of(u) for u in uids]] = values
+        return replace(self, loss=loss)
 
     # -- canonical serialization ------------------------------------------
 
     def canonical_csv(self) -> str:
         """Canonical CSV text; equal populations serialize to equal bytes."""
-        buf = io.StringIO()
-        d = 0 if self.embeddings is None else self.embeddings.shape[1]
         header = ["id", "proxy"]
+        cols = [self.ids, self.proxy.tolist()]
         if self.proxy_cal is not None:
             header.append("proxy_cal")
+            cols.append(self.proxy_cal.tolist())
         header.append("loss")
-        header += [f"emb_{j}" for j in range(d)]
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        for i in range(self.size):
-            row = [self.ids[i], repr(float(self.proxy[i]))]
-            if self.proxy_cal is not None:
-                row.append(repr(float(self.proxy_cal[i])))
-            row.append("" if math.isnan(self.loss[i]) else repr(float(self.loss[i])))
-            if d:
-                row += [repr(float(v)) for v in self.embeddings[i]]
-            w.writerow(row)
-        return buf.getvalue()
-
-    def to_csv(self, path) -> None:
-        Path(path).write_text(self.canonical_csv())
+        cols.append(["" if v != v else v for v in self.loss.tolist()])  # NaN: not annotated
+        if self.embeddings is not None:
+            header += [f"emb_{j}" for j in range(self.embeddings.shape[1])]
+            cols += self.embeddings.T.tolist()
+        return tables.csv_text(header, zip(*cols))
 
 
 # -- file ingest -----------------------------------------------------------
 
 
-def _parse_float(text: str, where: str, col: str) -> float:
+def _population(kind: LossKind, path: Path, where: tables.Where, ids, proxy, proxy_cal,
+                loss, embeddings) -> Population:
+    """Convert and range-check the text columns of a pool file, column by column.
+
+    ``loss`` cells that are blank mean "not annotated yet".
+    """
+    uids = tables.ids(ids, where)
+    proxy = _proxy_column(kind, proxy, "proxy", where)
+    proxy_cal = _proxy_column(kind, proxy_cal, "proxy_cal", where)
+    losses, present = tables.optional_numbers(loss, "loss", where)
+    at = np.flatnonzero(present)
+    check_losses(kind, losses[at], lambda j: where(int(at[j])))
     try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{where}: cannot parse {col}={text!r} as a number") from None
+        return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind,
+                          proxy_cal=proxy_cal, embeddings=embeddings)
+    except ParseError as e:  # a duplicate id
+        raise ParseError(f"{path}: {e}") from None
 
 
-def _ingest_csv(path: Path, kind: LossKind) -> dict:
-    with open(path, newline="") as f:
-        physical = 0
-        header = None
-        rows = []
-        for raw in f:
-            physical += 1
-            if raw.startswith("#") or not raw.strip():
-                continue
-            parsed = next(csv.reader([raw]))
-            if header is None:
-                header = [h.strip() for h in parsed]
-                header_line = physical
-            else:
-                rows.append((physical, parsed))
-    if header is None:
-        raise ParseError(f"{path}: no header row")
-
+def _ingest_csv(path: Path, kind: LossKind) -> Population:
+    t = tables.read_csv(path)
     known = {"id", "proxy", "proxy_cal", "loss"}
-    emb_cols = sorted(
-        (h for h in header if h.startswith("emb_")),
-        key=lambda h: int(h[4:]) if h[4:].isdigit() else -1,
-    )
-    for h in header:
-        if h not in known and h not in emb_cols:
-            raise ParseError(f"{path} line {header_line}: unknown column {h!r}")
-    for req in ("id", "proxy"):
-        if req not in header:
-            raise ParseError(f"{path} line {header_line}: missing column {req!r}")
+    for h in t.header:
+        if h not in known and not h.startswith("emb_"):
+            raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
+    t.require("id", "proxy")
+    emb_cols = sorted(h for h in t.header if h.startswith("emb_"))
     d = len(emb_cols)
-    if d and [int(h[4:]) if h[4:].isdigit() else -1 for h in emb_cols] != list(range(d)):
+    if emb_cols != sorted(f"emb_{j}" for j in range(d)):
         raise ParseError(
-            f"{path} line {header_line}: embedding columns must be emb_0..emb_{{d-1}}"
+            f"{path} line {t.header_line}: embedding columns must be emb_0..emb_{{d-1}}"
         )
-    col = {h: j for j, h in enumerate(header)}
+    c = t.columns
+    emb = [tables.numbers(c[f"emb_{j}"], f"emb_{j}", t.where) for j in range(d)]
+    return _population(kind, path, t.where, c["id"], c["proxy"], c.get("proxy_cal"),
+                       c.get("loss", [""] * len(t.lines)), np.column_stack(emb) if d else None)
 
+
+def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
+    linenos: list[int] = []
     ids, proxy, proxy_cal, loss, emb = [], [], [], [], []
-    for lineno, row in rows:
-        where = f"{path} line {lineno}"
-        if len(row) != len(header):
-            raise ParseError(
-                f"{where}: expected {len(header)} fields, got {len(row)}"
-            )
-        uid = row[col["id"]].strip()
-        if not uid:
-            raise ParseError(f"{where}: empty id")
-        ids.append(uid)
-        proxy.append(_parse_float(row[col["proxy"]], where, "proxy"))
-        _check_proxy_value(kind, proxy[-1], where, "proxy")
-        if "proxy_cal" in col:
-            proxy_cal.append(_parse_float(row[col["proxy_cal"]], where, "proxy_cal"))
-            _check_proxy_value(kind, proxy_cal[-1], where, "proxy_cal")
-        if "loss" in col and row[col["loss"]].strip() != "":
-            val = _parse_float(row[col["loss"]], where, "loss")
-            _check_loss_value(kind, val, where)
-            loss.append(val)
-        else:
-            loss.append(math.nan)
-        if d:
-            emb.append([_parse_float(row[col[h]], where, h) for h in emb_cols])
+    for lineno, rec in tables.read_jsonl(path):
+        here = f"{path} line {lineno}"
+        if not isinstance(rec, dict) or "id" not in rec or "proxy" not in rec:
+            raise ParseError(f"{here}: record needs 'id' and 'proxy' fields")
+        if not linenos:
+            has_cal, has_emb = "proxy_cal" in rec, "embedding" in rec
+        for fld, has in (("proxy_cal", has_cal), ("embedding", has_emb)):
+            if (fld in rec) != has:
+                raise ParseError(f"{here}: {fld} present in some records but not all")
+        linenos.append(lineno)
+        ids.append(str(rec["id"]))
+        proxy.append(str(rec["proxy"]))
+        loss.append("" if rec.get("loss") is None else str(rec["loss"]))
+        if has_cal:
+            proxy_cal.append(str(rec["proxy_cal"]))
+        if has_emb:
+            vec = rec["embedding"]
+            if not isinstance(vec, list) or not vec:
+                raise ParseError(f"{here}: embedding must be a nonempty array")
+            if emb and len(vec) != len(emb[0]):
+                raise ParseError(f"{here}: embedding dimensionality mismatch across rows")
+            emb.append([str(v) for v in vec])
+    if not linenos:
+        raise ParseError(f"{path}: no data rows")
 
-    return {
-        "ids": ids,
-        "proxy": proxy,
-        "proxy_cal": proxy_cal if "proxy_cal" in col else None,
-        "loss": loss,
-        "emb": emb if d else None,
-        "path": path,
-    }
+    def where(i: int) -> str:
+        return f"{path} line {linenos[i]}"
 
-
-def _ingest_jsonl(path: Path, kind: LossKind) -> dict:
-    ids, proxy, proxy_cal, loss, emb = [], [], [], [], []
-    saw_cal = saw_emb = False
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            if raw.startswith("#") or not raw.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{where}: invalid JSON ({e.msg})") from None
-            if not isinstance(rec, dict) or "id" not in rec or "proxy" not in rec:
-                raise ParseError(f"{where}: record needs 'id' and 'proxy' fields")
-            ids.append(str(rec["id"]))
-            proxy.append(_parse_float(str(rec["proxy"]), where, "proxy"))
-            _check_proxy_value(kind, proxy[-1], where, "proxy")
-            if "proxy_cal" in rec:
-                saw_cal = True
-                proxy_cal.append(_parse_float(str(rec["proxy_cal"]), where, "proxy_cal"))
-                _check_proxy_value(kind, proxy_cal[-1], where, "proxy_cal")
-            elif saw_cal:
-                raise ParseError(f"{where}: proxy_cal present in some records but not all")
-            if rec.get("loss") is None:
-                loss.append(math.nan)
-            else:
-                val = _parse_float(str(rec["loss"]), where, "loss")
-                _check_loss_value(kind, val, where)
-                loss.append(val)
-            if "embedding" in rec:
-                saw_emb = True
-                vec = rec["embedding"]
-                if not isinstance(vec, list) or not vec:
-                    raise ParseError(f"{where}: embedding must be a nonempty array")
-                emb.append([_parse_float(str(v), where, "embedding") for v in vec])
-            elif saw_emb:
-                raise ParseError(f"{where}: embedding present in some records but not all")
-    return {
-        "ids": ids,
-        "proxy": proxy,
-        "proxy_cal": proxy_cal if saw_cal else None,
-        "loss": loss,
-        "emb": emb if saw_emb else None,
-        "path": path,
-    }
+    if has_emb:
+        d = len(emb[0])
+        flat = [v for vec in emb for v in vec]
+        emb = tables.numbers(flat, "embedding", lambda j: where(j // d)).reshape(len(ids), d)
+    return _population(kind, path, where, ids, proxy, proxy_cal if has_cal else None, loss,
+                       emb if has_emb else None)
 
 
 def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
@@ -366,37 +304,13 @@ def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     if path.suffix == ".jsonl":
-        raw = _ingest_jsonl(path, kind)
+        pop = _ingest_jsonl(path, kind)
     elif path.suffix == ".csv":
-        raw = _ingest_csv(path, kind)
+        pop = _ingest_csv(path, kind)
     else:
         with open(path) as f:
             first = f.read(1)
-        raw = (_ingest_jsonl if first == "{" else _ingest_csv)(path, kind)
-
-    if not raw["ids"]:
-        raise ParseError(f"{path}: no data rows")
-    seen: dict[str, int] = {}
-    for i, uid in enumerate(raw["ids"]):
-        if uid in seen:
-            raise ParseError(f"{path}: duplicate id {uid!r}")
-        seen[uid] = i
-
-    embeddings = None
-    if raw["emb"] is not None:
-        widths = {len(e) for e in raw["emb"]}
-        if len(widths) != 1:
-            raise ParseError(f"{path}: embedding dimensionality mismatch across rows")
-        embeddings = np.array(raw["emb"], dtype=float)
-
-    pop = Population(
-        ids=tuple(raw["ids"]),
-        proxy=np.array(raw["proxy"], dtype=float),
-        loss=np.array(raw["loss"], dtype=float),
-        loss_kind=kind,
-        proxy_cal=None if raw["proxy_cal"] is None else np.array(raw["proxy_cal"], dtype=float),
-        embeddings=embeddings,
-    )
+        pop = (_ingest_jsonl if first == "{" else _ingest_csv)(path, kind)
     if scores_path is not None:
         pop = attach_scores(pop, scores_path)
     return pop
@@ -405,53 +319,34 @@ def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
 def attach_scores(pop: Population, scores_path) -> Population:
     """Attach a class-score sidecar (JSONL ``{"id","label","scores"}``)."""
     scores_path = Path(scores_path)
-    if not scores_path.exists():
-        raise ParseError(f"{scores_path}: no such file")
     labels = np.full(pop.size, -1, dtype=np.int64)
     scores: list = [None] * pop.size
     seen: set[str] = set()
-    with open(scores_path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            if raw.startswith("#") or not raw.strip():
-                continue
-            where = f"{scores_path} line {lineno}"
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{where}: invalid JSON ({e.msg})") from None
-            for fld in ("id", "scores"):
-                if fld not in rec:
-                    raise ParseError(f"{where}: record needs {fld!r}")
-            uid = str(rec["id"])
-            if uid in seen:
-                raise ParseError(f"{where}: duplicate id {uid!r}")
-            seen.add(uid)
-            try:
-                i = pop.index_of(uid)
-            except ConsistencyError:
-                raise ConsistencyError(
-                    f"{where}: id {uid!r} not present in the dataset"
-                ) from None
-            try:
-                vec = _check_scores(np.asarray(rec["scores"], dtype=float))
-            except (PreconditionError, ValueError) as e:
-                raise ParseError(f"{where}: bad scores ({e})") from None
-            label = rec.get("label")
-            if label is not None:
-                label = int(label)
-                if not 0 <= label < vec.size:
-                    raise ParseError(f"{where}: label {label} out of range")
-                labels[i] = label
-            vec.setflags(write=False)
-            scores[i] = vec
-    out = Population(
-        ids=pop.ids,
-        proxy=pop.proxy.copy(),
-        loss=pop.loss.copy(),
-        loss_kind=pop.loss_kind,
-        proxy_cal=None if pop.proxy_cal is None else pop.proxy_cal.copy(),
-        embeddings=pop.embeddings,
-        labels=labels,
-        scores=scores,
-    )
-    return out
+    for lineno, rec in tables.read_jsonl(scores_path):
+        where = f"{scores_path} line {lineno}"
+        for fld in ("id", "scores"):
+            if fld not in rec:
+                raise ParseError(f"{where}: record needs {fld!r}")
+        (uid,) = tables.ids([str(rec["id"])], lambda _: where)
+        if uid in seen:
+            raise ParseError(f"{where}: duplicate id {uid!r}")
+        seen.add(uid)
+        try:
+            i = pop.index_of(uid)
+        except ConsistencyError:
+            raise ConsistencyError(
+                f"{where}: id {uid!r} not present in the dataset"
+            ) from None
+        try:
+            vec = _check_scores(np.asarray(rec["scores"], dtype=float))
+        except (PreconditionError, ValueError) as e:
+            raise ParseError(f"{where}: bad scores ({e})") from None
+        label = rec.get("label")
+        if label is not None:
+            label = int(label)
+            if not 0 <= label < vec.size:
+                raise ParseError(f"{where}: label {label} out of range")
+            labels[i] = label
+        vec.setflags(write=False)
+        scores[i] = vec
+    return replace(pop, labels=labels, scores=scores)

@@ -30,10 +30,8 @@ carry O(1/N_h) approximation error by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -300,9 +298,3 @@ class EstimateReport:
             "pop_size": self.pop_size,
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())

@@ -5,18 +5,18 @@ stratum ``h`` gets its own substream derived from ``(seed, h)``, so strata
 are sampled independently, and plain simple random sampling is the
 one-stratum draw.  Each sampled unit carries its inclusion probability
 ``pi = n_h / N_h``, which is all the estimators downstream need.
+
+The worksheet is written and read back through the one table writer and
+reader in :mod:`strateval.tables`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .allocate import AllocationPlan
 from .dataset import Population
 from .errors import ConsistencyError, ParseError, PreconditionError
@@ -100,16 +100,9 @@ def worksheet_csv(draw: SampleDraw) -> str:
     The annotator appends a ``loss`` column (or adds values under one) and
     the filled file goes back in through :func:`load_worksheet`.
     """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "stratum", "pi"])
-    for i in range(draw.size):
-        w.writerow([draw.ids[i], int(draw.strata[i]), repr(float(draw.pi[i]))])
-    return buf.getvalue()
-
-
-def save_worksheet(draw: SampleDraw, path) -> None:
-    Path(path).write_text(worksheet_csv(draw))
+    return tables.csv_text(
+        ["id", "stratum", "pi"], zip(draw.ids, draw.strata.tolist(), draw.pi.tolist())
+    )
 
 
 @dataclass
@@ -120,56 +113,18 @@ class Worksheet:
     strata: np.ndarray
     pi: np.ndarray
     loss: np.ndarray  # NaN where still unlabeled
+    lines: tuple[int, ...]  # physical line of each row, for error messages
 
 
 def load_worksheet(path) -> Worksheet:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    ids: list[str] = []
-    strata: list[int] = []
-    pi: list[float] = []
-    loss: list[float] = []
-    with open(path, newline="") as f:
-        lineno = 0
-        header = None
-        for raw in f:
-            lineno += 1
-            if raw.startswith("#") or not raw.strip():
-                continue
-            row = next(csv.reader([raw]))
-            if header is None:
-                header = [h.strip() for h in row]
-                for req in ("id", "stratum", "pi"):
-                    if req not in header:
-                        raise ParseError(f"{path} line {lineno}: missing column {req!r}")
-                col = {h: j for j, h in enumerate(header)}
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                ids.append(row[col["id"]])
-                strata.append(int(row[col["stratum"]]))
-                pi.append(float(row[col["pi"]]))
-            except (IndexError, ValueError):
-                raise ParseError(f"{where}: malformed row") from None
-            cell = row[col["loss"]].strip() if "loss" in col and len(row) > col["loss"] else ""
-            if cell == "":
-                loss.append(math.nan)
-            else:
-                try:
-                    loss.append(float(cell))
-                except ValueError:
-                    raise ParseError(f"{where}: cannot parse loss {cell!r}") from None
-    if not ids:
-        raise ParseError(f"{path}: no data rows")
+    t = tables.read_csv(path)
+    t.require("id", "stratum", "pi")
+    c = t.columns
+    ids = tables.ids(c["id"], t.where)
+    strata = tables.numbers(c["stratum"], "stratum", t.where, dtype=np.int64)
+    pi = tables.numbers(c["pi"], "pi", t.where)
+    tables.check((pi > 0) & (pi <= 1), t.where, lambda i: f"pi {float(pi[i])!r} outside (0, 1]")
+    loss = tables.optional_numbers(c.get("loss", [""] * len(ids)), "loss", t.where)[0]
     if len(set(ids)) != len(ids):
-        raise ParseError(f"{path}: duplicate id in worksheet")
-    ws = Worksheet(
-        ids=tuple(ids),
-        strata=np.asarray(strata, dtype=np.int64),
-        pi=np.asarray(pi, dtype=float),
-        loss=np.asarray(loss, dtype=float),
-    )
-    if np.any(ws.pi <= 0) or np.any(ws.pi > 1):
-        raise ParseError(f"{path}: pi values must lie in (0, 1]")
-    return ws
+        raise ParseError(f"{t.path}: duplicate id in worksheet")
+    return Worksheet(ids=ids, strata=strata, pi=pi, loss=loss, lines=tuple(t.lines))

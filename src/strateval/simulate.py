@@ -34,6 +34,7 @@ from .losses import LossKind
 from .rng import derive_seed, generator
 from .sampling import stratified_indices
 from .stratify import StrataPartition
+from .tables import csv_text
 
 FAMILIES = ("two_point", "beta_conditional", "miscalibrated")
 
@@ -285,11 +286,4 @@ def efficiency_table(results: dict, baseline: str) -> dict[str, float]:
 
 def efficiency_csv(table: dict[str, float], row_label: str = "pool") -> str:
     """One-row CSV, method names as columns (values < 1 = cheaper than baseline)."""
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["population", *table.keys()])
-    w.writerow([row_label, *(repr(float(v)) for v in table.values())])
-    return buf.getvalue()
+    return csv_text(["population", *table.keys()], [[row_label, *map(float, table.values())]])

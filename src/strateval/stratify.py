@@ -4,17 +4,17 @@ Three routes: exact 1-D k-means on a proxy column (dynamic program over
 the sorted values — the globally optimal interval partition), Lloyd's
 k-means on embedding vectors, and fixed-width proxy bins.  Strata are
 labeled ``0..H-1``; for the 1-D routes, labels increase with the proxy.
+``partition.csv`` is written and read back through the one table writer
+and reader in :mod:`strateval.tables`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import ParseError, PreconditionError
 from .rng import substream
 
@@ -56,40 +56,16 @@ class StrataPartition:
 def partition_csv(partition: StrataPartition, ids) -> str:
     if len(ids) != partition.assignment.size:
         raise PreconditionError("ids and assignment lengths disagree")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "stratum"])
-    for uid, h in zip(ids, partition.assignment):
-        w.writerow([uid, int(h)])
-    return buf.getvalue()
+    return tables.csv_text(["id", "stratum"], zip(ids, partition.assignment.tolist()))
 
 
 def load_partition_csv(path) -> dict[str, int]:
     """Read an ``id,stratum`` file back to a mapping."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    out: dict[str, int] = {}
-    with open(path, newline="") as f:
-        lineno = 0
-        header = None
-        for raw in f:
-            lineno += 1
-            if raw.startswith("#") or not raw.strip():
-                continue
-            row = next(csv.reader([raw]))
-            if header is None:
-                header = [h.strip() for h in row]
-                if header[:2] != ["id", "stratum"]:
-                    raise ParseError(f"{path} line {lineno}: expected header id,stratum")
-                continue
-            try:
-                out[row[0]] = int(row[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"{path} line {lineno}: malformed row") from None
-    if not out:
-        raise ParseError(f"{path}: no data rows")
-    return out
+    t = tables.read_csv(path)
+    if t.header[:2] != ["id", "stratum"]:
+        raise ParseError(f"{t.path} line {t.header_line}: expected header id,stratum")
+    strata = tables.numbers(t.columns["stratum"], "stratum", t.where, dtype=np.int64)
+    return dict(zip(tables.ids(t.columns["id"], t.where), strata.tolist()))
 
 
 def within_ss(partition: StrataPartition, values) -> float:
@@ -233,8 +209,12 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng) -> np.ndarray:
 def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300):
     k = centers.shape[0]
     assignment = None
+    d2 = np.empty((x.shape[0], k))
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # one center at a time: an (N, K, d) difference tensor would not fit
+        # in memory at pool scale
+        for h in range(k):
+            d2[:, h] = ((x - centers[h]) ** 2).sum(axis=1)
         new_assignment = np.argmin(d2, axis=1)
         # repair empty clusters: hand them the farthest point of the largest
         for h in range(k):

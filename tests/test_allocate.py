@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,7 @@ def test_plugin_sd_general_values():
 
 def test_plan_json_round_trip(tmp_path):
     plan = neyman([500, 500], [0.0, 0.0], 10)
-    text = plan.to_json()
-    back = AllocationPlan.from_json(text)
+    back = AllocationPlan.from_json(json.dumps(plan.to_dict()))
     assert back.strategy == plan.strategy
     assert np.array_equal(back.n_h, plan.n_h)
     assert back.warnings == plan.warnings

@@ -13,7 +13,6 @@ from strateval.sampling import (
     SampleDraw,
     draw_ssrs,
     load_worksheet,
-    save_worksheet,
     worksheet_csv,
 )
 from strateval.stratify import StrataPartition
@@ -172,7 +171,7 @@ def test_worksheet_header_and_round_trip(tmp_path):
     text = worksheet_csv(draw)
     assert text.splitlines()[0] == "id,stratum,pi"
     p = tmp_path / "w.csv"
-    save_worksheet(draw, p)
+    p.write_text(text)
     ws = load_worksheet(p)
     assert ws.ids == draw.ids
     assert np.array_equal(ws.strata, draw.strata)

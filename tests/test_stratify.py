@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import best_interval_partition, quadratic_dp_partition_cost, within_cluster_ss
+from strateval import stratify
 from strateval.errors import PreconditionError
+from strateval.rng import substream
 from strateval.stratify import (
     StrataPartition,
     equal_width_bins,
@@ -211,6 +215,53 @@ def test_embeddings_1d_never_beats_exact_dp():
             for s in range(h)
         )
         assert lloyd >= exact - 1e-9
+
+
+def broadcast_lloyd(x, centers, max_iter=300):
+    """Lloyd's iterations with all N x K x d differences at once: the reference."""
+    k = centers.shape[0]
+    assignment = None
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assignment = np.argmin(d2, axis=1)
+        for h in range(k):
+            if not np.any(new_assignment == h):
+                sizes = np.bincount(new_assignment, minlength=k)
+                big = int(np.argmax(sizes))
+                members = np.flatnonzero(new_assignment == big)
+                far = members[int(np.argmax(d2[members, big]))]
+                new_assignment[far] = h
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for h in range(k):
+            centers[h] = x[assignment == h].mean(axis=0)
+    return assignment, float(((x - centers[assignment]) ** 2).sum())
+
+
+@pytest.mark.parametrize("n,k,d", [(300, 4, 2), (2000, 8, 32), (500, 10, 768)])
+def test_lloyd_matches_broadcast_reference(monkeypatch, n, k, d):
+    x = np.random.default_rng(n + d).normal(size=(n, d))
+    x[: n // 2] += 3.0  # two clouds, so iterations move the centers
+    centers = stratify._kmeanspp_init(x, k, substream(9, 0))
+    got = stratify._lloyd(x, centers.copy())
+    want = broadcast_lloyd(x, centers.copy())
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    part = kmeans_embeddings(x, k, seed=4)
+    monkeypatch.setattr(stratify, "_lloyd", broadcast_lloyd)
+    assert np.array_equal(part.assignment, kmeans_embeddings(x, k, seed=4).assignment)
+
+
+def test_lloyd_memory_is_not_n_by_k_by_d():
+    # the broadcast form peaked at 117.6 MB here: N*K*d float64 differences
+    x = np.random.default_rng(0).normal(size=(2000, 768))
+    tracemalloc.start()
+    try:
+        kmeans_embeddings(x, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 117.6e6 / 4
 
 
 def test_embeddings_validation():

@@ -1,0 +1,272 @@
+"""The table files: byte-exact round trips, the id rule, line numbers in errors."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from strateval.cli import main
+from strateval.dataset import Population, ingest
+from strateval.errors import ParseError
+from strateval.losses import LossKind
+from strateval.sampling import SampleDraw, load_worksheet, worksheet_csv
+from strateval.stratify import StrataPartition, load_partition_csv, partition_csv
+from strateval.tables import numbers
+
+# Hypothesis caches the constants it reads from the source under its home
+# directory, at collection time and even without an example database; keep
+# that cache out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "strateval-hypothesis")
+SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+# ids a writer can write and the reader reads back: commas, quotes and
+# inner spaces included
+ID_CHARS = st.sampled_from(list('ab7Z,"\' #;é'))
+IDS = st.lists(
+    st.text(ID_CHARS, min_size=1, max_size=6)
+    .map(str.strip)
+    .filter(lambda u: u and not u.startswith("#")),
+    min_size=1,
+    max_size=12,
+    unique=True,
+)
+UNIT = st.floats(0.0, 1.0)
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+# -- byte-exact round trips ----------------------------------------------------
+
+
+@st.composite
+def populations(draw):
+    ids = draw(IDS)
+    n = len(ids)
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+    d = draw(st.integers(0, 3))
+    return Population(
+        ids=tuple(ids),
+        proxy=column(UNIT),
+        loss=column(st.one_of(st.just(math.nan), UNIT)),
+        loss_kind=LossKind.SQUARED_ERROR,
+        proxy_cal=column(UNIT) if draw(st.booleans()) else None,
+        embeddings=column(st.tuples(*[ANY_FLOAT] * d)).reshape(n, d) if d else None,
+    )
+
+
+@SETTINGS
+@given(pop=populations())
+def test_canonical_csv_ingest_round_trip_is_byte_exact(scratch, pop):
+    text = pop.canonical_csv()
+    path = scratch / "pool.csv"
+    path.write_text("# config line\n" + text)
+    back = ingest(path, "squared_error")
+    assert back.canonical_csv() == text
+    assert back.ids == pop.ids
+    assert np.array_equal(back.loss, pop.loss, equal_nan=True)
+
+
+@SETTINGS
+@given(
+    ids=IDS,
+    data=st.data(),
+)
+def test_worksheet_round_trip_is_byte_exact(scratch, ids, data):
+    n = len(ids)
+    strata = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pi = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
+    loss = data.draw(st.lists(st.one_of(st.just(math.nan), UNIT), min_size=n, max_size=n))
+    draw = SampleDraw(
+        indices=np.arange(n), ids=tuple(ids), strata=strata, pi=pi,
+        stratum_sizes=np.full(5, n), seed=0,
+    )
+    text = worksheet_csv(draw)
+    path = scratch / "worksheet.csv"
+    path.write_text(text)
+    ws = load_worksheet(path)
+    assert ws.ids == draw.ids
+    assert np.array_equal(ws.strata, draw.strata) and np.array_equal(ws.pi, draw.pi)
+    again = SampleDraw(indices=np.arange(n), ids=ws.ids, strata=ws.strata, pi=ws.pi,
+                       stratum_sizes=draw.stratum_sizes, seed=0)
+    assert worksheet_csv(again) == text
+    # the annotator appends a loss column; blank cells are not yet labelled
+    head, *rows = text.splitlines()
+    path.write_text("\n".join(
+        [head + ",loss"] + [f"{r},{'' if math.isnan(v) else repr(v)}" for r, v in zip(rows, loss)]
+    ) + "\n")
+    assert np.array_equal(load_worksheet(path).loss, np.array(loss), equal_nan=True)
+
+
+@SETTINGS
+@given(ids=IDS, data=st.data())
+def test_partition_round_trip_is_byte_exact(scratch, ids, data):
+    raw = data.draw(st.lists(st.integers(0, 5), min_size=len(ids), max_size=len(ids)))
+    labels, assignment = np.unique(raw, return_inverse=True)
+    partition = StrataPartition(assignment, labels.size)
+    text = partition_csv(partition, ids)
+    path = scratch / "partition.csv"
+    path.write_text(text)
+    back = load_partition_csv(path)
+    assert back == dict(zip(ids, assignment.tolist()))
+    assert partition_csv(StrataPartition(list(back.values()), labels.size), list(back)) == text
+
+
+EDGE_CELLS = [" 1 ", "1_0", "+.5", "1e400", "-0.0", "nan", "inf", "-inf", "1e-320", ".5e1"]
+
+
+@SETTINGS
+@given(cells=st.lists(st.one_of(ANY_FLOAT.map(repr), st.sampled_from(EDGE_CELLS)), min_size=1))
+def test_column_conversion_matches_float(cells):
+    got = numbers(cells, "x", str)
+    want = np.array([float(c) for c in cells])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- the id rule ---------------------------------------------------------------
+
+# each reader gets a file whose fourth physical line carries the id
+READERS = {
+    "csv": ("pool.csv", lambda uid: "# c\nid,proxy\na,0.1\n" + _csv_row(uid, "0.5"),
+            lambda p: ingest(p, "accuracy")),
+    "jsonl": ("pool.jsonl", lambda uid: '# c\n\n{"id": "a", "proxy": 0.1}\n'
+              + json.dumps({"id": uid, "proxy": 0.5}) + "\n",
+              lambda p: ingest(p, "accuracy")),
+    "sidecar": ("scores.jsonl", lambda uid: '# c\n\n{"id": "a", "scores": [1.0]}\n'
+                + json.dumps({"id": uid, "scores": [1.0]}) + "\n",
+                lambda p: ingest(_two_unit_pool(p.parent), "accuracy", scores_path=p)),
+    "worksheet": ("worksheet.csv", lambda uid: "# c\nid,stratum,pi\na,0,0.5\n"
+                  + _csv_row(uid, "0,0.5"), load_worksheet),
+    "partition": ("partition.csv", lambda uid: "# c\nid,stratum\na,0\n" + _csv_row(uid, "1"),
+                  load_partition_csv),
+}
+
+
+def _csv_row(uid, rest):
+    return '"' + uid.replace('"', '""') + '",' + rest + "\n"
+
+
+def _two_unit_pool(d):
+    path = d / "two.csv"
+    path.write_text("id,proxy\na,0.1\nb,0.5\n")
+    return path
+
+
+def _reject(tmp_path, reader, uid):
+    name, text, read = READERS[reader]
+    path = tmp_path / name
+    path.write_text(text(uid))
+    with pytest.raises(ParseError, match="line 4: bad id"):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_empty_id_rejected(tmp_path, reader):
+    _reject(tmp_path, reader, "   ")
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_hash_id_rejected(tmp_path, reader):
+    # such a row would be written out and then skipped as a comment
+    _reject(tmp_path, reader, " #7")
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_line_feed_in_id_rejected(tmp_path, reader):
+    _reject(tmp_path, reader, "u3\nx")
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_carriage_return_in_id_rejected(tmp_path, reader):
+    _reject(tmp_path, reader, "u3\rx")
+
+
+def test_ids_are_stripped_in_every_reader(tmp_path):
+    p = tmp_path / "pool.jsonl"
+    p.write_text(json.dumps({"id": " a b ", "proxy": 0.5}) + "\n")
+    assert ingest(p, "accuracy").ids == ("a b",)
+    p = tmp_path / "w.csv"
+    p.write_text("id,stratum,pi\n a b ,0,0.5\n")
+    assert load_worksheet(p).ids == ("a b",)
+    p = tmp_path / "part.csv"
+    p.write_text("id,stratum\n a b ,0\n")
+    assert load_partition_csv(p) == {"a b": 0}
+
+
+@pytest.mark.parametrize("uid", ["#7", "u3\nx"])
+def test_cli_refuses_a_pool_whose_ids_cannot_round_trip(tmp_path, capsys, uid):
+    # before the id rule, "#7" vanished from calibrated.csv and "u3\nx"
+    # broke the worksheet that plan itself wrote
+    ids = [f"u{i}" for i in range(40)]
+    ids[7] = uid
+    src = tmp_path / "pool.jsonl"
+    src.write_text("".join(
+        json.dumps({"id": u, "proxy": i / 40, "loss": i % 2}) + "\n" for i, u in enumerate(ids)
+    ))
+    for sub in (["calibrate"], ["plan", "--budget", "10", "--strata", "2"]):
+        rc = main([*sub, "--input", str(src), "--out", str(tmp_path / sub[0])])
+        assert rc == 2
+        assert "line 8: bad id" in capsys.readouterr().err
+
+
+# -- line numbers in errors ----------------------------------------------------
+
+LINE_ERRORS = [
+    ("pool.csv", "id,proxy,loss\n# c\na,0.1,0\nb,x,0\n", "line 4: cannot parse proxy"),
+    ("pool.csv", "id,proxy,loss\n\na,0.1,0\nb,1.5,0\n", "line 4: proxy 1.5 outside"),
+    ("pool.csv", "id,proxy,loss\n\na,0.1,0\nb,0.5,0.5\n", "line 4: accuracy loss must be 0 or 1"),
+    ("pool.csv", "id,proxy,loss\n\na,0.1,0\nb,0.5,nan\n", "line 4: loss nan is not finite"),
+    ("pool.csv", "id,proxy,loss\n\na,0.1,0\nb,0.5\n", "line 4: expected 3 fields, got 2"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":"x"}\n', "line 4: cannot parse"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":-1}\n', "line 4: proxy -1.0 outside"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"loss":1e400}\n',
+     "line 4: loss inf is not finite"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"loss":2}\n',
+     "line 4: accuracy loss must be 0 or 1"),
+    # a proxy_cal that only later records carry would not line up with the ids
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"proxy_cal":0.5}\n',
+     "line 4: proxy_cal present in some records but not all"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1,"embedding":[1]}\n\n\n'
+     '{"id":"b","proxy":0.5,"embedding":[1,2]}\n', "line 4: embedding dimensionality"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", LINE_ERRORS)
+def test_pool_errors_name_the_physical_line(tmp_path, name, text, message):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        ingest(p, "accuracy")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("id,stratum,pi\n# c\na,0,0.5\nb,x,0.5\n", "line 4: cannot parse stratum"),
+    ("id,stratum,pi\n# c\na,0,0.5\nb,0,0\n", r"line 4: pi 0.0 outside \(0, 1\]"),
+    ("id,stratum,pi\n# c\na,0,0.5\nb,0\n", "line 4: expected 3 fields, got 2"),
+    ("id,stratum,pi,loss\n# c\na,0,0.5,1\nb,0,0.5,x\n", "line 4: cannot parse loss"),
+])
+def test_worksheet_errors_name_the_physical_line(tmp_path, text, message):
+    p = tmp_path / "w.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_worksheet(p)
+
+
+def test_estimate_names_the_worksheet_line_of_a_bad_loss(tmp_path, capsys):
+    src = tmp_path / "pool.csv"
+    src.write_text("id,proxy\n" + "".join(f"u{i},0.5\n" for i in range(4)))
+    ws = tmp_path / "ws.csv"
+    ws.write_text("# c\nid,stratum,pi,loss\nu0,0,0.5,1\nu1,0,0.5,0.5\n")
+    rc = main(["estimate", "--input", str(src), "--worksheet", str(ws), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{ws} line 4: accuracy loss must be 0 or 1" in capsys.readouterr().err
