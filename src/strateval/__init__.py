@@ -46,7 +46,6 @@ from .stratify import (
     equal_width_bins,
     kmeans_1d,
     kmeans_embeddings,
-    within_ss,
 )
 
 __version__ = "0.1.0"
@@ -96,5 +95,4 @@ __all__ = [
     "srs_indices",
     "stratified_estimate",
     "substream",
-    "within_ss",
 ]

@@ -7,7 +7,9 @@ Before annotation the spread is unknown, so it is plugged in from the
 proxy: for a 0/1 loss a stratum with mean predicted accuracy ``zbar`` has
 predicted standard deviation ``sqrt(zbar * (1 - zbar))``; for general
 losses the score-based conditional moments give
-``sqrt(max(0, z2bar - zbar**2))``.
+``sqrt(max(0, z2bar - zbar**2))``.  ``plugin_sds`` is the one path that
+turns a pool and a partition into those SDs, for ``plan`` and for the
+simulator; its stratum means come from ``estimators.stratum_moments``.
 
 Fractional targets are rounded by the largest-remainder method (ties to
 the lower stratum index), then every stratum is lifted to a floor of two
@@ -22,7 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, PreconditionError
+from .dataset import Population
+from .errors import ConsistencyError, ParseError, PreconditionError
+from .estimators import stratum_moments
+from .losses import LossKind, conditional_moments
+from .stratify import StrataPartition
 
 MIN_PER_STRATUM = 2
 
@@ -167,26 +173,53 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
     return AllocationPlan(strategy="neyman", n_h=n_h)
 
 
-def plugin_sd_accuracy(zbar: float) -> float:
-    """Predicted loss SD for a 0/1 loss with stratum mean ``zbar``."""
-    if not 0.0 <= zbar <= 1.0:
+def plugin_sd_accuracy(zbar):
+    """Predicted loss SD for a 0/1 loss with stratum mean ``zbar`` (elementwise)."""
+    zbar = np.asarray(zbar, dtype=float)
+    if not np.all((zbar >= 0.0) & (zbar <= 1.0)):
         raise PreconditionError(f"mean of a 0/1 loss must be in [0,1], got {zbar}")
-    return float(np.sqrt(zbar * (1.0 - zbar)))
+    return np.sqrt(zbar * (1.0 - zbar))
 
 
-def plugin_sd_general(zbar: float, z2bar: float, *, warnings: list | None = None) -> float:
-    """Predicted loss SD from conditional first/second moments.
+def plugin_sd_general(zbar, z2bar, *, warnings: list | None = None):
+    """Predicted loss SD from conditional first/second moments (elementwise).
 
     Computes ``sqrt(z2bar - zbar**2)``; a slightly negative variance from
     rounding is clamped to zero (appended to ``warnings`` when a list is provided).
     """
-    if not np.isfinite(zbar) or not np.isfinite(z2bar):
+    zbar = np.asarray(zbar, dtype=float)
+    z2bar = np.asarray(z2bar, dtype=float)
+    if not (np.isfinite(zbar).all() and np.isfinite(z2bar).all()):
         raise PreconditionError("moments must be finite")
-    if z2bar < 0.0:
+    if (z2bar < 0.0).any():
         raise PreconditionError(f"second moment must be nonnegative, got {z2bar}")
     var = z2bar - zbar * zbar
-    if var < 0.0:
-        if warnings is not None:
-            warnings.append(f"negative plug-in variance {var:.3e} clamped to 0")
-        var = 0.0
-    return float(np.sqrt(var))
+    if warnings is not None:
+        warnings.extend(f"negative plug-in variance {v:.3e} clamped to 0" for v in var[var < 0.0])
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+def plugin_sds(pop: Population, proxy_col: str, partition: StrataPartition,
+               *, warnings: list | None = None) -> np.ndarray:
+    """Plug-in loss SD of every stratum, predicted before annotation.
+
+    A 0/1 loss takes the stratum mean ``zbar`` of the proxy column
+    ``proxy_col``; any other loss takes the stratum means of the per-unit
+    conditional moments of the sidecar scores (``pop.scores``).
+    """
+    h, n_strata = partition.assignment, partition.n_strata
+    if pop.loss_kind is LossKind.ACCURACY:
+        return plugin_sd_accuracy(stratum_moments(pop.get_proxy(proxy_col), h, n_strata)[1])
+    if pop.scores is None:
+        raise PreconditionError(
+            f"neyman planning for {pop.loss_kind.value} needs --scores to supply "
+            "per-unit class scores"
+        )
+    missing = np.isnan(pop.scores).any(axis=1)
+    if missing.any():
+        raise ConsistencyError(
+            f"unit {pop.ids[int(missing.argmax())]!r} has no class scores in the sidecar"
+        )
+    zbar, z2bar = conditional_moments(pop.loss_kind, pop.scores)
+    return plugin_sd_general(stratum_moments(zbar, h, n_strata)[1],
+                             stratum_moments(z2bar, h, n_strata)[1], warnings=warnings)

@@ -22,18 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocate import (
-    AllocationPlan,
-    neyman,
-    plugin_sd_accuracy,
-    plugin_sd_general,
-    proportional,
-)
+from .allocate import AllocationPlan, neyman, plugin_sds, proportional
 from .calibration import fit_isotonic, split_half
 from .dataset import Population, check_losses, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .estimators import EstimateReport, confidence_interval, stratified_estimate
-from .losses import LossKind, conditional_moments
+from .estimators import EstimateReport, confidence_interval, stratified_estimate, stratum_moments
+from .losses import LossKind
 from .sampling import draw_ssrs, load_worksheet, worksheet_csv
 from .simulate import (
     MIN_REPS,
@@ -124,35 +118,6 @@ def _build_partition(pop: Population, args) -> StrataPartition:
     return kmeans_embeddings(pop.embeddings, args.strata, args.seed_strat)
 
 
-def _plugin_sds(pop: Population, partition: StrataPartition, args, warnings: list) -> np.ndarray:
-    proxy = pop.get_proxy(args.proxy_col)
-    kind = LossKind(args.loss_kind)
-    sds = np.empty(partition.n_strata)
-    if kind is LossKind.ACCURACY:
-        for h in range(partition.n_strata):
-            sds[h] = plugin_sd_accuracy(float(np.mean(proxy[partition.members(h)])))
-        return sds
-    if pop.scores is None:
-        raise PreconditionError(
-            f"neyman planning for {kind.value} needs --scores to supply "
-            "per-unit class scores"
-        )
-    zbar = np.empty(pop.size)
-    z2bar = np.empty(pop.size)
-    for i in range(pop.size):
-        if pop.scores[i] is None:
-            raise ConsistencyError(
-                f"unit {pop.ids[i]!r} has no class scores in the sidecar"
-            )
-        zbar[i], z2bar[i] = conditional_moments(kind, pop.scores[i])
-    for h in range(partition.n_strata):
-        m = partition.members(h)
-        sds[h] = plugin_sd_general(
-            float(np.mean(zbar[m])), float(np.mean(z2bar[m])), warnings=warnings
-        )
-    return sds
-
-
 def cmd_plan(args) -> int:
     cfg = _config_dict(args)
     pop = ingest(args.input, args.loss_kind, scores_path=args.scores)
@@ -168,19 +133,18 @@ def cmd_plan(args) -> int:
         # for byte
         partition = StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
         plan = AllocationPlan(strategy="srs", n_h=np.array([n]))
-        draw = draw_ssrs(pop, partition, plan, args.seed_sample)
     else:
         partition = _build_partition(pop, args)
         warnings.extend(partition.warnings)
         if args.strategy == "prop":
             plan = proportional(partition.sizes, n)
         else:
-            sds = _plugin_sds(pop, partition, args, warnings)
+            sds = plugin_sds(pop, args.proxy_col, partition, warnings=warnings)
             plan = neyman(partition.sizes, sds, n)
         plan = AllocationPlan(
             strategy=plan.strategy, n_h=plan.n_h, warnings=warnings + plan.warnings
         )
-        draw = draw_ssrs(pop, partition, plan, args.seed_sample)
+    draw = draw_ssrs(pop, partition, plan, args.seed_sample)
     out = _out_dir(args)
     (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids))
     _write_json(out / "plan.json", {**plan.to_dict(), "config": cfg})
@@ -197,23 +161,24 @@ def cmd_plan(args) -> int:
 
 
 def _design_from_worksheet(ws) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.unique(ws.strata)
+    """Per-stratum sample sizes ``n_h`` and the stratum sizes ``N_h`` they imply."""
+    labels, first = np.unique(ws.strata, return_index=True)
     if labels[0] != 0 or labels[-1] != labels.size - 1:
         raise ParseError("worksheet strata must be labeled 0..H-1")
-    sizes = np.empty(labels.size, dtype=np.int64)
-    for h in labels:
-        mask = ws.strata == h
-        pis = np.unique(ws.pi[mask])
-        if pis.size != 1:
+    n_h, _, pi_spread = stratum_moments(ws.pi, ws.strata, labels.size)
+    pis = ws.pi[first]
+    implied = n_h / pis
+    sizes = np.round(implied)
+    bad = (pi_spread > 0.0) | (np.abs(implied - sizes) > 1e-6)
+    if bad.any():
+        h = int(bad.argmax())
+        if pi_spread[h] > 0.0:
             raise ConsistencyError(f"stratum {h} has inconsistent pi values")
-        implied = mask.sum() / pis[0]
-        if abs(implied - round(implied)) > 1e-6:
-            raise ConsistencyError(
-                f"stratum {h}: pi={pis[0]} and n_h={int(mask.sum())} imply "
-                f"non-integer stratum size {implied}"
-            )
-        sizes[h] = round(implied)
-    return labels, sizes
+        raise ConsistencyError(
+            f"stratum {h}: pi={pis[h]} and n_h={int(n_h[h])} imply "
+            f"non-integer stratum size {implied[h]}"
+        )
+    return n_h, sizes.astype(np.int64)
 
 
 def cmd_estimate(args) -> int:
@@ -228,7 +193,7 @@ def cmd_estimate(args) -> int:
             + ("..." if len(missing) > 5 else "")
         )
     check_losses(pop.loss_kind, ws.loss, lambda i: f"{Path(args.worksheet)} line {ws.lines[i]}")
-    labels, sizes = _design_from_worksheet(ws)
+    n_h, sizes = _design_from_worksheet(ws)
     if int(sizes.sum()) != pop.size:
         raise ConsistencyError(
             f"worksheet design covers {int(sizes.sum())} units but the "
@@ -239,7 +204,7 @@ def cmd_estimate(args) -> int:
     theta, se = stratified_estimate(ws.loss, ws.strata, sizes)
     ht_report = EstimateReport(
         estimator="ht",
-        design="srs" if labels.size == 1 else "ssrs",
+        design="srs" if sizes.size == 1 else "ssrs",
         theta=theta,
         se=se,
         level=args.level,
@@ -248,10 +213,8 @@ def cmd_estimate(args) -> int:
         pop_size=pop.size,
         diagnostics={
             "stratum_sizes": [int(s) for s in sizes],
-            "stratum_n": [int((ws.strata == h).sum()) for h in labels],
-            "stratum_loss_mean": [
-                float(ws.loss[ws.strata == h].mean()) for h in labels
-            ],
+            "stratum_n": n_h.tolist(),
+            "stratum_loss_mean": stratum_moments(ws.loss, ws.strata, sizes.size)[1].tolist(),
         },
     )
     payload = {"config": cfg, "ht": ht_report.to_dict(), "df": None}

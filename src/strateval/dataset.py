@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tables
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .losses import LossKind, _check_scores
+from .losses import LossKind, valid_score_rows
 
 
 def _proxy_bounds(kind: LossKind) -> tuple[float, float]:
@@ -84,8 +84,9 @@ class Population:
         Shape (N, d) feature matrix, when present.
     labels, scores
         Optional class-score sidecar data: ``labels[i]`` is the true
-        class (-1 if unknown), ``scores[i]`` the predictive distribution
-        (None if absent).
+        class (-1 if unknown) and row ``scores[i]`` of the read-only
+        ``(N, K)`` matrix the predictive distribution (all NaN if the
+        sidecar has no record for unit ``i``).
     """
 
     ids: tuple[str, ...]
@@ -95,7 +96,7 @@ class Population:
     proxy_cal: np.ndarray | None = None
     embeddings: np.ndarray | None = None
     labels: np.ndarray | None = None
-    scores: list | None = None
+    scores: np.ndarray | None = None
     _index: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -104,7 +105,8 @@ class Population:
         n = len(self.ids)
         if self.proxy.shape != (n,) or self.loss.shape != (n,):
             raise PreconditionError("ids, proxy, and loss lengths disagree")
-        for arr in (self.proxy, self.loss, self.proxy_cal, self.embeddings):
+        for arr in (self.proxy, self.loss, self.proxy_cal, self.embeddings, self.labels,
+                    self.scores):
             if arr is not None:
                 arr.setflags(write=False)
         self._index = {u: i for i, u in enumerate(self.ids)}
@@ -163,7 +165,7 @@ class Population:
             proxy_cal=pick(self.proxy_cal),
             embeddings=pick(self.embeddings),
             labels=pick(self.labels),
-            scores=None if self.scores is None else [self.scores[i] for i in idx],
+            scores=pick(self.scores),
         )
 
     def with_proxy_cal(self, values) -> "Population":
@@ -186,7 +188,7 @@ class Population:
     def canonical_csv(self) -> str:
         """Canonical CSV text; equal populations serialize to equal bytes."""
         header = ["id", "proxy"]
-        cols = [self.ids, self.proxy.tolist()]
+        cols = [tables.writable_ids(self.ids), self.proxy.tolist()]
         if self.proxy_cal is not None:
             header.append("proxy_cal")
             cols.append(self.proxy_cal.tolist())
@@ -201,8 +203,8 @@ class Population:
 # -- file ingest -----------------------------------------------------------
 
 
-def _population(kind: LossKind, path: Path, where: tables.Where, ids, proxy, proxy_cal,
-                loss, embeddings) -> Population:
+def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss,
+                embeddings) -> Population:
     """Convert and range-check the text columns of a pool file, column by column.
 
     ``loss`` cells that are blank mean "not annotated yet".
@@ -213,11 +215,8 @@ def _population(kind: LossKind, path: Path, where: tables.Where, ids, proxy, pro
     losses, present = tables.optional_numbers(loss, "loss", where)
     at = np.flatnonzero(present)
     check_losses(kind, losses[at], lambda j: where(int(at[j])))
-    try:
-        return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind,
-                          proxy_cal=proxy_cal, embeddings=embeddings)
-    except ParseError as e:  # a duplicate id
-        raise ParseError(f"{path}: {e}") from None
+    return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind,
+                      proxy_cal=proxy_cal, embeddings=embeddings)
 
 
 def _ingest_csv(path: Path, kind: LossKind) -> Population:
@@ -235,7 +234,7 @@ def _ingest_csv(path: Path, kind: LossKind) -> Population:
         )
     c = t.columns
     emb = [tables.numbers(c[f"emb_{j}"], f"emb_{j}", t.where) for j in range(d)]
-    return _population(kind, path, t.where, c["id"], c["proxy"], c.get("proxy_cal"),
+    return _population(kind, t.where, c["id"], c["proxy"], c.get("proxy_cal"),
                        c.get("loss", [""] * len(t.lines)), np.column_stack(emb) if d else None)
 
 
@@ -274,7 +273,7 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
         d = len(emb[0])
         flat = [v for vec in emb for v in vec]
         emb = tables.numbers(flat, "embedding", lambda j: where(j // d)).reshape(len(ids), d)
-    return _population(kind, path, where, ids, proxy, proxy_cal if has_cal else None, loss,
+    return _population(kind, where, ids, proxy, proxy_cal if has_cal else None, loss,
                        emb if has_emb else None)
 
 
@@ -317,36 +316,51 @@ def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
 
 
 def attach_scores(pop: Population, scores_path) -> Population:
-    """Attach a class-score sidecar (JSONL ``{"id","label","scores"}``)."""
+    """Attach a class-score sidecar (JSONL ``{"id","label","scores"}``).
+
+    The records stream into one ``(N, K)`` score matrix, checked once at
+    the end; units without a record get a NaN row and label -1.
+    """
     scores_path = Path(scores_path)
     labels = np.full(pop.size, -1, dtype=np.int64)
-    scores: list = [None] * pop.size
-    seen: set[str] = set()
+    lines = np.zeros(pop.size, dtype=np.int64)  # 0: no record
+    scores = None
     for lineno, rec in tables.read_jsonl(scores_path):
         where = f"{scores_path} line {lineno}"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: record must be a JSON object")
         for fld in ("id", "scores"):
             if fld not in rec:
                 raise ParseError(f"{where}: record needs {fld!r}")
         (uid,) = tables.ids([str(rec["id"])], lambda _: where)
-        if uid in seen:
-            raise ParseError(f"{where}: duplicate id {uid!r}")
-        seen.add(uid)
         try:
             i = pop.index_of(uid)
         except ConsistencyError:
-            raise ConsistencyError(
-                f"{where}: id {uid!r} not present in the dataset"
-            ) from None
+            raise ConsistencyError(f"{where}: id {uid!r} not present in the dataset") from None
+        if lines[i]:
+            raise ParseError(f"{where}: duplicate id {uid!r}")
+        lines[i] = lineno
+        vec = rec["scores"]
+        if not isinstance(vec, list) or not vec:
+            raise ParseError(f"{where}: scores must be a nonempty array")
+        if scores is None:
+            scores = np.full((pop.size, len(vec)), np.nan)
+        if len(vec) != scores.shape[1]:
+            raise ParseError(f"{where}: {len(vec)} class scores, but the first record has "
+                             f"{scores.shape[1]}")
         try:
-            vec = _check_scores(np.asarray(rec["scores"], dtype=float))
-        except (PreconditionError, ValueError) as e:
+            scores[i] = vec
+        except (TypeError, ValueError) as e:
             raise ParseError(f"{where}: bad scores ({e})") from None
         label = rec.get("label")
         if label is not None:
-            label = int(label)
-            if not 0 <= label < vec.size:
-                raise ParseError(f"{where}: label {label} out of range")
+            if type(label) is not int or not 0 <= label < len(vec):  # a bool is not an int here
+                raise ParseError(f"{where}: label {label!r} is not an integer in [0, {len(vec)})")
             labels[i] = label
-        vec.setflags(write=False)
-        scores[i] = vec
+    if scores is None:
+        raise ParseError(f"{scores_path}: no data rows")
+    bad = (lines > 0) & ~valid_score_rows(scores)
+    if bad.any():  # name the first bad record in file order
+        raise ParseError(f"{scores_path} line {lines[bad].min()}: bad scores "
+                         "(scores must be nonnegative and sum to 1)")
     return replace(pop, labels=labels, scores=scores)

@@ -9,6 +9,10 @@ on the sampled residuals ``Z_i - Zhat_i`` and added to the pool mean of
 the proxy it is the difference estimate, design-unbiased as well and
 more precise the better the proxy tracks the loss.
 
+Every quantity here is a sum over strata of counts, means and variances;
+``stratum_moments`` is the one routine that computes them, here and in
+the allocation, simulator and report code.
+
 The ``mse_*`` functions are the *closed-form* design MSEs of those
 estimators on a fully annotated population — the quantities a Monte
 Carlo study should reproduce:
@@ -23,7 +27,8 @@ Carlo study should reproduce:
                         - sum_h (N_h/N)(mean_h Z - mean_h Zhat)^2 ]
 
 ``S^2`` denotes the finite-population sample variance (divisor N-1);
-singleton strata contribute zero.  The two stratified-HT forms are exact;
+singleton strata contribute zero.  The SRS forms are the one-stratum
+cases of the proportional ones.  The two stratified-HT forms are exact;
 the SRS-vs-proportional comparison and both difference-estimator forms
 carry O(1/N_h) approximation error by construction.
 """
@@ -40,6 +45,7 @@ from .stratify import StrataPartition
 
 __all__ = [
     "stratified_estimate",
+    "stratum_moments",
     "mse_ht_srs",
     "mse_ht_prop",
     "mse_ht_neyman",
@@ -78,7 +84,7 @@ def stratified_estimate(values, strata, sizes) -> tuple[float, float]:
     n_strata = sizes.size
     if h.min() < 0 or h.max() >= n_strata:
         raise PreconditionError(f"stratum labels must lie in 0..{n_strata - 1}")
-    n_h = np.bincount(h, minlength=n_strata)
+    n_h, _, s2 = stratum_moments(v, h, n_strata)
     if n_h.min() < 2:
         short = int(n_h.argmin())
         raise PreconditionError(
@@ -89,16 +95,29 @@ def stratified_estimate(values, strata, sizes) -> tuple[float, float]:
     pi = n_h / sizes
     pop = sizes.sum()
     theta = float((v / pi[h]).sum() / pop)
-    # two passes over the values shifted by their stratum maximum: a
-    # constant stratum then has all-zero deviations and a variance of
-    # exactly 0, even when its mean is not representable (0.7 + 0.7 + 0.7 rounds)
+    w = sizes / pop
+    return theta, math.sqrt((w * w * (1.0 - pi) * s2 / n_h).sum())
+
+
+def stratum_moments(values, strata, n_strata: int):
+    """Count, mean and sample variance (divisor ``n_h - 1``) of each stratum.
+
+    ``s2_h`` is taken in two passes over the values shifted by their
+    stratum maximum, so a constant stratum has all-zero deviations and a
+    variance of exactly 0, even when its mean is not representable
+    (0.7 + 0.7 + 0.7 rounds).  A singleton stratum has variance 0, and an
+    empty one mean 0 and variance 0.
+    """
+    v = np.asarray(values, dtype=float)
+    h = np.asarray(strata, dtype=np.int64)
+    n_h = np.bincount(h, minlength=n_strata)
+    count = np.maximum(n_h, 1)
     top = np.full(n_strata, -np.inf)
     np.maximum.at(top, h, v)
     dev = v - top[h]
-    dev -= (np.bincount(h, dev, n_strata) / n_h)[h]
-    s2 = np.bincount(h, dev * dev, n_strata) / (n_h - 1)
-    w = sizes / pop
-    return theta, math.sqrt((w * w * (1.0 - pi) * s2 / n_h).sum())
+    dev -= (np.bincount(h, dev, n_strata) / count)[h]
+    s2 = np.bincount(h, dev * dev, n_strata) / np.maximum(n_h - 1, 1)
+    return n_h, np.bincount(h, v, n_strata) / count, s2
 
 
 # -- closed-form design MSEs -------------------------------------------------
@@ -113,42 +132,28 @@ def _full_losses(losses) -> np.ndarray:
     return z
 
 
-def _check_n(n: int, pop: int) -> None:
-    if not 1 <= n <= pop:
-        raise PreconditionError(f"sample size {n} outside [1, {pop}]")
+def _one_stratum(losses) -> StrataPartition:
+    return StrataPartition(np.zeros(_full_losses(losses).size, dtype=np.int64), 1)
 
 
-def _stratum_stats(z: np.ndarray, partition: StrataPartition):
+def _design_moments(values, partition: StrataPartition, n: int):
+    """``N``, ``N_h/N`` and the stratum means and variances of ``values``."""
+    z = _full_losses(values)
+    if not 1 <= n <= z.size:
+        raise PreconditionError(f"sample size {n} outside [1, {z.size}]")
     if partition.assignment.size != z.size:
         raise PreconditionError("partition does not cover the population")
-    sizes = partition.sizes
-    means = np.empty(partition.n_strata)
-    variances = np.zeros(partition.n_strata)
-    for h in range(partition.n_strata):
-        v = z[partition.assignment == h]
-        means[h] = v.mean()
-        # ptp guard: a constant stratum has zero spread even when its mean
-        # is not representable (0.3 + 0.3 + ... accumulates rounding).
-        if v.size >= 2 and np.ptp(v) > 0.0:
-            variances[h] = float(np.var(v, ddof=1))
-    return sizes, means, variances
+    n_h, mean, s2 = stratum_moments(z, partition.assignment, partition.n_strata)
+    return z.size, n_h / z.size, mean, s2
 
 
 def mse_ht_srs(losses, n: int) -> float:
-    z = _full_losses(losses)
-    _check_n(n, z.size)
-    f = n / z.size
-    s2 = float(np.var(z, ddof=1)) if np.ptp(z) > 0.0 else 0.0
-    return (1.0 - f) / n * s2
+    return mse_ht_prop(losses, _one_stratum(losses), n)
 
 
 def mse_ht_prop(losses, partition: StrataPartition, n: int) -> float:
-    z = _full_losses(losses)
-    _check_n(n, z.size)
-    sizes, _, variances = _stratum_stats(z, partition)
-    w = sizes / z.size
-    f = n / z.size
-    return (1.0 - f) / n * float(np.dot(w, variances))
+    pop, w, _, s2 = _design_moments(losses, partition, n)
+    return (1.0 - n / pop) / n * float(np.dot(w, s2))
 
 
 def mse_ht_neyman(losses, partition: StrataPartition, n: int) -> float:
@@ -157,43 +162,25 @@ def mse_ht_neyman(losses, partition: StrataPartition, n: int) -> float:
     Valid when the implied allocation is feasible (no stratum oversampled);
     with a single stratum it reduces exactly to ``mse_ht_srs``.
     """
-    z = _full_losses(losses)
-    _check_n(n, z.size)
-    sizes, _, variances = _stratum_stats(z, partition)
-    w = sizes / z.size
-    sbar = float(np.dot(w, np.sqrt(variances)))
-    return sbar * sbar / n - float(np.dot(w, variances)) / z.size
+    pop, w, _, s2 = _design_moments(losses, partition, n)
+    sbar = float(np.dot(w, np.sqrt(s2)))
+    return sbar * sbar / n - float(np.dot(w, s2)) / pop
 
 
-def _residual_moments(losses, proxies):
+def mse_df_srs(losses, proxies, n: int) -> float:
+    return mse_df_prop(losses, proxies, _one_stratum(losses), n)
+
+
+def mse_df_prop(losses, proxies, partition: StrataPartition, n: int) -> float:
     z = _full_losses(losses)
     zhat = np.asarray(proxies, dtype=float)
     if zhat.shape != z.shape:
         raise PreconditionError("proxies misaligned with losses")
     if np.any(np.isnan(zhat)):
         raise PreconditionError("every unit needs a proxy value")
-    return z, zhat, float(np.mean((z - zhat) ** 2))
-
-
-def mse_df_srs(losses, proxies, n: int) -> float:
-    z, zhat, msq = _residual_moments(losses, proxies)
-    _check_n(n, z.size)
-    f = n / z.size
-    centered = msq - (float(np.mean(z)) - float(np.mean(zhat))) ** 2
-    return (1.0 - f) / n * centered
-
-
-def mse_df_prop(losses, proxies, partition: StrataPartition, n: int) -> float:
-    z, zhat, msq = _residual_moments(losses, proxies)
-    _check_n(n, z.size)
-    if partition.assignment.size != z.size:
-        raise PreconditionError("partition does not cover the population")
-    w = partition.sizes / z.size
-    gaps = np.empty(partition.n_strata)
-    for h in range(partition.n_strata):
-        mask = partition.assignment == h
-        gaps[h] = float(np.mean(z[mask])) - float(np.mean(zhat[mask]))
-    return (1.0 - n / z.size) / n * (msq - float(np.dot(w, gaps**2)))
+    resid = z - zhat
+    pop, w, gaps, _ = _design_moments(resid, partition, n)
+    return (1.0 - n / pop) / n * (float(np.mean(resid**2)) - float(np.dot(w, gaps**2)))
 
 
 # -- normal quantile and intervals --------------------------------------------

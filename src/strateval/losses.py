@@ -5,6 +5,11 @@ model's class-score vector.  When only the scores are known (before
 annotation), the same score vector yields the conditional mean and second
 moment of Z under the model's own predictive distribution — the
 quantities consumed by proxy-based planning.
+
+Score checks and moments work row-wise: the same arithmetic takes one
+``(K,)`` score vector or an ``(N, K)`` matrix of them, so
+``allocate.plugin_sds`` gets a whole pool's moments from one call and
+their stratum means from the one routine ``estimators.stratum_moments``.
 """
 
 from __future__ import annotations
@@ -26,11 +31,16 @@ class LossKind(str, Enum):
     CROSS_ENTROPY = "cross_entropy"
 
 
-def _check_scores(scores: np.ndarray) -> np.ndarray:
+def valid_score_rows(scores: np.ndarray):
+    """Which score rows are nonnegative and sum to 1 (within 1e-6)."""
+    return np.all(scores >= 0, axis=-1) & np.isclose(scores.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1 or scores.size == 0:
-        raise PreconditionError("scores must be a nonempty 1-D vector")
-    if np.any(scores < 0) or not np.isclose(scores.sum(), 1.0, atol=1e-6):
+    if scores.ndim not in (1, 2) or scores.size == 0:
+        raise PreconditionError("scores must be a nonempty (K,) vector or (N, K) matrix")
+    if not np.all(valid_score_rows(scores)):
         raise PreconditionError("scores must be nonnegative and sum to 1")
     return scores
 
@@ -54,6 +64,8 @@ def eval_loss(kind: LossKind | str, label: int, scores: np.ndarray) -> float:
     """
     kind = LossKind(kind)
     scores = _check_scores(scores)
+    if scores.ndim != 1:
+        raise PreconditionError("eval_loss takes one score vector")
     if not 0 <= label < scores.size:
         raise PreconditionError(
             f"label {label} out of range for {scores.size} classes"
@@ -65,29 +77,32 @@ def eval_loss(kind: LossKind | str, label: int, scores: np.ndarray) -> float:
     return float(-np.log(max(float(scores[label]), SCORE_FLOOR)))
 
 
-def conditional_moments(kind: LossKind | str, scores: np.ndarray) -> tuple[float, float]:
+def conditional_moments(kind: LossKind | str, scores):
     """First and second conditional moments of the loss given the scores.
 
-    Treats the score vector as the predictive distribution of the true
-    label and averages the loss (and its square) over it.
+    Treats each score vector (one ``(K,)`` vector, or each row of an
+    ``(N, K)`` matrix) as the predictive distribution of the true label and
+    averages the loss (and its square) over it.
 
     Returns
     -------
-    (zbar, z2bar) : tuple of float
-        ``zbar`` = E[Z | scores], ``z2bar`` = E[Z^2 | scores].  Always
-        satisfies ``zbar**2 <= z2bar`` (Jensen).
+    (zbar, z2bar)
+        ``zbar`` = E[Z | scores], ``z2bar`` = E[Z^2 | scores]: floats for a
+        vector, length-N arrays for a matrix.  ``zbar**2 <= z2bar`` (Jensen).
     """
     kind = LossKind(kind)
     scores = _check_scores(scores)
     if kind is LossKind.ACCURACY:
         # Z is an indicator, so Z^2 = Z and both moments equal the
         # score of the predicted class.
-        top = float(scores[int(np.argmax(scores))])
-        return top, top
-    if kind is LossKind.SQUARED_ERROR:
-        per_class = (1.0 - scores) ** 2
+        zbar = z2bar = scores.max(axis=-1)
     else:
-        per_class = -np.log(np.maximum(scores, SCORE_FLOOR))
-    zbar = float(np.dot(scores, per_class))
-    z2bar = float(np.dot(scores, per_class**2))
+        if kind is LossKind.SQUARED_ERROR:
+            per_class = (1.0 - scores) ** 2
+        else:
+            per_class = -np.log(np.maximum(scores, SCORE_FLOOR))
+        zbar = (scores * per_class).sum(axis=-1)
+        z2bar = (scores * per_class**2).sum(axis=-1)
+    if scores.ndim == 1:
+        return float(zbar), float(z2bar)
     return zbar, z2bar

@@ -19,7 +19,7 @@ import numpy as np
 from . import tables
 from .allocate import AllocationPlan
 from .dataset import Population
-from .errors import ConsistencyError, ParseError, PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .rng import derive_seed, generator, srs_indices
 from .stratify import StrataPartition
 
@@ -101,7 +101,8 @@ def worksheet_csv(draw: SampleDraw) -> str:
     the filled file goes back in through :func:`load_worksheet`.
     """
     return tables.csv_text(
-        ["id", "stratum", "pi"], zip(draw.ids, draw.strata.tolist(), draw.pi.tolist())
+        ["id", "stratum", "pi"],
+        zip(tables.writable_ids(draw.ids), draw.strata.tolist(), draw.pi.tolist()),
     )
 
 
@@ -125,6 +126,4 @@ def load_worksheet(path) -> Worksheet:
     pi = tables.numbers(c["pi"], "pi", t.where)
     tables.check((pi > 0) & (pi <= 1), t.where, lambda i: f"pi {float(pi[i])!r} outside (0, 1]")
     loss = tables.optional_numbers(c.get("loss", [""] * len(ids)), "loss", t.where)[0]
-    if len(set(ids)) != len(ids):
-        raise ParseError(f"{t.path}: duplicate id in worksheet")
     return Worksheet(ids=ids, strata=strata, pi=pi, loss=loss, lines=tuple(t.lines))

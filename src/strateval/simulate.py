@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocate import neyman, plugin_sd_accuracy, proportional
+from .allocate import neyman, plugin_sds, proportional
 from .dataset import Population
 from .errors import ParseError, PreconditionError
-from .estimators import normal_quantile, stratified_estimate
+from .estimators import normal_quantile, stratified_estimate, stratum_moments
 from .losses import LossKind
 from .rng import derive_seed, generator
 from .sampling import stratified_indices
@@ -225,21 +225,11 @@ def run_mc(
         plan = proportional(sizes, n)
     elif allocation == "neyman":
         if sd_source == "true":
-            sds = np.array([
-                np.std(losses[partition.assignment == h], ddof=1)
-                if (partition.assignment == h).sum() >= 2 else 0.0
-                for h in range(partition.n_strata)
-            ])
+            sds = np.sqrt(stratum_moments(losses, partition.assignment, partition.n_strata)[2])
         elif sd_source == "plugin":
             if pop.loss_kind is not LossKind.ACCURACY:
-                raise PreconditionError(
-                    "plugin SDs in run_mc are defined for 0/1 losses"
-                )
-            ref = pop.get_proxy(proxy_col)
-            sds = np.array([
-                plugin_sd_accuracy(float(np.mean(ref[partition.assignment == h])))
-                for h in range(partition.n_strata)
-            ])
+                raise PreconditionError("plugin SDs in run_mc are defined for 0/1 losses")
+            sds = plugin_sds(pop, proxy_col, partition)
         else:
             raise PreconditionError(f"unknown sd_source {sd_source!r}")
         plan = neyman(sizes, sds, n)

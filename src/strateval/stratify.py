@@ -56,36 +56,18 @@ class StrataPartition:
 def partition_csv(partition: StrataPartition, ids) -> str:
     if len(ids) != partition.assignment.size:
         raise PreconditionError("ids and assignment lengths disagree")
-    return tables.csv_text(["id", "stratum"], zip(ids, partition.assignment.tolist()))
+    return tables.csv_text(
+        ["id", "stratum"], zip(tables.writable_ids(ids), partition.assignment.tolist())
+    )
 
 
 def load_partition_csv(path) -> dict[str, int]:
-    """Read an ``id,stratum`` file back to a mapping."""
+    """Read an ``id,stratum`` file back to a mapping; an id may occur once."""
     t = tables.read_csv(path)
     if t.header[:2] != ["id", "stratum"]:
         raise ParseError(f"{t.path} line {t.header_line}: expected header id,stratum")
     strata = tables.numbers(t.columns["stratum"], "stratum", t.where, dtype=np.int64)
     return dict(zip(tables.ids(t.columns["id"], t.where), strata.tolist()))
-
-
-def within_ss(partition: StrataPartition, values) -> float:
-    """Size-weighted within-stratum variance, sum_h (N_h/N) S_h^2.
-
-    ``S_h^2`` is the stratum *sample* variance (divisor ``N_h - 1``);
-    singleton strata contribute 0.  This is the quantity a proportional-
-    allocation design variance is proportional to, making it the natural
-    objective to compare candidate partitions on.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != partition.assignment.shape:
-        raise PreconditionError("values and assignment lengths disagree")
-    n = values.size
-    out = 0.0
-    for h in range(partition.n_strata):
-        v = values[partition.assignment == h]
-        if v.size >= 2:
-            out += (v.size / n) * float(np.var(v, ddof=1))
-    return out
 
 
 # -- exact 1-D k-means -------------------------------------------------------
@@ -176,9 +158,7 @@ def kmeans_1d(values, n_strata: int) -> StrataPartition:
         bounds[h] = j
         k = j - 1
     bounds[0] = 0
-    label_of_distinct = np.empty(u.size, dtype=np.int64)
-    for h in range(n_strata):
-        label_of_distinct[bounds[h] : bounds[h + 1]] = h
+    label_of_distinct = np.repeat(np.arange(n_strata), np.diff(bounds))
     return StrataPartition(label_of_distinct[inv], n_strata)
 
 
@@ -258,15 +238,10 @@ def kmeans_embeddings(embeddings, n_strata: int, seed: int) -> StrataPartition:
             best = (obj, assignment)
     _, assignment = best
     # canonical relabeling: stratum 0 is the cluster of the first unit, etc.
-    relabel = np.full(n_strata, -1, dtype=np.int64)
-    nxt = 0
-    out = np.empty(n, dtype=np.int64)
-    for i, a in enumerate(assignment):
-        if relabel[a] < 0:
-            relabel[a] = nxt
-            nxt += 1
-        out[i] = relabel[a]
-    return StrataPartition(out, n_strata)
+    clusters, first = np.unique(assignment, return_index=True)
+    relabel = np.empty(n_strata, dtype=np.int64)
+    relabel[clusters[np.argsort(first)]] = np.arange(clusters.size)
+    return StrataPartition(relabel[assignment], n_strata)
 
 
 def equal_width_bins(values, n_strata: int) -> StrataPartition:
@@ -296,9 +271,7 @@ def equal_width_bins(values, n_strata: int) -> StrataPartition:
     edges = np.linspace(lo, hi, n_strata + 1)
     raw = np.searchsorted(edges[1:-1], values, side="right")
     # merge empty bins rightward = drop unused labels, keep order
-    used = np.unique(raw)
-    remap = {int(b): h for h, b in enumerate(used)}
-    assignment = np.array([remap[int(b)] for b in raw], dtype=np.int64)
+    used, assignment = np.unique(raw, return_inverse=True)
     part = StrataPartition(assignment, used.size)
     if used.size < n_strata:
         part.warnings.append(

@@ -13,7 +13,9 @@ the class-score sidecar, ``calibrated.csv``, ``partition.csv`` and
 * an id is stripped of surrounding whitespace and must then be nonempty,
   must not start with ``#`` and must not contain a line break: exactly
   the ids that come back unchanged when :func:`csv_text` writes them and
-  :func:`read_csv` reads them.
+  :func:`read_csv` reads them.  Readers apply this rule through
+  :func:`ids`, which also refuses a repeated id, and writers of id
+  columns through :func:`writable_ids`.
 
 CSV tables are parsed column first: one pass of the CSV reader over the
 file, then each numeric column is converted by numpy as a whole.  Cells
@@ -31,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 Where = Callable[[int], str]
 
@@ -119,16 +121,38 @@ def read_csv(path) -> CsvTable:
     return CsvTable(path, header, header_line, lines, dict(zip(header, zip(*rows))))
 
 
+def _first_unreadable(uids: Sequence[str]) -> int:
+    """Position of the first id that would not come back unchanged from a file, or -1."""
+    for i, uid in enumerate(uids):
+        if not uid or uid[0] == "#" or uid != uid.strip() or "\n" in uid or "\r" in uid:
+            return i
+    return -1
+
+
+_ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a line break"
+
+
 def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
-    """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line."""
+    """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique."""
     out = tuple(c.strip() for c in cells)
-    for i, uid in enumerate(out):
-        if _skipped(uid) or "\n" in uid or "\r" in uid:
-            raise ParseError(
-                f"{where(i)}: bad id {uid!r} (ids must be nonempty, must not start "
-                "with '#' and must not contain a line break)"
-            )
+    i = _first_unreadable(out)
+    if i >= 0:
+        raise ParseError(f"{where(i)}: bad id {out[i]!r} ({_ID_RULE})")
+    if len(set(out)) < len(out):
+        first: dict[str, int] = {}
+        for i, uid in enumerate(out):
+            if first.setdefault(uid, i) != i:
+                raise ParseError(f"{where(i)}: duplicate id {uid!r}")
     return out
+
+
+def writable_ids(uids: Sequence[str]) -> Sequence[str]:
+    """Ids about to be written, refused if one would not read back unchanged."""
+    i = _first_unreadable(uids)
+    if i >= 0:
+        raise PreconditionError(f"cannot write id {uids[i]!r}: it would not read back "
+                                f"({_ID_RULE}, and must have no surrounding whitespace)")
+    return uids
 
 
 def numbers(cells: Sequence[str], col: str, where: Where, dtype=float) -> np.ndarray:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from strateval.allocate import (
     AllocationPlan,
@@ -132,3 +134,34 @@ def test_plan_json_round_trip(tmp_path):
     assert back.strategy == plan.strategy
     assert np.array_equal(back.n_h, plan.n_h)
     assert back.warnings == plan.warnings
+
+
+# -- allocation invariants ---------------------------------------------------------
+
+
+@st.composite
+def designs(draw):
+    """Stratum sizes, a feasible budget and stratum SDs (zeros included)."""
+    sizes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+    assume(2 * len(sizes) <= sum(sizes))
+    budget = draw(st.integers(2 * len(sizes), sum(sizes)))
+    sds = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+                        min_size=len(sizes), max_size=len(sizes)))
+    return np.array(sizes), budget, np.array(sds)
+
+
+@given(design=designs())
+def test_allocations_spend_the_budget_within_floors_and_caps(design):
+    sizes, budget, sds = design
+    for plan in (proportional(sizes, budget), neyman(sizes, sds, budget)):
+        assert plan.total == budget
+        assert np.all(plan.n_h >= np.minimum(2, sizes))
+        assert np.all(plan.n_h <= sizes)
+
+
+@given(design=designs())
+def test_neyman_with_all_zero_sds_falls_back_to_proportional(design):
+    sizes, budget, _ = design
+    plan = neyman(sizes, np.zeros(sizes.size), budget)
+    assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
+    assert plan.warnings == ["all stratum SDs are zero; fell back to proportional"]

@@ -255,6 +255,25 @@ def test_plan_neyman_general_loss_needs_scores(tmp_path, capsys):
     assert "--scores" in capsys.readouterr().err
 
 
+def test_plan_neyman_general_loss_from_sidecar_scores(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    ids = [f"p{i:02d}" for i in range(30)]
+    scores = rng.dirichlet(np.full(3, 0.5), size=30)
+    src = tmp_path / "pool.csv"
+    write_pool(src, ids, np.einsum("ik,ik->i", scores, (1.0 - scores) ** 2))
+    side = tmp_path / "scores.jsonl"
+    records = [json.dumps({"id": u, "scores": s.tolist()}) + "\n" for u, s in zip(ids, scores)]
+    argv = ["plan", "--input", str(src), "--scores", str(side), "--out", str(tmp_path / "o"),
+            "--budget", "12", "--strategy", "neyman", "--strata", "3",
+            "--loss-kind", "squared_error"]
+    side.write_text("".join(records))
+    assert main(argv) == 0
+    assert sum(json.loads((tmp_path / "o" / "plan.json").read_text())["n_h"]) == 12
+    side.write_text("".join(records[:7] + records[8:]))
+    assert main(argv) == 4
+    assert "unit 'p07' has no class scores in the sidecar" in capsys.readouterr().err
+
+
 def test_plan_embeddings_require_columns(tmp_path):
     src = tmp_path / "pool.csv"
     write_pool(src, [f"p{i}" for i in range(30)], np.linspace(0, 1, 30))

@@ -155,7 +155,8 @@ def test_scores_sidecar(tmp_path):
     assert pop.labels[0] == 1
     assert pop.labels[1] == -1
     assert np.allclose(pop.scores[0], [0.3, 0.7])
-    assert pop.scores[1] is None
+    assert pop.scores.shape == (pop.size, 2) and not pop.scores.flags.writeable
+    assert np.isnan(pop.scores[1]).all()
 
 
 def test_scores_sidecar_unknown_id_is_consistency_error(tmp_path):

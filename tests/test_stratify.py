@@ -14,7 +14,6 @@ from strateval.stratify import (
     kmeans_embeddings,
     load_partition_csv,
     partition_csv,
-    within_ss,
 )
 
 
@@ -100,27 +99,6 @@ def test_deterministic():
     a = kmeans_1d(v, 3).assignment
     b = kmeans_1d(v, 3).assignment
     assert np.array_equal(a, b)
-
-
-# -- within_ss -------------------------------------------------------------
-
-
-def test_within_ss_hand_value():
-    # stratum {0, 0.4}: S^2 = 0.08 with divisor 1; weight 2/3
-    part = StrataPartition(np.array([0, 0, 1]), 2)
-    assert within_ss(part, [0.0, 0.4, 1.0]) == pytest.approx(0.05333333333, abs=1e-9)
-
-
-def test_within_ss_perfect_and_single():
-    v = [0.2, 0.2, 0.7, 0.7]
-    assert within_ss(StrataPartition(np.array([0, 0, 1, 1]), 2), v) == 0.0
-    single = StrataPartition(np.zeros(4, dtype=int), 1)
-    assert within_ss(single, v) == pytest.approx(np.var(v, ddof=1))
-
-
-def test_within_ss_singleton_contributes_zero():
-    part = StrataPartition(np.array([0, 0, 1]), 2)
-    assert within_ss(part, [0.3, 0.3, 99.0]) == 0.0
 
 
 # -- equal_width_bins --------------------------------------------------------

@@ -2,28 +2,21 @@
 
 import json
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from strateval.cli import main
 from strateval.dataset import Population, ingest
-from strateval.errors import ParseError
+from strateval.errors import ParseError, PreconditionError
 from strateval.losses import LossKind
 from strateval.sampling import SampleDraw, load_worksheet, worksheet_csv
 from strateval.stratify import StrataPartition, load_partition_csv, partition_csv
 from strateval.tables import numbers
 
-# Hypothesis caches the constants it reads from the source under its home
-# directory, at collection time and even without an example database; keep
-# that cache out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "strateval-hypothesis")
-SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+SETTINGS = settings(max_examples=60)  # on top of the suite's profile (conftest.py)
 
 # ids a writer can write and the reader reads back: commas, quotes and
 # inner spaces included
@@ -219,6 +212,40 @@ def test_cli_refuses_a_pool_whose_ids_cannot_round_trip(tmp_path, capsys, uid):
         assert "line 8: bad id" in capsys.readouterr().err
 
 
+# the writers hold ids to the same rule, so what they write reads back
+WRITERS = {
+    "canonical_csv": lambda ids: Population(
+        ids=ids, proxy=np.full(3, 0.5), loss=np.full(3, np.nan), loss_kind=LossKind.ACCURACY
+    ).canonical_csv(),
+    "worksheet_csv": lambda ids: worksheet_csv(SampleDraw(
+        indices=np.arange(3), ids=ids, strata=np.zeros(3), pi=np.full(3, 0.5),
+        stratum_sizes=[6], seed=0,
+    )),
+    "partition_csv": lambda ids: partition_csv(StrataPartition(np.zeros(3), 1), ids),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("uid", ["#7", "", " a", "a ", "u3\nx", "u3\rx"],
+                         ids=["hash", "empty", "leading-space", "trailing-space", "lf", "cr"])
+def test_writers_refuse_ids_that_would_not_read_back(writer, uid):
+    # before, canonical_csv wrote "#7" as a comment line and ingest dropped the unit
+    with pytest.raises(PreconditionError, match="cannot write id"):
+        WRITERS[writer]((uid, "b", "c"))
+
+
+@pytest.mark.parametrize("name,text,read", [
+    ("partition.csv", "id,stratum\n# c\na,0\nb,1\na,1\n", load_partition_csv),
+    ("worksheet.csv", "id,stratum,pi\n# c\na,0,0.5\nb,0,0.5\na,0,0.5\n", load_worksheet),
+], ids=["partition", "worksheet"])
+def test_a_repeated_id_names_its_line(tmp_path, name, text, read):
+    # before, load_partition_csv kept the last row of a repeated id
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError, match="line 5: duplicate id 'a'"):
+        read(p)
+
+
 # -- line numbers in errors ----------------------------------------------------
 
 LINE_ERRORS = [
@@ -270,3 +297,47 @@ def test_estimate_names_the_worksheet_line_of_a_bad_loss(tmp_path, capsys):
     rc = main(["estimate", "--input", str(src), "--worksheet", str(ws), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"{ws} line 4: accuracy loss must be 0 or 1" in capsys.readouterr().err
+
+
+# the sidecar's third physical line carries the record under test
+SIDECAR_ERRORS = {
+    "not-an-object": ("5", "line 3: record must be a JSON object"),
+    "label-string": ('{"id": "u1", "label": "x", "scores": [0.5, 0.5]}',
+                     "line 3: label 'x' is not an integer in [0, 2)"),
+    "label-float": ('{"id": "u1", "label": 1.7, "scores": [0.5, 0.5]}',
+                    "line 3: label 1.7 is not an integer in [0, 2)"),
+    "label-bool": ('{"id": "u1", "label": true, "scores": [0.5, 0.5]}',
+                   "line 3: label True is not an integer in [0, 2)"),
+    "label-range": ('{"id": "u1", "label": 2, "scores": [0.5, 0.5]}',
+                    "line 3: label 2 is not an integer in [0, 2)"),
+    "class-count": ('{"id": "u1", "scores": [0.2, 0.3, 0.5]}',
+                    "line 3: 3 class scores, but the first record has 2"),
+}
+
+
+def _plan_with_sidecar(tmp_path, lines):
+    src = tmp_path / "pool.csv"
+    src.write_text("id,proxy\n" + "".join(f"u{i},0.25\n" for i in range(8)))
+    side = tmp_path / "scores.jsonl"
+    side.write_text("\n".join(lines) + "\n")
+    return main(["plan", "--input", str(src), "--scores", str(side), "--out", str(tmp_path / "o"),
+                 "--loss-kind", "squared_error", "--strategy", "neyman", "--strata", "2",
+                 "--budget", "4"])
+
+
+@pytest.mark.parametrize("case", SIDECAR_ERRORS)
+def test_sidecar_refuses_a_malformed_record(tmp_path, capsys, case):
+    record, message = SIDECAR_ERRORS[case]
+    rc = _plan_with_sidecar(tmp_path, ['{"id": "u0", "label": 0, "scores": [0.5, 0.5]}', "# c", record])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sidecar_scores_error_names_the_first_bad_record_in_file_order(tmp_path, capsys):
+    rc = _plan_with_sidecar(tmp_path, [
+        '{"id": "u0", "scores": [0.5, 0.5]}',
+        '{"id": "u7", "scores": [0.5, 0.6]}',
+        '{"id": "u1", "scores": [-0.5, 1.5]}',
+    ])
+    assert rc == 2
+    assert "line 2: bad scores" in capsys.readouterr().err
