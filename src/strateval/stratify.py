@@ -36,8 +36,13 @@ class StrataPartition:
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         if self.assignment.ndim != 1 or self.assignment.size == 0:
             raise PreconditionError("assignment must be a nonempty 1-D array")
-        present = np.unique(self.assignment)
-        if present[0] < 0 or present[-1] >= self.n_strata or present.size != self.n_strata:
+        a = self.assignment
+        # bincount counts the distinct labels only once they lie in 0..H-1
+        if (
+            a.min() < 0
+            or a.max() >= self.n_strata
+            or np.count_nonzero(np.bincount(a)) != self.n_strata
+        ):
             raise PreconditionError(
                 f"assignment must use every label in 0..{self.n_strata - 1}"
             )
@@ -79,40 +84,50 @@ def _dp_rows(u: np.ndarray, w: np.ndarray, n_strata: int):
     Returns the argmin (split) tables for the weighted interval SSE
     objective.  Row ``h`` is filled by divide and conquer, exploiting that
     the optimal left edge of the last interval is nondecreasing in the
-    right edge (the cost is a Monge matrix).
+    right edge (the cost is a Monge matrix).  The recursion tree is walked
+    one depth at a time: every node of a depth is evaluated in one batched
+    pass over its candidates laid end to end, so a row costs about
+    log2(m) passes of O(m) work each rather than one numpy call per
+    column.  Ties go to the smallest left edge, as with ``np.argmin``.
     """
     m = u.size
     cw = np.concatenate([[0.0], np.cumsum(w)])
     cs = np.concatenate([[0.0], np.cumsum(w * u)])
     cq = np.concatenate([[0.0], np.cumsum(w * u * u)])
 
-    def seg_cost(j, k):
-        # weighted SSE of distinct values j..k (inclusive); j may be an array
-        ww = cw[k + 1] - cw[j]
-        ss = cs[k + 1] - cs[j]
-        return (cq[k + 1] - cq[j]) - ss * ss / ww
+    def seg_cost(j, e):
+        # weighted SSE of distinct values j..e-1, elementwise
+        ww = cw[e] - cw[j]
+        ss = cs[e] - cs[j]
+        return (cq[e] - cq[j]) - ss * ss / ww
 
-    prev = seg_cost(np.zeros(m, dtype=np.int64), np.arange(m))
+    prev = seg_cost(np.zeros(m, dtype=np.int64), np.arange(1, m + 1))
     splits = np.zeros((n_strata, m), dtype=np.int64)
     for h in range(1, n_strata):
         cur = np.full(m, np.inf)
-
-        def fill(klo, khi, jlo, jhi):
-            if klo > khi:
-                return
+        # one column per pending node: right edges klo..khi, left-edge
+        # candidates jlo..jhi.  jlo >= h and jlo <= klo hold at every node,
+        # so each node has candidates jlo..min(jhi, k).
+        nodes = np.array([[h], [m - 1], [h], [m - 1]])
+        while nodes.shape[1]:
+            klo, khi, jlo, jhi = nodes
             k = (klo + khi) // 2
-            lo = max(jlo, h)
-            hi = min(jhi, k)
-            j = np.arange(lo, hi + 1)
-            cand = prev[j - 1] + seg_cost(j, k)
-            best = int(np.argmin(cand))
+            lens = np.minimum(jhi, k) - jlo + 1
+            ends = lens.cumsum()
+            starts = ends - lens
+            j = np.arange(ends[-1]) + (jlo - starts).repeat(lens)
+            cand = prev[j - 1] + seg_cost(j, (k + 1).repeat(lens))
+            # first index attaining each node's minimum (or its first NaN),
+            # which is np.argmin's rule
+            segmin = np.minimum.reduceat(cand, starts)
+            hit = ((cand == segmin.repeat(lens)) | np.isnan(cand)).nonzero()[0]
+            best = hit[hit.searchsorted(starts)]
+            opt = j[best]
             cur[k] = cand[best]
-            opt = lo + best
             splits[h, k] = opt
-            fill(klo, k - 1, jlo, opt)
-            fill(k + 1, khi, opt, jhi)
-
-        fill(h, m - 1, h, m - 1)
+            # children (klo, k-1, jlo, opt) and (k+1, khi, opt, jhi), if nonempty
+            nodes = np.concatenate([[klo, k - 1, jlo, opt], [k + 1, khi, opt, jhi]], axis=1)
+            nodes = nodes[:, nodes[0] <= nodes[1]]
         prev = cur
     return splits
 
@@ -138,9 +153,9 @@ def kmeans_1d(values, n_strata: int) -> StrataPartition:
         raise PreconditionError("values must be a nonempty 1-D array")
     if not np.all(np.isfinite(values)):
         raise PreconditionError("values must be finite")
-    u, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
     if n_strata < 1:
         raise PreconditionError("need at least one stratum")
+    u, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
     if n_strata > u.size:
         raise PreconditionError(
             f"{n_strata} strata requested but only {u.size} distinct values"

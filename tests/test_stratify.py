@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from oracles import best_interval_partition, quadratic_dp_partition_cost, within_cluster_ss
 from strateval import stratify
@@ -99,6 +102,115 @@ def test_deterministic():
     a = kmeans_1d(v, 3).assignment
     b = kmeans_1d(v, 3).assignment
     assert np.array_equal(a, b)
+
+
+def recursive_dp_rows(u, w, n_strata):
+    """The DP row fill by depth-first recursion, one numpy call per column: the reference."""
+    m = u.size
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    cs = np.concatenate([[0.0], np.cumsum(w * u)])
+    cq = np.concatenate([[0.0], np.cumsum(w * u * u)])
+
+    def seg_cost(j, k):
+        ww = cw[k + 1] - cw[j]
+        ss = cs[k + 1] - cs[j]
+        return (cq[k + 1] - cq[j]) - ss * ss / ww
+
+    prev = seg_cost(np.zeros(m, dtype=np.int64), np.arange(m))
+    splits = np.zeros((n_strata, m), dtype=np.int64)
+    for h in range(1, n_strata):
+        cur = np.full(m, np.inf)
+
+        def fill(klo, khi, jlo, jhi):
+            if klo > khi:
+                return
+            k = (klo + khi) // 2
+            lo = max(jlo, h)
+            hi = min(jhi, k)
+            j = np.arange(lo, hi + 1)
+            cand = prev[j - 1] + seg_cost(j, k)
+            best = int(np.argmin(cand))
+            cur[k] = cand[best]
+            opt = lo + best
+            splits[h, k] = opt
+            fill(klo, k - 1, jlo, opt)
+            fill(k + 1, khi, opt, jhi)
+
+        fill(h, m - 1, h, m - 1)
+        prev = cur
+    return splits
+
+
+def partition_with(row_fill, v, h):
+    """``kmeans_1d(v, h)`` filling its DP rows with ``row_fill``: assignment and split table."""
+    tables = []
+
+    def fill(*args):
+        tables.append(row_fill(*args))
+        return tables[-1]
+
+    with mock.patch.object(stratify, "_dp_rows", fill):
+        assignment = kmeans_1d(v, h).assignment
+    return assignment, tables[0]
+
+
+def assert_matches_recursive_fill(v, h):
+    got = partition_with(stratify._dp_rows, v, h)
+    want = partition_with(recursive_dp_rows, v, h)
+    assert np.array_equal(got[1], want[1]), (v, h)
+    assert np.array_equal(got[0], want[0]), (v, h)
+
+
+@st.composite
+def tied_pools(draw):
+    # values on a coarse grid, so segment costs tie; on an integer or 1/4 grid
+    # the costs are exact and tie exactly.  Half the pools repeat every drawn
+    # value by up to 400.
+    top = draw(st.sampled_from([4, 12, 100, 1000]))
+    scale = draw(st.sampled_from([1, 4, 10, 1000]))
+    levels = draw(st.lists(st.integers(0, top), min_size=2, max_size=60))
+    reps = 1
+    if draw(st.booleans()):
+        reps = draw(st.lists(st.integers(1, 400), min_size=len(levels), max_size=len(levels)))
+    return np.repeat(np.array(levels) / scale, reps)
+
+
+@given(v=tied_pools(), data=st.data())
+def test_row_fill_matches_recursive_fill(v, data):
+    distinct = np.unique(v).size
+    assume(distinct >= 2)
+    h = data.draw(st.integers(2, min(12, distinct)))
+    assert_matches_recursive_fill(v, h)
+    if distinct <= 12:
+        assert_matches_recursive_fill(v, distinct)  # every value its own stratum
+
+
+def test_row_fill_matches_recursive_fill_on_criterion_5_instances():
+    # the instance generator of acceptance criterion 5
+    rng = np.random.default_rng(505)
+    for i in range(10_000):
+        m = int(rng.integers(2, 13))
+        v = rng.random(m) if i % 2 else np.round(rng.random(m), 1)
+        h = int(rng.integers(1, min(4, np.unique(v).size) + 1))
+        if h > 1:
+            assert_matches_recursive_fill(v, h)
+
+
+def test_row_fill_matches_recursive_fill_on_fine_proxy():
+    # 10^4 distinct Beta(2, 5) values at H = 10, the fine-proxy benchmark's shape
+    v = np.random.default_rng(11).beta(2.0, 5.0, size=10_000)
+    assert np.unique(v).size == 10_000
+    assert_matches_recursive_fill(v, 10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_row_fill_matches_recursive_fill_when_costs_overflow():
+    # squares past the float range make inf - inf = NaN costs; argmin takes the first NaN
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        v = rng.choice([-1e300, -1e160, 0.0, 1.0, 1e155, 1e160, 5e200, 1e300], size=20)
+        for h in range(2, np.unique(v).size + 1):
+            assert_matches_recursive_fill(v, h)
 
 
 # -- equal_width_bins --------------------------------------------------------
@@ -253,6 +365,16 @@ def test_embeddings_validation():
 def test_partition_must_use_every_label():
     with pytest.raises(PreconditionError):
         StrataPartition(np.array([0, 2, 2]), 3)  # label 1 unused
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 1, -1, 2], [0, 1, 2, 3], [2, 1, 2**40], [1, 1, 0]],
+    ids=["negative", "too-large", "huge", "missing"],
+)
+def test_partition_refuses_labels_outside_or_missing_from_range(labels):
+    with pytest.raises(PreconditionError, match=r"^assignment must use every label in 0\.\.2$"):
+        StrataPartition(np.array(labels), 3)
 
 
 def test_partition_csv_round_trip(tmp_path):
