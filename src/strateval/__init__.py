@@ -31,7 +31,7 @@ from .estimators import (
     stratified_estimate,
 )
 from .losses import LossKind, conditional_moments, eval_loss
-from .rng import derive_seed, generator, srs_indices, substream
+from .rng import derive_seed, generator, substream
 from .sampling import SampleDraw, draw_ssrs, load_worksheet
 from .simulate import (
     MCResult,
@@ -92,7 +92,6 @@ __all__ = [
     "run_mc",
     "split_half",
     "split_half_indices",
-    "srs_indices",
     "stratified_estimate",
     "substream",
 ]

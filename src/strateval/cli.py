@@ -28,6 +28,7 @@ from .dataset import Population, check_losses, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .estimators import EstimateReport, confidence_interval, stratified_estimate, stratum_moments
 from .losses import LossKind
+from .rng import check_seed
 from .sampling import draw_ssrs, load_worksheet, worksheet_csv
 from .simulate import (
     MIN_REPS,
@@ -276,7 +277,7 @@ def cmd_simulate(args) -> int:
         spec = SuperpopSpec(
             family=pop_doc["family"],
             size=int(pop_doc["size"]),
-            seed=int(pop_doc.get("seed", 0)),
+            seed=check_seed(pop_doc.get("seed", 0), "population.seed"),
             params=pop_doc.get("params", {}),
         )
     except (KeyError, TypeError, ValueError) as e:
@@ -292,7 +293,7 @@ def cmd_simulate(args) -> int:
     n = int(doc["budget"])
     strata = int(doc.get("strata", 2))
     level = float(doc.get("level", 0.95))
-    sim_seed = int(doc.get("sim_seed", args.seed_sim))
+    sim_seed = check_seed(doc.get("sim_seed", args.seed_sim), "sim_seed")
     methods = doc["methods"]
     needs_partition = any(m.get("design") == "ssrs" for m in methods)
     partition = kmeans_1d(pop.proxy, strata) if needs_partition else None
@@ -353,6 +354,14 @@ def cmd_simulate(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _seed_flag(text: str) -> int:
+    """Value of a ``--seed-*`` flag: a non-negative integer."""
+    try:
+        return check_seed(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="strateval",
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit an isotonic proxy->loss map on a random half of the pool",
     )
     pc.add_argument("--input", required=True, help="dataset CSV/JSONL with losses")
-    pc.add_argument("--seed-split", type=int, default=DEFAULT_SEED_SPLIT)
+    pc.add_argument("--seed-split", type=_seed_flag, default=DEFAULT_SEED_SPLIT)
     pc.set_defaults(func=cmd_calibrate)
 
     pp = sub.add_parser(
@@ -397,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument(
         "--stratify-on", default="proxy", choices=["proxy", "embeddings", "bins"]
     )
-    pp.add_argument("--seed-sample", type=int, default=DEFAULT_SEED_SAMPLE)
-    pp.add_argument("--seed-strat", type=int, default=DEFAULT_SEED_STRAT)
+    pp.add_argument("--seed-sample", type=_seed_flag, default=DEFAULT_SEED_SAMPLE)
+    pp.add_argument("--seed-strat", type=_seed_flag, default=DEFAULT_SEED_STRAT)
     pp.set_defaults(func=cmd_plan)
 
     pe = sub.add_parser(
@@ -418,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo comparison of designs/estimators on a synthetic pool",
     )
     ps.add_argument("--spec", required=True, help="simulation spec JSON")
-    ps.add_argument("--seed-sim", type=int, default=DEFAULT_SEED_SIM)
+    ps.add_argument("--seed-sim", type=_seed_flag, default=DEFAULT_SEED_SIM)
     ps.set_defaults(func=cmd_simulate)
     return p
 

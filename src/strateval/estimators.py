@@ -60,7 +60,7 @@ __all__ = [
 # -- the stratified estimate ---------------------------------------------------
 
 
-def stratified_estimate(values, strata, sizes) -> tuple[float, float]:
+def stratified_estimate(values, strata, sizes):
     """Stratified mean of sampled values and its plug-in standard error.
 
     ``values[i]`` was observed on a sampled unit of stratum ``strata[i]``;
@@ -73,18 +73,28 @@ def stratified_estimate(values, strata, sizes) -> tuple[float, float]:
     where ``s_h^2`` is the within-stratum sample variance, exactly 0 for
     a stratum whose sampled values are all equal.  Every stratum needs at
     least two sampled units, or its variance is not estimable.
+
+    ``values`` may also be 2-D, one replicated sample per row on the same
+    ``strata``: then ``theta`` and ``se`` are arrays, one entry per row,
+    each equal to the 1-D call on that row.
     """
     v = np.asarray(values, dtype=float)
     h = np.asarray(strata, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
-    if v.ndim != 1 or v.shape != h.shape or v.size == 0:
+    if h.ndim != 1 or h.size == 0 or v.ndim not in (1, 2) or v.shape[-1:] != h.shape:
         raise PreconditionError("sample values and strata must be aligned nonempty 1-D arrays")
+    rows = v if v.ndim == 2 else v[None]
     if np.isnan(v).any():
         raise PreconditionError("every sampled unit needs an observed value")
     n_strata = sizes.size
     if h.min() < 0 or h.max() >= n_strata:
         raise PreconditionError(f"stratum labels must lie in 0..{n_strata - 1}")
-    n_h, _, s2 = stratum_moments(v, h, n_strata)
+    reps = rows.shape[0]
+    # one (row, stratum) label per value: every row's sums run in the
+    # order of a 1-D call on that row
+    label = (np.arange(reps)[:, None] * n_strata + h).reshape(-1)
+    _, _, s2 = stratum_moments(rows.reshape(-1), label, reps * n_strata)
+    n_h = np.bincount(h, minlength=n_strata)
     if n_h.min() < 2:
         short = int(n_h.argmin())
         raise PreconditionError(
@@ -94,9 +104,12 @@ def stratified_estimate(values, strata, sizes) -> tuple[float, float]:
         raise PreconditionError("a stratum has more sampled units than members")
     pi = n_h / sizes
     pop = sizes.sum()
-    theta = float((v / pi[h]).sum() / pop)
+    theta = (rows / pi[h]).sum(axis=1) / pop
     w = sizes / pop
-    return theta, math.sqrt((w * w * (1.0 - pi) * s2 / n_h).sum())
+    se = np.sqrt((w * w * (1.0 - pi) * s2.reshape(reps, n_strata) / n_h).sum(axis=1))
+    if v.ndim == 2:
+        return theta, se
+    return float(theta[0]), float(se[0])
 
 
 def stratum_moments(values, strata, n_strata: int):

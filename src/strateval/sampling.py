@@ -20,7 +20,7 @@ from . import tables
 from .allocate import AllocationPlan
 from .dataset import Population
 from .errors import ConsistencyError, PreconditionError
-from .rng import derive_seed, generator, srs_indices
+from .rng import fisher_yates
 from .stratify import StrataPartition
 
 
@@ -48,18 +48,17 @@ class SampleDraw:
         return self.indices.size
 
 
-def stratified_indices(members, n_h, seed: int) -> np.ndarray:
-    """Canonical positions of one stratified draw, stratum by stratum.
+def stratified_indices(members, n_h, seeds) -> np.ndarray:
+    """Canonical positions of stratified draws, one row per seed.
 
-    Stratum ``h`` takes ``n_h[h]`` of the positions ``members[h]`` by
-    partial Fisher-Yates on the substream seeded by
-    ``derive_seed(seed, h)``; within a stratum, positions come in
-    selection order.
+    Row ``r`` takes, stratum by stratum, ``n_h[h]`` of the positions
+    ``members[h]`` by partial Fisher-Yates on the substream seeded by
+    ``derive_seed(seeds[r], h)``; within a stratum, positions come in
+    selection order.  Every row is drawn in the one batched pass of
+    :func:`strateval.rng.fisher_yates`.
     """
-    return np.concatenate([
-        m[srs_indices(generator(derive_seed(seed, h)), m.size, int(k))]
-        for h, (m, k) in enumerate(zip(members, n_h))
-    ])
+    slots = fisher_yates(seeds, [m.size for m in members], n_h)
+    return np.concatenate(members)[slots]
 
 
 def draw_ssrs(
@@ -80,7 +79,7 @@ def draw_ssrs(
     if np.any(plan.n_h < 1) or np.any(plan.n_h > sizes):
         raise PreconditionError("need 1 <= n_h <= N_h in every stratum")
     members = [partition.members(h) for h in range(partition.n_strata)]
-    idx = stratified_indices(members, plan.n_h, seed)
+    idx = stratified_indices(members, plan.n_h, int(seed))[0]
     return SampleDraw(
         indices=idx,
         ids=tuple(pop.ids[i] for i in idx),

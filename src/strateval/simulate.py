@@ -16,8 +16,11 @@ ground truth to be checked against.  Families:
 Plain SRS is the one-stratum design.  Replication ``r`` draws exactly
 what ``draw_ssrs`` draws with sub-seed ``derive_seed(seed, r)`` and
 estimates with ``stratified_estimate``, so the harness validates the
-sampling path and the standard error that ``estimate`` reports.
-Accumulation uses numpy's pairwise summation.
+sampling path and the standard error that ``estimate`` reports.  Both
+run on a batch of replications at a time: one call seeds and draws the
+whole batch and one call estimates it, with every replication's bits and
+sums the same as on its own.  Accumulation uses numpy's pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .dataset import Population
 from .errors import ParseError, PreconditionError
 from .estimators import normal_quantile, stratified_estimate, stratum_moments
 from .losses import LossKind
-from .rng import derive_seed, generator
+from .rng import derive_seeds, generator
 from .sampling import stratified_indices
 from .stratify import StrataPartition
 from .tables import csv_text
@@ -146,6 +149,10 @@ class MCResult:
 
 
 MIN_REPS = 100
+# draws per batch of replications: each draw holds about 100 bytes of
+# temporaries while its batch is seeded, drawn and estimated, so a batch
+# stays near half a megabyte
+_CHUNK_DRAWS = 4096
 
 
 def run_mc(
@@ -244,10 +251,13 @@ def run_mc(
     zcrit = normal_quantile(0.5 + level / 2.0)
     estimates = np.empty(reps)
     ses = np.empty(reps)
-    for r in range(reps):
-        idx = stratified_indices(members, n_h, derive_seed(seed, r))
-        theta, ses[r] = stratified_estimate(values[idx], strata, sizes)
-        estimates[r] = proxy_mean + theta
+    chunk = max(1, _CHUNK_DRAWS // int(n_h.sum()))
+    for start in range(0, reps, chunk):
+        block = slice(start, min(start + chunk, reps))
+        seeds = derive_seeds(seed, np.arange(block.start, block.stop))
+        idx = stratified_indices(members, n_h, seeds)
+        theta, ses[block] = stratified_estimate(values[idx], strata, sizes)
+        estimates[block] = proxy_mean + theta
     covered = np.abs(estimates - target) <= zcrit * ses
 
     sq = (estimates - target) ** 2

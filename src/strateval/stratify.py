@@ -10,6 +10,7 @@ and reader in :mod:`strateval.tables`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +164,14 @@ def kmeans_1d(values, n_strata: int) -> StrataPartition:
     if n_strata == 1:
         return StrataPartition(np.zeros(values.size, dtype=np.int64), 1)
 
-    splits = _dp_rows(u, counts.astype(float), n_strata)
+    weights = counts.astype(float)
+    # the DP's sums of squares reach (total weight * max |v|)**2: when that
+    # could overflow, scale the values by a power of two first, which is
+    # exact and leaves every comparison, so every split, as it was
+    excess = math.frexp(float(np.abs(u).max()))[1] + math.frexp(float(weights.sum()))[1] - 510
+    if excess > 0:
+        u = np.ldexp(u, -excess)
+    splits = _dp_rows(u, weights, n_strata)
     # walk back the split table to the interval boundaries
     bounds = np.empty(n_strata + 1, dtype=np.int64)
     bounds[n_strata] = u.size

@@ -203,3 +203,43 @@ def two_group_losses(sizes, means, sds):
         base *= sd * np.sqrt((n_h - 1) / np.sum(base**2)) if sd else 0.0
         out.append(mu + base)
     return np.concatenate(out)
+
+
+# -- sampling -------------------------------------------------------------------
+
+
+def srs_indices(rng, n_population, n_sample):
+    """Partial Fisher-Yates over ``0..n_population-1``, one step at a time.
+
+    Step ``j`` swaps position ``j`` with position ``j + o_j``, the offsets
+    being one ``rng.integers`` call on the spans ``N, N-1, ...``; only the
+    touched entries of the virtual permutation are kept, in a dict.  This
+    is the selection rule of the reproducibility contract, written the
+    plain way, for the batched draw to be checked against.
+    """
+    if not 0 <= n_sample <= n_population:
+        raise ValueError(f"sample size {n_sample} outside [0, {n_population}]")
+    if n_sample == 0:
+        return np.empty(0, dtype=np.int64)
+    spans = np.arange(n_population, n_population - n_sample, -1, dtype=np.int64)
+    offsets = rng.integers(spans)  # offsets[j] uniform in [0, N - j)
+    out = np.empty(n_sample, dtype=np.int64)
+    swapped: dict[int, int] = {}
+    for j in range(n_sample):
+        k = j + int(offsets[j])
+        out[j] = swapped.get(k, k)
+        swapped[k] = swapped.get(j, j)
+    return out
+
+
+def stratified_slots(seed, sizes, n_h):
+    """One stratified draw as slots ``sum(sizes[:h]) + position``: stratum
+    ``h`` runs :func:`srs_indices` on ``PCG64(SeedSequence([seed, h]))``'s
+    first output word, straight from numpy."""
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    parts = []
+    for h, (size, k) in enumerate(zip(sizes, n_h)):
+        sub = int(np.random.SeedSequence([int(seed), h]).generate_state(1, np.uint64)[0])
+        rng = np.random.Generator(np.random.PCG64(sub))
+        parts.append(starts[h] + srs_indices(rng, int(size), int(k)))
+    return np.concatenate(parts)

@@ -5,6 +5,9 @@ Exit codes under test: 0 success, 2 parse, 3 precondition, 4 consistency
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +277,17 @@ def test_plan_neyman_general_loss_from_sidecar_scores(tmp_path, capsys):
     assert "unit 'p07' has no class scores in the sidecar" in capsys.readouterr().err
 
 
+def test_plan_stratifies_proxies_past_the_square_range(tmp_path):
+    # cross-entropy proxies are only checked to be finite and >= 0
+    src = tmp_path / "pool.csv"
+    write_pool(src, list("abcdef"), [0.0, 0.5, 1.0, 1.5, 2.0, 1e200])
+    out = tmp_path / "plan"
+    argv = ["plan", "--input", str(src), "--out", str(out), "--loss-kind", "cross_entropy",
+            "--strata", "2", "--budget", "4"]
+    assert main(argv) == 0
+    assert load_partition_csv(out / "partition.csv") == {**dict.fromkeys("abcde", 0), "f": 1}
+
+
 def test_plan_embeddings_require_columns(tmp_path):
     src = tmp_path / "pool.csv"
     write_pool(src, [f"p{i}" for i in range(30)], np.linspace(0, 1, 30))
@@ -507,6 +521,48 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--input", "pool.csv", "--seed-split", "-1"],
+        ["plan", "--input", "pool.csv", "--budget", "4", "--seed-sample", "-5"],
+        ["plan", "--input", "pool.csv", "--budget", "4", "--seed-strat", "-2"],
+        ["simulate", "--spec", "spec.json", "--seed-sim", "-1"],
+    ],
+)
+def test_negative_seed_flags_exit_two(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a.startswith("--seed"))
+    assert f"argument {flag}: seed must be a non-negative integer, got" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["population.seed", "sim_seed"])
+def test_negative_spec_seeds_exit_two(tmp_path, capsys, field):
+    doc = json.loads(ORDERING_SPEC.read_text())
+    if field == "sim_seed":
+        doc["sim_seed"] = -2
+    else:
+        doc["population"]["seed"] = -3
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert f"{field} must be a non-negative integer, got" in capsys.readouterr().err
+
+
+def test_runs_as_python_module(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "strateval", "--version"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("strateval ")
 
 
 def test_every_subcommand_is_byte_reproducible(tmp_path):

@@ -117,6 +117,21 @@ def test_stratified_estimate_is_bit_identical_to_its_earlier_body(data, extra):
     assert stratified_estimate(values, strata, sizes) == stratified_estimate_before(values, strata, sizes)
 
 
+def test_stratified_estimate_rows_are_the_one_row_calls():
+    # a 2-D call estimates every row as its own 1-D call would, bit for bit,
+    # also where numpy's pairwise sums unroll (eight or more strata)
+    rs = np.random.default_rng(9)
+    for n_strata in (1, 3, 9, 12):
+        n_h = rs.integers(2, 40, size=n_strata)
+        strata = rs.permutation(np.repeat(np.arange(n_strata), n_h))
+        sizes = n_h + rs.integers(0, 50, size=n_strata)
+        values = np.round(rs.random((25, strata.size)), 3)
+        theta, se = stratified_estimate(values, strata, sizes)
+        for row, t, s in zip(values, theta, se):
+            assert (t, s) == stratified_estimate(row, strata, sizes)
+            assert (t, s) == stratified_estimate_before(row, strata, sizes)
+
+
 # -- plugin_sds ------------------------------------------------------------------
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import srs_indices
 from strateval.allocate import AllocationPlan
 from strateval.dataset import Population
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
 from strateval.losses import LossKind
-from strateval.rng import derive_seed, srs_indices, substream
+from strateval.rng import derive_seed, derive_seeds, fisher_yates, substream
 from strateval.sampling import (
     SampleDraw,
     draw_ssrs,
@@ -137,8 +138,7 @@ def test_every_subset_equally_likely():
     reps = 60_000
     subsets = {frozenset(c): i for i, c in enumerate(combinations(range(4), 2))}
     counts = np.zeros(6)
-    for r in range(reps):
-        idx = srs_indices(substream(123, r), 4, 2)
+    for idx in fisher_yates(derive_seeds(123, np.arange(reps)), [4], [2]):
         counts[subsets[frozenset(idx.tolist())]] += 1
     p = stats.chisquare(counts).pvalue
     assert p > 0.001, f"subset frequencies {counts / reps} (p={p:.2e})"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -211,6 +212,17 @@ def test_row_fill_matches_recursive_fill_when_costs_overflow():
         v = rng.choice([-1e300, -1e160, 0.0, 1.0, 1e155, 1e160, 5e200, 1e300], size=20)
         for h in range(2, np.unique(v).size + 1):
             assert_matches_recursive_fill(v, h)
+
+
+def test_kmeans_1d_is_exact_past_the_square_range():
+    # squares past the float range once made the costs NaN and the DP kept
+    # the first NaN; scaling by a power of two keeps every split
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kmeans_1d([0.0, 1.0, 2.0, 1e200], 2).assignment.tolist() == [0, 0, 0, 1]
+        v = np.random.default_rng(13).random(200)
+        for h in (2, 5, 9):
+            assert np.array_equal(kmeans_1d(v * 2.0**700, h).assignment, kmeans_1d(v, h).assignment)
 
 
 # -- equal_width_bins --------------------------------------------------------
