@@ -98,7 +98,7 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     _write_json(out / "map.json", {**iso.to_dict(), "config": cfg})
     ev = ev.with_proxy_cal(iso.apply(ev.proxy))
-    (out / "calibrated.csv").write_text(_config_comment(cfg) + ev.canonical_csv())
+    (out / "calibrated.csv").write_text(_config_comment(cfg) + ev.canonical_csv(), encoding="utf-8")
     print(f"calibrate: fitted {iso.breakpoints.size} steps on {cal.size} units; "
           f"wrote {out / 'map.json'} and {out / 'calibrated.csv'}")
     return 0
@@ -147,9 +147,10 @@ def cmd_plan(args) -> int:
         )
     draw = draw_ssrs(pop, partition, plan, args.seed_sample)
     out = _out_dir(args)
-    (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids))
+    (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids),
+                                       encoding="utf-8")
     _write_json(out / "plan.json", {**plan.to_dict(), "config": cfg})
-    (out / "worksheet.csv").write_text(_config_comment(cfg) + worksheet_csv(draw))
+    (out / "worksheet.csv").write_text(_config_comment(cfg) + worksheet_csv(draw), encoding="utf-8")
     print(
         f"plan: {partition.n_strata} strata, allocation "
         f"{plan.n_h.tolist()} (total {plan.total}); wrote partition.csv, "
@@ -338,7 +339,7 @@ def cmd_simulate(args) -> int:
     }
     _write_json(out / "results.json", payload)
     (out / "efficiency.csv").write_text(
-        _config_comment(cfg) + efficiency_csv(table, row_label=spec.family)
+        _config_comment(cfg) + efficiency_csv(table, row_label=spec.family), encoding="utf-8"
     )
     for name, r in results.items():
         print(

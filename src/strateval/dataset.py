@@ -109,9 +109,9 @@ class Population:
                     self.scores):
             if arr is not None:
                 arr.setflags(write=False)
-        self._index = {u: i for i, u in enumerate(self.ids)}
-        if len(self._index) != n:
-            dup = next(u for i, u in enumerate(self.ids) if self._index[u] != i)
+        if len(set(self.ids)) != n:
+            last = dict(zip(self.ids, range(n)))
+            dup = next(u for i, u in enumerate(self.ids) if last[u] != i)
             raise ParseError(f"duplicate id {dup!r}")
 
     @property
@@ -122,6 +122,8 @@ class Population:
         return len(self.ids)
 
     def index_of(self, unit_id: str) -> int:
+        if self._index is None:  # built on first use: only a few steps look ids up
+            self._index = dict(zip(self.ids, range(len(self.ids))))
         try:
             return self._index[unit_id]
         except KeyError:
@@ -159,7 +161,7 @@ class Population:
 
         return replace(
             self,
-            ids=tuple(self.ids[i] for i in idx),
+            ids=tuple(map(self.ids.__getitem__, idx.tolist())),
             proxy=self.proxy[idx],
             loss=self.loss[idx],
             proxy_cal=pick(self.proxy_cal),
@@ -197,7 +199,7 @@ class Population:
         if self.embeddings is not None:
             header += [f"emb_{j}" for j in range(self.embeddings.shape[1])]
             cols += self.embeddings.T.tolist()
-        return tables.csv_text(header, zip(*cols))
+        return tables.csv_text(header, cols)
 
 
 # -- file ingest -----------------------------------------------------------
@@ -307,7 +309,7 @@ def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
     elif path.suffix == ".csv":
         pop = _ingest_csv(path, kind)
     else:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             first = f.read(1)
         pop = (_ingest_jsonl if first == "{" else _ingest_csv)(path, kind)
     if scores_path is not None:

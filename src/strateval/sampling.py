@@ -101,7 +101,7 @@ def worksheet_csv(draw: SampleDraw) -> str:
     """
     return tables.csv_text(
         ["id", "stratum", "pi"],
-        zip(tables.writable_ids(draw.ids), draw.strata.tolist(), draw.pi.tolist()),
+        [tables.writable_ids(draw.ids), draw.strata.tolist(), draw.pi.tolist()],
     )
 
 

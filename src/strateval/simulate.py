@@ -286,4 +286,5 @@ def efficiency_table(results: dict, baseline: str) -> dict[str, float]:
 
 def efficiency_csv(table: dict[str, float], row_label: str = "pool") -> str:
     """One-row CSV, method names as columns (values < 1 = cheaper than baseline)."""
-    return csv_text(["population", *table.keys()], [[row_label, *map(float, table.values())]])
+    return csv_text(["population", *table.keys()],
+                    [[row_label], *([float(v)] for v in table.values())])

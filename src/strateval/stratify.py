@@ -63,7 +63,7 @@ def partition_csv(partition: StrataPartition, ids) -> str:
     if len(ids) != partition.assignment.size:
         raise PreconditionError("ids and assignment lengths disagree")
     return tables.csv_text(
-        ["id", "stratum"], zip(tables.writable_ids(ids), partition.assignment.tolist())
+        ["id", "stratum"], [tables.writable_ids(ids), partition.assignment.tolist()]
     )
 
 

@@ -6,8 +6,8 @@ the class-score sidecar, ``calibrated.csv``, ``partition.csv`` and
 
 * a line that starts with ``#`` is a comment, and a blank line is
   skipped; tool outputs carry their run config in a leading comment;
-* in a CSV file the first remaining line is the header, and every data
-  row has as many fields as the header;
+* in a CSV file the first remaining line is the header, which names each
+  column once, and every data row has as many fields as the header;
 * error messages name the physical line of the file, counting comment
   and blank lines;
 * an id is stripped of surrounding whitespace and must then be nonempty,
@@ -17,9 +17,14 @@ the class-score sidecar, ``calibrated.csv``, ``partition.csv`` and
   :func:`ids`, which also refuses a repeated id, and writers of id
   columns through :func:`writable_ids`.
 
-CSV tables are parsed column first: one pass of the CSV reader over the
-file, then each numeric column is converted by numpy as a whole.  Cells
-are scanned one by one only after a column fails, to name the line.
+CSV tables are parsed column first.  A file is read once, as UTF-8 (a
+leading byte-order mark is dropped).  A text with no quote, carriage
+return or NUL is split on line feeds and then, once, on commas, and each
+column is sliced out of the cells; any other text goes through the
+``csv`` module line by line.  The split is only a faster way to the same
+table and the same errors.  Each numeric column is then converted by
+numpy as a whole, and cells are scanned one by one only after a column
+fails, to name the line.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,28 +44,33 @@ from .errors import ParseError, PreconditionError
 Where = Callable[[int], str]
 
 
-def _skipped(line: str) -> bool:
-    return line.startswith("#") or not line.strip()
+def _content(line: str) -> bool:
+    """Whether a line is read at all: comment and blank lines are skipped."""
+    return not line.startswith("#") and not line.isspace() and line != ""
 
 
-def _records(path: Path) -> Iterator[tuple[int, str]]:
-    """Physical line number and text (line ending kept) of each line not skipped."""
+def _open(path: Path):
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    with open(path, newline="") as f:
-        for lineno, raw in enumerate(f, start=1):
-            if not _skipped(raw):
-                yield lineno, raw
+    return open(path, encoding="utf-8-sig", newline="")
+
+
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Physical line number and text (line ending kept) of each line not skipped."""
+    for lineno, raw in enumerate(lines, start=1):
+        if _content(raw):
+            yield lineno, raw
 
 
 def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """Physical line number and decoded value of each record of a JSONL file."""
     path = Path(path)
-    for lineno, raw in _records(path):
-        try:
-            yield lineno, json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path} line {lineno}: invalid JSON ({e.msg})") from None
+    with _open(path) as f:
+        for lineno, raw in _records(f):
+            try:
+                yield lineno, json.loads(raw)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{path} line {lineno}: invalid JSON ({e.msg})") from None
 
 
 @dataclass
@@ -75,7 +86,7 @@ class CsvTable:
     header: list[str]
     header_line: int
     lines: list[int]
-    columns: dict[str, tuple[str, ...]]
+    columns: dict[str, list[str]]
 
     def where(self, i: int) -> str:
         return f"{self.path} line {self.lines[i]}"
@@ -89,14 +100,50 @@ class CsvTable:
 def read_csv(path) -> CsvTable:
     """Read a CSV table: header, then rows of exactly the header's width."""
     path = Path(path)
+    with _open(path) as f:
+        text = f.read()
+    if "\r" in text or "\0" in text:
+        return _csv_table(path, text)
+    lines = text.split("\n")
+    del text
+    # the rule of _content, spelled out: a function call per line would cost twice as much
+    keep = [line != "" and line[0] != "#" and not line.isspace() for line in lines]
+    rows = list(compress(lines, keep))
+    if not rows:
+        raise ParseError(f"{path}: no header row")
+    body = ",".join(islice(rows, 1, None))
+    if '"' in rows[0] or '"' in body or max(map(len, rows)) > csv.field_size_limit():
+        # quoted fields, or a field the csv module would refuse as too long
+        return _csv_table(path, "\n".join(lines))
+    del lines  # each stage is released before the next: the text, lines and cells never coexist
+    linenos = list(compress(count(1), keep))
+    del keep
+    header_line = linenos.pop(0)
+    header = _header(path, rows.pop(0).split(","), header_line)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    width = len(header)
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        for i, row in enumerate(rows):
+            if row.count(",") != width - 1:
+                raise _ragged(path, linenos[i], width, row.count(",") + 1)
+    del rows
+    cells = body.split(",")
+    del body
+    return CsvTable(path, header, header_line, linenos,
+                    {name: cells[j::width] for j, name in enumerate(header)})
+
+
+def _csv_table(path: Path, text: str) -> CsvTable:
+    """:func:`read_csv` by the csv module, one physical line at a time."""
     linenos: list[int] = []
 
-    def text():
-        for lineno, raw in _records(path):
+    def records():
+        for lineno, raw in _records(io.StringIO(text, newline="")):
             linenos.append(lineno)
             yield raw
 
-    reader = csv.reader(text())
+    reader = csv.reader(records())
     rows: list[list[str]] = []
     lines: list[int] = []
     used = 0
@@ -107,22 +154,41 @@ def read_csv(path) -> CsvTable:
         used = reader.line_num
     if not rows:
         raise ParseError(f"{path}: no header row")
-    header = [h.strip() for h in rows[0]]
-    header_line = lines[0]
-    rows, lines = rows[1:], lines[1:]
+    header_line = lines.pop(0)
+    header = _header(path, rows.pop(0), header_line)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ParseError(
-                f"{path} line {lines[i]}: expected {width} fields, got {len(row)}"
-            )
-    return CsvTable(path, header, header_line, lines, dict(zip(header, zip(*rows))))
+            raise _ragged(path, lines[i], width, len(row))
+    return CsvTable(path, header, header_line, lines, dict(zip(header, map(list, zip(*rows)))))
+
+
+def _header(path: Path, cells: list[str], line: int) -> list[str]:
+    """Stripped column names; a name may occur once."""
+    header = [h.strip() for h in cells]
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ParseError(f"{path} line {line}: repeated column {name!r}")
+    return header
+
+
+def _ragged(path: Path, line: int, width: int, got: int) -> ParseError:
+    return ParseError(f"{path} line {line}: expected {width} fields, got {got}")
 
 
 def _first_unreadable(uids: Sequence[str]) -> int:
-    """Position of the first id that would not come back unchanged from a file, or -1."""
+    """Position of the first id that would not come back unchanged from a file, or -1.
+
+    The whole column is tested at once; the ids are walked one by one
+    only when that test fails, to find the first bad one.
+    """
+    text = "\n".join(uids)
+    if (all(uids) and text.count("\n") == len(uids) - 1 and "\r" not in text
+            and text[:1] != "#" and "\n#" not in text
+            and tuple(map(str.strip, uids)) == tuple(uids)):
+        return -1
     for i, uid in enumerate(uids):
         if not uid or uid[0] == "#" or uid != uid.strip() or "\n" in uid or "\r" in uid:
             return i
@@ -134,7 +200,7 @@ _ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a
 
 def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
     """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique."""
-    out = tuple(c.strip() for c in cells)
+    out = tuple(map(str.strip, cells))
     i = _first_unreadable(out)
     if i >= 0:
         raise ParseError(f"{where(i)}: bad id {out[i]!r} ({_ID_RULE})")
@@ -179,9 +245,10 @@ def optional_numbers(cells: Sequence[str], col: str, where: Where) -> tuple[np.n
     hold a value.  A cell that spells ``nan`` holds a value (NaN), so a
     range check on ``values[present]`` rejects it.
     """
-    present = [c.strip() != "" for c in cells]
-    values = numbers([c if p else "nan" for c, p in zip(cells, present)], col, where)
-    return values, np.array(present, dtype=bool)
+    present = list(map(bool, map(str.strip, cells)))
+    if not all(present):
+        cells = [c if p else "nan" for c, p in zip(cells, present)]
+    return numbers(cells, col, where), np.array(present, dtype=bool)
 
 
 def check(ok: np.ndarray, where: Where, problem: Callable[[int], str]) -> None:
@@ -191,14 +258,29 @@ def check(ok: np.ndarray, where: Where, problem: Callable[[int], str]) -> None:
         raise ParseError(f"{where(i)}: {problem(i)}")
 
 
-def csv_text(header: Sequence[str], rows) -> str:
-    """CSV text of a header and rows; floats are written as ``repr``.
+def _quoted(cell: str) -> str:
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
-    Every CSV file strateval writes goes through here, so every one of
-    them reads back through :func:`read_csv`.
+
+def _cells(column) -> list[str]:
+    """The text cells of a column of str, int and float values."""
+    cells = list(map(str, column))  # a float's str is its repr
+    joined = "".join(cells)
+    if "," in joined or '"' in joined or "\n" in joined:
+        cells = list(map(_quoted, cells))
+    return cells
+
+
+def csv_text(header: Sequence[str], columns) -> str:
+    """CSV text of a header and columns of str, int or float cells.
+
+    Floats are written as ``repr``, and a cell holding a comma, a quote or
+    a line feed is quoted: byte for byte what ``csv.writer`` with
+    ``lineterminator="\\n"`` writes for rows of two or more cells.  Every
+    CSV file strateval writes goes through here, so every one of them
+    reads back through :func:`read_csv`.
     """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
+    return "\n".join([",".join(_cells(header)), *rows, ""])

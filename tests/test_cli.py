@@ -426,6 +426,48 @@ def test_estimate_design_must_cover_pool(tmp_path):
     assert rc == 4
 
 
+def test_estimate_reads_a_worksheet_saved_with_a_bom_and_crlf(tmp_path):
+    # a spreadsheet saves the annotated worksheet as UTF-8 with a byte-order
+    # mark and CRLF line ends; before, its header lost column 'id' to the mark
+    src = tmp_path / "pool.csv"
+    ids, _, loss = grid_pool(src, n=40)
+    plan = tmp_path / "plan"
+    assert main(["plan", "--input", str(src), "--out", str(plan), "--budget", "12",
+                 "--strata", "3", "--loss-kind", "squared_error"]) == 0
+    head, *rows = data_rows(plan / "worksheet.csv")
+    by_id = dict(zip(ids, loss.tolist()))
+    text = "\n".join([head + ",loss"] + [f"{r},{by_id[r.split(',')[0]]!r}" for r in rows]) + "\n"
+    plain, saved = tmp_path / "plain.csv", tmp_path / "saved.csv"
+    plain.write_bytes(text.encode())
+    saved.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    reports = []
+    for ws in (plain, saved):
+        out = tmp_path / ws.stem
+        assert main(["estimate", "--input", str(src), "--worksheet", str(ws), "--out", str(out),
+                     "--loss-kind", "squared_error"]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    plain_report, saved_report = reports
+    for est in ("ht", "df"):
+        assert saved_report[est]["theta"] == plain_report[est]["theta"]
+        assert saved_report[est]["se"] == plain_report[est]["se"]
+
+
+@pytest.mark.parametrize("file,text", [
+    ("pool", "id,proxy,loss,proxy\na,0.1,1,0.9\nb,0.2,0,0.8\n"),
+    ("worksheet", "id,stratum,pi,pi,loss\nu0,0,0.5,0.5,1\nu1,0,0.5,0.5,0\n"),
+])
+def test_a_repeated_column_exits_two(tmp_path, capsys, file, text):
+    # before, the last of the repeated columns was read and the first ignored
+    src, ws = fixture_pool(tmp_path)
+    bad = src if file == "pool" else ws
+    bad.write_text("# c\n" + text)
+    rc = main(["estimate", "--input", str(src), "--worksheet", str(ws),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    column = "proxy" if file == "pool" else "pi"
+    assert f"{bad} line 2: repeated column {column!r}" in capsys.readouterr().err
+
+
 # -- simulate --------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from strateval.sampling import (
     SampleDraw,
     draw_ssrs,
     load_worksheet,
+    stratified_indices,
     worksheet_csv,
 )
 from strateval.stratify import StrataPartition
@@ -32,6 +33,17 @@ def draw_srs(pop, n, seed):
     """Plain SRS: the one-stratum stratified draw."""
     one = StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
     return draw_ssrs(pop, one, AllocationPlan(strategy="srs", n_h=np.array([n])), seed)
+
+
+def draws_of_reps(pop, part, plan, seed, reps):
+    """``draw_ssrs(pop, part, plan, derive_seed(seed, r)).indices`` for every rep
+    ``r``, as the rows of one batched draw; a spread of rows is checked
+    against ``draw_ssrs`` itself."""
+    members = [part.members(h) for h in range(part.n_strata)]
+    idx = stratified_indices(members, plan.n_h, derive_seeds(seed, np.arange(reps)))
+    for r in (0, 1, 2, 999, reps // 2, reps - 1):
+        assert np.array_equal(draw_ssrs(pop, part, plan, derive_seed(seed, r)).indices, idx[r])
+    return idx
 
 
 def test_srs_basics():
@@ -67,9 +79,10 @@ def test_srs_size_bounds():
 def test_srs_inclusion_frequencies():
     pop = make_pop(10)
     reps = 50_000
-    counts = np.zeros(10)
-    for r in range(reps):
-        counts[draw_srs(pop, 3, derive_seed(37, r)).indices] += 1
+    one = StrataPartition(np.zeros(10, dtype=np.int64), 1)
+    idx = draws_of_reps(pop, one, AllocationPlan(strategy="srs", n_h=np.array([3])), 37, reps)
+    assert np.array_equal(draw_srs(pop, 3, derive_seed(37, 7)).indices, idx[7])
+    counts = np.bincount(idx.ravel(), minlength=10)
     freq = counts / reps
     assert np.all(np.abs(freq - 0.3) < 0.01)
 
@@ -112,9 +125,7 @@ def test_ssrs_inclusion_frequencies():
     part = StrataPartition(np.repeat([0, 1], 100), 2)
     plan = AllocationPlan(strategy="prop", n_h=np.array([10, 30]))
     reps = 50_000
-    counts = np.zeros(200)
-    for r in range(reps):
-        counts[draw_ssrs(pop, part, plan, derive_seed(4, r)).indices] += 1
+    counts = np.bincount(draws_of_reps(pop, part, plan, 4, reps).ravel(), minlength=200)
     freq = counts / reps
     assert np.all(np.abs(freq[:100] - 0.1) < 0.01)
     assert np.all(np.abs(freq[100:] - 0.3) < 0.01)
@@ -150,12 +161,9 @@ def test_strata_drawn_independently():
     part = StrataPartition(np.repeat([0, 1], 4), 2)
     plan = AllocationPlan(strategy="prop", n_h=np.array([2, 2]))
     reps = 20_000
-    x = np.zeros(reps)
-    y = np.zeros(reps)
-    for r in range(reps):
-        idx = draw_ssrs(pop, part, plan, derive_seed(77, r)).indices
-        x[r] = 0 in idx
-        y[r] = 4 in idx
+    idx = draws_of_reps(pop, part, plan, 77, reps)
+    x = (idx == 0).any(axis=1).astype(float)
+    y = (idx == 4).any(axis=1).astype(float)
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 4 / np.sqrt(reps)
 

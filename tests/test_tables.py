@@ -1,20 +1,24 @@
 """The table files: byte-exact round trips, the id rule, line numbers in errors."""
 
+import csv
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strateval import tables
 from strateval.cli import main
 from strateval.dataset import Population, ingest
 from strateval.errors import ParseError, PreconditionError
 from strateval.losses import LossKind
 from strateval.sampling import SampleDraw, load_worksheet, worksheet_csv
 from strateval.stratify import StrataPartition, load_partition_csv, partition_csv
-from strateval.tables import numbers
+from strateval.tables import csv_text, numbers
 
 SETTINGS = settings(max_examples=60)  # on top of the suite's profile (conftest.py)
 
@@ -124,6 +128,131 @@ def test_column_conversion_matches_float(cells):
     want = np.array([float(c) for c in cells])
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- the bulk split and the csv module agree ----------------------------------
+
+# no quote, carriage return or NUL: every text drawn here takes the bulk split
+CELL = st.text(st.sampled_from(list("ab7 #;.é\t\x0c\x1c\u2028")), max_size=4)
+BLANK = st.sampled_from(["", " ", "\t", "  \x0c", "\u2028"])
+
+
+@st.composite
+def quote_free_texts(draw):
+    width = draw(st.integers(1, 4))
+    row = st.lists(CELL, min_size=width, max_size=width).map(",".join)
+    ragged = st.lists(CELL, min_size=1, max_size=5).map(",".join)
+    comment = CELL.map("#".__add__)
+    header = st.lists(st.sampled_from(["id", " a b", "proxy", "loss", "pi ", "x"]),
+                      min_size=width, max_size=width, unique=True).map(",".join)
+    before = draw(st.lists(st.one_of(comment, BLANK), max_size=3))
+    body = draw(st.lists(st.one_of(row, row, row, row, row, ragged, comment, BLANK),
+                         min_size=1, max_size=10))
+    lines = [*before, draw(st.one_of(header, header, header, row)), *body]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(read):
+    try:
+        t = read()
+    except ParseError as e:
+        return str(e)
+    return t.header, t.header_line, t.lines, t.columns
+
+
+@settings(max_examples=300)
+@given(text=quote_free_texts())
+def test_bulk_split_and_csv_module_give_the_same_table(scratch, text):
+    path = scratch / "t.csv"
+    path.write_bytes(text.encode())
+    bulk = _outcome(lambda: tables.read_csv(path))
+    assert bulk == _outcome(lambda: tables._csv_table(path, text))
+
+
+@pytest.mark.parametrize("text,module", [
+    ('id,proxy\n"a",0.1\n', True),
+    ('id,"proxy"\na,0.1\n', True),
+    ("id,proxy\r\na,0.1\r\n", True),
+    ("id,proxy\na\0b,0.1\n", True),
+    ('# a comment may hold "quotes"\nid,proxy\na,0.1\n', False),
+    ("id,proxy\na,0.1", False),
+], ids=["quoted-cell", "quoted-header", "crlf", "nul", "quoted-comment", "plain"])
+def test_quotes_carriage_returns_and_nuls_take_the_csv_module(tmp_path, monkeypatch, text,
+                                                                module):
+    calls = []
+    original = tables._csv_table
+    monkeypatch.setattr(tables, "_csv_table", lambda *a: calls.append(a) or original(*a))
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    t = tables.read_csv(path)
+    assert bool(calls) == module
+    assert t.header == ["id", "proxy"] and t.lines == [2 + text.startswith("#")]
+
+
+WRITER_CELL = st.one_of(
+    st.text(st.sampled_from(list('ab7 ,"\n#é')), max_size=5),
+    st.integers(-10**20, 10**20),
+    st.floats(),
+)
+
+
+@SETTINGS
+@given(data=st.data(), width=st.integers(2, 4), n=st.integers(0, 5))
+def test_csv_text_writes_what_the_csv_module_writes(data, width, n):
+    header = data.draw(st.lists(st.text(st.sampled_from(list('ab ,"')), max_size=4),
+                                min_size=width, max_size=width))
+    columns = [data.draw(st.lists(WRITER_CELL, min_size=n, max_size=n)) for _ in range(width)]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(zip(*columns))
+    assert csv_text(header, columns) == buf.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    "id,proxy,loss,proxy\na,0.1,1,0.9\nb,0.2,0,0.8\n",
+    'id,proxy,loss,"proxy"\na,0.1,1,0.9\nb,0.2,0,0.8\n',
+    "id,proxy,loss, proxy\r\na,0.1,1,0.9\r\nb,0.2,0,0.8\r\n",
+], ids=["bulk", "quoted", "crlf"])
+def test_a_repeated_column_is_refused(tmp_path, text):
+    # before, the last of the two proxy columns silently won
+    path = tmp_path / "pool.csv"
+    path.write_bytes(("# c\n" + text).encode())
+    with pytest.raises(ParseError, match="line 2: repeated column 'proxy'"):
+        ingest(path, "accuracy")
+
+
+@pytest.mark.parametrize("name", ["pool.csv", "pool.jsonl", "pool.txt"])
+def test_a_byte_order_mark_is_dropped(tmp_path, name):
+    text = ('{"id": "a", "proxy": 0.1}\n{"id": "b", "proxy": 0.5}\n' if name != "pool.csv"
+            else "id,proxy\na,0.1\nb,0.5\n")
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert ingest(path, "accuracy").ids == ("a", "b")
+
+
+# Peak of the traced allocations of `ingest` on the pool below, measured at the
+# commit before the bulk split; the bulk split must not hold more at once.
+INGEST_PEAK_BOUND_MB = 34.34
+
+
+def test_ingest_memory_peak_is_bounded(tmp_path):
+    n = 100_000
+    rng = np.random.default_rng(0)
+    proxy = rng.random(n)
+    loss = (rng.random(n) < proxy).astype(int)
+    path = tmp_path / "pool.csv"
+    path.write_text("# pool\nid,proxy,loss\n" + "".join(
+        f"u{i:06d},{p!r},{z}\n" for i, (p, z) in enumerate(zip(proxy.tolist(), loss.tolist()))
+    ))
+    tracemalloc.start()
+    try:
+        pop = ingest(path, "accuracy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pop.size == n
+    assert peak / 1e6 <= INGEST_PEAK_BOUND_MB
 
 
 # -- the id rule ---------------------------------------------------------------
