@@ -22,11 +22,7 @@ from .errors import ConsistencyError, ParseError, PreconditionError
 from .estimators import (
     EstimateReport,
     confidence_interval,
-    mse_df_prop,
-    mse_df_srs,
-    mse_ht_neyman,
-    mse_ht_prop,
-    mse_ht_srs,
+    design_mse,
     normal_quantile,
     stratified_estimate,
 )
@@ -67,6 +63,7 @@ __all__ = [
     "conditional_moments",
     "confidence_interval",
     "derive_seed",
+    "design_mse",
     "draw_ssrs",
     "efficiency_csv",
     "efficiency_table",
@@ -79,11 +76,6 @@ __all__ = [
     "kmeans_1d",
     "kmeans_embeddings",
     "load_worksheet",
-    "mse_df_prop",
-    "mse_df_srs",
-    "mse_ht_neyman",
-    "mse_ht_prop",
-    "mse_ht_srs",
     "neyman",
     "normal_quantile",
     "plugin_sd_accuracy",

@@ -84,15 +84,15 @@ def _check_budget(sizes: np.ndarray, budget: int) -> None:
         )
 
 
-def _largest_remainder(targets: np.ndarray, budget: int):
-    base = np.floor(targets).astype(np.int64)
-    remainder = targets - base
-    short = budget - int(base.sum())
+def _split(sizes: np.ndarray, weight: np.ndarray, budget: int) -> np.ndarray:
+    """Split ``budget`` in proportion to ``weight``: targets, rounding, bounds."""
+    _check_budget(sizes, budget)
+    targets = budget * weight / weight.sum()
+    n_h = np.floor(targets).astype(np.int64)
     # ranks: descending remainder, ties to the lower index
-    order = np.lexsort((np.arange(targets.size), -remainder))
-    out = base.copy()
-    out[order[:short]] += 1
-    return out, order
+    order = np.lexsort((np.arange(targets.size), -(targets - n_h)))
+    n_h[order[: budget - int(n_h.sum())]] += 1
+    return _rebalance(n_h, sizes, budget, order)
 
 
 def _rebalance(n_h: np.ndarray, sizes: np.ndarray, budget: int, order: np.ndarray) -> np.ndarray:
@@ -136,11 +136,7 @@ def proportional(sizes, budget: int) -> AllocationPlan:
     [40, 10]
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    _check_budget(sizes, budget)
-    targets = budget * sizes / sizes.sum()
-    n_h, order = _largest_remainder(targets, budget)
-    n_h = _rebalance(n_h, sizes, budget, order)
-    return AllocationPlan(strategy="prop", n_h=n_h)
+    return AllocationPlan(strategy="prop", n_h=_split(sizes, sizes, budget))
 
 
 def neyman(sizes, sds, budget: int) -> AllocationPlan:
@@ -149,7 +145,8 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
     ``sds`` are the per-stratum loss standard deviations (true or plugged
     in from the proxy).  Strata with zero spread still get the floor of
     two.  If *every* spread is zero the split falls back to proportional,
-    flagged in ``warnings``.
+    flagged in ``warnings``.  With every ``S_h = 1`` the split is
+    proportional's, bit for bit: the two share one rounding routine.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     sds = np.asarray(sds, dtype=float)
@@ -157,20 +154,10 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
         raise PreconditionError("sizes and sds must be aligned")
     if np.any(sds < 0) or not np.all(np.isfinite(sds)):
         raise PreconditionError("standard deviations must be finite and >= 0")
-    _check_budget(sizes, budget)
-    weight = sizes * sds
-    wsum = float(weight.sum())
-    if wsum == 0.0:
-        plan = proportional(sizes, budget)
-        return AllocationPlan(
-            strategy="neyman",
-            n_h=plan.n_h,
-            warnings=["all stratum SDs are zero; fell back to proportional"],
-        )
-    targets = budget * weight / wsum
-    n_h, order = _largest_remainder(targets, budget)
-    n_h = _rebalance(n_h, sizes, budget, order)
-    return AllocationPlan(strategy="neyman", n_h=n_h)
+    weight, warnings = sizes * sds, []
+    if weight.sum() == 0.0:
+        weight, warnings = sizes, ["all stratum SDs are zero; fell back to proportional"]
+    return AllocationPlan(strategy="neyman", n_h=_split(sizes, weight, budget), warnings=warnings)
 
 
 def plugin_sd_accuracy(zbar):

@@ -17,6 +17,7 @@ physical line numbers in errors, and ids.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -309,9 +310,11 @@ def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
     elif path.suffix == ".csv":
         pop = _ingest_csv(path, kind)
     else:
-        with open(path, encoding="utf-8-sig") as f:
-            first = f.read(1)
-        pop = (_ingest_jsonl if first == "{" else _ingest_csv)(path, kind)
+        with open(path, "rb") as f:
+            head = f.read(4)
+        # the first character, past a byte-order mark; the reader decodes the rest
+        jsonl = head.removeprefix(codecs.BOM_UTF8)[:1] == b"{"
+        pop = (_ingest_jsonl if jsonl else _ingest_csv)(path, kind)
     if scores_path is not None:
         pop = attach_scores(pop, scores_path)
     return pop

@@ -1,4 +1,4 @@
-"""Point estimates, design MSEs, and confidence intervals.
+"""Point estimates, design variances, and confidence intervals.
 
 Every design here is stratified simple random sampling; plain SRS is the
 one-stratum case.  ``stratified_estimate`` is the one estimator of the
@@ -11,26 +11,23 @@ more precise the better the proxy tracks the loss.
 
 Every quantity here is a sum over strata of counts, means and variances;
 ``stratum_moments`` is the one routine that computes them, here and in
-the allocation, simulator and report code.
+the allocation, simulator and report code.  ``design_variance`` is the
+one variance formula (Cochran, *Sampling Techniques*, 1977, Thm 5.3)::
 
-The ``mse_*`` functions are the *closed-form* design MSEs of those
-estimators on a fully annotated population — the quantities a Monte
-Carlo study should reproduce:
+    V = sum_h W_h^2 (1 - n_h/N_h) S_h^2 / n_h        with W_h = N_h/N
 
-* ``mse_ht_srs``        (1-f)/n * S_Z^2                     with f = n/N
-* ``mse_ht_prop``       (1-f)/n * sum_h (N_h/N) S_{Z,h}^2
-* ``mse_ht_neyman``     (1/n) (sum_h (N_h/N) S_{Z,h})^2
-                        - (1/N) sum_h (N_h/N) S_{Z,h}^2
-* ``mse_df_srs``        (1-f)/n * [ mean((Z - Zhat)^2)
-                        - (mean Z - mean Zhat)^2 ]
-* ``mse_df_prop``       (1-f)/n * [ mean((Z - Zhat)^2)
-                        - sum_h (N_h/N)(mean_h Z - mean_h Zhat)^2 ]
+With the sample variances ``s_h^2`` it is the squared standard error
+that ``stratified_estimate`` reports.  With the population variances
+``S_h^2`` (divisor ``N_h - 1``) it is an exact design MSE, which is
+``design_mse``: of HT on the losses, and of DF on the residuals
+``Z - Zhat``.  SRS is one stratum with ``n_h = [n]``.  With fractional
+``n_h`` and ``f = n/N`` the sum reduces to the two classic forms:
 
-``S^2`` denotes the finite-population sample variance (divisor N-1);
-singleton strata contribute zero.  The SRS forms are the one-stratum
-cases of the proportional ones.  The two stratified-HT forms are exact;
-the SRS-vs-proportional comparison and both difference-estimator forms
-carry O(1/N_h) approximation error by construction.
+* proportional, ``n_h = n W_h``:      (1-f)/n * sum_h W_h S_h^2
+* Neyman, ``n_h = n W_h S_h / sum_k W_k S_k``:
+  (1/n) (sum_h W_h S_h)^2 - (1/N) sum_h W_h S_h^2
+
+A singleton stratum has ``S_h^2 = 0``.
 """
 
 from __future__ import annotations
@@ -46,11 +43,8 @@ from .stratify import StrataPartition
 __all__ = [
     "stratified_estimate",
     "stratum_moments",
-    "mse_ht_srs",
-    "mse_ht_prop",
-    "mse_ht_neyman",
-    "mse_df_srs",
-    "mse_df_prop",
+    "design_variance",
+    "design_mse",
     "normal_quantile",
     "confidence_interval",
     "EstimateReport",
@@ -71,7 +65,8 @@ def stratified_estimate(values, strata, sizes):
         se    = sqrt( sum_h (N_h/N)^2 (1 - n_h/N_h) s_h^2 / n_h )
 
     where ``s_h^2`` is the within-stratum sample variance, exactly 0 for
-    a stratum whose sampled values are all equal.  Every stratum needs at
+    a stratum whose sampled values are all equal: ``se`` is the root of
+    ``design_variance`` on the sample variances.  Every stratum needs at
     least two sampled units, or its variance is not estimable.
 
     ``values`` may also be 2-D, one replicated sample per row on the same
@@ -102,11 +97,8 @@ def stratified_estimate(values, strata, sizes):
         )
     if (n_h > sizes).any():
         raise PreconditionError("a stratum has more sampled units than members")
-    pi = n_h / sizes
-    pop = sizes.sum()
-    theta = (rows / pi[h]).sum(axis=1) / pop
-    w = sizes / pop
-    se = np.sqrt((w * w * (1.0 - pi) * s2.reshape(reps, n_strata) / n_h).sum(axis=1))
+    theta = (rows / (n_h / sizes)[h]).sum(axis=1) / sizes.sum()
+    se = np.sqrt(design_variance(sizes, n_h, s2.reshape(reps, n_strata)))
     if v.ndim == 2:
         return theta, se
     return float(theta[0]), float(se[0])
@@ -133,67 +125,41 @@ def stratum_moments(values, strata, n_strata: int):
     return n_h, np.bincount(h, v, n_strata) / count, s2
 
 
-# -- closed-form design MSEs -------------------------------------------------
+# -- design variance -----------------------------------------------------------
 
 
-def _full_losses(losses) -> np.ndarray:
-    z = np.asarray(losses, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise PreconditionError("need a fully annotated population of size >= 2")
-    if np.any(np.isnan(z)):
-        raise PreconditionError("closed-form MSEs need every loss observed")
-    return z
+def design_variance(sizes, n_h, s2):
+    """``sum_h W_h^2 (1 - n_h/N_h) s2_h / n_h`` with ``W_h = N_h / N``.
 
-
-def _one_stratum(losses) -> StrataPartition:
-    return StrataPartition(np.zeros(_full_losses(losses).size, dtype=np.int64), 1)
-
-
-def _design_moments(values, partition: StrataPartition, n: int):
-    """``N``, ``N_h/N`` and the stratum means and variances of ``values``."""
-    z = _full_losses(values)
-    if not 1 <= n <= z.size:
-        raise PreconditionError(f"sample size {n} outside [1, {z.size}]")
-    if partition.assignment.size != z.size:
-        raise PreconditionError("partition does not cover the population")
-    n_h, mean, s2 = stratum_moments(z, partition.assignment, partition.n_strata)
-    return z.size, n_h / z.size, mean, s2
-
-
-def mse_ht_srs(losses, n: int) -> float:
-    return mse_ht_prop(losses, _one_stratum(losses), n)
-
-
-def mse_ht_prop(losses, partition: StrataPartition, n: int) -> float:
-    pop, w, _, s2 = _design_moments(losses, partition, n)
-    return (1.0 - n / pop) / n * float(np.dot(w, s2))
-
-
-def mse_ht_neyman(losses, partition: StrataPartition, n: int) -> float:
-    """Design MSE under the variance-minimizing (fractional) allocation.
-
-    Valid when the implied allocation is feasible (no stratum oversampled);
-    with a single stratum it reduces exactly to ``mse_ht_srs``.
+    ``n_h`` may be integer or fractional.  ``s2`` may be 2-D, one row of
+    stratum variances per replication; the sum then runs along each row.
     """
-    pop, w, _, s2 = _design_moments(losses, partition, n)
-    sbar = float(np.dot(w, np.sqrt(s2)))
-    return sbar * sbar / n - float(np.dot(w, s2)) / pop
+    sizes = np.asarray(sizes)
+    w = sizes / sizes.sum()
+    return (w * w * (1.0 - n_h / sizes) * s2 / n_h).sum(axis=-1)
 
 
-def mse_df_srs(losses, proxies, n: int) -> float:
-    return mse_df_prop(losses, proxies, _one_stratum(losses), n)
+def design_mse(values, partition: StrataPartition, n_h) -> float:
+    """Exact design MSE of the stratified mean of ``values`` under stratified SRS.
 
-
-def mse_df_prop(losses, proxies, partition: StrataPartition, n: int) -> float:
-    z = _full_losses(losses)
-    zhat = np.asarray(proxies, dtype=float)
-    if zhat.shape != z.shape:
-        raise PreconditionError("proxies misaligned with losses")
-    if np.any(np.isnan(zhat)):
-        raise PreconditionError("every unit needs a proxy value")
-    resid = z - zhat
-    pop, w, gaps, _ = _design_moments(resid, partition, n)
-    return (1.0 - n / pop) / n * (float(np.mean(resid**2)) - float(np.dot(w, gaps**2)))
+    ``values`` is fully observed on the pool: the losses for HT, the
+    residuals ``Z - Zhat`` for DF.  ``n_h`` holds the (integer or
+    fractional) sample size of each stratum of ``partition``; SRS is the
+    one-stratum partition with ``n_h = [n]``.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 2:
+        raise PreconditionError("need a fully annotated population of size >= 2")
+    if np.isnan(v).any():
+        raise PreconditionError("closed-form MSEs need every value observed")
+    if partition.assignment.size != v.size:
+        raise PreconditionError("partition does not cover the population")
+    sizes = partition.sizes
+    n_h = np.asarray(n_h, dtype=float)
+    if n_h.shape != sizes.shape or not ((n_h > 0) & (n_h <= sizes)).all():
+        raise PreconditionError(f"need 0 < n_h <= N_h in each of {sizes.size} strata")
+    s2 = stratum_moments(v, partition.assignment, partition.n_strata)[2]
+    return float(design_variance(sizes, n_h, s2))
 
 
 # -- normal quantile and intervals --------------------------------------------

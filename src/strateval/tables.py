@@ -55,6 +55,17 @@ def _open(path: Path):
     return open(path, encoding="utf-8-sig", newline="")
 
 
+def _not_utf8(path: Path) -> ParseError:
+    """The error for a file that does not decode, naming the line of its first bad byte."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        return ParseError(f"{path} line {line}: not valid UTF-8 (byte {raw[e.start]:#04x})")
+    return ParseError(f"{path}: not valid UTF-8")
+
+
 def _records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Physical line number and text (line ending kept) of each line not skipped."""
     for lineno, raw in enumerate(lines, start=1):
@@ -66,11 +77,14 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """Physical line number and decoded value of each record of a JSONL file."""
     path = Path(path)
     with _open(path) as f:
-        for lineno, raw in _records(f):
-            try:
-                yield lineno, json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path} line {lineno}: invalid JSON ({e.msg})") from None
+        try:
+            for lineno, raw in _records(f):
+                try:
+                    yield lineno, json.loads(raw)
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"{path} line {lineno}: invalid JSON ({e.msg})") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 @dataclass
@@ -101,7 +115,10 @@ def read_csv(path) -> CsvTable:
     """Read a CSV table: header, then rows of exactly the header's width."""
     path = Path(path)
     with _open(path) as f:
-        text = f.read()
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if "\r" in text or "\0" in text:
         return _csv_table(path, text)
     lines = text.split("\n")
@@ -147,11 +164,14 @@ def _csv_table(path: Path, text: str) -> CsvTable:
     rows: list[list[str]] = []
     lines: list[int] = []
     used = 0
-    for row in reader:
-        # a record starts on the first line the reader had not consumed yet
-        rows.append(row)
-        lines.append(linenos[used])
-        used = reader.line_num
+    try:
+        for row in reader:
+            # a record starts on the first line the reader had not consumed yet
+            rows.append(row)
+            lines.append(linenos[used])
+            used = reader.line_num
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        raise ParseError(f"{path} line {linenos[reader.line_num - 1]}: {e}") from None
     if not rows:
         raise ParseError(f"{path}: no header row")
     header_line = lines.pop(0)

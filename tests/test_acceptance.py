@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from oracles import best_interval_partition, best_monotone_fit, within_cluster_ss
-from test_estimators import pipeline_instance
+from test_estimators import neyman_targets, one_stratum, pipeline_instance, prop_targets, srs_mse
 from strateval import cli
+from strateval.allocate import neyman, proportional
 from strateval.calibration import fit_isotonic
-from strateval.estimators import mse_df_srs, mse_ht_neyman, mse_ht_prop, mse_ht_srs
+from strateval.estimators import design_mse, stratum_moments
 from strateval.simulate import SuperpopSpec, generate, run_mc
 from strateval.stratify import kmeans_1d
 
@@ -77,11 +78,13 @@ def headline_runs(two_point_pool):
         ),
     }
     elapsed = time.monotonic() - t0
+    # each closed form takes the n_h its simulated design draws
+    true_sds = np.sqrt(stratum_moments(pop.loss, part.assignment, part.n_strata)[2])
     closed = {
-        "HT/SRS": mse_ht_srs(pop.loss, 100),
-        "HT/SSRS-prop": mse_ht_prop(pop.loss, part, 100),
-        "HT/SSRS-Neyman": mse_ht_neyman(pop.loss, part, 100),
-        "DF/SRS": mse_df_srs(pop.loss, pop.proxy, 100),
+        "HT/SRS": design_mse(pop.loss, one_stratum(pop.size), [100]),
+        "HT/SSRS-prop": design_mse(pop.loss, part, proportional(part.sizes, 100).n_h),
+        "HT/SSRS-Neyman": design_mse(pop.loss, part, neyman(part.sizes, true_sds, 100).n_h),
+        "DF/SRS": design_mse(pop.loss - pop.proxy, one_stratum(pop.size), [100]),
     }
     return runs, closed, elapsed
 
@@ -109,9 +112,9 @@ def test_criterion_2_design_ordering(two_point_pool, capfd):
     exact_ok = True
     for _ in range(1000):
         z, _, part, n = pipeline_instance(rng)
-        srs = mse_ht_srs(z, n)
-        prop = mse_ht_prop(z, part, n)
-        ney = mse_ht_neyman(z, part, n)
+        srs = srs_mse(z, n)
+        prop = design_mse(z, part, prop_targets(part, n))
+        ney = design_mse(z, part, neyman_targets(z, part, n))
         exact_ok &= ney <= prop + 1e-12 <= srs + 2e-12
 
     # statistical ordering of empirical MSEs on five fixed pool specs
@@ -204,12 +207,13 @@ def test_criterion_4_variance_gap_identities(capfd):
 
         between = float(np.dot(w, (means - theta) ** 2))
         claim_gap = (1.0 - f) / n * between
-        got_gap = mse_ht_srs(z, n) - mse_ht_prop(z, part, n)
+        prop = design_mse(z, part, prop_targets(part, n))
+        got_gap = srs_mse(z, n) - prop
         ok &= abs(got_gap - claim_gap) <= tol * abs(claim_gap) + 1e-15
 
         sd_bar = float(np.dot(w, sds))
         claim_ney = float(np.dot(w, (sds - sd_bar) ** 2)) / n
-        got_ney = mse_ht_prop(z, part, n) - mse_ht_neyman(z, part, n)
+        got_ney = prop - design_mse(z, part, neyman_targets(z, part, n))
         ok &= abs(got_ney - claim_ney) <= tol * abs(claim_ney) + 1e-15
     _report(
         capfd,

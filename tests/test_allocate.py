@@ -165,3 +165,13 @@ def test_neyman_with_all_zero_sds_falls_back_to_proportional(design):
     plan = neyman(sizes, np.zeros(sizes.size), budget)
     assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
     assert plan.warnings == ["all stratum SDs are zero; fell back to proportional"]
+
+
+@given(design=designs(), scale=st.integers(-20, 20))
+def test_proportional_is_neyman_with_equal_sds(design, scale):
+    # the two share one rounding routine: with every S_h = 1, or any power
+    # of two, the Neyman targets are proportional's bit for bit
+    sizes, budget, _ = design
+    plan = neyman(sizes, np.full(sizes.size, 2.0**scale), budget)
+    assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
+    assert plan.warnings == []

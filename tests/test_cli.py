@@ -468,6 +468,22 @@ def test_a_repeated_column_exits_two(tmp_path, capsys, file, text):
     assert f"{bad} line 2: repeated column {column!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row,message", [
+    (b"caf\xe9,0.5,", "line 3: not valid UTF-8 (byte 0xe9)"),
+    (b"x" * 200_000 + b",0.5,", "line 3: field larger than field limit"),
+], ids=["not-utf8", "long-field"])
+def test_an_unreadable_pool_exits_two(tmp_path, capsys, bad_row, message):
+    # before, both escaped as tracebacks with exit code 1
+    src = tmp_path / "pool.csv"
+    src.write_bytes(b"id,proxy,loss\na,0.1,\n" + bad_row + b"\nb,0.9,\n")
+    rc = main(["plan", "--input", str(src), "--out", str(tmp_path / "o"), "--budget", "2",
+               "--strata", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{src} {message}" in err
+    assert "Traceback" not in err
+
+
 # -- simulate --------------------------------------------------------------------
 
 

@@ -3,12 +3,19 @@
 The heavy artillery here is complete enumeration: for tiny populations
 every equally likely sample can be listed, so design MSEs and
 unbiasedness are checked *exactly* rather than by Monte Carlo.
+
+``design_mse`` takes per-stratum sample sizes; the helpers below form
+the fractional proportional and Neyman targets the classic closed forms
+assume, and the one-stratum design that is SRS.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (
@@ -17,20 +24,40 @@ from oracles import (
     enumerate_ssrs_mse,
     textbook_stratified_estimate,
     two_group_losses,
+    within_cluster_ss,
 )
 from strateval.cli import main
 from strateval.errors import PreconditionError
 from strateval.estimators import (
     confidence_interval,
-    mse_df_prop,
-    mse_df_srs,
-    mse_ht_neyman,
-    mse_ht_prop,
-    mse_ht_srs,
+    design_mse,
+    design_variance,
     normal_quantile,
     stratified_estimate,
+    stratum_moments,
 )
 from strateval.stratify import StrataPartition, kmeans_1d
+
+
+def one_stratum(size):
+    """Plain SRS as a stratified design: the whole pool is one stratum."""
+    return StrataPartition(np.zeros(size, dtype=np.int64), 1)
+
+
+def srs_mse(values, n):
+    """Exact design MSE under SRS of ``n`` units."""
+    return design_mse(values, one_stratum(len(values)), [n])
+
+
+def prop_targets(part, n):
+    """Fractional proportional allocation ``n N_h / N``."""
+    return n * part.sizes / part.sizes.sum()
+
+
+def neyman_targets(values, part, n):
+    """Fractional Neyman allocation ``n N_h S_h / sum_k N_k S_k`` on the true SDs."""
+    weight = part.sizes * np.sqrt(stratum_moments(values, part.assignment, part.n_strata)[2])
+    return n * weight / weight.sum()
 
 
 # -- point estimators ----------------------------------------------------------
@@ -112,13 +139,13 @@ def test_ht_and_df_design_unbiased_by_enumeration():
 
 def test_mse_ht_srs_hand_value():
     z = np.concatenate([np.ones(500), np.zeros(500)])
-    assert mse_ht_srs(z, 100) == pytest.approx(2.2523e-3, abs=1e-7)
+    assert srs_mse(z, 100) == pytest.approx(2.2523e-3, abs=1e-7)
 
 
 def test_mse_ht_srs_degenerate():
     z = np.concatenate([np.ones(5), np.zeros(5)])
-    assert mse_ht_srs(z, 10) == 0.0  # census
-    assert mse_ht_srs(np.full(10, 0.3), 4) == 0.0  # constant loss
+    assert srs_mse(z, 10) == 0.0  # census
+    assert srs_mse(np.full(10, 0.3), 4) == 0.0  # constant loss
 
 
 def test_mse_ht_srs_equals_exhaustive_enumeration():
@@ -127,101 +154,83 @@ def test_mse_ht_srs_equals_exhaustive_enumeration():
     rng = np.random.default_rng(21)
     z = rng.random(8)
     for n in (2, 3, 5, 7):
-        assert mse_ht_srs(z, n) == pytest.approx(
-            enumerate_srs_mse(z, n), rel=1e-12
-        )
+        assert srs_mse(z, n) == pytest.approx(enumerate_srs_mse(z, n), rel=1e-12)
 
 
 def test_mse_ht_prop_hand_value():
     z = two_group_losses([500, 500], [0.6, 0.2], [0.3, 0.1])
     part = StrataPartition(np.repeat([0, 1], 500), 2)
     # (1-f)/n * (0.5*0.09 + 0.5*0.01) = 0.009 * 0.05
-    assert mse_ht_prop(z, part, 100) == pytest.approx(4.5e-4, abs=1e-9)
+    assert design_mse(z, part, prop_targets(part, 100)) == pytest.approx(4.5e-4, abs=1e-9)
 
 
 def test_mse_ht_prop_reductions():
     rng = np.random.default_rng(22)
     z = rng.random(30)
-    single = StrataPartition(np.zeros(30, dtype=int), 1)
-    assert mse_ht_prop(z, single, 10) == pytest.approx(mse_ht_srs(z, 10), rel=1e-12)
+    assert design_mse(z, one_stratum(30), prop_targets(one_stratum(30), 10)) == pytest.approx(
+        srs_mse(z, 10), rel=1e-12
+    )
     # homogeneous strata -> zero
     z2 = np.repeat([0.3, 0.8], 10)
     part = StrataPartition(np.repeat([0, 1], 10), 2)
-    assert mse_ht_prop(z2, part, 4) == 0.0
+    assert design_mse(z2, part, prop_targets(part, 4)) == 0.0
 
 
 def test_mse_ht_prop_equals_exhaustive_enumeration():
     rng = np.random.default_rng(23)
-    z = rng.random(9)
-    part = StrataPartition(np.array([0] * 5 + [1] * 4), 2)
-    # proportional-allocation MSE formula assumes n_h = n * N_h / N;
-    # choose sizes making that integral isn't possible at N=9, so compare
-    # through the generic stratified variance with explicit n_h instead:
-    # mse_ht_prop(z, part, n) with n=... requires integral n_h; use a
-    # balanced case below.
     z = rng.random(8)
     part = StrataPartition(np.repeat([0, 1], 4), 2)
     for n in (2, 4, 6):
         exact = enumerate_ssrs_mse(z, part.assignment, [n // 2, n // 2])
-        # the closed form divides by N_h - 1 within strata while the
-        # enumeration is the true design variance; they agree exactly
-        # when n_h/N_h = n/N in every stratum
-        assert mse_ht_prop(z, part, n) == pytest.approx(exact, rel=1e-12)
+        assert design_mse(z, part, [n // 2, n // 2]) == pytest.approx(exact, rel=1e-12)
 
 
 def test_mse_ht_neyman_hand_value():
     z = two_group_losses([500, 500], [0.6, 0.2], [0.3, 0.1])
     part = StrataPartition(np.repeat([0, 1], 500), 2)
-    # (0.5*0.3 + 0.5*0.1)^2 / 100 - (0.5*0.09 + 0.5*0.01) / 1000
-    assert mse_ht_neyman(z, part, 100) == pytest.approx(3.5e-4, abs=1e-9)
+    # targets (75, 25): (0.5*0.3 + 0.5*0.1)^2 / 100 - (0.5*0.09 + 0.5*0.01) / 1000
+    assert neyman_targets(z, part, 100) == pytest.approx([75, 25], rel=1e-12)
+    assert design_mse(z, part, neyman_targets(z, part, 100)) == pytest.approx(3.5e-4, abs=1e-9)
 
 
 def test_mse_ht_neyman_reductions():
     rng = np.random.default_rng(24)
     z = rng.random(40)
-    single = StrataPartition(np.zeros(40, dtype=int), 1)
-    # H=1: (S/1)^2/n - S^2/N = S^2 (1/n - 1/N) = mse_ht_srs exactly
+    single = one_stratum(40)
+    # H=1: the Neyman target is n itself, (S/1)^2/n - S^2/N = S^2 (1/n - 1/N)
     for n in (5, 10, 39):
-        assert mse_ht_neyman(z, single, n) == pytest.approx(
-            mse_ht_srs(z, n), rel=1e-14
+        assert design_mse(z, single, neyman_targets(z, single, n)) == pytest.approx(
+            srs_mse(z, n), rel=1e-14
         )
     # constant within-stratum SD -> equals proportional
     z2 = two_group_losses([10, 10], [0.2, 0.8], [0.1, 0.1])
     part = StrataPartition(np.repeat([0, 1], 10), 2)
-    assert mse_ht_neyman(z2, part, 10) == pytest.approx(
-        mse_ht_prop(z2, part, 10), rel=1e-12
+    assert design_mse(z2, part, neyman_targets(z2, part, 10)) == pytest.approx(
+        design_mse(z2, part, prop_targets(part, 10)), rel=1e-12
     )
 
 
 def test_mse_df_srs_perfect_proxy():
     z = np.array([0.1, 0.7, 0.3, 0.9])
-    assert mse_df_srs(z, z, 2) == pytest.approx(0.0, abs=1e-15)
+    assert srs_mse(z - z, 2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mse_df_srs_zero_proxy_near_ht():
-    # with proxies == 0 the two formulas differ only in the N vs N-1
-    # population-variance divisor
+    # with proxies == 0 the residuals are the losses: DF is HT exactly
     rng = np.random.default_rng(25)
     z = rng.random(50)
-    n = 10
-    df = mse_df_srs(z, np.zeros(50), n)
-    ht = mse_ht_srs(z, n)
-    assert df == pytest.approx(ht * (50 - 1) / 50, rel=1e-12)
-    assert abs(df - ht) / ht <= 1 / 50 + 1e-12
+    assert srs_mse(z - np.zeros(50), 10) == srs_mse(z, 10)
 
 
 def test_mse_df_srs_exact_relation_to_enumeration():
     # DF under SRS is a constant plus the expansion estimator of the
-    # residuals, so its exact design MSE is (1-f)/n * S^2_resid; the
-    # closed form uses the divisor-N population variance instead
+    # residuals, so its exact design MSE is (1-f)/n * S^2_resid
     rng = np.random.default_rng(26)
     z = rng.random(8)
     zh = rng.random(8)
     for n in (2, 4, 6):
         exact = enumerate_srs_mse(z, n, proxies=zh)
-        assert mse_df_srs(z, zh, n) == pytest.approx(
-            exact * (8 - 1) / 8, rel=1e-11
-        )
+        assert srs_mse(z - zh, n) == pytest.approx(exact, rel=1e-12)
 
 
 def test_mse_df_prop_reductions_and_enumeration():
@@ -229,24 +238,83 @@ def test_mse_df_prop_reductions_and_enumeration():
     z = rng.random(8)
     zh = rng.random(8)
     part = StrataPartition(np.repeat([0, 1], 4), 2)
-    single = StrataPartition(np.zeros(8, dtype=int), 1)
-    assert mse_df_prop(z, zh, single, 4) == pytest.approx(
-        mse_df_srs(z, zh, 4), rel=1e-12
+    single = one_stratum(8)
+    assert design_mse(z - zh, single, prop_targets(single, 4)) == pytest.approx(
+        srs_mse(z - zh, 4), rel=1e-12
     )
-    assert mse_df_prop(z, z, part, 4) == pytest.approx(0.0, abs=1e-15)
-    # against enumeration: per-stratum divisor mismatch is (N_h-1)/N_h
+    assert design_mse(z - z, part, [2, 2]) == pytest.approx(0.0, abs=1e-15)
     for n in (2, 4, 6):
         exact = enumerate_ssrs_mse(z, part.assignment, [n // 2, n // 2], proxies=zh)
-        assert mse_df_prop(z, zh, part, n) == pytest.approx(
-            exact * (4 - 1) / 4, rel=1e-11
-        )
+        assert design_mse(z - zh, part, [n // 2, n // 2]) == pytest.approx(exact, rel=1e-12)
 
 
 def test_mse_formula_preconditions():
-    with pytest.raises(PreconditionError):
-        mse_ht_srs([1.0, np.nan], 1)
-    with pytest.raises(PreconditionError):
-        mse_ht_srs([1.0, 0.0], 3)
+    part = StrataPartition(np.repeat([0, 1], 2), 2)
+    with pytest.raises(PreconditionError, match="observed"):
+        srs_mse([1.0, np.nan], 1)
+    with pytest.raises(PreconditionError, match="size >= 2"):
+        srs_mse([1.0], 1)
+    with pytest.raises(PreconditionError, match="n_h <= N_h"):
+        srs_mse([1.0, 0.0], 3)
+    with pytest.raises(PreconditionError, match="n_h <= N_h"):
+        design_mse([1.0, 0.0, 1.0, 0.0], part, [2, 0])
+    with pytest.raises(PreconditionError, match="n_h <= N_h"):
+        design_mse([1.0, 0.0, 1.0, 0.0], part, [2])
+    with pytest.raises(PreconditionError, match="cover"):
+        design_mse([1.0, 0.0, 1.0], part, [1, 1])
+
+
+@st.composite
+def tiny_designs(draw):
+    """A pool of at most 8 units on a 1/8 grid, its proxies, a partition and n_h."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+        lambda s: 2 <= sum(s) <= 8))
+    n_h = [draw(st.integers(1, size)) for size in sizes]
+    grid = st.integers(0, 8).map(lambda k: k / 8)
+    z = np.array(draw(st.lists(grid, min_size=sum(sizes), max_size=sum(sizes))))
+    zh = np.array(draw(st.lists(grid, min_size=sum(sizes), max_size=sum(sizes))))
+    order = draw(st.permutations(range(sum(sizes))))
+    assignment = np.repeat(np.arange(len(sizes)), sizes)[list(order)]
+    return z, zh, StrataPartition(assignment, len(sizes)), n_h
+
+
+@given(design=tiny_designs())
+def test_design_mse_equals_enumeration_for_ht_and_df(design):
+    # any integer allocation, not only proportional: HT on the losses and
+    # DF on the residuals are exact against every equally likely sample
+    z, zh, part, n_h = design
+    ht = enumerate_ssrs_mse(z, part.assignment, n_h)
+    df = enumerate_ssrs_mse(z, part.assignment, n_h, proxies=zh)
+    assert design_mse(z, part, n_h) == pytest.approx(ht, rel=1e-12, abs=1e-15)
+    assert design_mse(z - zh, part, n_h) == pytest.approx(df, rel=1e-12, abs=1e-15)
+
+
+def test_kmeans_minimizes_predicted_variance_for_accuracy():
+    # 0/1 losses: the plug-in variance of a stratum with mean proxy pbar_h
+    # is pbar_h (1 - pbar_h), so under fractional proportional allocation
+    # the predicted variance is (1-f)/(nN) * (sum p - sum p^2 + SSE), and
+    # the exact 1-D k-means partition minimizes it among interval partitions
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m = int(rng.integers(4, 11))
+        p = rng.random(m) if rng.random() < 0.5 else np.round(rng.random(m), 1)
+        n_strata = int(rng.integers(1, min(4, np.unique(p).size) + 1))
+        n = float(rng.integers(2, m + 1))
+
+        def predicted(assignment):
+            part = StrataPartition(assignment, n_strata)
+            pbar = stratum_moments(p, assignment, n_strata)[1]
+            return design_variance(part.sizes, prop_targets(part, n), pbar * (1.0 - pbar))
+
+        best = kmeans_1d(p, n_strata).assignment
+        sse = within_cluster_ss(p, best)
+        claim = (1 - n / m) / (n * m) * (p.sum() - (p * p).sum() + sse)
+        assert predicted(best) == pytest.approx(claim, rel=1e-9, abs=1e-15)
+        rank = np.empty(m, dtype=np.int64)
+        rank[np.argsort(p, kind="stable")] = np.arange(m)
+        for cuts in itertools.combinations(range(1, m), n_strata - 1):
+            assignment = np.searchsorted(np.array(cuts), rank, side="right")
+            assert predicted(best) <= predicted(assignment) + 1e-15
 
 
 # -- orderings and identities ---------------------------------------------------
@@ -286,9 +354,9 @@ def test_design_ordering_on_pipeline_instances():
     rng = np.random.default_rng(28)
     for _ in range(200):
         z, _, part, n = pipeline_instance(rng)
-        srs = mse_ht_srs(z, n)
-        prop = mse_ht_prop(z, part, n)
-        ney = mse_ht_neyman(z, part, n)
+        srs = srs_mse(z, n)
+        prop = design_mse(z, part, prop_targets(part, n))
+        ney = design_mse(z, part, neyman_targets(z, part, n))
         assert ney <= prop + 1e-12
         assert prop <= srs + 1e-12
 
@@ -305,7 +373,8 @@ def test_allocation_gap_identity_exact():
         )
         sbar = float(np.dot(w, sds))
         gap = np.dot(w, (sds - sbar) ** 2) / n
-        assert mse_ht_prop(z, part, n) - mse_ht_neyman(z, part, n) == pytest.approx(
+        prop = design_mse(z, part, prop_targets(part, n))
+        assert prop - design_mse(z, part, neyman_targets(z, part, n)) == pytest.approx(
             gap, rel=1e-10, abs=1e-15
         )
 
@@ -321,7 +390,7 @@ def test_stratification_gain_identity_approximate():
         means = np.array([z[part.assignment == h].mean() for h in range(part.n_strata)])
         between = float(np.dot(w, (means - z.mean()) ** 2))
         claim = (1 - f) / n * between
-        got = mse_ht_srs(z, n) - mse_ht_prop(z, part, n)
+        got = srs_mse(z, n) - design_mse(z, part, prop_targets(part, n))
         tol = 2 / part.sizes.min()
         assert got == pytest.approx(claim, rel=tol, abs=1e-15)
 

@@ -13,17 +13,11 @@ import pytest
 from scipy import stats
 
 from oracles import two_group_losses
-from strateval.allocate import AllocationPlan, proportional
+from strateval.allocate import AllocationPlan, neyman, proportional
 from strateval.cli import main
 from strateval.dataset import Population
 from strateval.errors import ParseError, PreconditionError
-from strateval.estimators import (
-    mse_df_srs,
-    mse_ht_neyman,
-    mse_ht_prop,
-    mse_ht_srs,
-    stratified_estimate,
-)
+from strateval.estimators import design_mse, stratified_estimate, stratum_moments
 from strateval.losses import LossKind
 from strateval.rng import derive_seed
 from strateval.sampling import draw_ssrs, worksheet_csv
@@ -348,9 +342,8 @@ def test_run_mc_deterministic():
 
 
 def test_run_mc_reproduces_closed_forms():
-    # two strata with exact moments; n=100 makes the proportional split
-    # (50,50) and the optimal split (75,25) land on integers, so the
-    # closed forms describe the realized designs with no rounding slack
+    # two strata with exact moments; each closed form takes the n_h the
+    # simulated design draws: (50, 50) proportional, (75, 25) Neyman
     z = two_group_losses([500, 500], [0.35, 0.65], [0.3, 0.1])
     proxy = np.repeat([0.35, 0.65], 500)
     pop = Population(
@@ -360,11 +353,13 @@ def test_run_mc_reproduces_closed_forms():
         loss_kind=LossKind.SQUARED_ERROR,
     )
     part = StrataPartition(np.repeat([0, 1], 500), 2)
+    srs = StrataPartition(np.zeros(1000, dtype=np.int64), 1)
+    true_sds = np.sqrt(stratum_moments(z, part.assignment, 2)[2])
     reps = 10_000
     runs = {
         "srs+ht": (
             run_mc(pop, design="srs", estimator="ht", n=100, reps=reps, seed=111),
-            mse_ht_srs(z, 100),
+            design_mse(z, srs, [100]),
         ),
         "prop+ht": (
             run_mc(
@@ -376,7 +371,7 @@ def test_run_mc_reproduces_closed_forms():
                 seed=112,
                 partition=part,
             ),
-            mse_ht_prop(z, part, 100),
+            design_mse(z, part, proportional(part.sizes, 100).n_h),
         ),
         "neyman+ht": (
             run_mc(
@@ -390,11 +385,11 @@ def test_run_mc_reproduces_closed_forms():
                 allocation="neyman",
                 sd_source="true",
             ),
-            mse_ht_neyman(z, part, 100),
+            design_mse(z, part, neyman(part.sizes, true_sds, 100).n_h),
         ),
         "srs+df": (
             run_mc(pop, design="srs", estimator="df", n=100, reps=reps, seed=114),
-            mse_df_srs(z, proxy, 100),
+            design_mse(z - proxy, srs, [100]),
         ),
     }
     for name, (res, closed) in runs.items():

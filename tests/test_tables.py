@@ -231,6 +231,41 @@ def test_a_byte_order_mark_is_dropped(tmp_path, name):
     assert ingest(path, "accuracy").ids == ("a", "b")
 
 
+@pytest.mark.parametrize("name,data,line", [
+    ("pool.csv", b"id,proxy\na,0.1\ncaf\xe9,0.5\n", 3),
+    ("pool.csv", b"\xef\xbb\xbfid,proxy\r\n# caf\xe9\r\na,0.1\r\n", 2),
+    ("pool.jsonl", b'{"id": "a", "proxy": 0.1}\n\n{"id": "caf\xe9", "proxy": 0.5}\n', 3),
+    ("pool.txt", b'{"id": "a", "proxy": 0.1}\n{"id": "caf\xe9", "proxy": 0.5}\n', 2),
+    ("pool.txt", b"id,proxy\na,0.1\ncaf\xe9,0.5\n", 3),
+], ids=["csv", "bom-crlf", "jsonl", "peek-jsonl", "peek-csv"])
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path, name, data, line):
+    # before, every reader (and the format peek) raised UnicodeDecodeError
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"line {line}: not valid UTF-8 \\(byte 0xe9\\)"):
+        ingest(path, "accuracy")
+
+
+def test_a_sidecar_that_is_not_utf8_names_its_line(tmp_path):
+    pool, side = tmp_path / "pool.csv", tmp_path / "scores.jsonl"
+    pool.write_text("id,proxy\na,0.1\nb,0.5\n")
+    side.write_bytes(b'{"id": "a", "scores": [0.5, 0.5]}\n{"id": "b\xe9", "scores": [1, 0]}\n')
+    with pytest.raises(ParseError, match=f"{side} line 2: not valid UTF-8"):
+        ingest(pool, "cross_entropy", scores_path=side)
+
+
+@pytest.mark.parametrize("head,end", [
+    ("id,proxy", "\n"), ('"id",proxy', "\n"), ("id,proxy", "\r\n"),
+], ids=["bulk", "quoted", "crlf"])
+def test_a_field_longer_than_the_csv_limit_names_its_line(tmp_path, head, end):
+    # before, the csv module's own error escaped as a traceback
+    path = tmp_path / "pool.csv"
+    rows = [head, "# c", "a,0.1", "b" * (csv.field_size_limit() + 1) + ",0.5", "c,0.2"]
+    path.write_bytes((end.join(rows) + end).encode())
+    with pytest.raises(ParseError, match=f"{path} line 4: field larger than field limit"):
+        ingest(path, "accuracy")
+
+
 # Peak of the traced allocations of `ingest` on the pool below, measured at the
 # commit before the bulk split; the bulk split must not hold more at once.
 INGEST_PEAK_BOUND_MB = 34.34
