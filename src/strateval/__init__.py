@@ -9,23 +9,11 @@ difference estimator — with closed-form design MSEs and a Monte Carlo
 harness to verify them.
 """
 
-from .allocate import (
-    AllocationPlan,
-    neyman,
-    plugin_sd_accuracy,
-    plugin_sd_general,
-    proportional,
-)
-from .calibration import IsotonicMap, fit_isotonic, split_half, split_half_indices
+from .allocate import AllocationPlan, neyman, proportional
+from .calibration import IsotonicMap, fit_isotonic, split_half
 from .dataset import Population, attach_scores, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .estimators import (
-    EstimateReport,
-    confidence_interval,
-    design_mse,
-    normal_quantile,
-    stratified_estimate,
-)
+from .estimators import confidence_interval, design_mse, normal_quantile, stratified_estimate
 from .losses import LossKind, conditional_moments, eval_loss
 from .rng import derive_seed, generator, substream
 from .sampling import SampleDraw, draw_ssrs, load_worksheet
@@ -49,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationPlan",
     "ConsistencyError",
-    "EstimateReport",
     "IsotonicMap",
     "LossKind",
     "MCResult",
@@ -78,12 +65,9 @@ __all__ = [
     "load_worksheet",
     "neyman",
     "normal_quantile",
-    "plugin_sd_accuracy",
-    "plugin_sd_general",
     "proportional",
     "run_mc",
     "split_half",
-    "split_half_indices",
     "stratified_estimate",
     "substream",
 ]

@@ -144,9 +144,9 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
 
     ``sds`` are the per-stratum loss standard deviations (true or plugged
     in from the proxy).  Strata with zero spread still get the floor of
-    two.  If *every* spread is zero the split falls back to proportional,
-    flagged in ``warnings``.  With every ``S_h = 1`` the split is
-    proportional's, bit for bit: the two share one rounding routine.
+    two.  With every ``S_h`` equal the split is proportional's, bit for
+    bit: it is made on the sizes themselves.  If every spread is zero,
+    that fallback is flagged in ``warnings``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     sds = np.asarray(sds, dtype=float)
@@ -154,36 +154,12 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
         raise PreconditionError("sizes and sds must be aligned")
     if np.any(sds < 0) or not np.all(np.isfinite(sds)):
         raise PreconditionError("standard deviations must be finite and >= 0")
-    weight, warnings = sizes * sds, []
-    if weight.sum() == 0.0:
-        weight, warnings = sizes, ["all stratum SDs are zero; fell back to proportional"]
+    if (sds == sds[:1]).all():
+        weight = sizes
+        warnings = [] if sds.any() else ["all stratum SDs are zero; fell back to proportional"]
+    else:
+        weight, warnings = sizes * sds, []
     return AllocationPlan(strategy="neyman", n_h=_split(sizes, weight, budget), warnings=warnings)
-
-
-def plugin_sd_accuracy(zbar):
-    """Predicted loss SD for a 0/1 loss with stratum mean ``zbar`` (elementwise)."""
-    zbar = np.asarray(zbar, dtype=float)
-    if not np.all((zbar >= 0.0) & (zbar <= 1.0)):
-        raise PreconditionError(f"mean of a 0/1 loss must be in [0,1], got {zbar}")
-    return np.sqrt(zbar * (1.0 - zbar))
-
-
-def plugin_sd_general(zbar, z2bar, *, warnings: list | None = None):
-    """Predicted loss SD from conditional first/second moments (elementwise).
-
-    Computes ``sqrt(z2bar - zbar**2)``; a slightly negative variance from
-    rounding is clamped to zero (appended to ``warnings`` when a list is provided).
-    """
-    zbar = np.asarray(zbar, dtype=float)
-    z2bar = np.asarray(z2bar, dtype=float)
-    if not (np.isfinite(zbar).all() and np.isfinite(z2bar).all()):
-        raise PreconditionError("moments must be finite")
-    if (z2bar < 0.0).any():
-        raise PreconditionError(f"second moment must be nonnegative, got {z2bar}")
-    var = z2bar - zbar * zbar
-    if warnings is not None:
-        warnings.extend(f"negative plug-in variance {v:.3e} clamped to 0" for v in var[var < 0.0])
-    return np.sqrt(np.maximum(var, 0.0))
 
 
 def plugin_sds(pop: Population, proxy_col: str, partition: StrataPartition,
@@ -196,7 +172,8 @@ def plugin_sds(pop: Population, proxy_col: str, partition: StrataPartition,
     """
     h, n_strata = partition.assignment, partition.n_strata
     if pop.loss_kind is LossKind.ACCURACY:
-        return plugin_sd_accuracy(stratum_moments(pop.get_proxy(proxy_col), h, n_strata)[1])
+        zbar = stratum_moments(pop.get_proxy(proxy_col), h, n_strata)[1]
+        return np.sqrt(zbar * (1.0 - zbar))
     if pop.scores is None:
         raise PreconditionError(
             f"neyman planning for {pop.loss_kind.value} needs --scores to supply "
@@ -207,6 +184,10 @@ def plugin_sds(pop: Population, proxy_col: str, partition: StrataPartition,
         raise ConsistencyError(
             f"unit {pop.ids[int(missing.argmax())]!r} has no class scores in the sidecar"
         )
-    zbar, z2bar = conditional_moments(pop.loss_kind, pop.scores)
-    return plugin_sd_general(stratum_moments(zbar, h, n_strata)[1],
-                             stratum_moments(z2bar, h, n_strata)[1], warnings=warnings)
+    zbar, z2bar = (stratum_moments(m, h, n_strata)[1]
+                   for m in conditional_moments(pop.loss_kind, pop.scores))
+    var = z2bar - zbar * zbar
+    if warnings is not None:
+        # z2bar - zbar^2 can round to just below zero
+        warnings.extend(f"negative plug-in variance {v:.3e} clamped to 0" for v in var[var < 0.0])
+    return np.sqrt(np.maximum(var, 0.0))

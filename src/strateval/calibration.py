@@ -11,14 +11,12 @@ spent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Population
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 from .rng import generator
 
 
@@ -33,20 +31,12 @@ def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
         The same ``(pop, seed)`` always yields the same split; use a seed
         independent of the sampling seed.
     """
-    cal_idx, eval_idx = split_half_indices(pop, seed)
-    return pop.take(cal_idx), pop.take(eval_idx)
-
-
-def split_half_indices(pop: Population, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index-array form of :func:`split_half` (canonical-order positions)."""
     n = pop.size
     if n < 4:
         raise PreconditionError(f"need at least 4 units to split, got {n}")
     perm = generator(seed).permutation(n)
     n_cal = (n + 1) // 2
-    cal = np.sort(perm[:n_cal])
-    ev = np.sort(perm[n_cal:])
-    return cal, ev
+    return pop.take(np.sort(perm[:n_cal])), pop.take(np.sort(perm[n_cal:]))
 
 
 @dataclass
@@ -85,24 +75,6 @@ class IsotonicMap:
             "breakpoints": [float(b) for b in self.breakpoints],
             "values": [float(v) for v in self.values],
         }
-
-    @classmethod
-    def from_json(cls, text: str) -> "IsotonicMap":
-        try:
-            payload = json.loads(text)
-            return cls(
-                breakpoints=np.asarray(payload["breakpoints"], dtype=float),
-                values=np.asarray(payload["values"], dtype=float),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"invalid isotonic map JSON: {e}") from None
-
-    @classmethod
-    def load(cls, path) -> "IsotonicMap":
-        path = Path(path)
-        if not path.exists():
-            raise ParseError(f"{path}: no such file")
-        return cls.from_json(path.read_text())
 
 
 def fit_isotonic(proxy, loss) -> IsotonicMap:

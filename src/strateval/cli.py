@@ -26,7 +26,7 @@ from .allocate import AllocationPlan, neyman, plugin_sds, proportional
 from .calibration import fit_isotonic, split_half
 from .dataset import Population, check_losses, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .estimators import EstimateReport, confidence_interval, stratified_estimate, stratum_moments
+from .estimators import confidence_interval, stratified_estimate, stratum_moments
 from .losses import LossKind
 from .rng import check_seed
 from .sampling import draw_ssrs, load_worksheet, worksheet_csv
@@ -45,6 +45,7 @@ from .stratify import (
     kmeans_embeddings,
     partition_csv,
 )
+from .tables import _not_utf8
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -125,26 +126,18 @@ def cmd_plan(args) -> int:
     n = args.budget
     if not 1 <= n <= pop.size:
         raise PreconditionError(f"budget {n} outside [1, {pop.size}]")
-    warnings: list[str] = []
     if args.strategy == "srs":
-        if n < 2:
-            raise PreconditionError("budget must be >= 2 for a variance estimate")
-        # plain SRS is the single-stratum design, drawn through the same
-        # stratified path so `--strata 1 --strategy prop` matches it byte
-        # for byte
+        # plain SRS is the one-stratum design: a proportional split of one stratum
         partition = StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
-        plan = AllocationPlan(strategy="srs", n_h=np.array([n]))
     else:
         partition = _build_partition(pop, args)
-        warnings.extend(partition.warnings)
-        if args.strategy == "prop":
-            plan = proportional(partition.sizes, n)
-        else:
-            sds = plugin_sds(pop, args.proxy_col, partition, warnings=warnings)
-            plan = neyman(partition.sizes, sds, n)
-        plan = AllocationPlan(
-            strategy=plan.strategy, n_h=plan.n_h, warnings=warnings + plan.warnings
-        )
+    warnings = list(partition.warnings)
+    if args.strategy == "neyman":
+        sds = plugin_sds(pop, args.proxy_col, partition, warnings=warnings)
+        split = neyman(partition.sizes, sds, n)
+    else:
+        split = proportional(partition.sizes, n)
+    plan = AllocationPlan(strategy=args.strategy, n_h=split.n_h, warnings=warnings + split.warnings)
     draw = draw_ssrs(pop, partition, plan, args.seed_sample)
     out = _out_dir(args)
     (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids),
@@ -201,65 +194,53 @@ def cmd_estimate(args) -> int:
             f"worksheet design covers {int(sizes.sum())} units but the "
             f"dataset has {pop.size}"
         )
-    out = _out_dir(args)
-    n = ws.loss.size
+    proxies = pop.get_proxy(args.proxy_col)
+    proxy_mean = float(np.mean(proxies))
     theta, se = stratified_estimate(ws.loss, ws.strata, sizes)
-    ht_report = EstimateReport(
-        estimator="ht",
-        design="srs" if sizes.size == 1 else "ssrs",
-        theta=theta,
-        se=se,
-        level=args.level,
-        ci=confidence_interval(theta, se, args.level),
-        n=n,
-        pop_size=pop.size,
-        diagnostics={
-            "stratum_sizes": [int(s) for s in sizes],
+    correction, se_df = stratified_estimate(ws.loss - proxies[sample_idx], ws.strata, sizes)
+    theta_df = proxy_mean + correction
+    payload = {"config": cfg}
+    for name, est, est_se, diagnostics in (
+        ("ht", theta, se, {
+            "stratum_sizes": sizes.tolist(),
             "stratum_n": n_h.tolist(),
             "stratum_loss_mean": stratum_moments(ws.loss, ws.strata, sizes.size)[1].tolist(),
-        },
-    )
-    payload = {"config": cfg, "ht": ht_report.to_dict(), "df": None}
-
-    proxies = pop.get_proxy(args.proxy_col) if _has_proxy(pop, args.proxy_col) else None
-    if proxies is not None and not np.any(np.isnan(proxies)):
-        proxy_mean = float(np.mean(proxies))
-        correction, se_df = stratified_estimate(ws.loss - proxies[sample_idx], ws.strata, sizes)
-        theta_df = proxy_mean + correction
-        df_report = EstimateReport(
-            estimator="df",
-            design=ht_report.design,
-            theta=theta_df,
-            se=se_df,
-            level=args.level,
-            ci=confidence_interval(theta_df, se_df, args.level),
-            n=n,
-            pop_size=pop.size,
-            diagnostics={
-                "proxy_pool_mean": proxy_mean,
-                "residual_correction": theta_df - proxy_mean,
-                "proxy_col": args.proxy_col,
-            },
-        )
-        payload["df"] = df_report.to_dict()
+        }),
+        ("df", theta_df, se_df, {
+            "proxy_pool_mean": proxy_mean,
+            "residual_correction": theta_df - proxy_mean,
+            "proxy_col": args.proxy_col,
+        }),
+    ):
+        payload[name] = {
+            "estimator": name,
+            "design": "srs" if sizes.size == 1 else "ssrs",
+            "theta": est,
+            "se": est_se,
+            "level": args.level,
+            "ci": list(confidence_interval(est, est_se, args.level)),
+            "n": ws.loss.size,
+            "pop_size": pop.size,
+            "diagnostics": diagnostics,
+        }
+    out = _out_dir(args)
     _write_json(out / "report.json", payload)
-    df_note = "" if payload["df"] is None else f", df theta={payload['df']['theta']:.6g}"
-    print(f"estimate: ht theta={theta:.6g} se={se:.6g}{df_note}; wrote {out / 'report.json'}")
+    print(f"estimate: ht theta={theta:.6g} se={se:.6g}, df theta={theta_df:.6g}; "
+          f"wrote {out / 'report.json'}")
     return 0
-
-
-def _has_proxy(pop: Population, column: str) -> bool:
-    return column == "proxy" or (column == "proxy_cal" and pop.proxy_cal is not None)
 
 
 # -- simulate ------------------------------------------------------------------
 
 
 def _load_sim_spec(path: Path) -> dict:
+    """The spec document, its methods and their ordering checked before any replication."""
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON ({e.msg})") from None
     if not isinstance(doc, dict):
@@ -267,12 +248,45 @@ def _load_sim_spec(path: Path) -> dict:
     for req in ("population", "budget", "reps", "methods"):
         if req not in doc:
             raise ParseError(f"{path}: spec missing {req!r}")
+    methods = doc["methods"]
+    if not isinstance(methods, list) or not methods:
+        raise ParseError(f"{path}: 'methods' must be a nonempty array")
+    names = []
+    for m in methods:
+        if not isinstance(m, dict):
+            raise ParseError(f"{path}: each 'methods' entry must be an object, got {json.dumps(m)}")
+        if not isinstance(m.get("name"), str):
+            raise ParseError(f"{path}: each method needs a string 'name'")
+        if m["name"] in names:
+            raise ParseError(f"{path}: two methods are named {m['name']!r}")
+        names.append(m["name"])
+    chain = doc.get("assert_ordering", [])
+    if not isinstance(chain, list):
+        raise ParseError(f"{path}: 'assert_ordering' must be an array of method names")
+    for name in chain:
+        if name not in names:
+            raise ParseError(f"{path}: 'assert_ordering' names {json.dumps(name)}, not a method")
     return doc
+
+
+def _spec_number(path: Path, doc: dict, key: str, convert, default=None):
+    """Field ``key`` of a spec, converted by ``convert``; a failure names the file and field."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}: {key!r} must be a number, got {json.dumps(value)}") from None
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_dict(args)
-    doc = _load_sim_spec(Path(args.spec))
+    path = Path(args.spec)
+    doc = _load_sim_spec(path)
+    reps = _spec_number(path, doc, "reps", int)
+    n = _spec_number(path, doc, "budget", int)
+    strata = _spec_number(path, doc, "strata", int, 2)
+    level = _spec_number(path, doc, "level", float, 0.95)
+    sim_seed = check_seed(_spec_number(path, doc, "sim_seed", int, args.seed_sim), "sim_seed")
     pop_doc = doc["population"]
     try:
         spec = SuperpopSpec(
@@ -284,27 +298,18 @@ def cmd_simulate(args) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad population spec: {e}") from None
     pop = generate(spec)
-    reps = int(doc["reps"])
     if MIN_REPS <= reps < 1000:
         print(
             f"warning: reps={reps} gives a Monte Carlo standard error too "
             "large for ordering assertions; use >= 1000",
             file=sys.stderr,
         )
-    n = int(doc["budget"])
-    strata = int(doc.get("strata", 2))
-    level = float(doc.get("level", 0.95))
-    sim_seed = check_seed(doc.get("sim_seed", args.seed_sim), "sim_seed")
     methods = doc["methods"]
     needs_partition = any(m.get("design") == "ssrs" for m in methods)
     partition = kmeans_1d(pop.proxy, strata) if needs_partition else None
     results = {}
     for m in methods:
-        try:
-            name = m["name"]
-        except (KeyError, TypeError):
-            raise ParseError("each method needs a 'name'") from None
-        results[name] = run_mc(
+        results[m["name"]] = run_mc(
             pop,
             design=m.get("design", "srs"),
             estimator=m.get("estimator", "ht"),

@@ -51,8 +51,8 @@ def check_losses(kind: LossKind, values, where: tables.Where) -> None:
     """Reject the first loss that is not finite or outside ``kind``'s range.
 
     ``where(i)`` names the place of ``values[i]`` in the error message.
-    Every loss that enters the program -- from a pool file, a worksheet
-    or :meth:`Population.with_losses` -- passes through this check.
+    Every loss that enters the program -- from a pool file or a
+    worksheet -- passes through this check.
     """
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
@@ -176,15 +176,6 @@ class Population:
         if values.shape != (self.size,):
             raise PreconditionError("proxy_cal length must match population size")
         return replace(self, proxy_cal=values)
-
-    def with_losses(self, loss_by_id: dict) -> "Population":
-        """New population with losses filled in from an id -> loss mapping."""
-        uids = list(loss_by_id)
-        values = np.array([float(loss_by_id[u]) for u in uids])
-        check_losses(self.loss_kind, values, lambda i: f"loss for id {uids[i]!r}")
-        loss = self.loss.copy()
-        loss[[self.index_of(u) for u in uids]] = values
-        return replace(self, loss=loss)
 
     # -- canonical serialization ------------------------------------------
 

@@ -33,7 +33,6 @@ A singleton stratum has ``S_h^2 = 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "design_mse",
     "normal_quantile",
     "confidence_interval",
-    "EstimateReport",
 ]
 
 
@@ -234,33 +232,3 @@ def confidence_interval(theta: float, se: float, level: float = 0.95) -> tuple[f
     z = normal_quantile(0.5 + level / 2.0)
     return theta - z * se, theta + z * se
 
-
-# -- report ------------------------------------------------------------------
-
-
-@dataclass
-class EstimateReport:
-    """One estimator's verdict on one draw, ready for serialization."""
-
-    estimator: str
-    design: str
-    theta: float
-    se: float
-    level: float
-    ci: tuple[float, float]
-    n: int
-    pop_size: int
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "design": self.design,
-            "theta": self.theta,
-            "se": self.se,
-            "level": self.level,
-            "ci": [self.ci[0], self.ci[1]],
-            "n": self.n,
-            "pop_size": self.pop_size,
-            "diagnostics": self.diagnostics,
-        }

@@ -166,7 +166,6 @@ def run_mc(
     partition: StrataPartition | None = None,
     allocation: str = "prop",
     sd_source: str = "true",
-    proxy_col: str = "proxy",
     level: float = 0.95,
     keep_estimates: bool = False,
 ) -> MCResult:
@@ -181,7 +180,7 @@ def run_mc(
         the pool as one stratum.
     estimator : {"ht", "df"}
         Weighted mean, or proxy-anchored difference estimate using
-        ``proxy_col``.
+        ``pop.proxy``.
     n : int
         Annotation budget per replication.
     reps : int
@@ -217,8 +216,7 @@ def run_mc(
     pool = pop.size
     values, proxy_mean = losses, 0.0
     if estimator == "df":
-        proxies = pop.get_proxy(proxy_col)
-        values, proxy_mean = losses - proxies, float(np.mean(proxies))
+        values, proxy_mean = losses - pop.proxy, float(np.mean(pop.proxy))
 
     if design == "srs":
         partition = StrataPartition(np.zeros(pool, dtype=np.int64), 1)
@@ -236,7 +234,7 @@ def run_mc(
         elif sd_source == "plugin":
             if pop.loss_kind is not LossKind.ACCURACY:
                 raise PreconditionError("plugin SDs in run_mc are defined for 0/1 losses")
-            sds = plugin_sds(pop, proxy_col, partition)
+            sds = plugin_sds(pop, "proxy", partition)
         else:
             raise PreconditionError(f"unknown sd_source {sd_source!r}")
         plan = neyman(sizes, sds, n)

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from strateval.allocate import (
-    AllocationPlan,
-    neyman,
-    plugin_sd_accuracy,
-    plugin_sd_general,
-    proportional,
-)
+from strateval.allocate import AllocationPlan, neyman, plugin_sds, proportional
+from strateval.dataset import Population
 from strateval.errors import PreconditionError
+from strateval.losses import LossKind
+from strateval.stratify import StrataPartition
 
 
 def test_proportional_exact():
@@ -64,6 +61,13 @@ def test_neyman_constant_sd_equals_proportional():
         )
 
 
+def test_neyman_equal_sds_round_like_proportional():
+    # N_h * s / sum_k N_k * s rounds differently from N_h / N for this s
+    sizes, budget = [46, 298, 211], 259
+    assert proportional(sizes, budget).n_h.tolist() == [21, 139, 99]
+    assert neyman(sizes, [9.0948] * 3, budget).n_h.tolist() == [21, 139, 99]
+
+
 def test_neyman_zero_sd_stratum_still_floored():
     plan = neyman([500, 500], [0.5, 0.0], 100)
     assert plan.n_h.tolist() == [98, 2]
@@ -110,22 +114,37 @@ def test_real_valued_neyman_targets_tracked():
     assert np.all(np.abs(plan.n_h - raw) < 1 + 1e-9)
 
 
+def singleton_strata(proxy, kind=LossKind.ACCURACY, scores=None, assignment=None):
+    """A pool of one unit per stratum (or the given ``assignment``) and its partition."""
+    n = len(proxy)
+    pop = Population(ids=tuple(f"u{i}" for i in range(n)), proxy=np.asarray(proxy, dtype=float),
+                     loss=np.full(n, np.nan), loss_kind=kind, scores=scores)
+    h = np.arange(n) if assignment is None else np.asarray(assignment)
+    return pop, StrataPartition(h, int(h.max()) + 1)
+
+
 def test_plugin_sd_accuracy_values():
-    assert plugin_sd_accuracy(0.5) == 0.5
-    assert plugin_sd_accuracy(0.0) == 0.0
-    assert plugin_sd_accuracy(0.9) == pytest.approx(0.3)
-    with pytest.raises(PreconditionError):
-        plugin_sd_accuracy(1.2)
+    # a 0/1 loss: a stratum of mean predicted accuracy zbar has SD sqrt(zbar (1 - zbar))
+    pop, part = singleton_strata([0.5, 0.0, 0.9])
+    sds = plugin_sds(pop, "proxy", part)
+    assert sds[0] == 0.5
+    assert sds[1] == 0.0
+    assert sds[2] == pytest.approx(0.3)
 
 
 def test_plugin_sd_general_values():
-    assert plugin_sd_general(0.5, 0.5) == pytest.approx(0.5)
-    assert plugin_sd_general(0.3, 0.09) == 0.0
+    # squared error: a one-hot unit has loss 0 for sure, a (0.5, 0.5) unit 0.25 for
+    # sure; a stratum of one of each has zbar = 1/8, z2bar = 1/32 and SD 1/8
+    scores = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+    pop, part = singleton_strata([0.0, 0.25, 0.25], LossKind.SQUARED_ERROR, scores, [0, 0, 1])
     notes = []
-    assert plugin_sd_general(0.3, 0.05, warnings=notes) == 0.0
+    assert plugin_sds(pop, "proxy", part, warnings=notes).tolist() == [0.125, 0.0]
+    assert notes == []
+    # (1/3, 1/3, 1/3): z2bar - zbar^2 rounds below zero and is clamped, with a warning
+    scores = np.full((1, 3), 1 / 3)
+    pop, part = singleton_strata([0.0], LossKind.SQUARED_ERROR, scores)
+    assert plugin_sds(pop, "proxy", part, warnings=notes).tolist() == [0.0]
     assert len(notes) == 1 and "clamped" in notes[0]
-    with pytest.raises(PreconditionError):
-        plugin_sd_general(0.3, -0.1)
 
 
 def test_plan_json_round_trip(tmp_path):
@@ -167,11 +186,10 @@ def test_neyman_with_all_zero_sds_falls_back_to_proportional(design):
     assert plan.warnings == ["all stratum SDs are zero; fell back to proportional"]
 
 
-@given(design=designs(), scale=st.integers(-20, 20))
-def test_proportional_is_neyman_with_equal_sds(design, scale):
-    # the two share one rounding routine: with every S_h = 1, or any power
-    # of two, the Neyman targets are proportional's bit for bit
+@given(design=designs(), sd=st.floats(min_value=5e-324, max_value=1e308))
+def test_proportional_is_neyman_with_equal_sds(design, sd):
+    # with every S_h equal, Neyman splits on the sizes: proportional's split, bit for bit
     sizes, budget, _ = design
-    plan = neyman(sizes, np.full(sizes.size, 2.0**scale), budget)
+    plan = neyman(sizes, np.full(sizes.size, sd), budget)
     assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
     assert plan.warnings == []

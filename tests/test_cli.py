@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strateval import cli
 from strateval.calibration import split_half
 from strateval.cli import main
 from strateval.dataset import ingest
@@ -397,6 +398,17 @@ def test_estimate_census_is_exact(tmp_path):
     assert ht["design"] == "srs"
 
 
+def test_estimate_needs_the_proxy_column_it_names(tmp_path, capsys):
+    # the difference estimate is always reported, so a pool without the
+    # named proxy column is refused like `plan` refuses it
+    src, ws = fixture_pool(tmp_path)
+    out = tmp_path / "est"
+    argv = ["estimate", "--input", str(src), "--worksheet", str(ws), "--out", str(out)]
+    assert main([*argv, "--proxy-col", "proxy_cal"]) == 3
+    assert "dataset has no proxy_cal column" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_estimate_partial_worksheet_lists_missing_ids(tmp_path, capsys):
     src, ws = fixture_pool(tmp_path)
     ws.write_text(ws.read_text().replace("u1,0,0.5,0", "u1,0,0.5,"))
@@ -557,6 +569,46 @@ def test_simulate_spec_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def spec_with_latin1_byte(spec):
+    text = json.dumps(json.loads(spec.read_text()), indent=2)
+    spec.write_bytes(text.replace("SRS+DF", "SRS+DF \u00e9").encode("latin-1"))
+    return text[: text.index("SRS+DF")].count("\n") + 1
+
+
+@pytest.mark.parametrize("edit,message", [
+    (spec_with_latin1_byte, "line {}: not valid UTF-8 (byte 0xe9)"),
+    (lambda doc: doc.update(reps="many"), "'reps' must be a number, got \"many\""),
+    (lambda doc: doc.update(budget=None), "'budget' must be a number, got null"),
+    (lambda doc: doc.update(strata=[3]), "'strata' must be a number, got [3]"),
+    (lambda doc: doc.update(level="high"), "'level' must be a number, got \"high\""),
+    (lambda doc: doc["methods"].append("SRS+HT"),
+     "each 'methods' entry must be an object, got \"SRS+HT\""),
+    (lambda doc: doc.update(assert_ordering=["SRS+HT", "SSRS+HT"]),
+     "'assert_ordering' names \"SSRS+HT\", not a method"),
+    (lambda doc: doc["methods"].append(dict(doc["methods"][0])),
+     "two methods are named 'SRS+HT'"),
+], ids=["not-utf8", "reps", "budget", "strata", "level", "method-not-object",
+        "ordering-unknown-method", "duplicate-name"])
+def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypatch, edit,
+                                                      message):
+    spec = sim_spec(tmp_path)
+    if edit is spec_with_latin1_byte:
+        message = message.format(edit(spec))
+    else:
+        doc = json.loads(spec.read_text())
+        edit(doc)
+        spec.write_text(json.dumps(doc))
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_mc", no_replications)
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error (parse): {spec}" in err and message in err
+    assert "Traceback" not in err
 
 
 # -- cross-cutting ----------------------------------------------------------------

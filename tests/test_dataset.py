@@ -170,18 +170,9 @@ def test_finite_mean_requires_all_losses(tmp_path):
     pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
     with pytest.raises(PreconditionError, match="1 unit"):
         pop.finite_mean()
-    full = pop.with_losses({"c": 1.0})
+    full = Population(ids=pop.ids, proxy=pop.proxy, loss=[1.0, 0.0, 1.0],
+                      loss_kind=pop.loss_kind)
     assert full.finite_mean() == pytest.approx(2 / 3)
-    # original untouched (immutability)
-    assert math.isnan(pop.loss[2])
-
-
-def test_with_losses_validates_and_maps_ids(tmp_path):
-    pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
-    with pytest.raises(ParseError):
-        pop.with_losses({"c": 0.5})  # not a 0/1 value under accuracy
-    with pytest.raises(ConsistencyError):
-        pop.with_losses({"zz": 1.0})
 
 
 def test_take_subsets_in_given_order(tmp_path):
