@@ -12,9 +12,10 @@ turns a pool and a partition into those SDs, for ``plan`` and for the
 simulator; its stratum means come from ``estimators.stratum_moments``.
 
 Fractional targets are rounded by the largest-remainder method (ties to
-the lower stratum index), then every stratum is lifted to a floor of two
-units — two are the minimum for a within-stratum variance estimate — with
-the excess taken back from the strata that profited least from rounding.
+the lower stratum index), then every stratum is lifted to its floor of
+``min(MIN_PER_STRATUM, N_h)`` units, the fewest ``stratified_estimate``
+accepts, with the excess taken back from the strata that profited least
+from rounding.  A stratum of one unit is taken whole.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import numpy as np
 
 from .dataset import Population
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .estimators import stratum_moments
+from .estimators import MIN_PER_STRATUM, stratum_moments
 from .losses import LossKind, conditional_moments
 from .stratify import StrataPartition
-
-MIN_PER_STRATUM = 2
 
 
 @dataclass
@@ -69,34 +68,35 @@ class AllocationPlan:
             raise ParseError(f"invalid allocation plan JSON: {e}") from None
 
 
-def _check_budget(sizes: np.ndarray, budget: int) -> None:
-    n_strata = sizes.size
+def _check_budget(sizes: np.ndarray, floors: np.ndarray, budget: int) -> None:
     if np.any(sizes < 1):
         raise PreconditionError("every stratum must be nonempty")
     if budget > int(sizes.sum()):
         raise PreconditionError(
             f"budget {budget} exceeds population size {int(sizes.sum())}"
         )
-    if budget < MIN_PER_STRATUM * n_strata:
+    if budget < int(floors.sum()):
         raise PreconditionError(
-            f"budget {budget} below minimum {MIN_PER_STRATUM} per stratum "
-            f"({n_strata} strata)"
+            f"budget {budget} below minimum {int(floors.sum())}: {MIN_PER_STRATUM} per "
+            f"stratum, or all of a smaller one ({sizes.size} strata)"
         )
 
 
 def _split(sizes: np.ndarray, weight: np.ndarray, budget: int) -> np.ndarray:
     """Split ``budget`` in proportion to ``weight``: targets, rounding, bounds."""
-    _check_budget(sizes, budget)
+    floors = np.minimum(MIN_PER_STRATUM, sizes)
+    _check_budget(sizes, floors, budget)
     targets = budget * weight / weight.sum()
     n_h = np.floor(targets).astype(np.int64)
     # ranks: descending remainder, ties to the lower index
     order = np.lexsort((np.arange(targets.size), -(targets - n_h)))
     n_h[order[: budget - int(n_h.sum())]] += 1
-    return _rebalance(n_h, sizes, budget, order)
+    return _rebalance(n_h, sizes, floors, budget, order)
 
 
-def _rebalance(n_h: np.ndarray, sizes: np.ndarray, budget: int, order: np.ndarray) -> np.ndarray:
-    """Clamp to ``[min(2, N_h), N_h]`` per stratum and restore the total.
+def _rebalance(n_h: np.ndarray, sizes: np.ndarray, floors: np.ndarray, budget: int,
+               order: np.ndarray) -> np.ndarray:
+    """Clamp to ``[floors_h, N_h]`` per stratum and restore the total.
 
     Excess is removed from the strata that profited least from rounding
     (ascending remainder); shortfall — possible when a Neyman target
@@ -105,7 +105,6 @@ def _rebalance(n_h: np.ndarray, sizes: np.ndarray, budget: int, order: np.ndarra
     respect the per-stratum bounds, so the result sums to ``budget``
     whenever the bounds make that feasible.
     """
-    floors = np.minimum(MIN_PER_STRATUM, sizes)
     n_h = np.clip(n_h, floors, sizes)
     gap = budget - int(n_h.sum())
     recipients = order if gap > 0 else order[::-1]
@@ -143,10 +142,10 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
     """Budget split proportionally to ``N_h * S_h`` (variance-minimizing).
 
     ``sds`` are the per-stratum loss standard deviations (true or plugged
-    in from the proxy).  Strata with zero spread still get the floor of
-    two.  With every ``S_h`` equal the split is proportional's, bit for
-    bit: it is made on the sizes themselves.  If every spread is zero,
-    that fallback is flagged in ``warnings``.
+    in from the proxy).  Strata with zero spread still get their floor.
+    With every ``S_h`` equal the split is proportional's, bit for bit: it
+    is made on the sizes themselves.  If every spread is zero, that
+    fallback is flagged in ``warnings``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     sds = np.asarray(sds, dtype=float)

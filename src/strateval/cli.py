@@ -36,6 +36,7 @@ from .simulate import (
     efficiency_csv,
     efficiency_table,
     generate,
+    mc_design,
     run_mc,
 )
 from .stratify import (
@@ -234,7 +235,7 @@ def cmd_estimate(args) -> int:
 
 
 def _load_sim_spec(path: Path) -> dict:
-    """The spec document, its methods and their ordering checked before any replication."""
+    """The spec document, its methods, ordering and baseline checked before any replication."""
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     try:
@@ -263,9 +264,12 @@ def _load_sim_spec(path: Path) -> dict:
     chain = doc.get("assert_ordering", [])
     if not isinstance(chain, list):
         raise ParseError(f"{path}: 'assert_ordering' must be an array of method names")
-    for name in chain:
+    refs = [("assert_ordering", name) for name in chain]
+    if "baseline" in doc:
+        refs.append(("baseline", doc["baseline"]))
+    for key, name in refs:
         if name not in names:
-            raise ParseError(f"{path}: 'assert_ordering' names {json.dumps(name)}, not a method")
+            raise ParseError(f"{path}: {key!r} names {json.dumps(name)}, not a method")
     return doc
 
 
@@ -295,9 +299,11 @@ def cmd_simulate(args) -> int:
             seed=check_seed(pop_doc.get("seed", 0), "population.seed"),
             params=pop_doc.get("params", {}),
         )
+        pop = generate(spec)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad population spec: {e}") from None
-    pop = generate(spec)
+        raise ParseError(f"{path}: bad population spec: {e}") from None
     if MIN_REPS <= reps < 1000:
         print(
             f"warning: reps={reps} gives a Monte Carlo standard error too "
@@ -307,20 +313,13 @@ def cmd_simulate(args) -> int:
     methods = doc["methods"]
     needs_partition = any(m.get("design") == "ssrs" for m in methods)
     partition = kmeans_1d(pop.proxy, strata) if needs_partition else None
-    results = {}
-    for m in methods:
-        results[m["name"]] = run_mc(
-            pop,
-            design=m.get("design", "srs"),
-            estimator=m.get("estimator", "ht"),
-            n=n,
-            reps=reps,
-            seed=sim_seed,
-            partition=partition,
-            allocation=m.get("allocation", "prop"),
-            sd_source=m.get("sd_source", "true"),
-            level=level,
-        )
+    defaults = {"design": "srs", "estimator": "ht", "allocation": "prop", "sd_source": "true"}
+    settings = [{key: m.get(key, value) for key, value in defaults.items()} for m in methods]
+    # every method's design is checked before the first replication
+    for kw in settings:
+        mc_design(pop, n=n, partition=partition, **kw)
+    results = {m["name"]: run_mc(pop, n=n, reps=reps, seed=sim_seed, partition=partition,
+                                 level=level, **kw) for m, kw in zip(methods, settings)}
     baseline = doc.get("baseline", next(iter(results)))
     table = efficiency_table(results, baseline)
     ordering_ok = None

@@ -119,9 +119,6 @@ class Population:
     def size(self) -> int:
         return len(self.ids)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def index_of(self, unit_id: str) -> int:
         if self._index is None:  # built on first use: only a few steps look ids up
             self._index = dict(zip(self.ids, range(len(self.ids))))

@@ -27,7 +27,9 @@ that ``stratified_estimate`` reports.  With the population variances
 * Neyman, ``n_h = n W_h S_h / sum_k W_k S_k``:
   (1/n) (sum_h W_h S_h)^2 - (1/N) sum_h W_h S_h^2
 
-A singleton stratum has ``S_h^2 = 0``.
+A singleton stratum has ``S_h^2 = 0``.  Every stratum needs
+``min(MIN_PER_STRATUM, N_h)`` sampled units, so a singleton is taken
+whole ("take-all": ``1 - n_h/N_h = 0``) and its term is 0.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
     "confidence_interval",
 ]
 
+MIN_PER_STRATUM = 2
+
 
 # -- the stratified estimate ---------------------------------------------------
 
@@ -64,8 +68,9 @@ def stratified_estimate(values, strata, sizes):
 
     where ``s_h^2`` is the within-stratum sample variance, exactly 0 for
     a stratum whose sampled values are all equal: ``se`` is the root of
-    ``design_variance`` on the sample variances.  Every stratum needs at
-    least two sampled units, or its variance is not estimable.
+    ``design_variance`` on the sample variances.  Every stratum needs
+    ``min(MIN_PER_STRATUM, N_h)`` sampled units, or its variance is not
+    estimable.
 
     ``values`` may also be 2-D, one replicated sample per row on the same
     ``strata``: then ``theta`` and ``se`` are arrays, one entry per row,
@@ -88,13 +93,14 @@ def stratified_estimate(values, strata, sizes):
     label = (np.arange(reps)[:, None] * n_strata + h).reshape(-1)
     _, _, s2 = stratum_moments(rows.reshape(-1), label, reps * n_strata)
     n_h = np.bincount(h, minlength=n_strata)
-    if n_h.min() < 2:
-        short = int(n_h.argmin())
+    floors = np.minimum(MIN_PER_STRATUM, sizes)
+    if (n_h < floors).any():
+        k = int((n_h < floors).argmax())
         raise PreconditionError(
-            f"stratum {short} has {n_h[short]} sampled unit(s); need >= 2 for a variance"
+            f"stratum {k} has {n_h[k]} sampled unit(s); need >= {floors[k]} for a variance"
         )
-    if (n_h > sizes).any():
-        raise PreconditionError("a stratum has more sampled units than members")
+    if (sizes < 1).any() or (n_h > sizes).any():
+        raise PreconditionError("a stratum has no members, or more sampled units than members")
     theta = (rows / (n_h / sizes)[h]).sum(axis=1) / sizes.sum()
     se = np.sqrt(design_variance(sizes, n_h, s2.reshape(reps, n_strata)))
     if v.ndim == 2:

@@ -33,7 +33,6 @@ class SampleDraw:
     strata: np.ndarray  # stratum label per sampled unit
     pi: np.ndarray  # inclusion probability per sampled unit
     stratum_sizes: np.ndarray  # N_h for every stratum in the design
-    seed: int
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -48,17 +47,16 @@ class SampleDraw:
         return self.indices.size
 
 
-def stratified_indices(members, n_h, seeds) -> np.ndarray:
+def stratified_indices(partition: StrataPartition, n_h, seeds) -> np.ndarray:
     """Canonical positions of stratified draws, one row per seed.
 
-    Row ``r`` takes, stratum by stratum, ``n_h[h]`` of the positions
-    ``members[h]`` by partial Fisher-Yates on the substream seeded by
-    ``derive_seed(seeds[r], h)``; within a stratum, positions come in
-    selection order.  Every row is drawn in the one batched pass of
-    :func:`strateval.rng.fisher_yates`.
+    Row ``r`` takes, stratum by stratum, ``n_h[h]`` of the members of
+    stratum ``h`` by partial Fisher-Yates over them in canonical order, on
+    the substream seeded by ``derive_seed(seeds[r], h)``; within a stratum,
+    positions come in selection order.  Every row is drawn in the one
+    batched pass of :func:`strateval.rng.fisher_yates`.
     """
-    slots = fisher_yates(seeds, [m.size for m in members], n_h)
-    return np.concatenate(members)[slots]
+    return partition.order[fisher_yates(seeds, partition.sizes, n_h)]
 
 
 def draw_ssrs(
@@ -78,15 +76,13 @@ def draw_ssrs(
         raise ConsistencyError("allocation plan and partition disagree on strata count")
     if np.any(plan.n_h < 1) or np.any(plan.n_h > sizes):
         raise PreconditionError("need 1 <= n_h <= N_h in every stratum")
-    members = [partition.members(h) for h in range(partition.n_strata)]
-    idx = stratified_indices(members, plan.n_h, int(seed))[0]
+    idx = stratified_indices(partition, plan.n_h, int(seed))[0]
     return SampleDraw(
         indices=idx,
         ids=tuple(pop.ids[i] for i in idx),
         strata=np.repeat(np.arange(partition.n_strata), plan.n_h),
         pi=np.repeat(plan.n_h / sizes, plan.n_h),
         stratum_sizes=sizes,
-        seed=seed,
     )
 
 

@@ -59,6 +59,8 @@ class SuperpopSpec:
         if self.size < 2:
             raise PreconditionError("pool size must be at least 2")
         p = self.params
+        if not isinstance(p, dict):
+            raise ParseError(f"'params' must be an object, got {p!r}")
         if self.family in ("two_point", "miscalibrated"):
             values = np.asarray(p.get("p_values", ()), dtype=float)
             weights = np.asarray(p.get("weights", ()), dtype=float)
@@ -77,14 +79,6 @@ class SuperpopSpec:
                 v = p.get(key)
                 if v is None or not np.isfinite(v):
                     raise ParseError(f"miscalibrated needs finite {key!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "size": self.size,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
 
 
 def generate(spec: SuperpopSpec) -> Population:
@@ -155,6 +149,45 @@ MIN_REPS = 100
 _CHUNK_DRAWS = 4096
 
 
+def mc_design(pop: Population, *, design: str, estimator: str, n: int,
+              partition: StrataPartition | None = None, allocation: str = "prop",
+              sd_source: str = "true") -> tuple[np.ndarray, float, StrataPartition, np.ndarray]:
+    """What every replication of a method shares, its settings checked (see :func:`run_mc`).
+
+    Returns ``(values, shift, partition, n_h)``: the values whose pool mean
+    is estimated (losses for ``ht``, residuals for ``df``), the constant
+    added to each estimate (the proxy's pool mean for ``df``, else 0), the
+    partition sampled (one stratum for ``srs``), and its allocation of ``n``.
+    """
+    if design not in ("srs", "ssrs"):
+        raise PreconditionError(f"unknown design {design!r}")
+    if estimator not in ("ht", "df"):
+        raise PreconditionError(f"unknown estimator {estimator!r}")
+    if not pop.has_all_losses:
+        raise PreconditionError("Monte Carlo needs a fully annotated pool")
+    values, shift = pop.loss, 0.0
+    if estimator == "df":
+        values, shift = pop.loss - pop.proxy, float(np.mean(pop.proxy))
+    if design == "srs":
+        partition = StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
+        allocation = "prop"
+    elif partition is None:
+        raise PreconditionError("ssrs design needs a partition")
+    if partition.assignment.size != pop.size:
+        raise PreconditionError("partition does not cover the population")
+    if allocation == "prop":
+        return values, shift, partition, proportional(partition.sizes, n).n_h
+    if allocation != "neyman":
+        raise PreconditionError(f"unknown allocation {allocation!r}")
+    if sd_source == "true":
+        sds = np.sqrt(stratum_moments(pop.loss, partition.assignment, partition.n_strata)[2])
+    elif sd_source == "plugin":
+        sds = plugin_sds(pop, "proxy", partition)
+    else:
+        raise PreconditionError(f"unknown sd_source {sd_source!r}")
+    return values, shift, partition, neyman(partition.sizes, sds, n).n_h
+
+
 def run_mc(
     pop: Population,
     *,
@@ -189,61 +222,28 @@ def run_mc(
     allocation : {"prop", "neyman"}
         Budget split across strata (ssrs only).
     sd_source : {"true", "plugin"}
-        Neyman inputs: realized within-stratum loss SDs, or the 0/1
-        plug-in from the stratum's mean proxy.
+        Neyman inputs: realized within-stratum loss SDs, or the plug-in
+        SDs of ``allocate.plugin_sds`` on ``pop.proxy``.
     level : float
         Nominal confidence level for the coverage tally.
 
     Notes
     -----
-    The per-replication estimate and confidence interval come from
-    ``stratified_estimate``, on the losses for ``ht`` and on the
-    residuals for ``df``: the standard error ``estimate`` reports.
+    The design comes from :func:`mc_design`.  The per-replication
+    estimate and confidence interval come from ``stratified_estimate``,
+    on the losses for ``ht`` and on the residuals for ``df``: the
+    standard error ``estimate`` reports.
     """
     if reps < MIN_REPS:
         raise PreconditionError(
             f"reps={reps} below minimum {MIN_REPS}: Monte Carlo standard error "
             "too large for assertions"
         )
-    if design not in ("srs", "ssrs"):
-        raise PreconditionError(f"unknown design {design!r}")
-    if estimator not in ("ht", "df"):
-        raise PreconditionError(f"unknown estimator {estimator!r}")
-    if not pop.has_all_losses:
-        raise PreconditionError("Monte Carlo needs a fully annotated pool")
-    losses = pop.loss
+    values, shift, partition, n_h = mc_design(
+        pop, design=design, estimator=estimator, n=n, partition=partition,
+        allocation=allocation, sd_source=sd_source,
+    )
     target = pop.finite_mean()
-    pool = pop.size
-    values, proxy_mean = losses, 0.0
-    if estimator == "df":
-        values, proxy_mean = losses - pop.proxy, float(np.mean(pop.proxy))
-
-    if design == "srs":
-        partition = StrataPartition(np.zeros(pool, dtype=np.int64), 1)
-        allocation = "prop"
-    elif partition is None:
-        raise PreconditionError("ssrs design needs a partition")
-    if partition.assignment.size != pool:
-        raise PreconditionError("partition does not cover the population")
-    sizes = partition.sizes
-    if allocation == "prop":
-        plan = proportional(sizes, n)
-    elif allocation == "neyman":
-        if sd_source == "true":
-            sds = np.sqrt(stratum_moments(losses, partition.assignment, partition.n_strata)[2])
-        elif sd_source == "plugin":
-            if pop.loss_kind is not LossKind.ACCURACY:
-                raise PreconditionError("plugin SDs in run_mc are defined for 0/1 losses")
-            sds = plugin_sds(pop, "proxy", partition)
-        else:
-            raise PreconditionError(f"unknown sd_source {sd_source!r}")
-        plan = neyman(sizes, sds, n)
-    else:
-        raise PreconditionError(f"unknown allocation {allocation!r}")
-    n_h = plan.n_h
-    if np.any(n_h < 2):
-        raise PreconditionError("every stratum needs n_h >= 2 for plug-in SEs")
-    members = [partition.members(h) for h in range(partition.n_strata)]
     strata = np.repeat(np.arange(partition.n_strata), n_h)
 
     zcrit = normal_quantile(0.5 + level / 2.0)
@@ -253,9 +253,9 @@ def run_mc(
     for start in range(0, reps, chunk):
         block = slice(start, min(start + chunk, reps))
         seeds = derive_seeds(seed, np.arange(block.start, block.stop))
-        idx = stratified_indices(members, n_h, seeds)
-        theta, ses[block] = stratified_estimate(values[idx], strata, sizes)
-        estimates[block] = proxy_mean + theta
+        idx = stratified_indices(partition, n_h, seeds)
+        theta, ses[block] = stratified_estimate(values[idx], strata, partition.sizes)
+        estimates[block] = shift + theta
     covered = np.abs(estimates - target) <= zcrit * ses
 
     sq = (estimates - target) ** 2

@@ -25,38 +25,34 @@ class StrataPartition:
     """Assignment of every unit (canonical order) to a stratum.
 
     ``assignment[i]`` is the stratum of unit ``i``; all ``H`` labels
-    ``0..H-1`` occur.  ``warnings`` records degenerate-input repairs
-    (e.g. constant values collapsing the partition).
+    ``0..H-1`` occur.  ``sizes[h]`` is the size ``N_h`` of stratum ``h``,
+    and ``order`` lists the members of stratum 0, then of stratum 1, and
+    so on, each in canonical order.  ``warnings`` records degenerate-input
+    repairs (e.g. constant values collapsing the partition).
     """
 
     assignment: np.ndarray
     n_strata: int
     warnings: list[str] = field(default_factory=list)
+    sizes: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         if self.assignment.ndim != 1 or self.assignment.size == 0:
             raise PreconditionError("assignment must be a nonempty 1-D array")
         a = self.assignment
-        # bincount counts the distinct labels only once they lie in 0..H-1
-        if (
-            a.min() < 0
-            or a.max() >= self.n_strata
-            or np.count_nonzero(np.bincount(a)) != self.n_strata
-        ):
+        # bincount counts the labels only once they lie in 0..H-1
+        if a.min() < 0 or a.max() >= self.n_strata or not (
+            sizes := np.bincount(a, minlength=self.n_strata)
+        ).all():
             raise PreconditionError(
                 f"assignment must use every label in 0..{self.n_strata - 1}"
             )
-        self.assignment.setflags(write=False)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Stratum sizes N_h, indexed by stratum label."""
-        return np.bincount(self.assignment, minlength=self.n_strata)
-
-    def members(self, h: int) -> np.ndarray:
-        """Canonical-order indices of stratum ``h``."""
-        return np.flatnonzero(self.assignment == h)
+        self.sizes = sizes
+        self.order = np.argsort(a, kind="stable")
+        for arr in (a, self.sizes, self.order):
+            arr.setflags(write=False)
 
 
 def partition_csv(partition: StrataPartition, ids) -> str:

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from strateval.allocate import AllocationPlan, neyman, plugin_sds, proportional
 from strateval.dataset import Population
 from strateval.errors import PreconditionError
+from strateval.estimators import (
+    MIN_PER_STRATUM,
+    design_variance,
+    stratified_estimate,
+    stratum_moments,
+)
 from strateval.losses import LossKind
+from strateval.sampling import stratified_indices
 from strateval.stratify import StrataPartition
 
 
@@ -193,3 +200,43 @@ def test_proportional_is_neyman_with_equal_sds(design, sd):
     plan = neyman(sizes, np.full(sizes.size, sd), budget)
     assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
     assert plan.warnings == []
+
+
+@st.composite
+def take_all_designs(draw):
+    """Sizes with singleton strata among them, a budget from the sum of the
+    floors to the pool size, an allocation, and a shuffled partition."""
+    sizes = np.array(draw(st.lists(st.one_of(st.just(1), st.integers(1, 30)),
+                                   min_size=1, max_size=6)))
+    floors = np.minimum(MIN_PER_STRATUM, sizes)
+    budget = draw(st.integers(int(floors.sum()), int(sizes.sum())))
+    if draw(st.booleans()):
+        plan = proportional(sizes, budget)
+    else:
+        sds = draw(st.lists(st.floats(0.0, 5.0), min_size=sizes.size, max_size=sizes.size))
+        plan = neyman(sizes, sds, budget)
+    labels = draw(st.permutations(np.repeat(np.arange(sizes.size), sizes).tolist()))
+    return sizes, floors, budget, plan, StrataPartition(labels, sizes.size)
+
+
+@given(design=take_all_designs(), seed=st.integers(0, 2**32))
+def test_a_stratum_of_one_unit_is_allocated_and_estimated_whole(design, seed):
+    sizes, floors, budget, plan, partition = design
+    n_h = plan.n_h
+    assert plan.total == budget
+    assert np.all((floors <= n_h) & (n_h <= sizes))
+    idx = stratified_indices(partition, n_h, seed)[0]
+    strata = np.repeat(np.arange(sizes.size), n_h)
+    assert np.array_equal(partition.assignment[idx], strata)
+    values = np.random.default_rng(seed).normal(size=sizes.sum())[idx]
+    theta, se = stratified_estimate(values, strata, sizes)
+    s2 = stratum_moments(values, strata, sizes.size)[2]
+    assert se == np.sqrt(design_variance(sizes, n_h, s2))
+    # the strata of one unit add nothing to the variance; the others add
+    # W_h^2 (1 - n_h/N_h) s_h^2 / n_h
+    w = sizes / sizes.sum()
+    var = sum(w[h] ** 2 * (1 - n_h[h] / sizes[h]) * np.var(values[strata == h], ddof=1) / n_h[h]
+              for h in np.flatnonzero(sizes > 1))
+    assert se**2 == pytest.approx(var, rel=1e-9, abs=1e-15)
+    means = np.array([values[strata == h].mean() for h in range(sizes.size)])
+    assert theta == pytest.approx(float(w @ means), rel=1e-9, abs=1e-12)

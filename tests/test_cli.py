@@ -438,6 +438,42 @@ def test_estimate_design_must_cover_pool(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("proxy,flags,allocation", [
+    (np.append(np.linspace(0.0, 0.3, 299), 0.97), ["--stratify-on", "bins"], [31, 8, 1]),
+    (np.append(np.linspace(0.1, 0.4, 199), 0.99), [], [13, 14, 12, 1]),
+], ids=["bins", "kmeans"])
+def test_an_outlier_stratum_of_one_unit_is_taken_whole(tmp_path, proxy, flags, allocation):
+    # one outlying proxy gets a stratum of its own; plan takes its one unit,
+    # and estimate accepts it with no variance term
+    src = tmp_path / "pool.csv"
+    ids = [f"u{i:03d}" for i in range(proxy.size)]
+    loss = (np.random.default_rng(0).random(proxy.size) < proxy).astype(float)
+    write_pool(src, ids, proxy, loss)
+    plan = tmp_path / "plan"
+    assert main(["plan", "--input", str(src), "--out", str(plan), "--strata", "4",
+                 "--budget", "40", *flags]) == 0
+    assert json.loads((plan / "plan.json").read_text())["n_h"] == allocation
+    head, *rows = data_rows(plan / "worksheet.csv")
+    by_id = dict(zip(ids, loss.tolist()))
+    ws = tmp_path / "ws.csv"
+    ws.write_text("\n".join([head + ",loss"] + [f"{r},{by_id[r.split(',')[0]]!r}" for r in rows]))
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(src), "--worksheet", str(ws), "--out", str(out)]) == 0
+    ht = json.loads((out / "report.json").read_text())["ht"]
+    sizes = np.array(ht["diagnostics"]["stratum_sizes"])
+    assert ht["diagnostics"]["stratum_n"] == allocation and sizes[-1] == 1
+    strata = np.array([int(r.split(",")[1]) for r in rows])
+    sampled = np.array([by_id[r.split(",")[0]] for r in rows])
+    var = 0.0
+    for h, (big_n, n) in enumerate(zip(sizes[:-1], allocation[:-1])):
+        w = big_n / sizes.sum()
+        var += w * w * (1 - n / big_n) * np.var(sampled[strata == h], ddof=1) / n
+    assert ht["se"] == pytest.approx(np.sqrt(var), rel=1e-12)
+    assert ht["theta"] == pytest.approx(
+        sum(big_n * sampled[strata == h].mean() for h, big_n in enumerate(sizes)) / sizes.sum(),
+        rel=1e-12)
+
+
 def test_estimate_reads_a_worksheet_saved_with_a_bom_and_crlf(tmp_path):
     # a spreadsheet saves the annotated worksheet as UTF-8 with a byte-order
     # mark and CRLF line ends; before, its header lost column 'id' to the mark
@@ -589,8 +625,10 @@ def spec_with_latin1_byte(spec):
      "'assert_ordering' names \"SSRS+HT\", not a method"),
     (lambda doc: doc["methods"].append(dict(doc["methods"][0])),
      "two methods are named 'SRS+HT'"),
+    (lambda doc: doc.update(baseline="nope"), "'baseline' names \"nope\", not a method"),
+    (lambda doc: doc["population"].update(params=3), "'params' must be an object, got 3"),
 ], ids=["not-utf8", "reps", "budget", "strata", "level", "method-not-object",
-        "ordering-unknown-method", "duplicate-name"])
+        "ordering-unknown-method", "duplicate-name", "baseline-unknown-method", "params"])
 def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     spec = sim_spec(tmp_path)
@@ -608,6 +646,28 @@ def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypat
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"error (parse): {spec}" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("design", "cluster"), ("estimator", "ratio"), ("allocation", "equal"), ("sd_source", "oracle"),
+])
+def test_a_bad_last_method_exits_three_before_any_replication(tmp_path, capsys, monkeypatch,
+                                                               field, value):
+    last = {"name": "last", "design": "ssrs", "estimator": "ht", "allocation": "neyman",
+            "sd_source": "plugin", field: value}
+    spec = sim_spec(tmp_path)
+    doc = json.loads(spec.read_text())
+    doc["methods"].append(last)
+    spec.write_text(json.dumps(doc))
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_mc", no_replications)
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"error (precondition): unknown {field} {value!r}" in err
     assert "Traceback" not in err
 
 

@@ -141,7 +141,7 @@ def plugin_sds_before(pop, proxy_col, partition, warnings):
     if pop.loss_kind is LossKind.ACCURACY:
         proxy = pop.get_proxy(proxy_col)
         for h in range(partition.n_strata):
-            zbar = float(np.mean(proxy[partition.members(h)]))
+            zbar = float(np.mean(proxy[np.flatnonzero(partition.assignment == h)]))
             sds[h] = math.sqrt(zbar * (1.0 - zbar))
         return sds
     zbar = np.empty(pop.size)
@@ -154,7 +154,7 @@ def plugin_sds_before(pop, proxy_col, partition, warnings):
             per_class = -np.log(np.maximum(s, SCORE_FLOOR))
         zbar[i], z2bar[i] = float(np.dot(s, per_class)), float(np.dot(s, per_class**2))
     for h in range(partition.n_strata):
-        m = partition.members(h)
+        m = np.flatnonzero(partition.assignment == h)
         var = float(np.mean(z2bar[m])) - float(np.mean(zbar[m])) ** 2
         if var < 0.0:
             warnings.append(f"negative plug-in variance {var:.3e} clamped to 0")

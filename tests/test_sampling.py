@@ -39,8 +39,7 @@ def draws_of_reps(pop, part, plan, seed, reps):
     """``draw_ssrs(pop, part, plan, derive_seed(seed, r)).indices`` for every rep
     ``r``, as the rows of one batched draw; a spread of rows is checked
     against ``draw_ssrs`` itself."""
-    members = [part.members(h) for h in range(part.n_strata)]
-    idx = stratified_indices(members, plan.n_h, derive_seeds(seed, np.arange(reps)))
+    idx = stratified_indices(part, plan.n_h, derive_seeds(seed, np.arange(reps)))
     for r in (0, 1, 2, 999, reps // 2, reps - 1):
         assert np.array_equal(draw_ssrs(pop, part, plan, derive_seed(seed, r)).indices, idx[r])
     return idx
@@ -226,5 +225,4 @@ def test_draw_rejects_bad_pi():
             strata=np.array([0]),
             pi=np.array([1.5]),
             stratum_sizes=np.array([1]),
-            seed=0,
         )

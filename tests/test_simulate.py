@@ -225,14 +225,14 @@ def test_run_mc_validation():
     )
     with pytest.raises(PreconditionError, match="annotated"):
         run_mc(holes, design="srs", estimator="ht", n=2, reps=100, seed=1)
-    # plug-in SDs are a 0/1-loss construction
+    # plug-in SDs of a loss other than 0/1 need class scores
     cont = Population(
         ids=tuple(f"q{i}" for i in range(40)),
         proxy=np.linspace(0.05, 0.95, 40),
         loss=np.linspace(0.1, 0.9, 40),
         loss_kind=LossKind.SQUARED_ERROR,
     )
-    with pytest.raises(PreconditionError, match="0/1"):
+    with pytest.raises(PreconditionError, match="class scores"):
         run_mc(
             cont,
             design="ssrs",
