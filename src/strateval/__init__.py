@@ -24,6 +24,7 @@ from .simulate import (
     efficiency_table,
     generate,
     run_mc,
+    run_methods,
 )
 from .stratify import (
     StrataPartition,
@@ -67,6 +68,7 @@ __all__ = [
     "normal_quantile",
     "proportional",
     "run_mc",
+    "run_methods",
     "split_half",
     "stratified_estimate",
     "substream",

@@ -36,8 +36,7 @@ from .simulate import (
     efficiency_csv,
     efficiency_table,
     generate,
-    mc_design,
-    run_mc,
+    run_methods,
 )
 from .stratify import (
     StrataPartition,
@@ -315,11 +314,9 @@ def cmd_simulate(args) -> int:
     partition = kmeans_1d(pop.proxy, strata) if needs_partition else None
     defaults = {"design": "srs", "estimator": "ht", "allocation": "prop", "sd_source": "true"}
     settings = [{key: m.get(key, value) for key, value in defaults.items()} for m in methods]
-    # every method's design is checked before the first replication
-    for kw in settings:
-        mc_design(pop, n=n, partition=partition, **kw)
-    results = {m["name"]: run_mc(pop, n=n, reps=reps, seed=sim_seed, partition=partition,
-                                 level=level, **kw) for m, kw in zip(methods, settings)}
+    runs = run_methods(pop, settings, n=n, reps=reps, seed=sim_seed, partition=partition,
+                       level=level)
+    results = {m["name"]: r for m, r in zip(methods, runs)}
     baseline = doc.get("baseline", next(iter(results)))
     table = efficiency_table(results, baseline)
     ordering_ok = None

@@ -18,7 +18,7 @@ physical line numbers in errors, and ids.
 from __future__ import annotations
 
 import codecs
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +99,12 @@ class Population:
     labels: np.ndarray | None = None
     scores: np.ndarray | None = None
     _index: dict = field(init=False, repr=False, default=None)
+    # set where the ids are known distinct (ingest, which checked them,
+    # and copies that keep them), so the id set is built only where they
+    # can repeat: construction, and ``take`` with a repeated index
+    _ids_unique: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _ids_unique):
         self.proxy = np.asarray(self.proxy, dtype=float)
         self.loss = np.asarray(self.loss, dtype=float)
         n = len(self.ids)
@@ -110,7 +114,7 @@ class Population:
                     self.scores):
             if arr is not None:
                 arr.setflags(write=False)
-        if len(set(self.ids)) != n:
+        if not _ids_unique and len(set(self.ids)) != n:
             last = dict(zip(self.ids, range(n)))
             dup = next(u for i, u in enumerate(self.ids) if last[u] != i)
             raise ParseError(f"duplicate id {dup!r}")
@@ -153,6 +157,7 @@ class Population:
     def take(self, indices) -> "Population":
         """Sub-population at ``indices`` (order preserved as given)."""
         idx = np.asarray(indices, dtype=np.int64)
+        distinct = (np.bincount(idx % max(self.size, 1)) <= 1).all()
 
         def pick(arr):
             return None if arr is None else arr[idx]
@@ -166,13 +171,14 @@ class Population:
             embeddings=pick(self.embeddings),
             labels=pick(self.labels),
             scores=pick(self.scores),
+            _ids_unique=distinct,
         )
 
     def with_proxy_cal(self, values) -> "Population":
         values = np.array(values, dtype=float)
         if values.shape != (self.size,):
             raise PreconditionError("proxy_cal length must match population size")
-        return replace(self, proxy_cal=values)
+        return replace(self, proxy_cal=values, _ids_unique=True)
 
     # -- canonical serialization ------------------------------------------
 
@@ -207,7 +213,8 @@ def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss
     at = np.flatnonzero(present)
     check_losses(kind, losses[at], lambda j: where(int(at[j])))
     return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind,
-                      proxy_cal=proxy_cal, embeddings=embeddings)
+                      proxy_cal=proxy_cal, embeddings=embeddings,
+                      _ids_unique=True)  # tables.ids refused a repeat, naming its line
 
 
 def _ingest_csv(path: Path, kind: LossKind) -> Population:
@@ -356,4 +363,4 @@ def attach_scores(pop: Population, scores_path) -> Population:
     if bad.any():  # name the first bad record in file order
         raise ParseError(f"{scores_path} line {lines[bad].min()}: bad scores "
                          "(scores must be nonnegative and sum to 1)")
-    return replace(pop, labels=labels, scores=scores)
+    return replace(pop, labels=labels, scores=scores, _ids_unique=True)

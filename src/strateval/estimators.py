@@ -81,7 +81,9 @@ def stratified_estimate(values, strata, sizes):
     sizes = np.asarray(sizes, dtype=np.int64)
     if h.ndim != 1 or h.size == 0 or v.ndim not in (1, 2) or v.shape[-1:] != h.shape:
         raise PreconditionError("sample values and strata must be aligned nonempty 1-D arrays")
-    rows = v if v.ndim == 2 else v[None]
+    # C order: each row's sum then runs as the 1-D call's does (a copy
+    # only for other layouts)
+    rows = np.ascontiguousarray(v if v.ndim == 2 else v[None])
     if np.isnan(v).any():
         raise PreconditionError("every sampled unit needs an observed value")
     n_strata = sizes.size

@@ -20,6 +20,7 @@ from . import tables
 from .allocate import AllocationPlan
 from .dataset import Population
 from .errors import ConsistencyError, PreconditionError
+from .estimators import MIN_PER_STRATUM
 from .rng import fisher_yates
 from .stratify import StrataPartition
 
@@ -74,8 +75,11 @@ def draw_ssrs(
     sizes = partition.sizes
     if plan.n_h.size != partition.n_strata:
         raise ConsistencyError("allocation plan and partition disagree on strata count")
-    if np.any(plan.n_h < 1) or np.any(plan.n_h > sizes):
-        raise PreconditionError("need 1 <= n_h <= N_h in every stratum")
+    if np.any(plan.n_h < np.minimum(MIN_PER_STRATUM, sizes)) or np.any(plan.n_h > sizes):
+        raise PreconditionError(
+            f"need min({MIN_PER_STRATUM}, N_h) <= n_h <= N_h in every stratum, "
+            "the fewest units a stratum's variance can be estimated from"
+        )
     idx = stratified_indices(partition, plan.n_h, int(seed))[0]
     return SampleDraw(
         indices=idx,

@@ -12,15 +12,21 @@ ground truth to be checked against.  Families:
   the true ``p``; identity distortion reproduces ``two_point`` bit for
   bit at the same seed.
 
-``run_mc`` replays a design/estimator pair over many replicated draws.
-Plain SRS is the one-stratum design.  Replication ``r`` draws exactly
-what ``draw_ssrs`` draws with sub-seed ``derive_seed(seed, r)`` and
-estimates with ``stratified_estimate``, so the harness validates the
-sampling path and the standard error that ``estimate`` reports.  Both
-run on a batch of replications at a time: one call seeds and draws the
-whole batch and one call estimates it, with every replication's bits and
-sums the same as on its own.  Accumulation uses numpy's pairwise
-summation.
+``run_methods`` replays design/estimator pairs over many replicated
+draws, and ``run_mc`` is its one-method call.  Plain SRS is the
+one-stratum design.  Replication ``r`` draws exactly what ``draw_ssrs``
+draws with sub-seed ``derive_seed(seed, r)`` and estimates with
+``stratified_estimate``, so the harness validates the sampling path and
+the standard error that ``estimate`` reports.  Both run on a batch of
+replications at a time: one call seeds and draws the whole batch and
+one call estimates it, with every replication's bits and sums the same
+as on its own.  Accumulation uses numpy's pairwise summation.
+
+The methods of one ``run_methods`` call are paired (common random
+numbers): replication ``r`` of every method uses the same per-stratum
+streams, and a smaller ``n_h`` takes a prefix of its stratum's draw.  So
+each partition is drawn once per batch, at the largest ``n_h`` any of
+its methods takes, and each method estimates from its own prefixes.
 """
 
 from __future__ import annotations
@@ -145,7 +151,8 @@ class MCResult:
 MIN_REPS = 100
 # draws per batch of replications: each draw holds about 100 bytes of
 # temporaries while its batch is seeded, drawn and estimated, so a batch
-# stays near half a megabyte
+# stays near half a megabyte.  The widest partition's shared draw sets
+# the batch; the methods on it read that draw rather than drawing again
 _CHUNK_DRAWS = 4096
 
 
@@ -229,35 +236,89 @@ def run_mc(
 
     Notes
     -----
-    The design comes from :func:`mc_design`.  The per-replication
-    estimate and confidence interval come from ``stratified_estimate``,
-    on the losses for ``ht`` and on the residuals for ``df``: the
-    standard error ``estimate`` reports.
+    The one-method call of :func:`run_methods`.  The design comes from
+    :func:`mc_design`.  The per-replication estimate and confidence
+    interval come from ``stratified_estimate``, on the losses for ``ht``
+    and on the residuals for ``df``: the standard error ``estimate``
+    reports.
     """
+    method = dict(design=design, estimator=estimator, allocation=allocation,
+                  sd_source=sd_source)
+    return run_methods(pop, [method], n=n, reps=reps, seed=seed, partition=partition,
+                       level=level, keep_estimates=keep_estimates)[0]
+
+
+def run_methods(
+    pop: Population,
+    methods,
+    *,
+    n: int,
+    reps: int,
+    seed: int,
+    partition: StrataPartition | None = None,
+    level: float = 0.95,
+    keep_estimates: bool = False,
+) -> list[MCResult]:
+    """:func:`run_mc` for each of ``methods``, paired on common draws.
+
+    Each method is a dict of ``run_mc``'s ``design``, ``estimator``,
+    ``allocation`` and ``sd_source``; every method is checked by
+    :func:`mc_design` before the first replication.  Result ``i`` equals
+    ``run_mc(pop, **methods[i], ...)`` bit for bit.
+
+    Replication ``r`` of every method uses the streams ``(r, h)`` under
+    ``seed``, and a smaller ``n_h`` takes a prefix of stratum ``h``'s
+    stream.  So the methods that sample one partition (every ``srs``
+    method the one-stratum pool, every ``ssrs`` method ``partition``)
+    share one draw per batch: its ``n_h`` is the largest any of them
+    takes, and each method estimates from its own prefix of every
+    stratum.
+    """
+    designs = [mc_design(pop, n=n, partition=partition, **m) for m in methods]
     if reps < MIN_REPS:
         raise PreconditionError(
             f"reps={reps} below minimum {MIN_REPS}: Monte Carlo standard error "
             "too large for assertions"
         )
-    values, shift, partition, n_h = mc_design(
-        pop, design=design, estimator=estimator, n=n, partition=partition,
-        allocation=allocation, sd_source=sd_source,
-    )
-    target = pop.finite_mean()
-    strata = np.repeat(np.arange(partition.n_strata), n_h)
+    values, shifts, parts, n_hs = zip(*designs)
+    # one draw per sampled partition, at the largest n_h of its methods
+    groups: dict[str, list[int]] = {}
+    for i, m in enumerate(methods):
+        groups.setdefault(m["design"], []).append(i)
+    draws = []
+    columns = [None] * len(methods)  # a method's columns of its shared draw, None for all
+    for members in groups.values():
+        n_max = np.max([n_hs[i] for i in members], axis=0)
+        draws.append((parts[members[0]], n_max, members))
+        for i in members:
+            if not np.array_equal(n_hs[i], n_max):
+                offset = (np.cumsum(n_max) - n_max) - (np.cumsum(n_hs[i]) - n_hs[i])
+                columns[i] = np.arange(n_hs[i].sum()) + np.repeat(offset, n_hs[i])
 
-    zcrit = normal_quantile(0.5 + level / 2.0)
-    estimates = np.empty(reps)
-    ses = np.empty(reps)
-    chunk = max(1, _CHUNK_DRAWS // int(n_h.sum()))
+    strata = [np.repeat(np.arange(p.n_strata), k) for p, k in zip(parts, n_hs)]
+    estimates = [np.empty(reps) for _ in methods]
+    ses = [np.empty(reps) for _ in methods]
+    chunk = max(1, _CHUNK_DRAWS // max(int(n_max.sum()) for _, n_max, _ in draws))
     for start in range(0, reps, chunk):
         block = slice(start, min(start + chunk, reps))
         seeds = derive_seeds(seed, np.arange(block.start, block.stop))
-        idx = stratified_indices(partition, n_h, seeds)
-        theta, ses[block] = stratified_estimate(values[idx], strata, partition.sizes)
-        estimates[block] = shift + theta
-    covered = np.abs(estimates - target) <= zcrit * ses
+        for part, n_max, members in draws:
+            drawn = stratified_indices(part, n_max, seeds)
+            for i in members:
+                # np.take keeps the C order that stratified_estimate sums
+                # rows in (drawn[:, cols] is Fortran-ordered, and copied there)
+                idx = drawn if columns[i] is None else np.take(drawn, columns[i], axis=1)
+                theta, ses[i][block] = stratified_estimate(values[i][idx], strata[i], part.sizes)
+                estimates[i][block] = shifts[i] + theta
 
+    target = pop.finite_mean()
+    zcrit = normal_quantile(0.5 + level / 2.0)
+    return [_summary(e, s, target, zcrit, keep_estimates) for e, s in zip(estimates, ses)]
+
+
+def _summary(estimates, ses, target: float, zcrit: float, keep_estimates: bool) -> MCResult:
+    reps = estimates.size
+    covered = np.abs(estimates - target) <= zcrit * ses
     sq = (estimates - target) ** 2
     return MCResult(
         empirical_mse=float(np.mean(sq)),

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strateval import cli
+from strateval import simulate
 from strateval.calibration import split_half
 from strateval.cli import main
 from strateval.dataset import ingest
@@ -642,7 +642,7 @@ def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypat
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(cli, "run_mc", no_replications)
+    monkeypatch.setattr(simulate, "stratified_indices", no_replications)
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"error (parse): {spec}" in err and message in err
@@ -664,7 +664,7 @@ def test_a_bad_last_method_exits_three_before_any_replication(tmp_path, capsys, 
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(cli, "run_mc", no_replications)
+    monkeypatch.setattr(simulate, "stratified_indices", no_replications)
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert f"error (precondition): unknown {field} {value!r}" in err

@@ -6,6 +6,7 @@ import pytest
 
 from strateval.dataset import Population, attach_scores, ingest
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
+from strateval.losses import LossKind
 
 
 def write(tmp_path, name, text):
@@ -180,6 +181,21 @@ def test_take_subsets_in_given_order(tmp_path):
     sub = pop.take([2, 0])
     assert sub.ids == ("c", "a")
     assert sub.proxy.tolist() == [0.9, 0.1]
+
+
+def test_ids_are_checked_where_they_can_repeat(tmp_path):
+    # construction and a take with a repeated index (also as a negative
+    # one) are refused; copies that keep the ids skip the check
+    with pytest.raises(ParseError, match="duplicate id 'a'"):
+        Population(ids=("a", "b", "a"), proxy=[0.1, 0.2, 0.3], loss=[0.0, 1.0, 0.0],
+                   loss_kind=LossKind.ACCURACY)
+    pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
+    with pytest.raises(ParseError, match="duplicate id 'c'"):
+        pop.take([2, 0, 2])
+    with pytest.raises(ParseError, match="duplicate id 'a'"):
+        pop.take([0, 1, -3])
+    assert pop.take([2, -2, 0]).ids == ("c", "b", "a")
+    assert pop.with_proxy_cal([0.2, 0.4, 0.8]).ids == pop.ids
 
 
 def test_get_proxy_column_selection(tmp_path):

@@ -132,6 +132,22 @@ def test_stratified_estimate_rows_are_the_one_row_calls():
             assert (t, s) == stratified_estimate_before(row, strata, sizes)
 
 
+def test_stratified_estimate_rows_ignore_memory_layout():
+    # a Fortran-ordered array, and the column-gathered view a shared draw
+    # gives (drawn[:, cols] is Fortran-ordered), estimate each row as the
+    # 1-D call does
+    rs = np.random.default_rng(3)
+    strata = np.repeat([0, 1], 50)
+    sizes = np.array([300, 400])
+    values = rs.random((40, 100))
+    wide = rs.random((40, 150))
+    gathered = wide[:, np.r_[0:50, 70:120]]
+    for rows in (np.asfortranarray(values), gathered):
+        theta, se = stratified_estimate(rows, strata, sizes)
+        for row, t, s in zip(rows, theta, se):
+            assert (t, s) == stratified_estimate(np.array(row), strata, sizes)
+
+
 # -- plugin_sds ------------------------------------------------------------------
 
 

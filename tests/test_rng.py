@@ -122,36 +122,60 @@ def test_fisher_yates_matches_numpy_draws():
         assert np.array_equal(fisher_yates(seed, [300, 1], [40, 1])[0], want)
 
 
+def first_rejection(seed, h, size, k):
+    """The first of stream ``(seed, h)``'s ``k`` draws from ``size`` units
+    that Lemire's 32-bit method rejects, or ``k`` if none does."""
+    raw = np.random.PCG64(derive_seed(int(seed), h)).random_raw((k + 1) // 2)
+    u = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1)
+    u = u.reshape(-1)[:k]  # low half first
+    spans = np.arange(size, size - k, -1, dtype=np.uint64)
+    rejected = np.flatnonzero((u * spans & np.uint64(0xFFFFFFFF)) < (2**32 % spans))
+    return int(rejected[0]) if rejected.size else k
+
+
 def test_rejection_fallback_is_exact():
     # spans just above 2**31 reject about half of all 32-bit words, so
     # almost every stream takes numpy's own Generator.integers path
     sizes, n_h = [2**31 + 5, 3 * 2**30], [9, 6]
     parents = derive_seeds(3, np.arange(60))
-    rejecting = 0
-    for seed in parents:
-        for h, (size, k) in enumerate(zip(sizes, n_h)):
-            raw = np.random.PCG64(derive_seed(int(seed), h)).random_raw(k)
-            u = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1)
-            u = u.reshape(-1)[:k]  # low half first
-            spans = np.arange(size, size - k, -1, dtype=np.uint64)
-            rejecting += bool(np.any((u * spans & np.uint64(0xFFFFFFFF)) < (2**32 % spans)))
+    rejecting = sum(
+        first_rejection(seed, h, size, k) < k
+        for seed in parents for h, (size, k) in enumerate(zip(sizes, n_h))
+    )
     assert rejecting > 100
     got = fisher_yates(parents, sizes, n_h)
     for seed, row in zip(parents, got):
         assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
 
 
+def prefix_columns(n_h, n_max):
+    """Columns of a draw of ``n_max`` that hold the draw of ``n_h``."""
+    n_h, n_max = np.asarray(n_h), np.asarray(n_max)
+    start = np.repeat(np.cumsum(n_max) - n_max, n_h)
+    return start + np.arange(n_h.sum()) - np.repeat(np.cumsum(n_h) - n_h, n_h)
+
+
 def test_draws_extend_by_prefix():
-    # the first a draws of (N, a + b) are the draws of (N, a): a second wave
-    # extends the first on the same substream
+    # in every stratum, the first a_h draws of (N_h, a_h + b_h) are the
+    # draws of (N_h, a_h): a second wave extends the first on the same
+    # substream, and methods with different n_h share one draw
     rs = np.random.default_rng(4)
     for trial in range(200):
-        size = int(rs.integers(1, 400))
-        a = int(rs.integers(0, size + 1))
-        b = int(rs.integers(0, size - a + 1))
+        sizes = rs.integers(1, 400, size=rs.integers(1, 5))
+        a = np.array([int(rs.integers(0, s + 1)) for s in sizes])
+        b = np.array([int(rs.integers(0, s - k + 1)) for s, k in zip(sizes, a)])
         seeds = derive_seeds(trial, np.arange(3))
-        whole = fisher_yates(seeds, [size], [a + b])
-        assert np.array_equal(whole[:, :a], fisher_yates(seeds, [size], [a]))
+        whole = fisher_yates(seeds, sizes, a + b)
+        assert np.array_equal(whole[:, prefix_columns(a, a + b)], fisher_yates(seeds, sizes, a))
+    # stratum 1's whole draw rejects a 32-bit word past its prefix, so the
+    # whole draw takes numpy's Generator.integers path and the prefix does not
+    sizes, a, b = [40, 2**31 + 5, 7], np.array([3, 4, 2]), np.array([10, 8, 0])
+    seed = next(s for s in derive_seeds(11, np.arange(100))
+                if 4 <= first_rejection(s, 1, sizes[1], 12) < 12)
+    whole = fisher_yates(np.array([seed]), sizes, a + b)
+    assert np.array_equal(whole[:, prefix_columns(a, a + b)],
+                          fisher_yates(np.array([seed]), sizes, a))
+    assert np.array_equal(whole[0], stratified_slots(seed, sizes, a + b))
 
 
 def test_run_mc_batches_straddle_chunk_boundaries(monkeypatch):

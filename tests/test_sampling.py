@@ -142,6 +142,19 @@ def test_ssrs_validation():
         draw_ssrs(pop, short, AllocationPlan("prop", np.array([2])), seed=1)
 
 
+def test_a_draw_below_the_estimable_floor_is_refused():
+    # one unit from a three-unit stratum leaves its variance inestimable:
+    # the draw is refused where stratified_estimate would refuse the sample
+    pop = make_pop(6)
+    part = StrataPartition(np.array([0, 0, 0, 1, 1, 1]), 2)
+    with pytest.raises(PreconditionError, match=r"min\(2, N_h\) <= n_h"):
+        draw_ssrs(pop, part, AllocationPlan("prop", np.array([1, 3])), seed=1)
+    # a one-unit stratum needs, and allows, only its one unit
+    single = StrataPartition(np.array([0, 1, 1, 1, 1, 1]), 2)
+    draw = draw_ssrs(pop, single, AllocationPlan("prop", np.array([1, 2])), seed=1)
+    assert draw.strata.tolist() == [0, 1, 1] and draw.indices[0] == 0
+
+
 def test_every_subset_equally_likely():
     # 60,000 within-stratum draws of 2 from 4; all six subsets should be
     # uniform (chi-square on the observed counts)

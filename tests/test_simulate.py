@@ -10,9 +10,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import two_group_losses
+from strateval import simulate
 from strateval.allocate import AllocationPlan, neyman, proportional
 from strateval.cli import main
 from strateval.dataset import Population
@@ -27,7 +30,9 @@ from strateval.simulate import (
     efficiency_csv,
     efficiency_table,
     generate,
+    mc_design,
     run_mc,
+    run_methods,
 )
 from strateval.stratify import StrataPartition, kmeans_1d
 
@@ -336,6 +341,71 @@ def test_run_mc_deterministic():
     part = kmeans_1d(pop.proxy, 2)
     kw = dict(design="ssrs", estimator="df", n=30, reps=150, seed=9, partition=part)
     assert run_mc(pop, **kw).to_dict() == run_mc(pop, **kw).to_dict()
+
+
+METHOD = st.fixed_dictionaries({
+    "design": st.sampled_from(["srs", "ssrs"]),
+    "estimator": st.sampled_from(["ht", "df"]),
+    "allocation": st.sampled_from(["prop", "neyman"]),
+    "sd_source": st.sampled_from(["true", "plugin"]),
+})
+
+
+@st.composite
+def paired_runs(draw):
+    """A pool, a partition, a budget and a method list for ``run_methods``."""
+    n_strata = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32))
+    rs = np.random.default_rng(seed)
+    assignment = rs.permutation(np.repeat(np.arange(n_strata), rs.integers(1, 40, size=n_strata)))
+    size = assignment.size
+    # strata at different loss rates, so that Neyman and proportional differ
+    proxy = rs.random(size) * rs.random(n_strata)[assignment]
+    pop = Population(ids=tuple(f"u{i}" for i in range(size)), proxy=proxy,
+                     loss=(rs.random(size) < proxy).astype(float),
+                     loss_kind=LossKind.ACCURACY)
+    part = StrataPartition(assignment, n_strata)
+    n = int(rs.integers(max(np.minimum(2, part.sizes).sum(), min(2, size)), size + 1))
+    methods = draw(st.lists(METHOD, min_size=1, max_size=6))
+    return pop, part, n, methods, seed
+
+
+@given(paired_runs())
+@settings(max_examples=60)
+def test_run_methods_rows_are_the_one_method_calls(case):
+    # sharing one draw per partition changes no bit of any method's result
+    pop, part, n, methods, seed = case
+    kw = dict(n=n, reps=101, seed=seed, partition=part, keep_estimates=True)
+    for method, res in zip(methods, run_methods(pop, methods, **kw)):
+        alone = run_mc(pop, **method, **kw)
+        assert res.to_dict() == alone.to_dict()
+        assert np.array_equal(res.estimates, alone.estimates)
+
+
+def test_run_methods_shares_one_draw_per_partition(monkeypatch):
+    # five methods, two partitions: srs twice, and ssrs with two different
+    # allocations, read from one draw of the larger n_h per batch
+    pop = generate(two_point_spec(400, seed=3, p=(0.1, 0.6)))
+    part = kmeans_1d(pop.proxy, 2)
+    methods = [dict(design="srs", estimator="ht"), dict(design="srs", estimator="ht"),
+               dict(design="ssrs", estimator="ht"),
+               dict(design="ssrs", estimator="df", allocation="neyman"),
+               dict(design="srs", estimator="df")]
+    kw = dict(n=40, reps=300, seed=5, partition=part, keep_estimates=True)
+    n_h = [mc_design(pop, partition=part, n=40, **m)[3] for m in methods[2:4]]
+    assert not np.array_equal(*n_h)
+    draws = []
+    real = simulate.stratified_indices
+    monkeypatch.setattr(simulate, "stratified_indices",
+                        lambda p, k, seeds: draws.append(list(k)) or real(p, k, seeds))
+    runs = run_methods(pop, methods, **kw)
+    n_max = np.maximum(*n_h)
+    batches = -(-300 // (simulate._CHUNK_DRAWS // int(n_max.sum())))
+    assert draws == [[40], n_max.tolist()] * batches
+    monkeypatch.undo()
+    for method, res in zip(methods, runs):
+        assert np.array_equal(res.estimates, run_mc(pop, **method, **kw).estimates)
+    assert np.array_equal(runs[0].estimates, runs[1].estimates)
 
 
 # -- formula-vs-simulation agreement ---------------------------------------------
