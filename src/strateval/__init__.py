@@ -9,7 +9,7 @@ difference estimator — with closed-form design MSEs and a Monte Carlo
 harness to verify them.
 """
 
-from .allocate import AllocationPlan, neyman, proportional
+from .allocate import neyman, proportional
 from .calibration import IsotonicMap, fit_isotonic, split_half
 from .dataset import Population, attach_scores, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
@@ -36,7 +36,6 @@ from .stratify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationPlan",
     "ConsistencyError",
     "IsotonicMap",
     "LossKind",

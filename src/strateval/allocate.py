@@ -20,52 +20,13 @@ from rounding.  A stratum of one unit is taken whole.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .dataset import Population
-from .errors import ConsistencyError, ParseError, PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .estimators import MIN_PER_STRATUM, stratum_moments
 from .losses import LossKind, conditional_moments
 from .stratify import StrataPartition
-
-
-@dataclass
-class AllocationPlan:
-    """Per-stratum sample sizes for a fixed total budget."""
-
-    strategy: str
-    n_h: np.ndarray
-    warnings: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.n_h = np.asarray(self.n_h, dtype=np.int64)
-        self.n_h.setflags(write=False)
-
-    @property
-    def total(self) -> int:
-        return int(self.n_h.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "n_h": [int(v) for v in self.n_h],
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_json(cls, text: str) -> "AllocationPlan":
-        try:
-            payload = json.loads(text)
-            return cls(
-                strategy=str(payload["strategy"]),
-                n_h=np.asarray(payload["n_h"], dtype=np.int64),
-                warnings=[str(w) for w in payload.get("warnings", [])],
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"invalid allocation plan JSON: {e}") from None
 
 
 def _check_budget(sizes: np.ndarray, floors: np.ndarray, budget: int) -> None:
@@ -128,24 +89,24 @@ def _rebalance(n_h: np.ndarray, sizes: np.ndarray, floors: np.ndarray, budget: i
     return n_h
 
 
-def proportional(sizes, budget: int) -> AllocationPlan:
-    """Budget split proportionally to stratum sizes.
+def proportional(sizes, budget: int) -> np.ndarray:
+    """Budget split proportionally to stratum sizes: the int64 ``n_h``.
 
-    >>> proportional([800, 200], 50).n_h.tolist()
+    >>> proportional([800, 200], 50).tolist()
     [40, 10]
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    return AllocationPlan(strategy="prop", n_h=_split(sizes, sizes, budget))
+    return _split(sizes, sizes, budget)
 
 
-def neyman(sizes, sds, budget: int) -> AllocationPlan:
+def neyman(sizes, sds, budget: int, *, warnings: list | None = None) -> np.ndarray:
     """Budget split proportionally to ``N_h * S_h`` (variance-minimizing).
 
     ``sds`` are the per-stratum loss standard deviations (true or plugged
     in from the proxy).  Strata with zero spread still get their floor.
     With every ``S_h`` equal the split is proportional's, bit for bit: it
     is made on the sizes themselves.  If every spread is zero, that
-    fallback is flagged in ``warnings``.
+    fallback is appended to ``warnings`` when a list is given.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     sds = np.asarray(sds, dtype=float)
@@ -153,12 +114,11 @@ def neyman(sizes, sds, budget: int) -> AllocationPlan:
         raise PreconditionError("sizes and sds must be aligned")
     if np.any(sds < 0) or not np.all(np.isfinite(sds)):
         raise PreconditionError("standard deviations must be finite and >= 0")
-    if (sds == sds[:1]).all():
-        weight = sizes
-        warnings = [] if sds.any() else ["all stratum SDs are zero; fell back to proportional"]
-    else:
-        weight, warnings = sizes * sds, []
-    return AllocationPlan(strategy="neyman", n_h=_split(sizes, weight, budget), warnings=warnings)
+    equal = (sds == sds[:1]).all()
+    n_h = _split(sizes, sizes if equal else sizes * sds, budget)
+    if warnings is not None and not sds.any():
+        warnings.append("all stratum SDs are zero; fell back to proportional")
+    return n_h
 
 
 def plugin_sds(pop: Population, proxy_col: str, partition: StrataPartition,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocate import AllocationPlan, neyman, plugin_sds, proportional
+from .allocate import neyman, plugin_sds, proportional
 from .calibration import fit_isotonic, split_half
 from .dataset import Population, check_losses, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
@@ -56,6 +56,8 @@ DEFAULT_SEED_SAMPLE = 37
 DEFAULT_SEED_SIM = 101
 DEFAULT_SEED_STRAT = 7
 DEFAULT_STRATA = 10
+# the settings of a simulate method, each with the value it takes when the method omits it
+METHOD_DEFAULTS = {"design": "srs", "estimator": "ht", "allocation": "prop", "sd_source": "true"}
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -134,19 +136,19 @@ def cmd_plan(args) -> int:
     warnings = list(partition.warnings)
     if args.strategy == "neyman":
         sds = plugin_sds(pop, args.proxy_col, partition, warnings=warnings)
-        split = neyman(partition.sizes, sds, n)
+        n_h = neyman(partition.sizes, sds, n, warnings=warnings)
     else:
-        split = proportional(partition.sizes, n)
-    plan = AllocationPlan(strategy=args.strategy, n_h=split.n_h, warnings=warnings + split.warnings)
-    draw = draw_ssrs(pop, partition, plan, args.seed_sample)
+        n_h = proportional(partition.sizes, n)
+    draw = draw_ssrs(pop, partition, n_h, args.seed_sample)
     out = _out_dir(args)
     (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids),
                                        encoding="utf-8")
-    _write_json(out / "plan.json", {**plan.to_dict(), "config": cfg})
+    _write_json(out / "plan.json",
+                {"strategy": args.strategy, "n_h": n_h.tolist(), "warnings": warnings, "config": cfg})
     (out / "worksheet.csv").write_text(_config_comment(cfg) + worksheet_csv(draw), encoding="utf-8")
     print(
         f"plan: {partition.n_strata} strata, allocation "
-        f"{plan.n_h.tolist()} (total {plan.total}); wrote partition.csv, "
+        f"{n_h.tolist()} (total {int(n_h.sum())}); wrote partition.csv, "
         f"plan.json, worksheet.csv under {out}"
     )
     return 0
@@ -259,6 +261,9 @@ def _load_sim_spec(path: Path) -> dict:
             raise ParseError(f"{path}: each method needs a string 'name'")
         if m["name"] in names:
             raise ParseError(f"{path}: two methods are named {m['name']!r}")
+        for key in m:
+            if key != "name" and key not in METHOD_DEFAULTS:
+                raise ParseError(f"{path}: method {m['name']!r} has unknown key {key!r}")
         names.append(m["name"])
     chain = doc.get("assert_ordering", [])
     if not isinstance(chain, list):
@@ -312,8 +317,8 @@ def cmd_simulate(args) -> int:
     methods = doc["methods"]
     needs_partition = any(m.get("design") == "ssrs" for m in methods)
     partition = kmeans_1d(pop.proxy, strata) if needs_partition else None
-    defaults = {"design": "srs", "estimator": "ht", "allocation": "prop", "sd_source": "true"}
-    settings = [{key: m.get(key, value) for key, value in defaults.items()} for m in methods]
+    settings = [{key: m.get(key, value) for key, value in METHOD_DEFAULTS.items()}
+                for m in methods]
     runs = run_methods(pop, settings, n=n, reps=reps, seed=sim_seed, partition=partition,
                        level=level)
     results = {m["name"]: r for m, r in zip(methods, runs)}

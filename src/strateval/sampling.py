@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .allocate import AllocationPlan
 from .dataset import Population
 from .errors import ConsistencyError, PreconditionError
 from .estimators import MIN_PER_STRATUM
@@ -33,13 +32,11 @@ class SampleDraw:
     ids: tuple[str, ...]
     strata: np.ndarray  # stratum label per sampled unit
     pi: np.ndarray  # inclusion probability per sampled unit
-    stratum_sizes: np.ndarray  # N_h for every stratum in the design
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.strata = np.asarray(self.strata, dtype=np.int64)
         self.pi = np.asarray(self.pi, dtype=float)
-        self.stratum_sizes = np.asarray(self.stratum_sizes, dtype=np.int64)
         if np.any(self.pi <= 0) or np.any(self.pi > 1):
             raise PreconditionError("inclusion probabilities must lie in (0, 1]")
 
@@ -60,33 +57,30 @@ def stratified_indices(partition: StrataPartition, n_h, seeds) -> np.ndarray:
     return partition.order[fisher_yates(seeds, partition.sizes, n_h)]
 
 
-def draw_ssrs(
-    pop: Population, partition: StrataPartition, plan: AllocationPlan, seed: int
-) -> SampleDraw:
+def draw_ssrs(pop: Population, partition: StrataPartition, n_h, seed: int) -> SampleDraw:
     """Stratified simple random sampling: independent SRS inside each stratum.
 
     Stratum ``h`` is drawn with the substream seeded by
     ``derive_seed(seed, h)`` over its members in canonical order, taking
-    ``plan.n_h[h]`` units with ``pi = n_h / N_h``.  Sampled units are
+    ``n_h[h]`` units with ``pi = n_h / N_h``.  Sampled units are
     reported stratum by stratum, selection order within each.
     """
     if partition.assignment.size != pop.size:
         raise ConsistencyError("partition does not cover this population")
-    sizes = partition.sizes
-    if plan.n_h.size != partition.n_strata:
+    sizes, n_h = partition.sizes, np.asarray(n_h, dtype=np.int64)
+    if n_h.size != partition.n_strata:
         raise ConsistencyError("allocation plan and partition disagree on strata count")
-    if np.any(plan.n_h < np.minimum(MIN_PER_STRATUM, sizes)) or np.any(plan.n_h > sizes):
+    if np.any(n_h < np.minimum(MIN_PER_STRATUM, sizes)) or np.any(n_h > sizes):
         raise PreconditionError(
             f"need min({MIN_PER_STRATUM}, N_h) <= n_h <= N_h in every stratum, "
             "the fewest units a stratum's variance can be estimated from"
         )
-    idx = stratified_indices(partition, plan.n_h, int(seed))[0]
+    idx = stratified_indices(partition, n_h, int(seed))[0]
     return SampleDraw(
         indices=idx,
         ids=tuple(pop.ids[i] for i in idx),
-        strata=np.repeat(np.arange(partition.n_strata), plan.n_h),
-        pi=np.repeat(plan.n_h / sizes, plan.n_h),
-        stratum_sizes=sizes,
+        strata=np.repeat(np.arange(partition.n_strata), n_h),
+        pi=np.repeat(n_h / sizes, n_h),
     )
 
 

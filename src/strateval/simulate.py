@@ -46,6 +46,13 @@ from .stratify import StrataPartition
 from .tables import csv_text
 
 FAMILIES = ("two_point", "beta_conditional", "miscalibrated")
+# the values each setting of a Monte Carlo method may take
+METHOD_FIELDS = {
+    "design": ("srs", "ssrs"),
+    "estimator": ("ht", "df"),
+    "allocation": ("prop", "neyman"),
+    "sd_source": ("true", "plugin"),
+}
 
 
 @dataclass
@@ -166,10 +173,10 @@ def mc_design(pop: Population, *, design: str, estimator: str, n: int,
     added to each estimate (the proxy's pool mean for ``df``, else 0), the
     partition sampled (one stratum for ``srs``), and its allocation of ``n``.
     """
-    if design not in ("srs", "ssrs"):
-        raise PreconditionError(f"unknown design {design!r}")
-    if estimator not in ("ht", "df"):
-        raise PreconditionError(f"unknown estimator {estimator!r}")
+    settings = dict(design=design, estimator=estimator, allocation=allocation, sd_source=sd_source)
+    for key, value in settings.items():
+        if value not in METHOD_FIELDS[key]:
+            raise PreconditionError(f"unknown {key} {value!r}")
     if not pop.has_all_losses:
         raise PreconditionError("Monte Carlo needs a fully annotated pool")
     values, shift = pop.loss, 0.0
@@ -183,16 +190,12 @@ def mc_design(pop: Population, *, design: str, estimator: str, n: int,
     if partition.assignment.size != pop.size:
         raise PreconditionError("partition does not cover the population")
     if allocation == "prop":
-        return values, shift, partition, proportional(partition.sizes, n).n_h
-    if allocation != "neyman":
-        raise PreconditionError(f"unknown allocation {allocation!r}")
+        return values, shift, partition, proportional(partition.sizes, n)
     if sd_source == "true":
         sds = np.sqrt(stratum_moments(pop.loss, partition.assignment, partition.n_strata)[2])
-    elif sd_source == "plugin":
-        sds = plugin_sds(pop, "proxy", partition)
     else:
-        raise PreconditionError(f"unknown sd_source {sd_source!r}")
-    return values, shift, partition, neyman(partition.sizes, sds, n).n_h
+        sds = plugin_sds(pop, "proxy", partition)
+    return values, shift, partition, neyman(partition.sizes, sds, n)
 
 
 def run_mc(

@@ -82,8 +82,8 @@ def headline_runs(two_point_pool):
     true_sds = np.sqrt(stratum_moments(pop.loss, part.assignment, part.n_strata)[2])
     closed = {
         "HT/SRS": design_mse(pop.loss, one_stratum(pop.size), [100]),
-        "HT/SSRS-prop": design_mse(pop.loss, part, proportional(part.sizes, 100).n_h),
-        "HT/SSRS-Neyman": design_mse(pop.loss, part, neyman(part.sizes, true_sds, 100).n_h),
+        "HT/SSRS-prop": design_mse(pop.loss, part, proportional(part.sizes, 100)),
+        "HT/SSRS-Neyman": design_mse(pop.loss, part, neyman(part.sizes, true_sds, 100)),
         "DF/SRS": design_mse(pop.loss - pop.proxy, one_stratum(pop.size), [100]),
     }
     return runs, closed, elapsed

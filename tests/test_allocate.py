@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from strateval.allocate import AllocationPlan, neyman, plugin_sds, proportional
+from strateval.allocate import neyman, plugin_sds, proportional
 from strateval.dataset import Population
 from strateval.errors import PreconditionError
 from strateval.estimators import (
@@ -20,26 +18,26 @@ from strateval.stratify import StrataPartition
 
 
 def test_proportional_exact():
-    assert proportional([800, 200], 50).n_h.tolist() == [40, 10]
+    assert proportional([800, 200], 50).tolist() == [40, 10]
 
 
 def test_proportional_tie_goes_to_lower_index():
-    assert proportional([500, 500], 101).n_h.tolist() == [51, 50]
+    assert proportional([500, 500], 101).tolist() == [51, 50]
 
 
 def test_proportional_largest_remainder():
     # targets 18.0 and 2.0 exactly
-    assert proportional([900, 100], 20).n_h.tolist() == [18, 2]
+    assert proportional([900, 100], 20).tolist() == [18, 2]
     # targets 4.666.., 2.333.., 7.0 for n=14: floors (4,2,7), remainder
     # 0.666 beats 0.333 -> stratum 0 gets the spare unit
-    assert proportional([200, 100, 300], 14).n_h.tolist() == [5, 2, 7]
+    assert proportional([200, 100, 300], 14).tolist() == [5, 2, 7]
 
 
 def test_proportional_floor_of_two():
     # target for the tiny stratum is 20*5/1000 = 0.1; floor lifts it to 2
-    plan = proportional([995, 5], 20)
-    assert plan.n_h.tolist() == [18, 2]
-    assert plan.total == 20
+    n_h = proportional([995, 5], 20)
+    assert n_h.dtype == np.int64
+    assert n_h.tolist() == [18, 2]
 
 
 def test_proportional_budget_bounds():
@@ -47,13 +45,13 @@ def test_proportional_budget_bounds():
         proportional([10, 10], 3)  # below 2 per stratum
     with pytest.raises(PreconditionError):
         proportional([10, 10], 21)  # beyond population
-    assert proportional([10, 10], 20).n_h.tolist() == [10, 10]
+    assert proportional([10, 10], 20).tolist() == [10, 10]
 
 
 def test_neyman_hand_value():
-    plan = neyman([500, 500], [0.3, 0.1], 100)
-    assert plan.n_h.tolist() == [75, 25]
-    assert plan.strategy == "neyman"
+    n_h = neyman([500, 500], [0.3, 0.1], 100)
+    assert n_h.dtype == np.int64
+    assert n_h.tolist() == [75, 25]
 
 
 def test_neyman_constant_sd_equals_proportional():
@@ -64,34 +62,34 @@ def test_neyman_constant_sd_equals_proportional():
         n = int(rng.integers(2 * k, sizes.sum() + 1))
         s = float(rng.uniform(0.1, 2.0))
         assert np.array_equal(
-            neyman(sizes, [s] * k, n).n_h, proportional(sizes, n).n_h
+            neyman(sizes, [s] * k, n), proportional(sizes, n)
         )
 
 
 def test_neyman_equal_sds_round_like_proportional():
     # N_h * s / sum_k N_k * s rounds differently from N_h / N for this s
     sizes, budget = [46, 298, 211], 259
-    assert proportional(sizes, budget).n_h.tolist() == [21, 139, 99]
-    assert neyman(sizes, [9.0948] * 3, budget).n_h.tolist() == [21, 139, 99]
+    assert proportional(sizes, budget).tolist() == [21, 139, 99]
+    assert neyman(sizes, [9.0948] * 3, budget).tolist() == [21, 139, 99]
 
 
 def test_neyman_zero_sd_stratum_still_floored():
-    plan = neyman([500, 500], [0.5, 0.0], 100)
-    assert plan.n_h.tolist() == [98, 2]
+    assert neyman([500, 500], [0.5, 0.0], 100).tolist() == [98, 2]
 
 
 def test_neyman_all_zero_sds_falls_back():
-    plan = neyman([600, 400], [0.0, 0.0], 50)
-    assert plan.n_h.tolist() == proportional([600, 400], 50).n_h.tolist()
-    assert plan.strategy == "neyman"
-    assert any("proportional" in w for w in plan.warnings)
+    notes = ["earlier"]
+    n_h = neyman([600, 400], [0.0, 0.0], 50, warnings=notes)
+    assert n_h.tolist() == proportional([600, 400], 50).tolist()
+    assert notes == ["earlier", "all stratum SDs are zero; fell back to proportional"]
+    # without a list to append to, the fallback is the same split
+    assert neyman([600, 400], [0.0, 0.0], 50).tolist() == n_h.tolist()
 
 
 def test_neyman_target_above_stratum_size_rebalanced():
     # raw targets are (500, 0) but stratum 0 only has 3 units; the
     # overflow must land on stratum 1 without breaking the total
-    plan = neyman([3, 997], [100.0, 0.001], 500)
-    assert plan.n_h.tolist() == [3, 497]
+    assert neyman([3, 997], [100.0, 0.001], 500).tolist() == [3, 497]
 
 
 def test_totals_and_floors_on_random_instances():
@@ -104,10 +102,10 @@ def test_totals_and_floors_on_random_instances():
             continue
         n = int(rng.integers(lo, sizes.sum() + 1))
         sds = rng.uniform(0, 1, size=k) * rng.integers(0, 2, size=k)
-        for plan in (proportional(sizes, n), neyman(sizes, sds, n)):
-            assert plan.total == n
-            assert np.all(plan.n_h <= sizes)
-            assert np.all(plan.n_h >= np.minimum(2, sizes))
+        for n_h in (proportional(sizes, n), neyman(sizes, sds, n)):
+            assert n_h.sum() == n
+            assert np.all(n_h <= sizes)
+            assert np.all(n_h >= np.minimum(2, sizes))
 
 
 def test_real_valued_neyman_targets_tracked():
@@ -116,9 +114,9 @@ def test_real_valued_neyman_targets_tracked():
     sizes = np.array([300, 500, 200])
     sds = np.array([0.5, 0.2, 0.1])
     n = 120
-    plan = neyman(sizes, sds, n)
+    n_h = neyman(sizes, sds, n)
     raw = n * sizes * sds / np.sum(sizes * sds)
-    assert np.all(np.abs(plan.n_h - raw) < 1 + 1e-9)
+    assert np.all(np.abs(n_h - raw) < 1 + 1e-9)
 
 
 def singleton_strata(proxy, kind=LossKind.ACCURACY, scores=None, assignment=None):
@@ -154,14 +152,6 @@ def test_plugin_sd_general_values():
     assert len(notes) == 1 and "clamped" in notes[0]
 
 
-def test_plan_json_round_trip(tmp_path):
-    plan = neyman([500, 500], [0.0, 0.0], 10)
-    back = AllocationPlan.from_json(json.dumps(plan.to_dict()))
-    assert back.strategy == plan.strategy
-    assert np.array_equal(back.n_h, plan.n_h)
-    assert back.warnings == plan.warnings
-
-
 # -- allocation invariants ---------------------------------------------------------
 
 
@@ -179,27 +169,29 @@ def designs(draw):
 @given(design=designs())
 def test_allocations_spend_the_budget_within_floors_and_caps(design):
     sizes, budget, sds = design
-    for plan in (proportional(sizes, budget), neyman(sizes, sds, budget)):
-        assert plan.total == budget
-        assert np.all(plan.n_h >= np.minimum(2, sizes))
-        assert np.all(plan.n_h <= sizes)
+    for n_h in (proportional(sizes, budget), neyman(sizes, sds, budget)):
+        assert n_h.sum() == budget
+        assert np.all(n_h >= np.minimum(2, sizes))
+        assert np.all(n_h <= sizes)
 
 
 @given(design=designs())
 def test_neyman_with_all_zero_sds_falls_back_to_proportional(design):
     sizes, budget, _ = design
-    plan = neyman(sizes, np.zeros(sizes.size), budget)
-    assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
-    assert plan.warnings == ["all stratum SDs are zero; fell back to proportional"]
+    notes = []
+    n_h = neyman(sizes, np.zeros(sizes.size), budget, warnings=notes)
+    assert n_h.tolist() == proportional(sizes, budget).tolist()
+    assert notes == ["all stratum SDs are zero; fell back to proportional"]
 
 
 @given(design=designs(), sd=st.floats(min_value=5e-324, max_value=1e308))
 def test_proportional_is_neyman_with_equal_sds(design, sd):
     # with every S_h equal, Neyman splits on the sizes: proportional's split, bit for bit
     sizes, budget, _ = design
-    plan = neyman(sizes, np.full(sizes.size, sd), budget)
-    assert plan.n_h.tolist() == proportional(sizes, budget).n_h.tolist()
-    assert plan.warnings == []
+    notes = []
+    n_h = neyman(sizes, np.full(sizes.size, sd), budget, warnings=notes)
+    assert n_h.tolist() == proportional(sizes, budget).tolist()
+    assert notes == []
 
 
 @st.composite
@@ -211,19 +203,18 @@ def take_all_designs(draw):
     floors = np.minimum(MIN_PER_STRATUM, sizes)
     budget = draw(st.integers(int(floors.sum()), int(sizes.sum())))
     if draw(st.booleans()):
-        plan = proportional(sizes, budget)
+        n_h = proportional(sizes, budget)
     else:
         sds = draw(st.lists(st.floats(0.0, 5.0), min_size=sizes.size, max_size=sizes.size))
-        plan = neyman(sizes, sds, budget)
+        n_h = neyman(sizes, sds, budget)
     labels = draw(st.permutations(np.repeat(np.arange(sizes.size), sizes).tolist()))
-    return sizes, floors, budget, plan, StrataPartition(labels, sizes.size)
+    return sizes, floors, budget, n_h, StrataPartition(labels, sizes.size)
 
 
 @given(design=take_all_designs(), seed=st.integers(0, 2**32))
 def test_a_stratum_of_one_unit_is_allocated_and_estimated_whole(design, seed):
-    sizes, floors, budget, plan, partition = design
-    n_h = plan.n_h
-    assert plan.total == budget
+    sizes, floors, budget, n_h, partition = design
+    assert n_h.sum() == budget
     assert np.all((floors <= n_h) & (n_h <= sizes))
     idx = stratified_indices(partition, n_h, seed)[0]
     strata = np.repeat(np.arange(sizes.size), n_h)

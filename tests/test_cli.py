@@ -159,6 +159,7 @@ def test_plan_h1_prop_equals_srs(tmp_path):
     srs_plan = json.loads((srs_out / "plan.json").read_text())
     prop_plan = json.loads((prop_out / "plan.json").read_text())
     assert srs_plan["n_h"] == prop_plan["n_h"] == [10]
+    assert (srs_plan["strategy"], prop_plan["strategy"]) == ("srs", "prop")
 
 
 def test_plan_partition_round_trips_ids_with_commas_and_quotes(tmp_path):
@@ -233,6 +234,23 @@ def test_plan_neyman_from_accuracy_proxies(tmp_path):
     assert plan["strategy"] == "neyman"
     assert sum(plan["n_h"]) == 30
     assert min(plan["n_h"]) >= 2
+
+
+def test_plan_neyman_with_all_zero_sds_records_every_warning_in_order(tmp_path):
+    # proxies 0 and 1 only: the two middle bins are empty and merged, and a
+    # 0/1 loss predicted with certainty has plug-in SD 0 in both strata left
+    src = tmp_path / "pool.csv"
+    write_pool(src, [f"p{i:03d}" for i in range(400)], np.arange(400) % 2)
+    out = tmp_path / "plan"
+    argv = ["plan", "--input", str(src), "--out", str(out), "--strategy", "neyman",
+            "--stratify-on", "bins", "--strata", "4", "--budget", "40"]
+    assert main(argv) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["warnings"] == [
+        "2 empty bins merged rightward; 2 strata remain",
+        "all stratum SDs are zero; fell back to proportional",
+    ]
+    assert plan["strategy"] == "neyman" and plan["n_h"] == [20, 20]
 
 
 def test_plan_neyman_general_loss_needs_scores(tmp_path, capsys):
@@ -627,8 +645,11 @@ def spec_with_latin1_byte(spec):
      "two methods are named 'SRS+HT'"),
     (lambda doc: doc.update(baseline="nope"), "'baseline' names \"nope\", not a method"),
     (lambda doc: doc["population"].update(params=3), "'params' must be an object, got 3"),
+    (lambda doc: doc["methods"][-1].update(design="ssrs", alocation="neyman"),
+     "method 'SRS+DF' has unknown key 'alocation'"),
 ], ids=["not-utf8", "reps", "budget", "strata", "level", "method-not-object",
-        "ordering-unknown-method", "duplicate-name", "baseline-unknown-method", "params"])
+        "ordering-unknown-method", "duplicate-name", "baseline-unknown-method", "params",
+        "misspelt-method-key"])
 def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     spec = sim_spec(tmp_path)
@@ -649,13 +670,23 @@ def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypat
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field,value", [
-    ("design", "cluster"), ("estimator", "ratio"), ("allocation", "equal"), ("sd_source", "oracle"),
+BAD_SETTINGS = [("design", "cluster"), ("estimator", "ratio"), ("allocation", "equal"),
+                ("sd_source", "oracle")]
+# a bad value is refused whether or not the method's design reads that setting
+BASE_METHODS = {
+    "": {"design": "ssrs", "estimator": "ht", "allocation": "neyman", "sd_source": "plugin"},
+    "-on-prop": {"design": "ssrs", "estimator": "ht", "allocation": "prop"},
+    "-on-srs": {"design": "srs", "estimator": "ht"},
+}
+
+
+@pytest.mark.parametrize("base,field,value", [
+    pytest.param(base, field, value, id=f"{field}-{value}{suffix}")
+    for suffix, base in BASE_METHODS.items() for field, value in BAD_SETTINGS
 ])
 def test_a_bad_last_method_exits_three_before_any_replication(tmp_path, capsys, monkeypatch,
-                                                               field, value):
-    last = {"name": "last", "design": "ssrs", "estimator": "ht", "allocation": "neyman",
-            "sd_source": "plugin", field: value}
+                                                               base, field, value):
+    last = {"name": "last", **base, field: value}
     spec = sim_spec(tmp_path)
     doc = json.loads(spec.read_text())
     doc["methods"].append(last)

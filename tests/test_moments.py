@@ -216,7 +216,7 @@ def test_plugin_sds_match_the_loops_they_replaced(data, budget_share):
     sizes = partition.sizes
     lo, hi = 2 * partition.n_strata, int(sizes.sum())
     budget = lo + round(budget_share * (hi - lo))
-    assert neyman(sizes, new, budget).n_h.tolist() == neyman(sizes, old, budget).n_h.tolist()
+    assert neyman(sizes, new, budget).tolist() == neyman(sizes, old, budget).tolist()
 
 
 def test_plugin_sds_name_the_first_unit_without_scores():

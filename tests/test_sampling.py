@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from oracles import srs_indices
-from strateval.allocate import AllocationPlan
 from strateval.dataset import Population
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
 from strateval.losses import LossKind
@@ -32,16 +31,16 @@ def make_pop(n):
 def draw_srs(pop, n, seed):
     """Plain SRS: the one-stratum stratified draw."""
     one = StrataPartition(np.zeros(pop.size, dtype=np.int64), 1)
-    return draw_ssrs(pop, one, AllocationPlan(strategy="srs", n_h=np.array([n])), seed)
+    return draw_ssrs(pop, one, [n], seed)
 
 
-def draws_of_reps(pop, part, plan, seed, reps):
-    """``draw_ssrs(pop, part, plan, derive_seed(seed, r)).indices`` for every rep
+def draws_of_reps(pop, part, n_h, seed, reps):
+    """``draw_ssrs(pop, part, n_h, derive_seed(seed, r)).indices`` for every rep
     ``r``, as the rows of one batched draw; a spread of rows is checked
     against ``draw_ssrs`` itself."""
-    idx = stratified_indices(part, plan.n_h, derive_seeds(seed, np.arange(reps)))
+    idx = stratified_indices(part, n_h, derive_seeds(seed, np.arange(reps)))
     for r in (0, 1, 2, 999, reps // 2, reps - 1):
-        assert np.array_equal(draw_ssrs(pop, part, plan, derive_seed(seed, r)).indices, idx[r])
+        assert np.array_equal(draw_ssrs(pop, part, n_h, derive_seed(seed, r)).indices, idx[r])
     return idx
 
 
@@ -79,7 +78,7 @@ def test_srs_inclusion_frequencies():
     pop = make_pop(10)
     reps = 50_000
     one = StrataPartition(np.zeros(10, dtype=np.int64), 1)
-    idx = draws_of_reps(pop, one, AllocationPlan(strategy="srs", n_h=np.array([3])), 37, reps)
+    idx = draws_of_reps(pop, one, np.array([3]), 37, reps)
     assert np.array_equal(draw_srs(pop, 3, derive_seed(37, 7)).indices, idx[7])
     counts = np.bincount(idx.ravel(), minlength=10)
     freq = counts / reps
@@ -91,8 +90,7 @@ def test_ssrs_single_stratum_matches_srs_substream():
     # over the whole pool on the stratum-0 substream
     pop = make_pop(50)
     part = StrataPartition(np.zeros(50, dtype=np.int64), 1)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([12]))
-    a = draw_ssrs(pop, part, plan, seed=99)
+    a = draw_ssrs(pop, part, np.array([12]), seed=99)
     assert np.array_equal(a.indices, srs_indices(substream(99, 0), 50, 12))
     assert a.ids == tuple(pop.ids[i] for i in a.indices)
     assert np.all(a.pi == 12 / 50)
@@ -101,8 +99,7 @@ def test_ssrs_single_stratum_matches_srs_substream():
 def test_ssrs_census():
     pop = make_pop(4)
     part = StrataPartition(np.array([0, 0, 1, 1]), 2)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([2, 2]))
-    draw = draw_ssrs(pop, part, plan, seed=5)
+    draw = draw_ssrs(pop, part, np.array([2, 2]), seed=5)
     assert sorted(draw.ids) == sorted(pop.ids)
     assert np.all(draw.pi == 1.0)
 
@@ -110,8 +107,7 @@ def test_ssrs_census():
 def test_ssrs_pi_and_counts():
     pop = make_pop(200)
     part = StrataPartition(np.repeat([0, 1], 100), 2)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([10, 30]))
-    draw = draw_ssrs(pop, part, plan, seed=8)
+    draw = draw_ssrs(pop, part, np.array([10, 30]), seed=8)
     assert draw.size == 40
     assert np.sum(draw.strata == 0) == 10
     assert np.sum(draw.strata == 1) == 30
@@ -122,9 +118,8 @@ def test_ssrs_pi_and_counts():
 def test_ssrs_inclusion_frequencies():
     pop = make_pop(200)
     part = StrataPartition(np.repeat([0, 1], 100), 2)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([10, 30]))
     reps = 50_000
-    counts = np.bincount(draws_of_reps(pop, part, plan, 4, reps).ravel(), minlength=200)
+    counts = np.bincount(draws_of_reps(pop, part, np.array([10, 30]), 4, reps).ravel(), minlength=200)
     freq = counts / reps
     assert np.all(np.abs(freq[:100] - 0.1) < 0.01)
     assert np.all(np.abs(freq[100:] - 0.3) < 0.01)
@@ -134,12 +129,12 @@ def test_ssrs_validation():
     pop = make_pop(10)
     part = StrataPartition(np.repeat([0, 1], 5), 2)
     with pytest.raises(ConsistencyError):
-        draw_ssrs(pop, part, AllocationPlan("prop", np.array([2, 2, 2])), seed=1)
+        draw_ssrs(pop, part, np.array([2, 2, 2]), seed=1)
     with pytest.raises(PreconditionError):
-        draw_ssrs(pop, part, AllocationPlan("prop", np.array([6, 2])), seed=1)
+        draw_ssrs(pop, part, np.array([6, 2]), seed=1)
     short = StrataPartition(np.zeros(4, dtype=np.int64), 1)
     with pytest.raises(ConsistencyError):
-        draw_ssrs(pop, short, AllocationPlan("prop", np.array([2])), seed=1)
+        draw_ssrs(pop, short, np.array([2]), seed=1)
 
 
 def test_a_draw_below_the_estimable_floor_is_refused():
@@ -148,10 +143,10 @@ def test_a_draw_below_the_estimable_floor_is_refused():
     pop = make_pop(6)
     part = StrataPartition(np.array([0, 0, 0, 1, 1, 1]), 2)
     with pytest.raises(PreconditionError, match=r"min\(2, N_h\) <= n_h"):
-        draw_ssrs(pop, part, AllocationPlan("prop", np.array([1, 3])), seed=1)
+        draw_ssrs(pop, part, np.array([1, 3]), seed=1)
     # a one-unit stratum needs, and allows, only its one unit
     single = StrataPartition(np.array([0, 1, 1, 1, 1, 1]), 2)
-    draw = draw_ssrs(pop, single, AllocationPlan("prop", np.array([1, 2])), seed=1)
+    draw = draw_ssrs(pop, single, np.array([1, 2]), seed=1)
     assert draw.strata.tolist() == [0, 1, 1] and draw.indices[0] == 0
 
 
@@ -171,9 +166,8 @@ def test_strata_drawn_independently():
     # inclusion indicators from different strata should be uncorrelated
     pop = make_pop(8)
     part = StrataPartition(np.repeat([0, 1], 4), 2)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([2, 2]))
     reps = 20_000
-    idx = draws_of_reps(pop, part, plan, 77, reps)
+    idx = draws_of_reps(pop, part, np.array([2, 2]), 77, reps)
     x = (idx == 0).any(axis=1).astype(float)
     y = (idx == 4).any(axis=1).astype(float)
     corr = np.corrcoef(x, y)[0, 1]
@@ -186,8 +180,7 @@ def test_strata_drawn_independently():
 def test_worksheet_header_and_round_trip(tmp_path):
     pop = make_pop(20)
     part = StrataPartition(np.repeat([0, 1], 10), 2)
-    plan = AllocationPlan(strategy="prop", n_h=np.array([3, 2]))
-    draw = draw_ssrs(pop, part, plan, seed=21)
+    draw = draw_ssrs(pop, part, np.array([3, 2]), seed=21)
     text = worksheet_csv(draw)
     assert text.splitlines()[0] == "id,stratum,pi"
     p = tmp_path / "w.csv"
@@ -237,5 +230,4 @@ def test_draw_rejects_bad_pi():
             ids=("a",),
             strata=np.array([0]),
             pi=np.array([1.5]),
-            stratum_sizes=np.array([1]),
         )

@@ -16,7 +16,7 @@ from scipy import stats
 
 from oracles import two_group_losses
 from strateval import simulate
-from strateval.allocate import AllocationPlan, neyman, proportional
+from strateval.allocate import neyman, proportional
 from strateval.cli import main
 from strateval.dataset import Population
 from strateval.errors import ParseError, PreconditionError
@@ -270,20 +270,19 @@ def test_run_mc_replications_match_public_draws(tmp_path):
         pop, design="srs", estimator="ht", n=40, reps=120, seed=77, keep_estimates=True
     )
     assert res.estimates is not None and res.estimates.shape == (120,)
-    srs_plan = AllocationPlan(strategy="srs", n_h=np.array([40]))
     for r in (0, 57, 119):
         sub_seed = derive_seed(77, r)
         out = tmp_path / f"plan{r}"
         argv = ["plan", "--input", str(pool), "--out", str(out), "--budget", "40",
                 "--strategy", "srs", "--seed-sample", str(sub_seed)]
         assert main(argv) == 0
-        draw = draw_ssrs(pop, one_stratum(pop), srs_plan, sub_seed)
+        draw = draw_ssrs(pop, one_stratum(pop), [40], sub_seed)
         assert worksheet_ids(out / "worksheet.csv") == draw.ids
         ht, _ = stratified_estimate(pop.loss[draw.indices], draw.strata, [pop.size])
         assert res.estimates[r] == pytest.approx(ht, rel=1e-12)
 
     part = kmeans_1d(pop.proxy, 2)
-    plan = proportional(part.sizes, 40)
+    n_h = proportional(part.sizes, 40)
     res2 = run_mc(
         pop,
         design="ssrs",
@@ -296,7 +295,7 @@ def test_run_mc_replications_match_public_draws(tmp_path):
     )
     pool_mean = float(np.mean(pop.proxy))
     for r in (0, 119):
-        draw = draw_ssrs(pop, part, plan, derive_seed(78, r))
+        draw = draw_ssrs(pop, part, n_h, derive_seed(78, r))
         residuals = pop.loss[draw.indices] - pop.proxy[draw.indices]
         correction, _ = stratified_estimate(residuals, draw.strata, part.sizes)
         assert res2.estimates[r] == pytest.approx(pool_mean + correction, rel=1e-12)
@@ -312,12 +311,12 @@ def test_run_mc_validates_the_se_estimate_reports(tmp_path, design):
     pool = tmp_path / "pool.csv"
     pool.write_text(pop.canonical_csv())
     part = kmeans_1d(pop.proxy, 2) if design == "ssrs" else one_stratum(pop)
-    plan = proportional(part.sizes, 16)
+    n_h = proportional(part.sizes, 16)
     kw = dict(design=design, n=16, reps=100, seed=91, partition=part, keep_estimates=True)
     runs = {est: run_mc(pop, estimator=est, **kw) for est in ("ht", "df")}
     reported = {"ht": ([], []), "df": ([], [])}
     for r in range(100):
-        draw = draw_ssrs(pop, part, plan, derive_seed(91, r))
+        draw = draw_ssrs(pop, part, n_h, derive_seed(91, r))
         rows = worksheet_csv(draw).splitlines()
         sheet = tmp_path / "annotated.csv"
         sheet.write_text(
@@ -441,7 +440,7 @@ def test_run_mc_reproduces_closed_forms():
                 seed=112,
                 partition=part,
             ),
-            design_mse(z, part, proportional(part.sizes, 100).n_h),
+            design_mse(z, part, proportional(part.sizes, 100)),
         ),
         "neyman+ht": (
             run_mc(
@@ -455,7 +454,7 @@ def test_run_mc_reproduces_closed_forms():
                 allocation="neyman",
                 sd_source="true",
             ),
-            design_mse(z, part, neyman(part.sizes, true_sds, 100).n_h),
+            design_mse(z, part, neyman(part.sizes, true_sds, 100)),
         ),
         "srs+df": (
             run_mc(pop, design="srs", estimator="df", n=100, reps=reps, seed=114),

@@ -83,18 +83,14 @@ def test_worksheet_round_trip_is_byte_exact(scratch, ids, data):
     strata = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     pi = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
     loss = data.draw(st.lists(st.one_of(st.just(math.nan), UNIT), min_size=n, max_size=n))
-    draw = SampleDraw(
-        indices=np.arange(n), ids=tuple(ids), strata=strata, pi=pi,
-        stratum_sizes=np.full(5, n),
-    )
+    draw = SampleDraw(indices=np.arange(n), ids=tuple(ids), strata=strata, pi=pi)
     text = worksheet_csv(draw)
     path = scratch / "worksheet.csv"
     path.write_text(text)
     ws = load_worksheet(path)
     assert ws.ids == draw.ids
     assert np.array_equal(ws.strata, draw.strata) and np.array_equal(ws.pi, draw.pi)
-    again = SampleDraw(indices=np.arange(n), ids=ws.ids, strata=ws.strata, pi=ws.pi,
-                       stratum_sizes=draw.stratum_sizes)
+    again = SampleDraw(indices=np.arange(n), ids=ws.ids, strata=ws.strata, pi=ws.pi)
     assert worksheet_csv(again) == text
     # the annotator appends a loss column; blank cells are not yet labelled
     head, *rows = text.splitlines()
@@ -383,7 +379,6 @@ WRITERS = {
     ).canonical_csv(),
     "worksheet_csv": lambda ids: worksheet_csv(SampleDraw(
         indices=np.arange(3), ids=ids, strata=np.zeros(3), pi=np.full(3, 0.5),
-        stratum_sizes=[6],
     )),
     "partition_csv": lambda ids: partition_csv(StrataPartition(np.zeros(3), 1), ids),
 }
