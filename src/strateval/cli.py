@@ -277,30 +277,44 @@ def _load_sim_spec(path: Path) -> dict:
     return doc
 
 
-def _spec_number(path: Path, doc: dict, key: str, convert, default=None):
-    """Field ``key`` of a spec, converted by ``convert``; a failure names the file and field."""
+def _spec_number(path: Path, doc: dict, key: str, default=None, *, integer: bool = False,
+                 field: str | None = None):
+    """Field ``key`` of a spec: a JSON number, and an integral one when ``integer``.
+
+    A float with an integral value counts as an integer.  A failure names
+    the file and the field (``field``, default ``key``).
+    """
     value = doc.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}: {key!r} must be a number, got {json.dumps(value)}") from None
+    field = field or key
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{path}: {field!r} must be a number, got {json.dumps(value)}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ParseError(f"{path}: {field!r} must be an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_dict(args)
     path = Path(args.spec)
     doc = _load_sim_spec(path)
-    reps = _spec_number(path, doc, "reps", int)
-    n = _spec_number(path, doc, "budget", int)
-    strata = _spec_number(path, doc, "strata", int, 2)
-    level = _spec_number(path, doc, "level", float, 0.95)
-    sim_seed = check_seed(_spec_number(path, doc, "sim_seed", int, args.seed_sim), "sim_seed")
+    reps = _spec_number(path, doc, "reps", integer=True)
+    n = _spec_number(path, doc, "budget", integer=True)
+    strata = _spec_number(path, doc, "strata", 2, integer=True)
+    level = _spec_number(path, doc, "level", 0.95)
+    sim_seed = check_seed(_spec_number(path, doc, "sim_seed", args.seed_sim, integer=True),
+                          "sim_seed")
     pop_doc = doc["population"]
+    if not isinstance(pop_doc, dict):
+        raise ParseError(f"{path}: 'population' must be an object, got {json.dumps(pop_doc)}")
+    size = _spec_number(path, pop_doc, "size", integer=True, field="population.size")
+    pop_seed = _spec_number(path, pop_doc, "seed", 0, integer=True, field="population.seed")
     try:
         spec = SuperpopSpec(
             family=pop_doc["family"],
-            size=int(pop_doc["size"]),
-            seed=check_seed(pop_doc.get("seed", 0), "population.seed"),
+            size=size,
+            seed=check_seed(pop_seed, "population.seed"),
             params=pop_doc.get("params", {}),
         )
         pop = generate(spec)

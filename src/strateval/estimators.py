@@ -47,6 +47,7 @@ __all__ = [
     "design_variance",
     "design_mse",
     "normal_quantile",
+    "critical_z",
     "confidence_interval",
 ]
 
@@ -231,12 +232,17 @@ def normal_quantile(p: float) -> float:
     return -val if q < 0 else val
 
 
-def confidence_interval(theta: float, se: float, level: float = 0.95) -> tuple[float, float]:
-    """Symmetric normal interval ``theta ± z_{(1+level)/2} * se``."""
+def critical_z(level: float) -> float:
+    """Two-sided normal critical value ``z_{(1+level)/2}``, the level checked."""
     if not 0.0 < level < 1.0:
         raise PreconditionError(f"level must be in (0,1), got {level}")
+    return normal_quantile(0.5 + level / 2.0)
+
+
+def confidence_interval(theta: float, se: float, level: float = 0.95) -> tuple[float, float]:
+    """Symmetric normal interval ``theta ± z_{(1+level)/2} * se``."""
+    z = critical_z(level)
     if se < 0:
         raise PreconditionError("standard error must be >= 0")
-    z = normal_quantile(0.5 + level / 2.0)
     return theta - z * se, theta + z * se
 

@@ -27,10 +27,25 @@ numbers): replication ``r`` of every method uses the same per-stratum
 streams, and a smaller ``n_h`` takes a prefix of its stratum's draw.  So
 each partition is drawn once per batch, at the largest ``n_h`` any of
 its methods takes, and each method estimates from its own prefixes.
+
+A batch depends only on its own seeds, so ``run_methods`` splits its
+batches into contiguous spans, one per CPU in the process's affinity
+mask (``os.sched_getaffinity``), at most one per batch.  This process
+runs the first span; each other span runs in a child made with
+``os.fork`` after every check has passed, which sends its estimates and
+standard errors back through a pipe.  The batches and their seeds do not
+depend on the number of CPUs, so neither does any bit of the results;
+``taskset -c 0`` gives the serial run, as does a platform without
+``os.fork``.  On Python 3.12 and later ``os.fork`` warns (a
+``DeprecationWarning``) when the process has threads, as numpy's BLAS
+pool makes it; the children call no BLAS or threading code.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +53,7 @@ import numpy as np
 from .allocate import neyman, plugin_sds, proportional
 from .dataset import Population
 from .errors import ParseError, PreconditionError
-from .estimators import normal_quantile, stratified_estimate, stratum_moments
+from .estimators import critical_z, stratified_estimate, stratum_moments
 from .losses import LossKind
 from .rng import derive_seeds, generator
 from .sampling import stratified_indices
@@ -159,7 +174,10 @@ MIN_REPS = 100
 # draws per batch of replications: each draw holds about 100 bytes of
 # temporaries while its batch is seeded, drawn and estimated, so a batch
 # stays near half a megabyte.  The widest partition's shared draw sets
-# the batch; the methods on it read that draw rather than drawing again
+# the batch; the methods on it read that draw rather than drawing again.
+# The batches are split across the CPUs in the affinity mask, whole
+# batches per worker, so every replication's bits are the same for any
+# number of CPUs (``taskset -c 0`` runs them all in this process)
 _CHUNK_DRAWS = 4096
 
 
@@ -276,6 +294,10 @@ def run_methods(
     share one draw per batch: its ``n_h`` is the largest any of them
     takes, and each method estimates from its own prefix of every
     stratum.
+
+    The batches run in contiguous spans, one per usable CPU: the first
+    here, each other in a forked child (see the module notes).  The
+    results do not depend on the number of spans.
     """
     designs = [mc_design(pop, n=n, partition=partition, **m) for m in methods]
     if reps < MIN_REPS:
@@ -283,6 +305,7 @@ def run_methods(
             f"reps={reps} below minimum {MIN_REPS}: Monte Carlo standard error "
             "too large for assertions"
         )
+    zcrit = critical_z(level)
     values, shifts, parts, n_hs = zip(*designs)
     # one draw per sampled partition, at the largest n_h of its methods
     groups: dict[str, list[int]] = {}
@@ -299,24 +322,99 @@ def run_methods(
                 columns[i] = np.arange(n_hs[i].sum()) + np.repeat(offset, n_hs[i])
 
     strata = [np.repeat(np.arange(p.n_strata), k) for p, k in zip(parts, n_hs)]
-    estimates = [np.empty(reps) for _ in methods]
-    ses = [np.empty(reps) for _ in methods]
+    # row i holds method i's estimates, row len(methods) + i its standard errors
+    table = np.empty((2 * len(methods), reps))
+    estimates, ses = table[:len(methods)], table[len(methods):]
     chunk = max(1, _CHUNK_DRAWS // max(int(n_max.sum()) for _, n_max, _ in draws))
-    for start in range(0, reps, chunk):
-        block = slice(start, min(start + chunk, reps))
-        seeds = derive_seeds(seed, np.arange(block.start, block.stop))
-        for part, n_max, members in draws:
-            drawn = stratified_indices(part, n_max, seeds)
-            for i in members:
-                # np.take keeps the C order that stratified_estimate sums
-                # rows in (drawn[:, cols] is Fortran-ordered, and copied there)
-                idx = drawn if columns[i] is None else np.take(drawn, columns[i], axis=1)
-                theta, ses[i][block] = stratified_estimate(values[i][idx], strata[i], part.sizes)
-                estimates[i][block] = shifts[i] + theta
 
+    def fill(lo: int, hi: int) -> None:
+        # replications lo..hi-1, in the batches of the serial loop: lo is
+        # a multiple of chunk, and hi is one too or reps
+        for start in range(lo, hi, chunk):
+            block = slice(start, min(start + chunk, hi))
+            seeds = derive_seeds(seed, np.arange(block.start, block.stop))
+            for part, n_max, members in draws:
+                drawn = stratified_indices(part, n_max, seeds)
+                for i in members:
+                    # np.take keeps the C order that stratified_estimate sums
+                    # rows in (drawn[:, cols] is Fortran-ordered, and copied there)
+                    idx = drawn if columns[i] is None else np.take(drawn, columns[i], axis=1)
+                    theta, ses[i, block] = stratified_estimate(values[i][idx], strata[i],
+                                                               part.sizes)
+                    estimates[i, block] = shifts[i] + theta
+
+    batches = -(-reps // chunk)
+    workers = min(_cpu_count(), batches)
+    _fill_in_spans(fill, table, [min(reps, chunk * (k * batches // workers))
+                                 for k in range(workers + 1)])
     target = pop.finite_mean()
-    zcrit = normal_quantile(0.5 + level / 2.0)
     return [_summary(e, s, target, zcrit, keep_estimates) for e, s in zip(estimates, ses)]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the batches cannot be forked."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fill_in_spans(fill, table: np.ndarray, cuts: list[int]) -> None:
+    """``fill(cuts[k], cuts[k + 1])`` for every span ``k``, each filling its columns of ``table``.
+
+    Span 0 runs in this process, every other in a forked child that
+    writes its columns to a pipe as raw float64 and leaves through
+    ``os._exit``, so it runs no atexit handler and flushes no stdio
+    buffer it inherited.  A child that fails, or sends fewer bytes than
+    its columns hold, raises ``RuntimeError`` here; if this process
+    fails first, every child is killed.  Either way every child is
+    reaped before this returns.
+    """
+    pids, pipes = {}, {}  # span -> child pid, read end of its pipe
+    try:
+        for k in range(1, len(cuts) - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(fill, table, cuts[k], cuts[k + 1], write)
+            os.close(write)
+            pids[k], pipes[k] = pid, read
+        fill(cuts[0], cuts[1])
+        for k in list(pids):
+            span = table[:, cuts[k]:cuts[k + 1]]
+            with open(pipes.pop(k), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pids.pop(k), 0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or len(data) != span.nbytes:
+                raise RuntimeError(
+                    f"simulate worker {k} (replications {cuts[k]}..{cuts[k + 1] - 1}) "
+                    f"exited with status {code} after sending {len(data)} of {span.nbytes} bytes"
+                )
+            span[...] = np.frombuffer(data).reshape(span.shape)
+    finally:
+        for fd in pipes.values():
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fill, table: np.ndarray, lo: int, hi: int, fd: int):
+    """Body of a forked worker: fill columns ``lo..hi-1`` of ``table``, send them, exit."""
+    code = 1
+    try:
+        fill(lo, hi)
+        view = memoryview(np.ascontiguousarray(table[:, lo:hi])).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+        code = 0
+    except BaseException:
+        # a fresh writer on fd 2, so no inherited stderr buffer is flushed
+        with open(2, "w", closefd=False) as err:
+            traceback.print_exc(file=err)
+    finally:
+        os._exit(code)
 
 
 def _summary(estimates, ses, target: float, zcrit: float, keep_estimates: bool) -> MCResult:

@@ -647,9 +647,21 @@ def spec_with_latin1_byte(spec):
     (lambda doc: doc["population"].update(params=3), "'params' must be an object, got 3"),
     (lambda doc: doc["methods"][-1].update(design="ssrs", alocation="neyman"),
      "method 'SRS+DF' has unknown key 'alocation'"),
+    (lambda doc: doc.update(budget=100.9), "'budget' must be an integer, got 100.9"),
+    (lambda doc: doc.update(strata=2.5), "'strata' must be an integer, got 2.5"),
+    (lambda doc: doc.update(reps="300"), "'reps' must be a number, got \"300\""),
+    (lambda doc: doc.update(reps=True), "'reps' must be a number, got true"),
+    (lambda doc: doc.update(sim_seed=7.5), "'sim_seed' must be an integer, got 7.5"),
+    (lambda doc: doc["population"].update(size=2000.7),
+     "'population.size' must be an integer, got 2000.7"),
+    (lambda doc: doc["population"].update(seed=False),
+     "'population.seed' must be a number, got false"),
+    (lambda doc: doc.update(population=[]), "'population' must be an object, got []"),
 ], ids=["not-utf8", "reps", "budget", "strata", "level", "method-not-object",
         "ordering-unknown-method", "duplicate-name", "baseline-unknown-method", "params",
-        "misspelt-method-key"])
+        "misspelt-method-key", "fractional-budget", "fractional-strata", "string-reps",
+        "bool-reps", "fractional-sim-seed", "fractional-population-size",
+        "bool-population-seed", "population-not-object"])
 def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     spec = sim_spec(tmp_path)
@@ -699,6 +711,35 @@ def test_a_bad_last_method_exits_three_before_any_replication(tmp_path, capsys, 
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert f"error (precondition): unknown {field} {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_integral_floats_are_taken_as_integers(tmp_path):
+    results = []
+    for convert in (int, float):
+        spec = sim_spec(tmp_path, reps=200, sim_seed=5)
+        doc = json.loads(spec.read_text())
+        pop = doc["population"]
+        for owner, key in ((doc, "reps"), (doc, "budget"), (doc, "strata"), (doc, "sim_seed"),
+                           (pop, "size"), (pop, "seed")):
+            owner[key] = convert(owner[key])
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / convert.__name__
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+        results.append(json.loads((out / "results.json").read_text())["results"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("level", [1.5, 0.0])
+def test_a_bad_level_exits_three_before_any_replication(tmp_path, capsys, monkeypatch, level):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "stratified_indices", no_replications)
+    spec = sim_spec(tmp_path, level=level)
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"error (precondition): level must be in (0,1), got {level}\n" in err
     assert "Traceback" not in err
 
 

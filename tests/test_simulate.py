@@ -7,6 +7,10 @@ Statistical assertions run at fixed seeds (deterministic reruns) and use
 import csv
 import io
 import json
+import os
+import signal
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,7 +387,9 @@ def test_run_methods_rows_are_the_one_method_calls(case):
 
 def test_run_methods_shares_one_draw_per_partition(monkeypatch):
     # five methods, two partitions: srs twice, and ssrs with two different
-    # allocations, read from one draw of the larger n_h per batch
+    # allocations, read from one draw of the larger n_h per batch; on one
+    # CPU, so that every draw is made, and counted, in this process
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
     pop = generate(two_point_spec(400, seed=3, p=(0.1, 0.6)))
     part = kmeans_1d(pop.proxy, 2)
     methods = [dict(design="srs", estimator="ht"), dict(design="srs", estimator="ht"),
@@ -405,6 +411,121 @@ def test_run_methods_shares_one_draw_per_partition(monkeypatch):
     for method, res in zip(methods, runs):
         assert np.array_equal(res.estimates, run_mc(pop, **method, **kw).estimates)
     assert np.array_equal(runs[0].estimates, runs[1].estimates)
+
+
+# -- batches split across forked workers ------------------------------------------
+
+
+@given(paired_runs(), st.sampled_from([16, 64, 4096]), st.integers(101, 300))
+@settings(max_examples=30)
+def test_run_methods_bits_do_not_depend_on_the_cpu_count(case, chunk_draws, reps):
+    # smaller batches than the default give several batches per run, a
+    # last one cut short when reps is not a multiple; 4096 gives one batch
+    # on these pools, run in this process with no fork
+    pop, part, n, methods, seed = case
+    kw = dict(n=n, reps=reps, seed=seed, partition=part, keep_estimates=True)
+    # a batch holds chunk_draws // (units of the widest shared draw) reps
+    widest = {}
+    for m in methods:
+        n_h = mc_design(pop, n=n, partition=part, **m)[3]
+        widest[m["design"]] = np.maximum(widest.get(m["design"], n_h), n_h)
+    batches = -(-reps // max(1, chunk_draws // max(int(k.sum()) for k in widest.values())))
+    forks = []
+    real_fork = os.fork
+    runs = {}
+    with mock.patch.object(simulate, "_CHUNK_DRAWS", chunk_draws), \
+            mock.patch.object(simulate.os, "fork", lambda: forks.append(1) or real_fork()):
+        for cpus in (1, 2, 3, 5):
+            with mock.patch.object(simulate, "_cpu_count", lambda: cpus):
+                forks.clear()
+                runs[cpus] = run_methods(pop, methods, **kw)
+            assert len(forks) == min(cpus, batches) - 1
+    for cpus in (2, 3, 5):
+        for serial, split in zip(runs[1], runs[cpus]):
+            assert split.to_dict() == serial.to_dict()
+            assert np.array_equal(split.estimates, serial.estimates)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose forked workers never report."""
+    def hung(signum, frame):
+        raise TimeoutError("run_methods hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_methods_reaps_every_worker(monkeypatch, deadline):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+    pop = generate(two_point_spec(400, seed=3))
+    part = kmeans_1d(pop.proxy, 2)
+    methods = [dict(design="srs", estimator="ht"), dict(design="ssrs", estimator="df")]
+    runs = run_methods(pop, methods, n=200, reps=300, seed=4, partition=part)
+    assert [r.reps for r in runs] == [300, 300]
+    no_child_left()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_worker_raises_here_and_leaves_no_child(monkeypatch, capfd, deadline,
+                                                          where):
+    # the failure happens in one process only: a forked worker, or this one
+    parent = os.getpid()
+    real = simulate.stratified_estimate
+
+    def failing(*args):
+        if (os.getpid() != parent) == (where == "child"):
+            raise ArithmeticError(f"boom in the {where}")
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate, "stratified_estimate", failing)
+    pop = generate(two_point_spec(400, seed=3))
+    kw = dict(n=200, reps=300, seed=4)
+    if where == "child":
+        with pytest.raises(RuntimeError, match=r"simulate worker 1 \(replications \d+\.\.\d+\) "
+                                               r"exited with status 1 after sending 0 of"):
+            run_methods(pop, [dict(design="srs", estimator="ht")], **kw)
+        assert "ArithmeticError: boom in the child" in capfd.readouterr().err
+    else:
+        with pytest.raises(ArithmeticError, match="boom in the parent"):
+            run_methods(pop, [dict(design="srs", estimator="ht")], **kw)
+    no_child_left()
+
+
+def test_a_bad_level_is_refused_before_any_replication(monkeypatch):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "stratified_indices", no_replications)
+    pop = generate(two_point_spec(60, seed=3))
+    for level in (1.5, 0.0):
+        with pytest.raises(PreconditionError, match=rf"^level must be in \(0,1\), got {level}$"):
+            run_mc(pop, design="srs", estimator="ht", n=10, reps=100, seed=1, level=level)
+
+
+DEMO_SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("spec", DEMO_SPECS, ids=[s.stem for s in DEMO_SPECS])
+def test_simulate_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, deadline, spec):
+    out = tmp_path / "sim"
+    files = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+        files[cpus] = {name: (out / name).read_bytes()
+                       for name in ("results.json", "efficiency.csv")}
+    assert files[1] == files[2]
+    no_child_left()
 
 
 # -- formula-vs-simulation agreement ---------------------------------------------
