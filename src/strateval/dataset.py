@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import InitVar, dataclass, field, replace
+from itertools import chain, repeat
+from operator import contains, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +39,7 @@ def _proxy_bounds(kind: LossKind) -> tuple[float, float]:
     return 0.0, 1.0
 
 
-def _proxy_column(kind: LossKind, cells, col: str, where: tables.Where) -> np.ndarray | None:
-    if cells is None:
-        return None
-    v = tables.numbers(cells, col, where)
+def _proxy_column(kind: LossKind, v: np.ndarray, col: str, where: tables.Where) -> np.ndarray:
     lo, hi = _proxy_bounds(kind)
     span = "[0,1]" if hi == 1.0 else ">= 0"
     tables.check(np.isfinite(v) & (v >= lo) & (v <= hi), where,
@@ -201,15 +201,21 @@ class Population:
 
 
 def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss,
-                embeddings) -> Population:
-    """Convert and range-check the text columns of a pool file, column by column.
+                embeddings, *, decoded: bool = False) -> Population:
+    """Convert and range-check the columns of a pool file, column by column.
 
-    ``loss`` cells that are blank mean "not annotated yet".
+    The cells are text (CSV), where a blank ``loss`` cell means "not
+    annotated yet", or ``decoded`` JSON values, which must be numbers and
+    where a ``None`` loss means the same.
     """
+    numbers, optional = ((tables.json_numbers, tables.optional_json_numbers) if decoded
+                         else (tables.numbers, tables.optional_numbers))
     uids = tables.ids(ids, where)
-    proxy = _proxy_column(kind, proxy, "proxy", where)
-    proxy_cal = _proxy_column(kind, proxy_cal, "proxy_cal", where)
-    losses, present = tables.optional_numbers(loss, "loss", where)
+    proxy = _proxy_column(kind, numbers(proxy, "proxy", where), "proxy", where)
+    if proxy_cal is not None:
+        proxy_cal = _proxy_column(kind, numbers(proxy_cal, "proxy_cal", where), "proxy_cal",
+                                  where)
+    losses, present = optional(loss, "loss", where)
     at = np.flatnonzero(present)
     check_losses(kind, losses[at], lambda j: where(int(at[j])))
     return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind,
@@ -236,43 +242,103 @@ def _ingest_csv(path: Path, kind: LossKind) -> Population:
                        c.get("loss", [""] * len(t.lines)), np.column_stack(emb) if d else None)
 
 
-def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
-    linenos: list[int] = []
-    ids, proxy, proxy_cal, loss, emb = [], [], [], [], []
-    for lineno, rec in tables.read_jsonl(path):
+class _Layout(NamedTuple):
+    """The optional fields of a JSONL pool as its first record has them; every record must match."""
+
+    has_cal: bool
+    has_emb: bool
+    d: int  # the first record's embedding width; 0 if that is not a nonempty array
+
+    @classmethod
+    def of(cls, rec: dict) -> "_Layout":
+        emb = rec.get("embedding")
+        return cls("proxy_cal" in rec, "embedding" in rec, len(emb) if type(emb) is list else 0)
+
+
+def _layout_ok(recs: list, layout: _Layout) -> bool:
+    """Whether every record of a batch passes :func:`_name_bad_pool_record`'s checks, tested at once."""
+    if set(map(type, recs)) != {dict}:
+        return False
+    for fld, has in (("id", True), ("proxy", True), ("proxy_cal", layout.has_cal),
+                     ("embedding", layout.has_emb)):
+        if sum(map(contains, recs, repeat(fld))) != (len(recs) if has else 0):
+            return False
+    if layout.has_emb:
+        vecs = list(map(itemgetter("embedding"), recs))
+        return (layout.d > 0 and set(map(type, vecs)) == {list}
+                and set(map(len, vecs)) == {layout.d})
+    return True
+
+
+def _name_bad_pool_record(path: Path, linenos: list[int], recs: list,
+                          layout: _Layout | None) -> None:
+    """Raise the error of the first record of a batch that fails a check, record by record.
+
+    ``layout`` is None only when the file's first record is not an object,
+    which is refused before the layout is needed.
+    """
+    for lineno, rec in zip(linenos, recs):
         here = f"{path} line {lineno}"
         if not isinstance(rec, dict) or "id" not in rec or "proxy" not in rec:
             raise ParseError(f"{here}: record needs 'id' and 'proxy' fields")
-        if not linenos:
-            has_cal, has_emb = "proxy_cal" in rec, "embedding" in rec
-        for fld, has in (("proxy_cal", has_cal), ("embedding", has_emb)):
+        for fld, has in (("proxy_cal", layout.has_cal), ("embedding", layout.has_emb)):
             if (fld in rec) != has:
                 raise ParseError(f"{here}: {fld} present in some records but not all")
-        linenos.append(lineno)
-        ids.append(str(rec["id"]))
-        proxy.append(str(rec["proxy"]))
-        loss.append("" if rec.get("loss") is None else str(rec["loss"]))
-        if has_cal:
-            proxy_cal.append(str(rec["proxy_cal"]))
-        if has_emb:
+        if layout.has_emb:
             vec = rec["embedding"]
             if not isinstance(vec, list) or not vec:
                 raise ParseError(f"{here}: embedding must be a nonempty array")
-            if emb and len(vec) != len(emb[0]):
+            if len(vec) != layout.d:
                 raise ParseError(f"{here}: embedding dimensionality mismatch across rows")
-            emb.append([str(v) for v in vec])
+    raise AssertionError("a batch failed its test, but none of its records did")
+
+
+def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
+    """Read a JSONL pool a batch of records at a time, each field gathered as one list.
+
+    A batch is tested as a whole; only when that fails are its records
+    checked one by one, to name the first bad one.  The scalar fields are
+    converted after the last record, column by column, as for CSV.  The
+    embeddings, d values a record, are converted a batch at a time, so no
+    more than a batch of them is held as Python floats; the first that is
+    not a number is raised where the whole column would have been.
+    """
+    linenos: list[int] = []
+    ids, proxy, proxy_cal, loss, emb = [], [], [], [], []
+    emb_error = None
+    layout = None
+    for lines, recs in tables.read_jsonl(path):
+        if not recs:
+            continue
+        if layout is None and type(recs[0]) is dict:
+            layout = _Layout.of(recs[0])
+        if layout is None or not _layout_ok(recs, layout):
+            _name_bad_pool_record(path, lines, recs, layout)
+        linenos += lines
+        ids += map(str, map(itemgetter("id"), recs))
+        proxy += map(itemgetter("proxy"), recs)
+        loss += map(dict.get, recs, repeat("loss"))
+        if layout.has_cal:
+            proxy_cal += map(itemgetter("proxy_cal"), recs)
+        if layout.has_emb and emb_error is None:
+            values = list(chain.from_iterable(map(itemgetter("embedding"), recs)))
+            try:
+                emb.append(tables.json_numbers(values, "embedding",
+                                               lambda j: f"{path} line {lines[j // layout.d]}"))
+            except ParseError as e:
+                emb_error = e
     if not linenos:
         raise ParseError(f"{path}: no data rows")
+    if emb_error is not None:
+        raise emb_error
 
     def where(i: int) -> str:
         return f"{path} line {linenos[i]}"
 
-    if has_emb:
-        d = len(emb[0])
-        flat = [v for vec in emb for v in vec]
-        emb = tables.numbers(flat, "embedding", lambda j: where(j // d)).reshape(len(ids), d)
-    return _population(kind, where, ids, proxy, proxy_cal if has_cal else None, loss,
-                       emb if has_emb else None)
+    if layout.has_emb:
+        emb = np.concatenate(emb).reshape(-1, layout.d)
+    return _population(kind, where, ids, proxy, proxy_cal if layout.has_cal else None, loss,
+                       emb if layout.has_emb else None, decoded=True)
 
 
 def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
@@ -318,45 +384,29 @@ def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
 def attach_scores(pop: Population, scores_path) -> Population:
     """Attach a class-score sidecar (JSONL ``{"id","label","scores"}``).
 
-    The records stream into one ``(N, K)`` score matrix, checked once at
-    the end; units without a record get a NaN row and label -1.
+    The records are read a batch at a time into one ``(N, K)`` score
+    matrix, checked once at the end; units without a record get a NaN row
+    and label -1.  A batch is tested and written as a whole; only when
+    that fails are its records taken one by one, to name the first bad one.
     """
     scores_path = Path(scores_path)
+    index = dict(zip(pop.ids, range(pop.size)))
     labels = np.full(pop.size, -1, dtype=np.int64)
     lines = np.zeros(pop.size, dtype=np.int64)  # 0: no record
     scores = None
-    for lineno, rec in tables.read_jsonl(scores_path):
-        where = f"{scores_path} line {lineno}"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{where}: record must be a JSON object")
-        for fld in ("id", "scores"):
-            if fld not in rec:
-                raise ParseError(f"{where}: record needs {fld!r}")
-        (uid,) = tables.ids([str(rec["id"])], lambda _: where)
-        try:
-            i = pop.index_of(uid)
-        except ConsistencyError:
-            raise ConsistencyError(f"{where}: id {uid!r} not present in the dataset") from None
-        if lines[i]:
-            raise ParseError(f"{where}: duplicate id {uid!r}")
-        lines[i] = lineno
-        vec = rec["scores"]
-        if not isinstance(vec, list) or not vec:
-            raise ParseError(f"{where}: scores must be a nonempty array")
+    for linenos, recs in tables.read_jsonl(scores_path):
+        if not recs:
+            continue
+        batch = _score_batch(index, lines, scores, linenos, recs)
+        if batch is None:
+            scores = _score_records(scores_path, index, lines, labels, scores, linenos, recs)
+            continue
+        rows, values, labs = batch
         if scores is None:
-            scores = np.full((pop.size, len(vec)), np.nan)
-        if len(vec) != scores.shape[1]:
-            raise ParseError(f"{where}: {len(vec)} class scores, but the first record has "
-                             f"{scores.shape[1]}")
-        try:
-            scores[i] = vec
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"{where}: bad scores ({e})") from None
-        label = rec.get("label")
-        if label is not None:
-            if type(label) is not int or not 0 <= label < len(vec):  # a bool is not an int here
-                raise ParseError(f"{where}: label {label!r} is not an integer in [0, {len(vec)})")
-            labels[i] = label
+            scores = np.full((pop.size, values.shape[1]), np.nan)
+        lines[rows] = linenos
+        scores[rows] = values
+        labels[rows] = labs
     if scores is None:
         raise ParseError(f"{scores_path}: no data rows")
     bad = (lines > 0) & ~valid_score_rows(scores)
@@ -364,3 +414,72 @@ def attach_scores(pop: Population, scores_path) -> Population:
         raise ParseError(f"{scores_path} line {lines[bad].min()}: bad scores "
                          "(scores must be nonnegative and sum to 1)")
     return replace(pop, labels=labels, scores=scores, _ids_unique=True)
+
+
+def _score_batch(index: dict, lines: np.ndarray, scores: np.ndarray | None,
+                 linenos: list[int], recs: list):
+    """The rows, score matrix and labels of a batch of sidecar records, or None.
+
+    None means some record fails one of :func:`_score_records`'s checks;
+    they are all tested here at once, for the whole batch.
+    """
+    if set(map(type, recs)) != {dict}:
+        return None
+    # the error messages go unused here: a failing batch is checked again, record by record
+    try:
+        uids = tables.ids(list(map(str, map(itemgetter("id"), recs))), str)
+        vecs = list(map(itemgetter("scores"), recs))
+    except (KeyError, ParseError):  # a missing field; a bad or repeated id
+        return None
+    rows = list(map(index.get, uids))
+    if None in rows or lines[rows].any() or set(map(type, vecs)) != {list}:
+        return None
+    k = len(vecs[0]) if scores is None else scores.shape[1]
+    if k == 0 or set(map(len, vecs)) != {k}:
+        return None
+    try:
+        values = tables.json_numbers(list(chain.from_iterable(vecs)), "scores", str)
+    except ParseError:
+        return None
+    labs = list(map(dict.get, recs, repeat("label")))
+    if not all(label is None or (type(label) is int and 0 <= label < k) for label in labs):
+        return None
+    return rows, values.reshape(-1, k), [-1 if label is None else label for label in labs]
+
+
+def _score_records(path: Path, index: dict, lines: np.ndarray, labels: np.ndarray,
+                   scores: np.ndarray | None, linenos: list[int], recs: list) -> np.ndarray:
+    """Check and write a batch of sidecar records one by one; the first bad one raises.
+
+    Returns the score matrix, allocated here if the batch holds the
+    file's first record.
+    """
+    for lineno, rec in zip(linenos, recs):
+        where = f"{path} line {lineno}"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: record must be a JSON object")
+        for fld in ("id", "scores"):
+            if fld not in rec:
+                raise ParseError(f"{where}: record needs {fld!r}")
+        (uid,) = tables.ids([str(rec["id"])], lambda _: where)
+        i = index.get(uid)
+        if i is None:
+            raise ConsistencyError(f"{where}: id {uid!r} not present in the dataset")
+        if lines[i]:
+            raise ParseError(f"{where}: duplicate id {uid!r}")
+        lines[i] = lineno
+        vec = rec["scores"]
+        if not isinstance(vec, list) or not vec:
+            raise ParseError(f"{where}: scores must be a nonempty array")
+        if scores is None:
+            scores = np.full((len(lines), len(vec)), np.nan)
+        if len(vec) != scores.shape[1]:
+            raise ParseError(f"{where}: {len(vec)} class scores, but the first record has "
+                             f"{scores.shape[1]}")
+        scores[i] = tables.json_numbers(vec, "scores", lambda _: where)
+        label = rec.get("label")
+        if label is not None:
+            if type(label) is not int or not 0 <= label < len(vec):  # a bool is not an int here
+                raise ParseError(f"{where}: label {label!r} is not an integer in [0, {len(vec)})")
+            labels[i] = label
+    return scores

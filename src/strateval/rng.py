@@ -44,6 +44,7 @@ building a ``SeedSequence``, ``PCG64`` or ``Generator`` per stream:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -69,15 +70,23 @@ _MULT = (_U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645))
 def check_seed(seed, name: str = "seed") -> int:
     """``seed`` as a Python int; every seed of the package passes here.
 
+    A seed is a Python or numpy integer, or a float with an integral value.
+
     Raises
     ------
     ParseError
-        If ``seed`` is negative; the message names ``name``.
+        If ``seed`` is negative, a bool, a fractional or non-finite float,
+        or not a number at all; the message names ``name``.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ParseError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        value = int(seed)
+    elif isinstance(seed, (float, np.floating)) and math.isfinite(seed) and seed == int(seed):
+        value = int(seed)
+    else:
+        raise ParseError(f"{name} must be a non-negative integer, got {seed!r}")
+    if value < 0:
+        raise ParseError(f"{name} must be a non-negative integer, got {value}")
+    return value
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -90,11 +90,10 @@ class SuperpopSpec:
         if not isinstance(p, dict):
             raise ParseError(f"'params' must be an object, got {p!r}")
         if self.family in ("two_point", "miscalibrated"):
-            values = np.asarray(p.get("p_values", ()), dtype=float)
-            weights = np.asarray(p.get("weights", ()), dtype=float)
+            values, weights = _real_array(p, "p_values"), _real_array(p, "weights")
             if values.size == 0 or values.shape != weights.shape:
                 raise ParseError("need aligned nonempty p_values and weights")
-            if np.any(values < 0) or np.any(values > 1):
+            if not np.all((values >= 0) & (values <= 1)):
                 raise ParseError("p_values must lie in [0,1]")
             if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0):
                 raise ParseError("weights must be nonnegative and sum to 1")
@@ -107,6 +106,19 @@ class SuperpopSpec:
                 v = p.get(key)
                 if v is None or not np.isfinite(v):
                     raise ParseError(f"miscalibrated needs finite {key!r}")
+
+
+def _real_array(params: dict, key: str) -> np.ndarray:
+    """``params[key]`` as a float array: a list of real numbers, none a bool or a string."""
+    values = params.get(key, ())
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"{key!r} must be an array of numbers, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ParseError(f"{key!r} entries must be numbers, got {v!r}")
+    return np.array(values, dtype=float)
 
 
 def generate(spec: SuperpopSpec) -> Population:

@@ -25,6 +25,16 @@ column is sliced out of the cells; any other text goes through the
 table and the same errors.  Each numeric column is then converted by
 numpy as a whole, and cells are scanned one by one only after a column
 fails, to name the line.
+
+JSONL files are read column first too, in bounded batches:
+:func:`read_jsonl` yields the records of about 64 KiB of lines at a time,
+each decoded by the C scanner that ``json.loads`` runs, and its callers
+test a whole batch at once and gather each field as one list, which
+:func:`json_numbers` converts in one numpy call (embeddings and class
+scores a batch at a time).  A JSON number field must hold a JSON number,
+not a string or a bool.  On a 2-core host this costs
+about 3 µs per record of an ``id,proxy,loss`` pool and about 7.5 µs per
+record of a 10-class score sidecar (7 and 11 µs read record by record).
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import json.scanner
+import math
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from pathlib import Path
@@ -73,18 +85,63 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield lineno, raw
 
 
-def read_jsonl(path) -> Iterator[tuple[int, object]]:
-    """Physical line number and decoded value of each record of a JSONL file."""
+# characters of lines per batch of a JSONL file: bounds the decoded records alive at once
+_JSONL_BATCH_BYTES = 64 * 1024
+_scan = json.scanner.make_scanner(json.JSONDecoder())  # the C scanner json.loads runs
+_JSON_SPACE = " \t\n\r"
+# a JSONDecodeError, an integer with more digits than int() takes, or arrays nested too deep
+_BAD_JSON = (ValueError, RecursionError)
+
+
+def _decode(line: str) -> object:
+    """``json.loads(line)``: the scanner straight, and ``json.loads`` itself on a failure.
+
+    A line with leading whitespace, trailing data or a syntax error thus
+    gets exactly ``json.loads``'s value or error.
+    """
+    try:
+        value, end = _scan(line, 0)
+        if not line[end:].strip(_JSON_SPACE):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
+def read_jsonl(path) -> Iterator[tuple[list[int], list[object]]]:
+    """The records of a JSONL file, a batch of lines at a time.
+
+    Each batch is the physical line numbers and the decoded values of the
+    records among about ``_JSONL_BATCH_BYTES`` characters of lines, so a
+    reader holds one batch of decoded records at a time.
+    """
     path = Path(path)
+    first = 1
     with _open(path) as f:
-        try:
-            for lineno, raw in _records(f):
-                try:
-                    yield lineno, json.loads(raw)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"{path} line {lineno}: invalid JSON ({e.msg})") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+        while True:
+            try:
+                lines = f.readlines(_JSONL_BATCH_BYTES)
+            except UnicodeDecodeError:
+                raise _not_utf8(path) from None
+            if not lines:
+                return
+            keep = list(map(_content, lines))
+            linenos = list(compress(count(first), keep))
+            first += len(lines)
+            try:
+                records = list(map(_decode, compress(lines, keep)))
+            except _BAD_JSON:
+                # the records before the bad line come first, as if read one by one
+                records = []
+                for lineno, line in zip(linenos, compress(lines, keep)):
+                    try:
+                        records.append(_decode(line))
+                    except _BAD_JSON as e:
+                        yield linenos[:len(records)], records
+                        msg = getattr(e, "msg", e)
+                        raise ParseError(f"{path} line {lineno}: invalid JSON ({msg})") from None
+                raise
+            yield linenos, records
 
 
 @dataclass
@@ -269,6 +326,45 @@ def optional_numbers(cells: Sequence[str], col: str, where: Where) -> tuple[np.n
     if not all(present):
         cells = [c if p else "nan" for c, p in zip(cells, present)]
     return numbers(cells, col, where), np.array(present, dtype=bool)
+
+
+_JSON_NUMBERS = {int, float}  # the types a JSON number decodes to; a bool is not one
+
+
+def json_numbers(values: Sequence[object], col: str, where: Where) -> np.ndarray:
+    """Convert decoded JSON values that must be numbers with numpy, at once.
+
+    On failure the values are scanned one by one, so the error names the
+    first one that is not a number (a string or a bool, say) or is an
+    integer too large for a float.
+    """
+    try:
+        if set(map(type, values)) <= _JSON_NUMBERS:
+            return np.array(values, dtype=float)
+    except OverflowError:  # an integer past the largest float
+        pass
+    i = next(i for i, value in enumerate(values) if not _json_number(value))
+    raise ParseError(f"{where(i)}: cannot parse {col}={values[i]!r} as a number")
+
+
+def _json_number(value: object) -> bool:
+    """Whether a decoded JSON value is a number that a float can hold."""
+    if type(value) not in _JSON_NUMBERS:
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an integer past the largest float
+        return False
+    return True
+
+
+def optional_json_numbers(values: Sequence[object], col: str,
+                          where: Where) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`optional_numbers` for decoded JSON values: ``None`` means "no value yet"."""
+    present = [v is not None for v in values]
+    if not all(present):
+        values = [v if p else math.nan for v, p in zip(values, present)]
+    return json_numbers(values, col, where), np.array(present, dtype=bool)
 
 
 def check(ok: np.ndarray, where: Where, problem: Callable[[int], str]) -> None:

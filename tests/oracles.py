@@ -6,6 +6,7 @@ code with the package, so agreement is meaningful evidence.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -243,3 +244,57 @@ def stratified_slots(seed, sizes, n_h):
         rng = np.random.Generator(np.random.PCG64(sub))
         parts.append(starts[h] + srs_indices(rng, int(size), int(k)))
     return np.concatenate(parts)
+
+
+# -- JSONL ingest -------------------------------------------------------------------
+
+
+def _jsonl_records(path):
+    """Physical line number and ``json.loads`` value of each line that is not
+    a comment (``#``) or blank, one line at a time."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip() and not line.startswith("#"):
+                yield lineno, json.loads(line)
+
+
+def ingest_jsonl(path):
+    """The columns of a valid JSONL pool, read record by record as the
+    package once did: each number through ``str()`` and back.
+
+    Returns ids, proxy, loss (NaN where null or absent), proxy_cal and
+    embeddings (None when the records carry none).
+    """
+    ids, proxy, loss, proxy_cal, emb = [], [], [], [], []
+    for _, rec in _jsonl_records(path):
+        ids.append(str(rec["id"]).strip())
+        proxy.append(float(str(rec["proxy"])))
+        loss.append(math.nan if rec.get("loss") is None else float(str(rec["loss"])))
+        if "proxy_cal" in rec:
+            proxy_cal.append(float(str(rec["proxy_cal"])))
+        if "embedding" in rec:
+            emb.append([float(str(v)) for v in rec["embedding"]])
+    return {
+        "ids": tuple(ids),
+        "proxy": np.array(proxy),
+        "loss": np.array(loss),
+        "proxy_cal": np.array(proxy_cal) if proxy_cal else None,
+        "embeddings": np.array(emb) if emb else None,
+    }
+
+
+def attach_scores(ids, path):
+    """Labels (-1 where unknown) and the ``(N, K)`` score matrix (NaN rows
+    for units without a record) of a valid class-score sidecar, record by
+    record."""
+    row = {uid: i for i, uid in enumerate(ids)}
+    labels = np.full(len(ids), -1, dtype=np.int64)
+    scores = None
+    for _, rec in _jsonl_records(path):
+        i = row[str(rec["id"]).strip()]
+        if scores is None:
+            scores = np.full((len(ids), len(rec["scores"])), math.nan)
+        scores[i] = [float(str(v)) for v in rec["scores"]]
+        if rec.get("label") is not None:
+            labels[i] = rec["label"]
+    return labels, scores

@@ -657,11 +657,15 @@ def spec_with_latin1_byte(spec):
     (lambda doc: doc["population"].update(seed=False),
      "'population.seed' must be a number, got false"),
     (lambda doc: doc.update(population=[]), "'population' must be an object, got []"),
+    (lambda doc: doc["population"]["params"].update(p_values=["0.5", "0.05"]),
+     "'p_values' entries must be numbers, got '0.5'"),
+    (lambda doc: doc["population"]["params"].update(weights=[True, False]),
+     "'weights' entries must be numbers, got True"),
 ], ids=["not-utf8", "reps", "budget", "strata", "level", "method-not-object",
         "ordering-unknown-method", "duplicate-name", "baseline-unknown-method", "params",
         "misspelt-method-key", "fractional-budget", "fractional-strata", "string-reps",
         "bool-reps", "fractional-sim-seed", "fractional-population-size",
-        "bool-population-seed", "population-not-object"])
+        "bool-population-seed", "population-not-object", "string-p-values", "bool-weights"])
 def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     spec = sim_spec(tmp_path)

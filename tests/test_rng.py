@@ -4,10 +4,12 @@ import pytest
 from oracles import srs_indices, stratified_slots
 from strateval import simulate
 from strateval.estimators import stratified_estimate
+from strateval.errors import ParseError
 from strateval.rng import (
     SCHEME,
     _jump_columns,
     _pcg64_outputs,
+    check_seed,
     derive_seed,
     derive_seeds,
     fisher_yates,
@@ -54,6 +56,29 @@ def test_negative_seeds_are_refused():
     for call in (lambda: derive_seed(-1, 2), lambda: generator(-5), lambda: draw(-3, 10, 2)):
         with pytest.raises(ValueError, match="non-negative"):
             call()
+
+
+@pytest.mark.parametrize("seed", [2.7, -0.5, float("inf"), float("nan"), True, np.bool_(False),
+                                  "7", None],
+                         ids=["fractional", "negative-fractional", "inf", "nan", "bool",
+                              "numpy-bool", "string", "none"])
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # before, check_seed(2.7) returned 2, so run_mc(..., seed=2.7) ran as seed 2
+    with pytest.raises(ParseError, match=f"sim_seed must be a non-negative integer, got {seed!r}"):
+        check_seed(seed, "sim_seed")
+
+
+@pytest.mark.parametrize("seed,want", [
+    (7, 16920295385781661272),
+    (np.int64(7), 16920295385781661272),
+    (7.0, 16920295385781661272),
+    (np.float32(7.0), 16920295385781661272),
+    (2**63 + 5, 9074091149795526953),
+    (np.uint64(2**63 + 5), 9074091149795526953),
+], ids=["int", "numpy-int", "integral-float", "numpy-integral-float", "big-int", "numpy-uint"])
+def test_accepted_seeds_keep_their_bits(seed, want):
+    # the values derive_seed gave each of these before check_seed was tightened
+    assert derive_seed(seed) == want
 
 
 # -- the bulk derivation, word for word against live numpy ---------------------

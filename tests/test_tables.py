@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from strateval import tables
 from strateval.cli import main
 from strateval.dataset import Population, ingest
-from strateval.errors import ParseError, PreconditionError
+from strateval.errors import ConsistencyError, ParseError, PreconditionError
 from strateval.losses import LossKind
 from strateval.sampling import SampleDraw, load_worksheet, worksheet_csv
 from strateval.stratify import StrataPartition, load_partition_csv, partition_csv
@@ -40,6 +43,23 @@ ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
+
+
+# comment lines that fill more than one batch of the JSONL reader: after a
+# file's first line they put every later record past the first batch
+PAD = "# padding that moves the records below out of the first batch...\n"
+PAD_LINES = 2 * tables._JSONL_BATCH_BYTES // len(PAD) + 1
+
+
+def past_first_batch(text, message):
+    """``text`` (str or bytes) with PAD_LINES comment lines after its first
+    line, and ``message`` with the line numbers past that line moved to match."""
+    pad = PAD * PAD_LINES
+    if isinstance(text, bytes):
+        pad = pad.encode()
+    cut = text.index(pad[-1:]) + 1
+    return text[:cut] + pad + text[cut:], re.sub(
+        r"line (\d+)", lambda m: f"line {int(m[1]) + PAD_LINES * (int(m[1]) > 1)}", message)
 
 
 # -- byte-exact round trips ----------------------------------------------------
@@ -227,13 +247,16 @@ def test_a_byte_order_mark_is_dropped(tmp_path, name):
     assert ingest(path, "accuracy").ids == ("a", "b")
 
 
-@pytest.mark.parametrize("name,data,line", [
-    ("pool.csv", b"id,proxy\na,0.1\ncaf\xe9,0.5\n", 3),
-    ("pool.csv", b"\xef\xbb\xbfid,proxy\r\n# caf\xe9\r\na,0.1\r\n", 2),
-    ("pool.jsonl", b'{"id": "a", "proxy": 0.1}\n\n{"id": "caf\xe9", "proxy": 0.5}\n', 3),
-    ("pool.txt", b'{"id": "a", "proxy": 0.1}\n{"id": "caf\xe9", "proxy": 0.5}\n', 2),
-    ("pool.txt", b"id,proxy\na,0.1\ncaf\xe9,0.5\n", 3),
-], ids=["csv", "bom-crlf", "jsonl", "peek-jsonl", "peek-csv"])
+NOT_UTF8 = {
+    "csv": ("pool.csv", b"id,proxy\na,0.1\ncaf\xe9,0.5\n", 3),
+    "bom-crlf": ("pool.csv", b"\xef\xbb\xbfid,proxy\r\n# caf\xe9\r\na,0.1\r\n", 2),
+    "jsonl": ("pool.jsonl", b'{"id": "a", "proxy": 0.1}\n\n{"id": "caf\xe9", "proxy": 0.5}\n', 3),
+    "peek-jsonl": ("pool.txt", b'{"id": "a", "proxy": 0.1}\n{"id": "caf\xe9", "proxy": 0.5}\n', 2),
+    "peek-csv": ("pool.txt", b"id,proxy\na,0.1\ncaf\xe9,0.5\n", 3),
+}
+
+
+@pytest.mark.parametrize("name,data,line", NOT_UTF8.values(), ids=NOT_UTF8)
 def test_a_file_that_is_not_utf8_names_its_line(tmp_path, name, data, line):
     # before, every reader (and the format peek) raised UnicodeDecodeError
     path = tmp_path / name
@@ -242,12 +265,33 @@ def test_a_file_that_is_not_utf8_names_its_line(tmp_path, name, data, line):
         ingest(path, "accuracy")
 
 
-def test_a_sidecar_that_is_not_utf8_names_its_line(tmp_path):
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_a_bad_byte_past_the_first_batch_names_its_line(tmp_path, case):
+    name, data, line = NOT_UTF8[case]
+    data, message = past_first_batch(data, f"line {line}: not valid UTF-8 \\(byte 0xe9\\)")
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=message):
+        ingest(path, "accuracy")
+
+
+SIDECAR_NOT_UTF8 = b'{"id": "a", "scores": [0.5, 0.5]}\n{"id": "b\xe9", "scores": [1, 0]}\n'
+
+
+def _sidecar_not_utf8(tmp_path, data, message):
     pool, side = tmp_path / "pool.csv", tmp_path / "scores.jsonl"
     pool.write_text("id,proxy\na,0.1\nb,0.5\n")
-    side.write_bytes(b'{"id": "a", "scores": [0.5, 0.5]}\n{"id": "b\xe9", "scores": [1, 0]}\n')
-    with pytest.raises(ParseError, match=f"{side} line 2: not valid UTF-8"):
+    side.write_bytes(data)
+    with pytest.raises(ParseError, match=f"{side} {message}"):
         ingest(pool, "cross_entropy", scores_path=side)
+
+
+def test_a_sidecar_that_is_not_utf8_names_its_line(tmp_path):
+    _sidecar_not_utf8(tmp_path, SIDECAR_NOT_UTF8, "line 2: not valid UTF-8")
+
+
+def test_a_sidecar_bad_byte_past_the_first_batch_names_its_line(tmp_path):
+    _sidecar_not_utf8(tmp_path, *past_first_batch(SIDECAR_NOT_UTF8, "line 2: not valid UTF-8"))
 
 
 @pytest.mark.parametrize("head,end", [
@@ -344,6 +388,17 @@ def test_carriage_return_in_id_rejected(tmp_path, reader):
     _reject(tmp_path, reader, "u3\rx")
 
 
+@pytest.mark.parametrize("uid", ["   ", " #7", "u3\nx", "u3\rx"], ids=["empty", "hash", "lf", "cr"])
+@pytest.mark.parametrize("reader", READERS)
+def test_a_bad_id_past_the_first_batch_names_its_line(tmp_path, reader, uid):
+    name, text, read = READERS[reader]
+    path = tmp_path / name
+    text, message = past_first_batch(text(uid), "line 4: bad id")
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        read(path)
+
+
 def test_ids_are_stripped_in_every_reader(tmp_path):
     p = tmp_path / "pool.jsonl"
     p.write_text(json.dumps({"id": " a b ", "proxy": 0.5}) + "\n")
@@ -424,12 +479,44 @@ LINE_ERRORS = [
      "line 4: proxy_cal present in some records but not all"),
     ("pool.jsonl", '{"id":"a","proxy":0.1,"embedding":[1]}\n\n\n'
      '{"id":"b","proxy":0.5,"embedding":[1,2]}\n', "line 4: embedding dimensionality"),
+    # numeric fields must be JSON numbers: before, each went through str() and was parsed
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":"0.5"}\n',
+     "line 4: cannot parse proxy='0.5' as a number"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":true}\n',
+     "line 4: cannot parse proxy=True as a number"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1,"proxy_cal":0.2}\n\n\n{"id":"b","proxy":0.5,"proxy_cal":[0.5]}\n',
+     r"line 4: cannot parse proxy_cal=\[0.5\] as a number"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"loss":"1"}\n',
+     "line 4: cannot parse loss='1' as a number"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"loss":""}\n',
+     "line 4: cannot parse loss='' as a number"),
+    pytest.param("pool.jsonl",
+                 '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"loss":1' + "0" * 400 + "}\n",
+                 "line 4: cannot parse loss=10000", id="loss-too-large-for-a-float"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1,"embedding":[1]}\n\n\n'
+     '{"id":"b","proxy":0.5,"embedding":[false]}\n', "line 4: cannot parse embedding=False"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5\n',
+     "line 4: invalid JSON"),
+    # before, these two escaped as a ValueError and a RecursionError traceback
+    pytest.param("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":1' + "0" * 5000 + "}\n",
+                 r"line 4: invalid JSON \(Exceeds the limit", id="integer-with-too-many-digits"),
+    pytest.param("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n' + "[" * 10**5 + "]" * 10**5 + "\n",
+                 r"line 4: invalid JSON \(maximum recursion depth exceeded", id="nested-too-deep"),
 ]
 
 
 @pytest.mark.parametrize("name,text,message", LINE_ERRORS)
 def test_pool_errors_name_the_physical_line(tmp_path, name, text, message):
     p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        ingest(p, "accuracy")
+
+
+@pytest.mark.parametrize("name,text,message", LINE_ERRORS)
+def test_pool_errors_past_the_first_batch_name_the_physical_line(tmp_path, name, text, message):
+    p = tmp_path / name
+    text, message = past_first_batch(text, message)
     p.write_text(text)
     with pytest.raises(ParseError, match=message):
         ingest(p, "accuracy")
@@ -471,6 +558,19 @@ SIDECAR_ERRORS = {
                     "line 3: label 2 is not an integer in [0, 2)"),
     "class-count": ('{"id": "u1", "scores": [0.2, 0.3, 0.5]}',
                     "line 3: 3 class scores, but the first record has 2"),
+    # before, these were read as [1.0, 0.0] and [0.25, 0.75], and a huge integer
+    # escaped as an OverflowError
+    "scores-bool": ('{"id": "u1", "scores": [true, false]}',
+                    "line 3: cannot parse scores=True as a number"),
+    "scores-string": ('{"id": "u1", "scores": ["0.25", "0.75"]}',
+                      "line 3: cannot parse scores='0.25' as a number"),
+    "scores-huge-int": ('{"id": "u1", "scores": [1' + "0" * 400 + ', 0]}',
+                        "line 3: cannot parse scores=10000"),
+    "unknown-id": ('{"id": "u9", "scores": [0.5, 0.5]}',
+                   "line 3: id 'u9' not present in the dataset"),
+    "duplicate-id": ('{"id": "u0", "scores": [0.5, 0.5]}', "line 3: duplicate id 'u0'"),
+    "no-scores": ('{"id": "u1", "label": 0}', "line 3: record needs 'scores'"),
+    "empty-scores": ('{"id": "u1", "scores": []}', "line 3: scores must be a nonempty array"),
 }
 
 
@@ -488,7 +588,17 @@ def _plan_with_sidecar(tmp_path, lines):
 def test_sidecar_refuses_a_malformed_record(tmp_path, capsys, case):
     record, message = SIDECAR_ERRORS[case]
     rc = _plan_with_sidecar(tmp_path, ['{"id": "u0", "label": 0, "scores": [0.5, 0.5]}', "# c", record])
-    assert rc == 2
+    assert rc == (4 if case == "unknown-id" else 2)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", SIDECAR_ERRORS)
+def test_sidecar_refuses_a_malformed_record_past_the_first_batch(tmp_path, capsys, case):
+    record, message = SIDECAR_ERRORS[case]
+    text, message = past_first_batch(
+        '{"id": "u0", "label": 0, "scores": [0.5, 0.5]}\n# c\n' + record, message)
+    rc = _plan_with_sidecar(tmp_path, text.split("\n"))
+    assert rc == (4 if case == "unknown-id" else 2)
     assert message in capsys.readouterr().err
 
 
@@ -500,3 +610,183 @@ def test_sidecar_scores_error_names_the_first_bad_record_in_file_order(tmp_path,
     ])
     assert rc == 2
     assert "line 2: bad scores" in capsys.readouterr().err
+
+
+# -- JSONL read a batch at a time -----------------------------------------------
+
+JSON_UNIT = st.one_of(UNIT, st.sampled_from([0, 1]))  # a JSON number may be an integer
+FILLER = st.sampled_from(["# a comment", "", "  ", "\t", "#"])
+
+
+@st.composite
+def jsonl_files(draw):
+    """A valid JSONL pool and class-score sidecar, as text, with comment, blank and CRLF lines."""
+    ids = draw(IDS)
+    n = len(ids)
+    has_cal, d = draw(st.booleans()), draw(st.sampled_from([0, 0, 1, 3]))
+    records = []
+    for uid in ids:
+        rec = {"id": draw(st.sampled_from(["", " "])) + uid, "proxy": draw(JSON_UNIT)}
+        loss = draw(st.one_of(st.just("absent"), st.none(), JSON_UNIT))
+        if loss != "absent":
+            rec["loss"] = loss
+        if has_cal:
+            rec["proxy_cal"] = draw(JSON_UNIT)
+        if d:
+            rec["embedding"] = draw(st.lists(st.one_of(ANY_FLOAT, st.integers(-9, 9)),
+                                             min_size=d, max_size=d))
+        records.append(json.dumps(rec))
+    k = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
+    scored = draw(st.permutations(ids))[: draw(st.integers(1, n))]
+    side = []
+    for uid in scored:
+        w = draw(weights)
+        rec = {"id": uid, "scores": ([int(v == max(w)) for v in w] if w.count(max(w)) == 1
+                                     else [v / sum(w) for v in w])}
+        label = draw(st.one_of(st.just("absent"), st.none(), st.integers(0, k - 1)))
+        if label != "absent":
+            rec["label"] = label
+        side.append(json.dumps(rec))
+
+    def text(lines):
+        out = []
+        for line in lines:
+            out += draw(st.lists(FILLER, max_size=2))
+            out.append(line)
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(out),
+                             max_size=len(out)))
+        bom = draw(st.sampled_from(["", "\ufeff"]))
+        return bom + "".join(map(str.__add__, out, ends))
+
+    return text(records), text(side)
+
+
+@settings(max_examples=150)
+@given(files=jsonl_files(), batch=st.integers(1, 400))
+def test_batched_jsonl_ingest_matches_the_record_by_record_oracle(scratch, files, batch):
+    pool, side = scratch / "pool.jsonl", scratch / "scores.jsonl"
+    pool.write_text(files[0], encoding="utf-8")
+    side.write_text(files[1], encoding="utf-8")
+    with mock.patch.object(tables, "_JSONL_BATCH_BYTES", batch):
+        pop = ingest(pool, "squared_error", scores_path=side)
+    want = oracles.ingest_jsonl(pool)
+    labels, scores = oracles.attach_scores(want["ids"], side)
+    assert pop.ids == want["ids"]
+    for name in ("proxy", "loss", "proxy_cal", "embeddings"):
+        got = getattr(pop, name)
+        assert (got is None) == (want[name] is None)
+        if got is not None:  # bit for bit, NaN and -0.0 included
+            assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes()
+    assert pop.labels.tobytes() == labels.tobytes()
+    assert pop.scores.tobytes() == scores.tobytes()
+
+
+def _fault(line, first_id, rng):
+    """One malformed variant of a valid pool or sidecar record line."""
+    rec = json.loads(line)
+    key = "scores" if "scores" in rec else "proxy"
+    faults = [
+        "{" + line, "5", "[]", json.dumps({"id": rec["id"]}), json.dumps({key: rec[key]}),
+        json.dumps({**rec, "id": " #x"}), json.dumps({**rec, "id": "zz"}),
+        json.dumps({**rec, "id": first_id}),
+        json.dumps({**rec, key: "0.5"}), json.dumps({**rec, key: True}),
+        json.dumps({**rec, key: [0.5, "x"]}), json.dumps({**rec, key: 10**400}),
+        json.dumps({**rec, key: [1, 10**400]}), json.dumps({**rec, key: []}),
+        json.dumps({**rec, key: 1.5}), json.dumps({**rec, key: [0.25, 0.25, 0.25, 0.25, 0.0]}),
+        json.dumps({**rec, "loss": 7}), json.dumps({**rec, "loss": False}),
+        json.dumps({**rec, "proxy_cal": 0.5}), json.dumps({**rec, "embedding": [1.0] * 7}),
+        json.dumps({**rec, "embedding": "x"}),
+        json.dumps({**rec, "embedding": [str(v) for v in rec.get("embedding", [1])]}),
+        json.dumps({**rec, "label": 9}),
+        json.dumps({**rec, "label": True}),
+    ]
+    return faults[int(rng.integers(len(faults)))]
+
+
+def _outcome_of(read):
+    try:
+        read()
+    except (ParseError, ConsistencyError) as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+@settings(max_examples=150)
+@given(files=jsonl_files(), batch=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       which=st.sampled_from([0, 1]), faults=st.integers(1, 2))
+def test_the_error_a_jsonl_file_gets_does_not_depend_on_the_batches(scratch, files, batch, seed,
+                                                                    which, faults):
+    # the same error wins whether a batch holds one line or the whole file;
+    # with one batch, every record goes through the record-by-record checks
+    rng = np.random.default_rng(seed)
+    files = list(files)
+    lines = files[which].split("\n")
+    at = [i for i, line in enumerate(lines) if line.lstrip("\ufeff").startswith("{")]
+    first_id = json.loads(lines[at[0]].lstrip("\ufeff"))["id"]
+    for i in rng.choice(at, size=min(faults, len(at)), replace=False):
+        bom = "\ufeff" if lines[i].startswith("\ufeff") else ""
+        end = "\r" if lines[i].endswith("\r") else ""
+        lines[i] = bom + _fault(lines[i].lstrip("\ufeff").rstrip("\r"), first_id, rng) + end
+    files[which] = "\n".join(lines)
+    pool, side = scratch / "pool.jsonl", scratch / "scores.jsonl"
+    pool.write_text(files[0], encoding="utf-8")
+    side.write_text(files[1], encoding="utf-8")
+    outcomes = []
+    for size in (batch, 1 << 30):
+        with mock.patch.object(tables, "_JSONL_BATCH_BYTES", size):
+            outcomes.append(_outcome_of(lambda: ingest(pool, "squared_error", scores_path=side)))
+    assert outcomes[0] == outcomes[1]
+
+
+# Peak of the traced allocations of `ingest` on the pool and sidecar below,
+# measured at commit 6b73999, which read the records one at a time: 3.26 MB.
+# The batched read must not hold more at once.
+JSONL_INGEST_PEAK_BOUND_MB = 3.26
+
+
+def test_jsonl_ingest_memory_peak_is_bounded(tmp_path):
+    n, k = 10_000, 10
+    rng = np.random.default_rng(0)
+    scores = rng.dirichlet(np.ones(k), size=n)
+    labels = rng.integers(k, size=n)
+    loss = (1.0 - scores[np.arange(n), labels]) ** 2
+    proxy = np.einsum("ik,ik->i", scores, (1.0 - scores) ** 2)
+    pool, side = tmp_path / "pool.jsonl", tmp_path / "scores.jsonl"
+    pool.write_text("".join(
+        f'{{"id": "u{i:05d}", "proxy": {p!r}, "loss": {z!r}}}\n'
+        for i, (p, z) in enumerate(zip(proxy.tolist(), loss.tolist()))))
+    side.write_text("".join(
+        f'{{"id": "u{i:05d}", "label": {y}, "scores": {json.dumps(s)}}}\n'
+        for i, (y, s) in enumerate(zip(labels.tolist(), scores.tolist()))))
+    tracemalloc.start()
+    try:
+        pop = ingest(pool, "squared_error", scores_path=side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= JSONL_INGEST_PEAK_BOUND_MB
+    # the files span many batches of the real size; the values are the oracle's
+    want = oracles.ingest_jsonl(pool)
+    labels, scores = oracles.attach_scores(want["ids"], side)
+    assert pop.ids == want["ids"] and pop.proxy.tobytes() == want["proxy"].tobytes()
+    assert pop.loss.tobytes() == want["loss"].tobytes()
+    assert pop.scores.tobytes() == scores.tobytes() and pop.labels.tobytes() == labels.tobytes()
+
+
+def test_jsonl_embeddings_are_held_as_floats_not_python_objects(tmp_path):
+    # read record by record, a 10^4 x 64 pool peaked at 61.1 MB for its 5.1 MB matrix;
+    # converted a batch at a time, the matrix, its parts and one batch remain
+    n, d = 10_000, 64
+    emb = np.random.default_rng(0).normal(size=(n, d))
+    path = tmp_path / "pool.jsonl"
+    path.write_text("".join(json.dumps({"id": f"u{i}", "proxy": 0.5, "embedding": row}) + "\n"
+                            for i, row in enumerate(emb.tolist())))
+    tracemalloc.start()
+    try:
+        pop = ingest(path, "accuracy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pop.embeddings.tobytes() == emb.tobytes()
+    assert peak <= 3 * emb.nbytes
