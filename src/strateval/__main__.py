@@ -1,3 +1,3 @@
-from strateval.cli import main
+from strateval.cli import run
 
-raise SystemExit(main())
+run()

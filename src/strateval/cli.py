@@ -10,14 +10,22 @@ Exit codes: 0 success; 2 parse error (unreadable or malformed file or
 config); 3 precondition error (valid inputs, invalid operation
 parameters); 4 consistency error (inputs disagree with each other, or a
 requested result assertion failed).
+
+Run as a program (the ``strateval`` script, ``python -m strateval`` or
+``python -m strateval.cli``), a command flushes stdout and stderr and
+leaves through ``os._exit``, without interpreter teardown: every output
+file is closed by then.  Library callers use :func:`main`, which still
+returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -469,5 +477,26 @@ def main(argv=None) -> int:
         return EXIT_CONSISTENCY
 
 
+def run() -> NoReturn:
+    """Process entry point: :func:`main` on the command line, then ``os._exit``.
+
+    Interpreter teardown buys a finished command nothing and costs tens
+    of milliseconds, so the process ends as soon as stdout and stderr are
+    flushed.  A stdout with no reader left ends it with exit code 1 and
+    no traceback, fd 1 pointed at ``os.devnull`` as the Python docs'
+    note on SIGPIPE recommends.  ``SystemExit`` from argparse (``--help``,
+    ``--version``, a bad flag) and any other exception take the normal
+    interpreter exit.
+    """
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -255,6 +255,11 @@ class _Layout(NamedTuple):
         return cls("proxy_cal" in rec, "embedding" in rec, len(emb) if type(emb) is list else 0)
 
 
+def _bad_json_id(where: str, value: object) -> ParseError:
+    """The error of a JSONL record whose id is not a JSON string (a number, null, a bool, ...)."""
+    return ParseError(f"{where}: bad id {value!r} (a JSONL id must be a JSON string)")
+
+
 def _layout_ok(recs: list, layout: _Layout) -> bool:
     """Whether every record of a batch passes :func:`_name_bad_pool_record`'s checks, tested at once."""
     if set(map(type, recs)) != {dict}:
@@ -263,6 +268,8 @@ def _layout_ok(recs: list, layout: _Layout) -> bool:
                      ("embedding", layout.has_emb)):
         if sum(map(contains, recs, repeat(fld))) != (len(recs) if has else 0):
             return False
+    if set(map(type, map(itemgetter("id"), recs))) != {str}:
+        return False
     if layout.has_emb:
         vecs = list(map(itemgetter("embedding"), recs))
         return (layout.d > 0 and set(map(type, vecs)) == {list}
@@ -281,6 +288,8 @@ def _name_bad_pool_record(path: Path, linenos: list[int], recs: list,
         here = f"{path} line {lineno}"
         if not isinstance(rec, dict) or "id" not in rec or "proxy" not in rec:
             raise ParseError(f"{here}: record needs 'id' and 'proxy' fields")
+        if type(rec["id"]) is not str:
+            raise _bad_json_id(here, rec["id"])
         for fld, has in (("proxy_cal", layout.has_cal), ("embedding", layout.has_emb)):
             if (fld in rec) != has:
                 raise ParseError(f"{here}: {fld} present in some records but not all")
@@ -315,7 +324,7 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
         if layout is None or not _layout_ok(recs, layout):
             _name_bad_pool_record(path, lines, recs, layout)
         linenos += lines
-        ids += map(str, map(itemgetter("id"), recs))
+        ids += map(itemgetter("id"), recs)
         proxy += map(itemgetter("proxy"), recs)
         loss += map(dict.get, recs, repeat("loss"))
         if layout.has_cal:
@@ -427,8 +436,11 @@ def _score_batch(index: dict, lines: np.ndarray, scores: np.ndarray | None,
         return None
     # the error messages go unused here: a failing batch is checked again, record by record
     try:
-        uids = tables.ids(list(map(str, map(itemgetter("id"), recs))), str)
+        uids = list(map(itemgetter("id"), recs))
         vecs = list(map(itemgetter("scores"), recs))
+        if set(map(type, uids)) != {str}:
+            return None
+        uids = tables.ids(uids, str)
     except (KeyError, ParseError):  # a missing field; a bad or repeated id
         return None
     rows = list(map(index.get, uids))
@@ -461,7 +473,9 @@ def _score_records(path: Path, index: dict, lines: np.ndarray, labels: np.ndarra
         for fld in ("id", "scores"):
             if fld not in rec:
                 raise ParseError(f"{where}: record needs {fld!r}")
-        (uid,) = tables.ids([str(rec["id"])], lambda _: where)
+        if type(rec["id"]) is not str:
+            raise _bad_json_id(where, rec["id"])
+        (uid,) = tables.ids([rec["id"]], lambda _: where)
         i = index.get(uid)
         if i is None:
             raise ConsistencyError(f"{where}: id {uid!r} not present in the dataset")

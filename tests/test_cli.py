@@ -799,16 +799,71 @@ def test_negative_spec_seeds_exit_two(tmp_path, capsys, field):
     assert f"{field} must be a non-negative integer, got" in capsys.readouterr().err
 
 
-def test_runs_as_python_module(tmp_path):
+def child_env(**extra):
+    """The environment of a ``python -m strateval`` child: this checkout's package, stdout
+    buffered as it is by default (``PYTHONUNBUFFERED`` removed), plus ``extra``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "strateval", "--version"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
-    )
-    assert done.returncode == 0
-    assert done.stdout.startswith("strateval ")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return {**env, **extra}
+
+
+# argv (files made under DIR), exit code, what stdout or stderr starts with, the output files
+MODULE_RUNS = {
+    "version": (["--version"], 0, "strateval ", []),
+    "plan": (["plan", "--input", "DIR/pool.csv", "--loss-kind", "squared_error", "--budget", "12",
+              "--strata", "3"], 0, "plan: 3 strata", ["partition.csv", "plan.json", "worksheet.csv"]),
+    "parse": (["plan", "--input", "DIR/absent.csv", "--budget", "5"], 2, "error (parse): ", []),
+    "precondition": (["plan", "--input", "DIR/pool.csv", "--loss-kind", "squared_error",
+                      "--budget", "500"], 3, "error (precondition): budget 500 outside", []),
+    "consistency": (["calibrate", "--input", "DIR/unlabeled.csv"], 4,
+                    "error (consistency): calibration half has", []),
+    "simulate": (["simulate", "--spec", str(ORDERING_SPEC)], 0, "simulate[SRS+HT]: ",
+                 ["results.json"]),
+}
+
+
+@pytest.mark.parametrize("run", MODULE_RUNS)
+@pytest.mark.parametrize("module", ["strateval", "strateval.cli"])
+def test_runs_as_python_module(tmp_path, module, run):
+    # the process leaves through os._exit: its output must be flushed and
+    # its files whole, the same bytes as an in-process main() writes
+    grid_pool(tmp_path / "pool.csv", n=30)
+    write_pool(tmp_path / "unlabeled.csv", [f"u{i}" for i in range(8)], np.linspace(0.1, 0.9, 8))
+    argv, code, head, files = MODULE_RUNS[run]
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+    if run != "version":
+        argv += ["--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                          env=child_env(), cwd=tmp_path, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert (done.stdout if code == 0 else done.stderr).startswith(head)
+    assert "Traceback" not in done.stderr
+    written = {f: (tmp_path / "out" / f).read_bytes() for f in files}
+    if files:
+        assert main(argv) == 0
+        assert {f: (tmp_path / "out" / f).read_bytes() for f in files} == written
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
+    # before, a buffered stdout gave "Exception ignored ... BrokenPipeError"
+    # and exit 120, an unbuffered one a BrokenPipeError traceback and exit 1
+    grid_pool(tmp_path / "pool.csv", n=30)
+    out = tmp_path / "out"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "strateval", "plan", "--input", str(tmp_path / "pool.csv"),
+             "--loss-kind", "squared_error", "--budget", "12", "--strata", "3", "--out", str(out)],
+            stdout=write, stderr=subprocess.PIPE, text=True, cwd=tmp_path, timeout=120,
+            env=child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {})))
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert sorted(p.name for p in out.iterdir()) == ["partition.csv", "plan.json", "worksheet.csv"]
 
 
 def test_every_subcommand_is_byte_reproducible(tmp_path):

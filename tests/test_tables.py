@@ -497,6 +497,12 @@ LINE_ERRORS = [
      '{"id":"b","proxy":0.5,"embedding":[false]}\n', "line 4: cannot parse embedding=False"),
     ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5\n',
      "line 4: invalid JSON"),
+    # an id must be a JSON string: before, each went through str(), so 1 read as '1'
+    *(pytest.param("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":%s,"proxy":0.5}\n' % uid,
+                   r"line 4: bad id %s \(a JSONL id must be a JSON string\)" % re.escape(shown),
+                   id=f"id-{name}")
+      for name, uid, shown in (("number", "1", "1"), ("null", "null", "None"),
+                               ("bool", "true", "True"), ("array", "[1]", "[1]"))),
     # before, these two escaped as a ValueError and a RecursionError traceback
     pytest.param("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":1' + "0" * 5000 + "}\n",
                  r"line 4: invalid JSON \(Exceeds the limit", id="integer-with-too-many-digits"),
@@ -569,6 +575,11 @@ SIDECAR_ERRORS = {
     "unknown-id": ('{"id": "u9", "scores": [0.5, 0.5]}',
                    "line 3: id 'u9' not present in the dataset"),
     "duplicate-id": ('{"id": "u0", "scores": [0.5, 0.5]}', "line 3: duplicate id 'u0'"),
+    # before, a non-string id went through str(), so 1 matched a pool id "1"
+    "id-number": ('{"id": 1, "scores": [0.5, 0.5]}', "line 3: bad id 1 (a JSONL id must be"),
+    "id-null": ('{"id": null, "scores": [0.5, 0.5]}', "line 3: bad id None (a JSONL id must be"),
+    "id-bool": ('{"id": true, "scores": [0.5, 0.5]}', "line 3: bad id True (a JSONL id must be"),
+    "id-array": ('{"id": [1], "scores": [0.5, 0.5]}', "line 3: bad id [1] (a JSONL id must be"),
     "no-scores": ('{"id": "u1", "label": 0}', "line 3: record needs 'scores'"),
     "empty-scores": ('{"id": "u1", "scores": []}', "line 3: scores must be a nonempty array"),
 }
@@ -689,7 +700,7 @@ def _fault(line, first_id, rng):
     faults = [
         "{" + line, "5", "[]", json.dumps({"id": rec["id"]}), json.dumps({key: rec[key]}),
         json.dumps({**rec, "id": " #x"}), json.dumps({**rec, "id": "zz"}),
-        json.dumps({**rec, "id": first_id}),
+        json.dumps({**rec, "id": first_id}), json.dumps({**rec, "id": 1}),
         json.dumps({**rec, key: "0.5"}), json.dumps({**rec, key: True}),
         json.dumps({**rec, key: [0.5, "x"]}), json.dumps({**rec, key: 10**400}),
         json.dumps({**rec, key: [1, 10**400]}), json.dumps({**rec, key: []}),
