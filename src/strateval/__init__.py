@@ -15,7 +15,7 @@ from .dataset import Population, attach_scores, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
 from .estimators import confidence_interval, design_mse, normal_quantile, stratified_estimate
 from .losses import LossKind, conditional_moments, eval_loss
-from .rng import derive_seed, generator, substream
+from .rng import derive_seed, generator
 from .sampling import SampleDraw, draw_ssrs, load_worksheet
 from .simulate import (
     MCResult,
@@ -26,12 +26,7 @@ from .simulate import (
     run_mc,
     run_methods,
 )
-from .stratify import (
-    StrataPartition,
-    equal_width_bins,
-    kmeans_1d,
-    kmeans_embeddings,
-)
+from .stratify import StrataPartition, equal_width_bins, kmeans_1d
 
 __version__ = "0.1.0"
 
@@ -61,7 +56,6 @@ __all__ = [
     "generator",
     "ingest",
     "kmeans_1d",
-    "kmeans_embeddings",
     "load_worksheet",
     "neyman",
     "normal_quantile",
@@ -70,5 +64,4 @@ __all__ = [
     "run_methods",
     "split_half",
     "stratified_estimate",
-    "substream",
 ]

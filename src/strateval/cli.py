@@ -46,13 +46,7 @@ from .simulate import (
     generate,
     run_methods,
 )
-from .stratify import (
-    StrataPartition,
-    equal_width_bins,
-    kmeans_1d,
-    kmeans_embeddings,
-    partition_csv,
-)
+from .stratify import StrataPartition, equal_width_bins, kmeans_1d, partition_csv
 from .tables import _not_utf8
 
 EXIT_PARSE = 2
@@ -62,7 +56,6 @@ EXIT_CONSISTENCY = 4
 DEFAULT_SEED_SPLIT = 13
 DEFAULT_SEED_SAMPLE = 37
 DEFAULT_SEED_SIM = 101
-DEFAULT_SEED_STRAT = 7
 DEFAULT_STRATA = 10
 # the settings of a simulate method, each with the value it takes when the method omits it
 METHOD_DEFAULTS = {"design": "srs", "estimator": "ht", "allocation": "prop", "sd_source": "true"}
@@ -119,15 +112,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _build_partition(pop: Population, args) -> StrataPartition:
-    if args.stratify_on == "proxy":
-        return kmeans_1d(pop.get_proxy(args.proxy_col), args.strata)
-    if args.stratify_on == "bins":
-        return equal_width_bins(pop.get_proxy(args.proxy_col), args.strata)
-    if pop.embeddings is None:
-        raise PreconditionError(
-            "--stratify-on embeddings needs emb_* columns in the dataset"
-        )
-    return kmeans_embeddings(pop.embeddings, args.strata, args.seed_strat)
+    stratify = kmeans_1d if args.stratify_on == "proxy" else equal_width_bins
+    return stratify(pop.get_proxy(args.proxy_col), args.strata)
 
 
 def cmd_plan(args) -> int:
@@ -432,11 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--strata", type=int, default=DEFAULT_STRATA, metavar="H")
     pp.add_argument("--budget", type=int, required=True, metavar="N_LABELS")
     pp.add_argument("--strategy", default="prop", choices=["srs", "prop", "neyman"])
-    pp.add_argument(
-        "--stratify-on", default="proxy", choices=["proxy", "embeddings", "bins"]
-    )
+    pp.add_argument("--stratify-on", default="proxy", choices=["proxy", "bins"])
     pp.add_argument("--seed-sample", type=_seed_flag, default=DEFAULT_SEED_SAMPLE)
-    pp.add_argument("--seed-strat", type=_seed_flag, default=DEFAULT_SEED_STRAT)
     pp.set_defaults(func=cmd_plan)
 
     pe = sub.add_parser(

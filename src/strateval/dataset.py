@@ -6,11 +6,11 @@ order; every downstream component (stratification, sampling, estimation)
 indexes units by that order, so two ingests of the same file are
 interchangeable.
 
-Dataset files are CSV with header ``id,proxy[,proxy_cal][,loss][,emb_0..
-emb_{d-1}]`` or JSONL with the same field names (``embedding`` as an
-array).  A class-score sidecar (JSONL records ``{"id":…, "label":…,
-"scores":[…]}``) can be attached to supply per-unit predictive
-distributions.  All three are read through the one table reader in
+Dataset files are CSV with header ``id,proxy[,proxy_cal][,loss]`` or
+JSONL with the same field names.  A class-score sidecar (JSONL records
+``{"id":…, "label":…, "scores":[…]}``) can be attached to supply per-unit
+predictive distributions.  An unknown column or field is a parse error in
+all three.  They are read through the one table reader in
 :mod:`strateval.tables`, which owns the rules for ``#`` comment lines,
 physical line numbers in errors, and ids.
 """
@@ -22,7 +22,6 @@ from dataclasses import InitVar, dataclass, field, replace
 from itertools import chain, repeat
 from operator import contains, itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +80,6 @@ class Population:
         Observed per-unit loss; NaN where not yet annotated.
     proxy_cal : ndarray or None
         Calibrated proxy column, when present in the file.
-    embeddings : ndarray or None
-        Shape (N, d) feature matrix, when present.
     labels, scores
         Optional class-score sidecar data: ``labels[i]`` is the true
         class (-1 if unknown) and row ``scores[i]`` of the read-only
@@ -95,7 +92,6 @@ class Population:
     loss: np.ndarray
     loss_kind: LossKind
     proxy_cal: np.ndarray | None = None
-    embeddings: np.ndarray | None = None
     labels: np.ndarray | None = None
     scores: np.ndarray | None = None
     _index: dict = field(init=False, repr=False, default=None)
@@ -110,8 +106,7 @@ class Population:
         n = len(self.ids)
         if self.proxy.shape != (n,) or self.loss.shape != (n,):
             raise PreconditionError("ids, proxy, and loss lengths disagree")
-        for arr in (self.proxy, self.loss, self.proxy_cal, self.embeddings, self.labels,
-                    self.scores):
+        for arr in (self.proxy, self.loss, self.proxy_cal, self.labels, self.scores):
             if arr is not None:
                 arr.setflags(write=False)
         if not _ids_unique and len(set(self.ids)) != n:
@@ -168,7 +163,6 @@ class Population:
             proxy=self.proxy[idx],
             loss=self.loss[idx],
             proxy_cal=pick(self.proxy_cal),
-            embeddings=pick(self.embeddings),
             labels=pick(self.labels),
             scores=pick(self.scores),
             _ids_unique=distinct,
@@ -191,17 +185,17 @@ class Population:
             cols.append(self.proxy_cal.tolist())
         header.append("loss")
         cols.append(["" if v != v else v for v in self.loss.tolist()])  # NaN: not annotated
-        if self.embeddings is not None:
-            header += [f"emb_{j}" for j in range(self.embeddings.shape[1])]
-            cols += self.embeddings.T.tolist()
         return tables.csv_text(header, cols)
 
 
 # -- file ingest -----------------------------------------------------------
 
+_POOL_FIELDS = ("id", "proxy", "proxy_cal", "loss")
+_SIDECAR_FIELDS = ("id", "label", "scores")
 
-def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss,
-                embeddings, *, decoded: bool = False) -> Population:
+
+def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss, *,
+                decoded: bool = False) -> Population:
     """Convert and range-check the columns of a pool file, column by column.
 
     The cells are text (CSV), where a blank ``loss`` cell means "not
@@ -218,41 +212,19 @@ def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss
     losses, present = optional(loss, "loss", where)
     at = np.flatnonzero(present)
     check_losses(kind, losses[at], lambda j: where(int(at[j])))
-    return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind,
-                      proxy_cal=proxy_cal, embeddings=embeddings,
+    return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind, proxy_cal=proxy_cal,
                       _ids_unique=True)  # tables.ids refused a repeat, naming its line
 
 
 def _ingest_csv(path: Path, kind: LossKind) -> Population:
     t = tables.read_csv(path)
-    known = {"id", "proxy", "proxy_cal", "loss"}
     for h in t.header:
-        if h not in known and not h.startswith("emb_"):
+        if h not in _POOL_FIELDS:
             raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
     t.require("id", "proxy")
-    emb_cols = sorted(h for h in t.header if h.startswith("emb_"))
-    d = len(emb_cols)
-    if emb_cols != sorted(f"emb_{j}" for j in range(d)):
-        raise ParseError(
-            f"{path} line {t.header_line}: embedding columns must be emb_0..emb_{{d-1}}"
-        )
     c = t.columns
-    emb = [tables.numbers(c[f"emb_{j}"], f"emb_{j}", t.where) for j in range(d)]
     return _population(kind, t.where, c["id"], c["proxy"], c.get("proxy_cal"),
-                       c.get("loss", [""] * len(t.lines)), np.column_stack(emb) if d else None)
-
-
-class _Layout(NamedTuple):
-    """The optional fields of a JSONL pool as its first record has them; every record must match."""
-
-    has_cal: bool
-    has_emb: bool
-    d: int  # the first record's embedding width; 0 if that is not a nonempty array
-
-    @classmethod
-    def of(cls, rec: dict) -> "_Layout":
-        emb = rec.get("embedding")
-        return cls("proxy_cal" in rec, "embedding" in rec, len(emb) if type(emb) is list else 0)
+                       c.get("loss", [""] * len(t.lines)))
 
 
 def _bad_json_id(where: str, value: object) -> ParseError:
@@ -260,29 +232,35 @@ def _bad_json_id(where: str, value: object) -> ParseError:
     return ParseError(f"{where}: bad id {value!r} (a JSONL id must be a JSON string)")
 
 
-def _layout_ok(recs: list, layout: _Layout) -> bool:
-    """Whether every record of a batch passes :func:`_name_bad_pool_record`'s checks, tested at once."""
+def _check_fields(where: str, rec: dict, known: tuple[str, ...]) -> None:
+    """Refuse a JSONL record with a field outside ``known``, naming the first."""
+    for fld in rec:
+        if fld not in known:
+            raise ParseError(f"{where}: unknown field {fld!r}")
+
+
+def _layout_ok(recs: list, has_cal: bool) -> bool:
+    """Whether every record of a batch passes :func:`_name_bad_pool_record`'s checks, tested at once.
+
+    A record has no unknown field when its length is the count of the
+    known fields it holds, so the batch has none when the sums agree.
+    """
     if set(map(type, recs)) != {dict}:
         return False
-    for fld, has in (("id", True), ("proxy", True), ("proxy_cal", layout.has_cal),
-                     ("embedding", layout.has_emb)):
-        if sum(map(contains, recs, repeat(fld))) != (len(recs) if has else 0):
-            return False
-    if set(map(type, map(itemgetter("id"), recs))) != {str}:
+    counts = [sum(map(contains, recs, repeat(fld))) for fld in _POOL_FIELDS]
+    n = len(recs)
+    if counts[:3] != [n, n, n if has_cal else 0] or sum(map(len, recs)) != sum(counts):
         return False
-    if layout.has_emb:
-        vecs = list(map(itemgetter("embedding"), recs))
-        return (layout.d > 0 and set(map(type, vecs)) == {list}
-                and set(map(len, vecs)) == {layout.d})
-    return True
+    return set(map(type, map(itemgetter("id"), recs))) == {str}
 
 
 def _name_bad_pool_record(path: Path, linenos: list[int], recs: list,
-                          layout: _Layout | None) -> None:
+                          has_cal: bool | None) -> None:
     """Raise the error of the first record of a batch that fails a check, record by record.
 
-    ``layout`` is None only when the file's first record is not an object,
-    which is refused before the layout is needed.
+    ``has_cal`` (whether the file's first record has ``proxy_cal``) is
+    None only when that record is not an object, which is refused before
+    it is needed.
     """
     for lineno, rec in zip(linenos, recs):
         here = f"{path} line {lineno}"
@@ -290,15 +268,9 @@ def _name_bad_pool_record(path: Path, linenos: list[int], recs: list,
             raise ParseError(f"{here}: record needs 'id' and 'proxy' fields")
         if type(rec["id"]) is not str:
             raise _bad_json_id(here, rec["id"])
-        for fld, has in (("proxy_cal", layout.has_cal), ("embedding", layout.has_emb)):
-            if (fld in rec) != has:
-                raise ParseError(f"{here}: {fld} present in some records but not all")
-        if layout.has_emb:
-            vec = rec["embedding"]
-            if not isinstance(vec, list) or not vec:
-                raise ParseError(f"{here}: embedding must be a nonempty array")
-            if len(vec) != layout.d:
-                raise ParseError(f"{here}: embedding dimensionality mismatch across rows")
+        if ("proxy_cal" in rec) != has_cal:
+            raise ParseError(f"{here}: proxy_cal present in some records but not all")
+        _check_fields(here, rec, _POOL_FIELDS)
     raise AssertionError("a batch failed its test, but none of its records did")
 
 
@@ -306,48 +278,33 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
     """Read a JSONL pool a batch of records at a time, each field gathered as one list.
 
     A batch is tested as a whole; only when that fails are its records
-    checked one by one, to name the first bad one.  The scalar fields are
-    converted after the last record, column by column, as for CSV.  The
-    embeddings, d values a record, are converted a batch at a time, so no
-    more than a batch of them is held as Python floats; the first that is
-    not a number is raised where the whole column would have been.
+    checked one by one, to name the first bad one.  The fields are
+    converted after the last record, column by column, as for CSV.
     """
     linenos: list[int] = []
-    ids, proxy, proxy_cal, loss, emb = [], [], [], [], []
-    emb_error = None
-    layout = None
+    ids, proxy, proxy_cal, loss = [], [], [], []
+    has_cal = None  # set from the file's first record; every record must match it
     for lines, recs in tables.read_jsonl(path):
         if not recs:
             continue
-        if layout is None and type(recs[0]) is dict:
-            layout = _Layout.of(recs[0])
-        if layout is None or not _layout_ok(recs, layout):
-            _name_bad_pool_record(path, lines, recs, layout)
+        if has_cal is None and type(recs[0]) is dict:
+            has_cal = "proxy_cal" in recs[0]
+        if has_cal is None or not _layout_ok(recs, has_cal):
+            _name_bad_pool_record(path, lines, recs, has_cal)
         linenos += lines
         ids += map(itemgetter("id"), recs)
         proxy += map(itemgetter("proxy"), recs)
         loss += map(dict.get, recs, repeat("loss"))
-        if layout.has_cal:
+        if has_cal:
             proxy_cal += map(itemgetter("proxy_cal"), recs)
-        if layout.has_emb and emb_error is None:
-            values = list(chain.from_iterable(map(itemgetter("embedding"), recs)))
-            try:
-                emb.append(tables.json_numbers(values, "embedding",
-                                               lambda j: f"{path} line {lines[j // layout.d]}"))
-            except ParseError as e:
-                emb_error = e
     if not linenos:
         raise ParseError(f"{path}: no data rows")
-    if emb_error is not None:
-        raise emb_error
 
     def where(i: int) -> str:
         return f"{path} line {linenos[i]}"
 
-    if layout.has_emb:
-        emb = np.concatenate(emb).reshape(-1, layout.d)
-    return _population(kind, where, ids, proxy, proxy_cal if layout.has_cal else None, loss,
-                       emb if layout.has_emb else None, decoded=True)
+    return _population(kind, where, ids, proxy, proxy_cal if has_cal else None, loss,
+                       decoded=True)
 
 
 def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
@@ -443,6 +400,8 @@ def _score_batch(index: dict, lines: np.ndarray, scores: np.ndarray | None,
         uids = tables.ids(uids, str)
     except (KeyError, ParseError):  # a missing field; a bad or repeated id
         return None
+    if sum(map(len, recs)) != 2 * len(recs) + sum(map(contains, recs, repeat("label"))):
+        return None  # an unknown field, as in _layout_ok
     rows = list(map(index.get, uids))
     if None in rows or lines[rows].any() or set(map(type, vecs)) != {list}:
         return None
@@ -496,4 +455,5 @@ def _score_records(path: Path, index: dict, lines: np.ndarray, labels: np.ndarra
             if type(label) is not int or not 0 <= label < len(vec):  # a bool is not an int here
                 raise ParseError(f"{where}: label {label!r} is not an integer in [0, {len(vec)})")
             labels[i] = label
+        _check_fields(where, rec, _SIDECAR_FIELDS)
     return scores

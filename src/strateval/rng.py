@@ -4,9 +4,9 @@ Reproducibility contract (scheme tag ``pcg64-fy-v1``):
 
 * Bit source: numpy's PCG64, a named, versioned, platform-independent
   64-bit generator.
-* Substream derivation: ``derive_seed(seed, *keys)`` is the first 64-bit
+* Stream derivation: ``derive_seed(seed, *keys)`` is the first 64-bit
   word of the state of ``numpy.random.SeedSequence([seed, *keys])``.
-  Distinct key paths give statistically independent substreams; the
+  Distinct key paths give statistically independent streams; the
   mapping is documented numpy behaviour and does not depend on OS, word
   size, or endianness.
 * Selection: stratum ``h`` of a draw with seed ``s`` takes ``n_h`` of its
@@ -95,7 +95,7 @@ def generator(seed: int) -> np.random.Generator:
 
 
 def derive_seed(seed: int, *keys: int) -> int:
-    """Derive the 64-bit sub-seed for the substream addressed by ``keys``.
+    """Derive the 64-bit sub-seed for the stream addressed by ``keys``.
 
     Parameters
     ----------
@@ -118,11 +118,6 @@ def derive_seeds(seed: int, *keys) -> np.ndarray:
     """:func:`derive_seed` for every row of the broadcast key arrays, as uint64."""
     cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(k, dtype=_U64)) for k in keys))
     return _join(_hash(*_entropy([seed, *(c.ravel() for c in cols)]), 2))[:, 0]
-
-
-def substream(seed: int, *keys: int) -> np.random.Generator:
-    """Generator for the substream addressed by ``keys`` under ``seed``."""
-    return generator(derive_seed(seed, *keys))
 
 
 # -- SeedSequence, one row per key -----------------------------------------------

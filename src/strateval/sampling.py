@@ -1,7 +1,7 @@
 """Drawing the units to annotate, and the worksheet that records them.
 
 Draws operate on canonical (file) unit order.  Every draw is stratified:
-stratum ``h`` gets its own substream derived from ``(seed, h)``, so strata
+stratum ``h`` gets its own stream derived from ``(seed, h)``, so strata
 are sampled independently, and plain simple random sampling is the
 one-stratum draw.  Each sampled unit carries its inclusion probability
 ``pi = n_h / N_h``, which is all the estimators downstream need.
@@ -50,7 +50,7 @@ def stratified_indices(partition: StrataPartition, n_h, seeds) -> np.ndarray:
 
     Row ``r`` takes, stratum by stratum, ``n_h[h]`` of the members of
     stratum ``h`` by partial Fisher-Yates over them in canonical order, on
-    the substream seeded by ``derive_seed(seeds[r], h)``; within a stratum,
+    the stream seeded by ``derive_seed(seeds[r], h)``; within a stratum,
     positions come in selection order.  Every row is drawn in the one
     batched pass of :func:`strateval.rng.fisher_yates`.
     """
@@ -60,7 +60,7 @@ def stratified_indices(partition: StrataPartition, n_h, seeds) -> np.ndarray:
 def draw_ssrs(pop: Population, partition: StrataPartition, n_h, seed: int) -> SampleDraw:
     """Stratified simple random sampling: independent SRS inside each stratum.
 
-    Stratum ``h`` is drawn with the substream seeded by
+    Stratum ``h`` is drawn with the stream seeded by
     ``derive_seed(seed, h)`` over its members in canonical order, taking
     ``n_h[h]`` units with ``pi = n_h / N_h``.  Sampled units are
     reported stratum by stratum, selection order within each.

@@ -1,11 +1,11 @@
 """Partitioning the pool into strata before sampling.
 
-Three routes: exact 1-D k-means on a proxy column (dynamic program over
-the sorted values — the globally optimal interval partition), Lloyd's
-k-means on embedding vectors, and fixed-width proxy bins.  Strata are
-labeled ``0..H-1``; for the 1-D routes, labels increase with the proxy.
-``partition.csv`` is written and read back through the one table writer
-and reader in :mod:`strateval.tables`.
+Every stratum is an interval of one proxy column.  Two routes: exact 1-D
+k-means (dynamic program over the sorted values — the globally optimal
+interval partition) and fixed-width bins.  Strata are labeled
+``0..H-1`` in increasing proxy order.  ``partition.csv`` is written and
+read back through the one table writer and reader in
+:mod:`strateval.tables`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tables
 from .errors import ParseError, PreconditionError
-from .rng import substream
 
 
 @dataclass
@@ -179,88 +178,6 @@ def kmeans_1d(values, n_strata: int) -> StrataPartition:
     bounds[0] = 0
     label_of_distinct = np.repeat(np.arange(n_strata), np.diff(bounds))
     return StrataPartition(label_of_distinct[inv], n_strata)
-
-
-# -- embedding k-means -------------------------------------------------------
-
-N_RESTARTS = 10
-
-
-def _kmeanspp_init(x: np.ndarray, k: int, rng) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[int(rng.integers(n))]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            # all remaining mass on existing centers: pick uniformly
-            centers[c] = x[int(rng.integers(n))]
-            continue
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), r))
-        idx = min(idx, n - 1)
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
-    return centers
-
-
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300):
-    k = centers.shape[0]
-    assignment = None
-    d2 = np.empty((x.shape[0], k))
-    for _ in range(max_iter):
-        # one center at a time: an (N, K, d) difference tensor would not fit
-        # in memory at pool scale
-        for h in range(k):
-            d2[:, h] = ((x - centers[h]) ** 2).sum(axis=1)
-        new_assignment = np.argmin(d2, axis=1)
-        # repair empty clusters: hand them the farthest point of the largest
-        for h in range(k):
-            if not np.any(new_assignment == h):
-                sizes = np.bincount(new_assignment, minlength=k)
-                big = int(np.argmax(sizes))
-                members = np.flatnonzero(new_assignment == big)
-                far = members[int(np.argmax(d2[members, big]))]
-                new_assignment[far] = h
-        if assignment is not None and np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
-        for h in range(k):
-            centers[h] = x[assignment == h].mean(axis=0)
-    obj = float(((x - centers[assignment]) ** 2).sum())
-    return assignment, obj
-
-
-def kmeans_embeddings(embeddings, n_strata: int, seed: int) -> StrataPartition:
-    """Lloyd's k-means over embedding vectors, best of several restarts.
-
-    Each restart ``r`` gets its own substream (derived from
-    ``(seed, r)``), initializes with k-means++, and iterates to a fixed
-    point; the restart with the lowest within-cluster SSE wins, ties going
-    to the lowest restart index.  Deterministic for a given seed.  Strata
-    are relabeled by first canonical appearance so the labeling doesn't
-    depend on init order.
-    """
-    x = np.asarray(embeddings, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise PreconditionError("embeddings must be a nonempty (N, d) matrix")
-    n = x.shape[0]
-    if not 1 <= n_strata <= n:
-        raise PreconditionError(f"n_strata must be in [1, {n}]")
-    best = None
-    for r in range(N_RESTARTS):
-        rng = substream(seed, r)
-        centers = _kmeanspp_init(x, n_strata, rng)
-        assignment, obj = _lloyd(x, centers)
-        if best is None or obj < best[0] - 1e-12:
-            best = (obj, assignment)
-    _, assignment = best
-    # canonical relabeling: stratum 0 is the cluster of the first unit, etc.
-    clusters, first = np.unique(assignment, return_index=True)
-    relabel = np.empty(n_strata, dtype=np.int64)
-    relabel[clusters[np.argsort(first)]] = np.arange(clusters.size)
-    return StrataPartition(relabel[assignment], n_strata)
 
 
 def equal_width_bins(values, n_strata: int) -> StrataPartition:

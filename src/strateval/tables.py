@@ -30,9 +30,9 @@ JSONL files are read column first too, in bounded batches:
 :func:`read_jsonl` yields the records of about 64 KiB of lines at a time,
 each decoded by the C scanner that ``json.loads`` runs, and its callers
 test a whole batch at once and gather each field as one list, which
-:func:`json_numbers` converts in one numpy call (embeddings and class
-scores a batch at a time).  A JSON number field must hold a JSON number,
-not a string or a bool.  On a 2-core host this costs
+:func:`json_numbers` converts in one numpy call (class scores a batch at
+a time).  A JSON number field must hold a JSON number, not a string or a
+bool.  On a 2-core host this costs
 about 3 µs per record of an ``id,proxy,loss`` pool and about 7.5 µs per
 record of a 10-class score sidecar (7 and 11 µs read record by record).
 """

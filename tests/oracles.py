@@ -258,39 +258,47 @@ def _jsonl_records(path):
                 yield lineno, json.loads(line)
 
 
+def _known_fields_only(lineno, rec, known):
+    """Refuse a record with a field outside ``known`` with a ValueError."""
+    unknown = set(rec) - known
+    if unknown:
+        raise ValueError(f"line {lineno}: unknown field {min(unknown)!r}")
+
+
 def ingest_jsonl(path):
     """The columns of a valid JSONL pool, read record by record as the
     package once did: each number through ``str()`` and back.
 
-    Returns ids, proxy, loss (NaN where null or absent), proxy_cal and
-    embeddings (None when the records carry none).
+    Returns ids, proxy, loss (NaN where null or absent) and proxy_cal
+    (None when the records carry none).  A field other than those is
+    refused with a ValueError.
     """
-    ids, proxy, loss, proxy_cal, emb = [], [], [], [], []
-    for _, rec in _jsonl_records(path):
+    ids, proxy, loss, proxy_cal = [], [], [], []
+    for lineno, rec in _jsonl_records(path):
+        _known_fields_only(lineno, rec, {"id", "proxy", "proxy_cal", "loss"})
         ids.append(str(rec["id"]).strip())
         proxy.append(float(str(rec["proxy"])))
         loss.append(math.nan if rec.get("loss") is None else float(str(rec["loss"])))
         if "proxy_cal" in rec:
             proxy_cal.append(float(str(rec["proxy_cal"])))
-        if "embedding" in rec:
-            emb.append([float(str(v)) for v in rec["embedding"]])
     return {
         "ids": tuple(ids),
         "proxy": np.array(proxy),
         "loss": np.array(loss),
         "proxy_cal": np.array(proxy_cal) if proxy_cal else None,
-        "embeddings": np.array(emb) if emb else None,
     }
 
 
 def attach_scores(ids, path):
     """Labels (-1 where unknown) and the ``(N, K)`` score matrix (NaN rows
     for units without a record) of a valid class-score sidecar, record by
-    record."""
+    record; a field other than id, label and scores is refused with a
+    ValueError."""
     row = {uid: i for i, uid in enumerate(ids)}
     labels = np.full(len(ids), -1, dtype=np.int64)
     scores = None
-    for _, rec in _jsonl_records(path):
+    for lineno, rec in _jsonl_records(path):
+        _known_fields_only(lineno, rec, {"id", "label", "scores"})
         i = row[str(rec["id"]).strip()]
         if scores is None:
             scores = np.full((len(ids), len(rec["scores"])), math.nan)

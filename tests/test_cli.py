@@ -307,25 +307,52 @@ def test_plan_stratifies_proxies_past_the_square_range(tmp_path):
     assert load_partition_csv(out / "partition.csv") == {**dict.fromkeys("abcde", 0), "f": 1}
 
 
-def test_plan_embeddings_require_columns(tmp_path):
+def test_plan_refuses_an_embedding_column(tmp_path, capsys):
     src = tmp_path / "pool.csv"
-    write_pool(src, [f"p{i}" for i in range(30)], np.linspace(0, 1, 30))
-    rc = main(
-        [
-            "plan",
-            "--input",
-            str(src),
-            "--out",
-            str(tmp_path / "o"),
-            "--budget",
-            "10",
-            "--strata",
-            "2",
-            "--stratify-on",
-            "embeddings",
-        ]
-    )
-    assert rc == 3
+    src.write_text("id,proxy,emb_0\na,0.1,1.5\nb,0.9,-2.0\n")
+    rc = main(["plan", "--input", str(src), "--out", str(tmp_path / "o"), "--budget", "2",
+               "--strata", "1"])
+    assert rc == 2
+    assert f"{src} line 1: unknown column 'emb_0'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_config_names_only_the_sampling_seed(tmp_path):
+    src = tmp_path / "pool.csv"
+    write_pool(src, [f"p{i:02d}" for i in range(20)], np.linspace(0.02, 0.98, 20))
+    out = tmp_path / "plan"
+    argv = ["plan", "--input", str(src), "--out", str(out), "--budget", "8", "--strata", "2",
+            "--seed-sample", "11"]
+    assert main(argv) == 0
+    config = json.loads((out / "plan.json").read_text())["config"]
+    assert config["seed_sample"] == 11
+    assert [key for key in config if key.startswith("seed")] == ["seed_sample"]
+    for name in ("partition.csv", "worksheet.csv"):
+        comment = (out / name).read_text().splitlines()[0]
+        assert comment.startswith("#") and "seed_sample" in comment
+        assert "seed_strat" not in comment
+
+
+@pytest.mark.parametrize("file,record,message", [
+    ("pool", '{"id":"p05","proxy":0.1,"los":1}', "line 6: unknown field 'los'"),
+    ("sidecar", '{"id":"p05","lable":1,"scores":[0.5,0.5]}', "line 6: unknown field 'lable'"),
+])
+def test_an_unknown_jsonl_field_exits_two(tmp_path, capsys, file, record, message):
+    # before, the misspelt field was dropped and the unit read as unannotated or unlabelled
+    ids = [f"p{i:02d}" for i in range(12)]
+    src = tmp_path / "pool.jsonl"
+    side = tmp_path / "scores.jsonl"
+    pool = [json.dumps({"id": u, "proxy": 0.05 + 0.07 * i}) for i, u in enumerate(ids)]
+    scores = [json.dumps({"id": u, "scores": [0.5, 0.5]}) for u in ids]
+    (pool if file == "pool" else scores)[5] = record
+    src.write_text("\n".join(pool) + "\n")
+    side.write_text("\n".join(scores) + "\n")
+    rc = main(["plan", "--input", str(src), "--scores", str(side), "--out", str(tmp_path / "o"),
+               "--budget", "4", "--strata", "2"])
+    assert rc == 2
+    bad = src if file == "pool" else side
+    assert f"{bad} {message}" in capsys.readouterr().err
+
 
 
 # -- estimate --------------------------------------------------------------------
@@ -769,12 +796,25 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("removed,message", [
+    (["--stratify-on", "embeddings"], "argument --stratify-on: invalid choice: 'embeddings'"),
+    (["--seed-strat", "7"], "unrecognized arguments: --seed-strat 7"),
+], ids=["stratify-on-embeddings", "seed-strat"])
+def test_removed_embedding_options_exit_two(tmp_path, capsys, removed, message):
+    # every stratum is an interval of one proxy column; the embedding options are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--input", "pool.csv", "--budget", "4", *removed,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["calibrate", "--input", "pool.csv", "--seed-split", "-1"],
         ["plan", "--input", "pool.csv", "--budget", "4", "--seed-sample", "-5"],
-        ["plan", "--input", "pool.csv", "--budget", "4", "--seed-strat", "-2"],
+        ["plan", "--input", "pool.csv", "--budget", "4", "--seed-sample", str(-2**64)],
         ["simulate", "--spec", "spec.json", "--seed-sim", "-1"],
     ],
 )

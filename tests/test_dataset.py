@@ -48,14 +48,13 @@ def test_same_file_twice_bitwise_equal(tmp_path):
     assert ingest(p, "accuracy").canonical_csv() == ingest(p, "accuracy").canonical_csv()
 
 
-def test_round_trip_with_embeddings_and_cal(tmp_path):
+def test_round_trip_with_cal(tmp_path):
     text = (
-        "id,proxy,proxy_cal,loss,emb_0,emb_1\n"
-        "a,0.1,0.15,0,1.5,-2.25\n"
-        "b,0.7,0.6,,0.125,3.0\n"
+        "id,proxy,proxy_cal,loss\n"
+        "a,0.1,0.15,0\n"
+        "b,0.7,0.6,\n"
     )
     pop = ingest(write(tmp_path, "d.csv", text), "accuracy")
-    assert pop.embeddings.shape == (2, 2)
     assert pop.proxy_cal.tolist() == [0.15, 0.6]
     pop2 = ingest(write(tmp_path, "rt.csv", pop.canonical_csv()), "accuracy")
     assert pop2.canonical_csv() == pop.canonical_csv()
@@ -97,13 +96,13 @@ def test_loss_range_checked_per_kind(tmp_path):
 
 def test_unknown_column_rejected(tmp_path):
     p = write(tmp_path, "d.csv", "id,proxy,score\na,0.5,1\n")
-    with pytest.raises(ParseError, match="unknown column"):
+    with pytest.raises(ParseError, match="line 1: unknown column 'score'"):
         ingest(p, "accuracy")
 
 
-def test_embedding_columns_must_be_contiguous(tmp_path):
-    p = write(tmp_path, "d.csv", "id,proxy,emb_0,emb_2\na,0.5,1,2\n")
-    with pytest.raises(ParseError, match="emb_0"):
+def test_embedding_column_is_unknown(tmp_path):
+    p = write(tmp_path, "d.csv", "id,proxy,emb_0,emb_1\na,0.5,1,2\n")
+    with pytest.raises(ParseError, match="line 1: unknown column 'emb_0'"):
         ingest(p, "accuracy")
 
 
@@ -130,13 +129,13 @@ def test_jsonl_matches_csv(tmp_path):
     assert jpop.canonical_csv() == csv_pop.canonical_csv()
 
 
-def test_jsonl_embedding_dim_mismatch(tmp_path):
+def test_jsonl_embedding_field_is_unknown(tmp_path):
     lines = [
-        {"id": "a", "proxy": 0.1, "embedding": [1, 2]},
-        {"id": "b", "proxy": 0.2, "embedding": [1, 2, 3]},
+        {"id": "a", "proxy": 0.1, "loss": 1},
+        {"id": "b", "proxy": 0.2, "embedding": [1, 2]},
     ]
     p = write(tmp_path, "d.jsonl", "".join(json.dumps(r) + "\n" for r in lines))
-    with pytest.raises(ParseError, match="dimensionality"):
+    with pytest.raises(ParseError, match="line 2: unknown field 'embedding'"):
         ingest(p, "accuracy")
 
 

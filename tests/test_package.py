@@ -38,3 +38,13 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_public_exports_resolve_and_are_listed():
+    # every name in __all__ exists, and every public name __init__ imports is in __all__,
+    # so an export cannot outlive its definition or go unlisted
+    assert [name for name in strateval.__all__ if not hasattr(strateval, name)] == []
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(n for n in imported if not n.startswith("_")) == sorted(strateval.__all__)

@@ -14,7 +14,6 @@ from strateval.rng import (
     derive_seeds,
     fisher_yates,
     generator,
-    substream,
 )
 from strateval.simulate import SuperpopSpec, generate, run_mc
 
@@ -44,12 +43,6 @@ def test_derive_seed_range():
     for s in (0, 1, 2**63, 12345):
         d = derive_seed(s, 7)
         assert 0 <= d < 2**64
-
-
-def test_substream_matches_derived_generator():
-    a = substream(99, 3).random(5)
-    b = generator(derive_seed(99, 3)).random(5)
-    assert np.array_equal(a, b)
 
 
 def test_negative_seeds_are_refused():
@@ -241,7 +234,7 @@ def test_srs_indices_deterministic():
     c = draw(22, 50, 7)
     assert not np.array_equal(a, c)
     # the reference loop on the same stream agrees
-    assert np.array_equal(a, srs_indices(substream(21, 0), 50, 7))
+    assert np.array_equal(a, srs_indices(generator(derive_seed(21, 0)), 50, 7))
 
 
 def test_srs_indices_edge_sizes():

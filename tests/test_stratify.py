@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,12 +9,10 @@ from hypothesis import strategies as st
 from oracles import best_interval_partition, quadratic_dp_partition_cost, within_cluster_ss
 from strateval import stratify
 from strateval.errors import PreconditionError
-from strateval.rng import substream
 from strateval.stratify import (
     StrataPartition,
     equal_width_bins,
     kmeans_1d,
-    kmeans_embeddings,
     load_partition_csv,
     partition_csv,
 )
@@ -267,108 +264,6 @@ def test_bins_never_beat_kmeans():
             <= within_cluster_ss(v, bins.assignment) + 1e-12
             <= total + 1e-9
         )
-
-
-# -- kmeans_embeddings -------------------------------------------------------
-
-
-def test_embeddings_two_separated_clouds():
-    rng = np.random.default_rng(7)
-    a = rng.normal(0.0, 0.1, size=(20, 3))
-    b = rng.normal(5.0, 0.1, size=(25, 3))
-    x = np.vstack([a, b])
-    part = kmeans_embeddings(x, 2, seed=11)
-    # one cloud per stratum
-    assert np.ptp(part.assignment[:20]) == 0
-    assert np.ptp(part.assignment[20:]) == 0
-    assert part.assignment[0] != part.assignment[-1]
-    got = sum(
-        np.sum((x[part.assignment == h] - x[part.assignment == h].mean(0)) ** 2)
-        for h in range(2)
-    )
-    want = np.sum((a - a.mean(0)) ** 2) + np.sum((b - b.mean(0)) ** 2)
-    assert got == pytest.approx(want)
-
-
-def test_embeddings_every_unit_own_stratum():
-    x = np.arange(10.0).reshape(-1, 1) * 3
-    part = kmeans_embeddings(x, 10, seed=0)
-    assert part.n_strata == 10
-    assert sorted(part.assignment.tolist()) == list(range(10))
-
-
-def test_embeddings_deterministic():
-    rng = np.random.default_rng(8)
-    x = rng.random((40, 4))
-    a = kmeans_embeddings(x, 3, seed=5).assignment
-    b = kmeans_embeddings(x, 3, seed=5).assignment
-    assert np.array_equal(a, b)
-
-
-def test_embeddings_1d_never_beats_exact_dp():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        v = rng.random(30)
-        h = 3
-        exact = within_cluster_ss(v, kmeans_1d(v, h).assignment)
-        lloyd_part = kmeans_embeddings(v.reshape(-1, 1), h, seed=2)
-        lloyd = sum(
-            float(np.sum((v[lloyd_part.assignment == s] - v[lloyd_part.assignment == s].mean()) ** 2))
-            for s in range(h)
-        )
-        assert lloyd >= exact - 1e-9
-
-
-def broadcast_lloyd(x, centers, max_iter=300):
-    """Lloyd's iterations with all N x K x d differences at once: the reference."""
-    k = centers.shape[0]
-    assignment = None
-    for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = np.argmin(d2, axis=1)
-        for h in range(k):
-            if not np.any(new_assignment == h):
-                sizes = np.bincount(new_assignment, minlength=k)
-                big = int(np.argmax(sizes))
-                members = np.flatnonzero(new_assignment == big)
-                far = members[int(np.argmax(d2[members, big]))]
-                new_assignment[far] = h
-        if assignment is not None and np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
-        for h in range(k):
-            centers[h] = x[assignment == h].mean(axis=0)
-    return assignment, float(((x - centers[assignment]) ** 2).sum())
-
-
-@pytest.mark.parametrize("n,k,d", [(300, 4, 2), (2000, 8, 32), (500, 10, 768)])
-def test_lloyd_matches_broadcast_reference(monkeypatch, n, k, d):
-    x = np.random.default_rng(n + d).normal(size=(n, d))
-    x[: n // 2] += 3.0  # two clouds, so iterations move the centers
-    centers = stratify._kmeanspp_init(x, k, substream(9, 0))
-    got = stratify._lloyd(x, centers.copy())
-    want = broadcast_lloyd(x, centers.copy())
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-    part = kmeans_embeddings(x, k, seed=4)
-    monkeypatch.setattr(stratify, "_lloyd", broadcast_lloyd)
-    assert np.array_equal(part.assignment, kmeans_embeddings(x, k, seed=4).assignment)
-
-
-def test_lloyd_memory_is_not_n_by_k_by_d():
-    # the broadcast form peaked at 117.6 MB here: N*K*d float64 differences
-    x = np.random.default_rng(0).normal(size=(2000, 768))
-    tracemalloc.start()
-    try:
-        kmeans_embeddings(x, 10, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 117.6e6 / 4
-
-
-def test_embeddings_validation():
-    with pytest.raises(PreconditionError):
-        kmeans_embeddings(np.ones((3, 2)), 4, seed=0)
 
 
 # -- partition plumbing ------------------------------------------------------

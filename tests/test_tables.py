@@ -70,14 +70,12 @@ def populations(draw):
     ids = draw(IDS)
     n = len(ids)
     column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
-    d = draw(st.integers(0, 3))
     return Population(
         ids=tuple(ids),
         proxy=column(UNIT),
         loss=column(st.one_of(st.just(math.nan), UNIT)),
         loss_kind=LossKind.SQUARED_ERROR,
         proxy_cal=column(UNIT) if draw(st.booleans()) else None,
-        embeddings=column(st.tuples(*[ANY_FLOAT] * d)).reshape(n, d) if d else None,
     )
 
 
@@ -477,8 +475,14 @@ LINE_ERRORS = [
     # a proxy_cal that only later records carry would not line up with the ids
     ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"proxy_cal":0.5}\n',
      "line 4: proxy_cal present in some records but not all"),
-    ("pool.jsonl", '{"id":"a","proxy":0.1,"embedding":[1]}\n\n\n'
-     '{"id":"b","proxy":0.5,"embedding":[1,2]}\n', "line 4: embedding dimensionality"),
+    # before, an unknown field was dropped: a misspelt loss left the unit unannotated
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"los":1}\n',
+     "line 4: unknown field 'los'"),
+    ("pool.jsonl", '{"id":"a","proxy":0.1,"loss":0}\n\n\n{"id":"b","proxy":0.5,"embedding":[1]}\n',
+     "line 4: unknown field 'embedding'"),
+    # the earlier record checks keep their precedence over an unknown field
+    ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"proxy_cal":0.5,"x":1}\n',
+     "line 4: proxy_cal present in some records but not all"),
     # numeric fields must be JSON numbers: before, each went through str() and was parsed
     ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":"0.5"}\n',
      "line 4: cannot parse proxy='0.5' as a number"),
@@ -493,8 +497,6 @@ LINE_ERRORS = [
     pytest.param("pool.jsonl",
                  '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5,"loss":1' + "0" * 400 + "}\n",
                  "line 4: cannot parse loss=10000", id="loss-too-large-for-a-float"),
-    ("pool.jsonl", '{"id":"a","proxy":0.1,"embedding":[1]}\n\n\n'
-     '{"id":"b","proxy":0.5,"embedding":[false]}\n', "line 4: cannot parse embedding=False"),
     ("pool.jsonl", '{"id":"a","proxy":0.1}\n\n\n{"id":"b","proxy":0.5\n',
      "line 4: invalid JSON"),
     # an id must be a JSON string: before, each went through str(), so 1 read as '1'
@@ -582,6 +584,11 @@ SIDECAR_ERRORS = {
     "id-array": ('{"id": [1], "scores": [0.5, 0.5]}', "line 3: bad id [1] (a JSONL id must be"),
     "no-scores": ('{"id": "u1", "label": 0}', "line 3: record needs 'scores'"),
     "empty-scores": ('{"id": "u1", "scores": []}', "line 3: scores must be a nonempty array"),
+    # before, an unknown field was dropped: a misspelt label read as -1
+    "unknown-field": ('{"id": "u1", "lable": 1, "scores": [0.5, 0.5]}',
+                      "line 3: unknown field 'lable'"),
+    "unknown-field-after-label": ('{"id": "u1", "label": 5, "x": 1, "scores": [0.5, 0.5]}',
+                                  "line 3: label 5 is not an integer in [0, 2)"),
 }
 
 
@@ -634,7 +641,7 @@ def jsonl_files(draw):
     """A valid JSONL pool and class-score sidecar, as text, with comment, blank and CRLF lines."""
     ids = draw(IDS)
     n = len(ids)
-    has_cal, d = draw(st.booleans()), draw(st.sampled_from([0, 0, 1, 3]))
+    has_cal = draw(st.booleans())
     records = []
     for uid in ids:
         rec = {"id": draw(st.sampled_from(["", " "])) + uid, "proxy": draw(JSON_UNIT)}
@@ -643,9 +650,6 @@ def jsonl_files(draw):
             rec["loss"] = loss
         if has_cal:
             rec["proxy_cal"] = draw(JSON_UNIT)
-        if d:
-            rec["embedding"] = draw(st.lists(st.one_of(ANY_FLOAT, st.integers(-9, 9)),
-                                             min_size=d, max_size=d))
         records.append(json.dumps(rec))
     k = draw(st.integers(1, 4))
     weights = st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
@@ -684,7 +688,7 @@ def test_batched_jsonl_ingest_matches_the_record_by_record_oracle(scratch, files
     want = oracles.ingest_jsonl(pool)
     labels, scores = oracles.attach_scores(want["ids"], side)
     assert pop.ids == want["ids"]
-    for name in ("proxy", "loss", "proxy_cal", "embeddings"):
+    for name in ("proxy", "loss", "proxy_cal"):
         got = getattr(pop, name)
         assert (got is None) == (want[name] is None)
         if got is not None:  # bit for bit, NaN and -0.0 included
@@ -706,9 +710,7 @@ def _fault(line, first_id, rng):
         json.dumps({**rec, key: [1, 10**400]}), json.dumps({**rec, key: []}),
         json.dumps({**rec, key: 1.5}), json.dumps({**rec, key: [0.25, 0.25, 0.25, 0.25, 0.0]}),
         json.dumps({**rec, "loss": 7}), json.dumps({**rec, "loss": False}),
-        json.dumps({**rec, "proxy_cal": 0.5}), json.dumps({**rec, "embedding": [1.0] * 7}),
-        json.dumps({**rec, "embedding": "x"}),
-        json.dumps({**rec, "embedding": [str(v) for v in rec.get("embedding", [1])]}),
+        json.dumps({**rec, "proxy_cal": 0.5}), json.dumps({**rec, "los": 1}),
         json.dumps({**rec, "label": 9}),
         json.dumps({**rec, "label": True}),
     ]
@@ -783,21 +785,3 @@ def test_jsonl_ingest_memory_peak_is_bounded(tmp_path):
     assert pop.ids == want["ids"] and pop.proxy.tobytes() == want["proxy"].tobytes()
     assert pop.loss.tobytes() == want["loss"].tobytes()
     assert pop.scores.tobytes() == scores.tobytes() and pop.labels.tobytes() == labels.tobytes()
-
-
-def test_jsonl_embeddings_are_held_as_floats_not_python_objects(tmp_path):
-    # read record by record, a 10^4 x 64 pool peaked at 61.1 MB for its 5.1 MB matrix;
-    # converted a batch at a time, the matrix, its parts and one batch remain
-    n, d = 10_000, 64
-    emb = np.random.default_rng(0).normal(size=(n, d))
-    path = tmp_path / "pool.jsonl"
-    path.write_text("".join(json.dumps({"id": f"u{i}", "proxy": 0.5, "embedding": row}) + "\n"
-                            for i, row in enumerate(emb.tolist())))
-    tracemalloc.start()
-    try:
-        pop = ingest(path, "accuracy")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pop.embeddings.tobytes() == emb.tobytes()
-    assert peak <= 3 * emb.nbytes
