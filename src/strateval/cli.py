@@ -37,7 +37,7 @@ from .errors import ConsistencyError, ParseError, PreconditionError
 from .estimators import confidence_interval, stratified_estimate, stratum_moments
 from .losses import LossKind
 from .rng import check_seed
-from .sampling import draw_ssrs, load_worksheet, worksheet_csv
+from .sampling import draw_ssrs, load_worksheet, worksheet_table
 from .simulate import (
     MIN_REPS,
     SuperpopSpec,
@@ -46,8 +46,8 @@ from .simulate import (
     generate,
     run_methods,
 )
-from .stratify import StrataPartition, equal_width_bins, kmeans_1d, partition_csv
-from .tables import _not_utf8
+from .stratify import StrataPartition, equal_width_bins, kmeans_1d, partition_table
+from .tables import _not_utf8, write_csv
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -102,7 +102,7 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     _write_json(out / "map.json", {**iso.to_dict(), "config": cfg})
     ev = ev.with_proxy_cal(iso.apply(ev.proxy))
-    (out / "calibrated.csv").write_text(_config_comment(cfg) + ev.canonical_csv(), encoding="utf-8")
+    write_csv(out / "calibrated.csv", _config_comment(cfg), *ev.canonical_table())
     print(f"calibrate: fitted {iso.breakpoints.size} steps on {cal.size} units; "
           f"wrote {out / 'map.json'} and {out / 'calibrated.csv'}")
     return 0
@@ -135,11 +135,10 @@ def cmd_plan(args) -> int:
         n_h = proportional(partition.sizes, n)
     draw = draw_ssrs(pop, partition, n_h, args.seed_sample)
     out = _out_dir(args)
-    (out / "partition.csv").write_text(_config_comment(cfg) + partition_csv(partition, pop.ids),
-                                       encoding="utf-8")
+    write_csv(out / "partition.csv", _config_comment(cfg), *partition_table(partition, pop.ids))
     _write_json(out / "plan.json",
                 {"strategy": args.strategy, "n_h": n_h.tolist(), "warnings": warnings, "config": cfg})
-    (out / "worksheet.csv").write_text(_config_comment(cfg) + worksheet_csv(draw), encoding="utf-8")
+    write_csv(out / "worksheet.csv", _config_comment(cfg), *worksheet_table(draw))
     print(
         f"plan: {partition.n_strata} strata, allocation "
         f"{n_h.tolist()} (total {int(n_h.sum())}); wrote partition.csv, "

@@ -176,16 +176,21 @@ class Population:
 
     # -- canonical serialization ------------------------------------------
 
-    def canonical_csv(self) -> str:
-        """Canonical CSV text; equal populations serialize to equal bytes."""
+    def canonical_table(self) -> tuple[list[str], list]:
+        """Header and columns of the canonical CSV, ``id,proxy[,proxy_cal],loss``,
+        for :func:`strateval.tables.csv_text` or :func:`strateval.tables.write_csv`."""
         header = ["id", "proxy"]
-        cols = [tables.writable_ids(self.ids), self.proxy.tolist()]
+        cols = [tables.writable_ids(self.ids), self.proxy]
         if self.proxy_cal is not None:
             header.append("proxy_cal")
-            cols.append(self.proxy_cal.tolist())
+            cols.append(self.proxy_cal)
         header.append("loss")
-        cols.append(["" if v != v else v for v in self.loss.tolist()])  # NaN: not annotated
-        return tables.csv_text(header, cols)
+        cols.append(tables.BlankNaN(self.loss))  # NaN: not annotated
+        return header, cols
+
+    def canonical_csv(self) -> str:
+        """Canonical CSV text; equal populations serialize to equal bytes."""
+        return tables.csv_text(*self.canonical_table())
 
 
 # -- file ingest -----------------------------------------------------------
@@ -194,22 +199,19 @@ _POOL_FIELDS = ("id", "proxy", "proxy_cal", "loss")
 _SIDECAR_FIELDS = ("id", "label", "scores")
 
 
-def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss, *,
-                decoded: bool = False) -> Population:
+def _population(kind: LossKind, where: tables.Where, ids, number, optional,
+                has_cal: bool) -> Population:
     """Convert and range-check the columns of a pool file, column by column.
 
-    The cells are text (CSV), where a blank ``loss`` cell means "not
-    annotated yet", or ``decoded`` JSON values, which must be numbers and
-    where a ``None`` loss means the same.
+    ``number(col)`` gives a converted column and ``optional(col)`` the
+    values and the present-mask of the ``loss`` column, where "not
+    annotated yet" is a blank CSV cell or a JSON ``None``; either raises
+    the error of the column's first bad cell.
     """
-    numbers, optional = ((tables.json_numbers, tables.optional_json_numbers) if decoded
-                         else (tables.numbers, tables.optional_numbers))
     uids = tables.ids(ids, where)
-    proxy = _proxy_column(kind, numbers(proxy, "proxy", where), "proxy", where)
-    if proxy_cal is not None:
-        proxy_cal = _proxy_column(kind, numbers(proxy_cal, "proxy_cal", where), "proxy_cal",
-                                  where)
-    losses, present = optional(loss, "loss", where)
+    proxy = _proxy_column(kind, number("proxy"), "proxy", where)
+    proxy_cal = _proxy_column(kind, number("proxy_cal"), "proxy_cal", where) if has_cal else None
+    losses, present = optional("loss")
     at = np.flatnonzero(present)
     check_losses(kind, losses[at], lambda j: where(int(at[j])))
     return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind, proxy_cal=proxy_cal,
@@ -217,14 +219,14 @@ def _population(kind: LossKind, where: tables.Where, ids, proxy, proxy_cal, loss
 
 
 def _ingest_csv(path: Path, kind: LossKind) -> Population:
-    t = tables.read_csv(path)
+    """Read a CSV pool; its numeric columns are converted a batch of lines at a time."""
+    t = tables.read_csv(path, floats=("proxy", "proxy_cal"), optional=("loss",))
     for h in t.header:
         if h not in _POOL_FIELDS:
             raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
     t.require("id", "proxy")
-    c = t.columns
-    return _population(kind, t.where, c["id"], c["proxy"], c.get("proxy_cal"),
-                       c.get("loss", [""] * len(t.lines)))
+    return _population(kind, t.where, t.columns["id"], t.numbers, t.optional_numbers,
+                       "proxy_cal" in t.header)
 
 
 def _bad_json_id(where: str, value: object) -> ParseError:
@@ -303,8 +305,11 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
     def where(i: int) -> str:
         return f"{path} line {linenos[i]}"
 
-    return _population(kind, where, ids, proxy, proxy_cal if has_cal else None, loss,
-                       decoded=True)
+    fields = {"proxy": proxy, "proxy_cal": proxy_cal, "loss": loss}
+    return _population(kind, where, ids,
+                       lambda col: tables.json_numbers(fields[col], col, where),
+                       lambda col: tables.optional_json_numbers(fields[col], col, where),
+                       bool(has_cal))
 
 
 def ingest(path, kind: LossKind | str, scores_path=None) -> Population:

@@ -87,16 +87,18 @@ def draw_ssrs(pop: Population, partition: StrataPartition, n_h, seed: int) -> Sa
 # -- annotator worksheet -----------------------------------------------------
 
 
+def worksheet_table(draw: SampleDraw) -> tuple[list[str], list]:
+    """Header and columns of the worksheet: ``id,stratum,pi``, one row per sampled unit."""
+    return ["id", "stratum", "pi"], [tables.writable_ids(draw.ids), draw.strata, draw.pi]
+
+
 def worksheet_csv(draw: SampleDraw) -> str:
     """CSV listing the sampled units: ``id,stratum,pi``.
 
     The annotator appends a ``loss`` column (or adds values under one) and
     the filled file goes back in through :func:`load_worksheet`.
     """
-    return tables.csv_text(
-        ["id", "stratum", "pi"],
-        [tables.writable_ids(draw.ids), draw.strata.tolist(), draw.pi.tolist()],
-    )
+    return tables.csv_text(*worksheet_table(draw))
 
 
 @dataclass
@@ -107,16 +109,15 @@ class Worksheet:
     strata: np.ndarray
     pi: np.ndarray
     loss: np.ndarray  # NaN where still unlabeled
-    lines: tuple[int, ...]  # physical line of each row, for error messages
+    lines: np.ndarray  # physical line of each row, for error messages
 
 
 def load_worksheet(path) -> Worksheet:
-    t = tables.read_csv(path)
+    t = tables.read_csv(path, floats=("pi",), ints=("stratum",), optional=("loss",))
     t.require("id", "stratum", "pi")
-    c = t.columns
-    ids = tables.ids(c["id"], t.where)
-    strata = tables.numbers(c["stratum"], "stratum", t.where, dtype=np.int64)
-    pi = tables.numbers(c["pi"], "pi", t.where)
+    ids = tables.ids(t.columns["id"], t.where)
+    strata = t.numbers("stratum")
+    pi = t.numbers("pi")
     tables.check((pi > 0) & (pi <= 1), t.where, lambda i: f"pi {float(pi[i])!r} outside (0, 1]")
-    loss = tables.optional_numbers(c.get("loss", [""] * len(ids)), "loss", t.where)[0]
-    return Worksheet(ids=ids, strata=strata, pi=pi, loss=loss, lines=tuple(t.lines))
+    loss = t.optional_numbers("loss")[0]
+    return Worksheet(ids=ids, strata=strata, pi=pi, loss=loss, lines=t.lines)

@@ -54,20 +54,23 @@ class StrataPartition:
             arr.setflags(write=False)
 
 
-def partition_csv(partition: StrataPartition, ids) -> str:
+def partition_table(partition: StrataPartition, ids) -> tuple[list[str], list]:
+    """Header and columns of ``partition.csv``: ``id,stratum``, one row per unit."""
     if len(ids) != partition.assignment.size:
         raise PreconditionError("ids and assignment lengths disagree")
-    return tables.csv_text(
-        ["id", "stratum"], [tables.writable_ids(ids), partition.assignment.tolist()]
-    )
+    return ["id", "stratum"], [tables.writable_ids(ids), partition.assignment]
+
+
+def partition_csv(partition: StrataPartition, ids) -> str:
+    return tables.csv_text(*partition_table(partition, ids))
 
 
 def load_partition_csv(path) -> dict[str, int]:
     """Read an ``id,stratum`` file back to a mapping; an id may occur once."""
-    t = tables.read_csv(path)
+    t = tables.read_csv(path, ints=("stratum",))
     if t.header[:2] != ["id", "stratum"]:
         raise ParseError(f"{t.path} line {t.header_line}: expected header id,stratum")
-    strata = tables.numbers(t.columns["stratum"], "stratum", t.where, dtype=np.int64)
+    strata = t.numbers("stratum")
     return dict(zip(tables.ids(t.columns["id"], t.where), strata.tolist()))
 
 

@@ -2,14 +2,26 @@
 
 Everything in here is deliberately naive: exhaustive enumeration, direct
 transcription of textbook sums, or brute-force search.  None of it shares
-code with the package, so agreement is meaningful evidence.
+code with the package, so agreement is meaningful evidence -- except the
+CSV reference, which calls the package's cell and column checks (see
+there).
 """
 
+import csv
+import io
 import itertools
 import json
 import math
+from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from pathlib import Path
 
 import numpy as np
+
+from strateval import tables
+from strateval.dataset import Population, _proxy_column, check_losses
+from strateval.errors import ParseError
+from strateval.losses import LossKind
 
 
 # -- clustering ---------------------------------------------------------------
@@ -306,3 +318,140 @@ def attach_scores(ids, path):
         if rec.get("label") is not None:
             labels[i] = rec["label"]
     return labels, scores
+
+
+# -- CSV ingest -----------------------------------------------------------------------
+#
+# The whole-file CSV reader the package had before it read a batch of lines
+# at a time, kept as the reference for the batched one.  It decides how the
+# file splits into rows and which error wins; the checks of single cells and
+# columns (the id rule, number parsing, range checks) are the package's,
+# which the batched read calls unchanged.
+
+
+def _content(line):
+    """Whether a line is read at all: comment and blank lines are skipped."""
+    return not line.startswith("#") and not line.isspace() and line != ""
+
+
+def _records(lines):
+    """Physical line number and text (line ending kept) of each line not skipped."""
+    for lineno, raw in enumerate(lines, start=1):
+        if _content(raw):
+            yield lineno, raw
+
+
+@dataclass
+class CsvTable:
+    """``header`` holds the stripped column names, ``lines[i]`` the physical
+    line of data row ``i`` and ``columns[name]`` the raw text cells of a
+    column, in row order."""
+
+    path: Path
+    header: list
+    header_line: int
+    lines: list
+    columns: dict
+
+    def where(self, i):
+        return f"{self.path} line {self.lines[i]}"
+
+    def require(self, *names):
+        for name in names:
+            if name not in self.columns:
+                raise ParseError(f"{self.path} line {self.header_line}: missing column {name!r}")
+
+
+def read_csv(path):
+    """Read a valid-UTF-8 CSV table whole: header, then rows of exactly the header's width."""
+    path = Path(path)
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        text = f.read()
+    if "\r" in text or "\0" in text:
+        return _csv_table(path, text)
+    lines = text.split("\n")
+    keep = [line != "" and line[0] != "#" and not line.isspace() for line in lines]
+    rows = list(compress(lines, keep))
+    if not rows:
+        raise ParseError(f"{path}: no header row")
+    body = ",".join(islice(rows, 1, None))
+    if '"' in rows[0] or '"' in body or max(map(len, rows)) > csv.field_size_limit():
+        return _csv_table(path, "\n".join(lines))
+    linenos = list(compress(itertools.count(1), keep))
+    header_line = linenos.pop(0)
+    header = _header(path, rows.pop(0).split(","), header_line)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    width = len(header)
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        for i, row in enumerate(rows):
+            if row.count(",") != width - 1:
+                raise _ragged(path, linenos[i], width, row.count(",") + 1)
+    cells = ",".join(rows).split(",")
+    return CsvTable(path, header, header_line, linenos,
+                    {name: cells[j::width] for j, name in enumerate(header)})
+
+
+def _csv_table(path, text):
+    """:func:`read_csv` by the csv module, one physical line at a time."""
+    linenos = []
+
+    def records():
+        for lineno, raw in _records(io.StringIO(text, newline="")):
+            linenos.append(lineno)
+            yield raw
+
+    reader = csv.reader(records())
+    rows, lines, used = [], [], 0
+    try:
+        for row in reader:
+            rows.append(row)
+            lines.append(linenos[used])
+            used = reader.line_num
+    except csv.Error as e:
+        raise ParseError(f"{path} line {linenos[reader.line_num - 1]}: {e}") from None
+    if not rows:
+        raise ParseError(f"{path}: no header row")
+    header_line = lines.pop(0)
+    header = _header(path, rows.pop(0), header_line)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise _ragged(path, lines[i], width, len(row))
+    return CsvTable(path, header, header_line, lines, dict(zip(header, map(list, zip(*rows)))))
+
+
+def _header(path, cells, line):
+    header = [h.strip() for h in cells]
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ParseError(f"{path} line {line}: repeated column {name!r}")
+    return header
+
+
+def _ragged(path, line, width, got):
+    return ParseError(f"{path} line {line}: expected {width} fields, got {got}")
+
+
+def ingest_csv(path, kind):
+    """The Population of a CSV pool, read whole and checked column by column:
+    ids, proxy, proxy_cal, then loss, each parsed and then range-checked."""
+    kind = LossKind(kind)
+    t = read_csv(path)
+    for h in t.header:
+        if h not in ("id", "proxy", "proxy_cal", "loss"):
+            raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
+    t.require("id", "proxy")
+    c, where = t.columns, t.where
+    uids = tables.ids(c["id"], where)
+    proxy = _proxy_column(kind, tables.numbers(c["proxy"], "proxy", where), "proxy", where)
+    proxy_cal = c.get("proxy_cal")
+    if proxy_cal is not None:
+        proxy_cal = _proxy_column(kind, tables.numbers(proxy_cal, "proxy_cal", where),
+                                  "proxy_cal", where)
+    losses, present = tables.optional_numbers(c.get("loss", [""] * len(t.lines)), "loss", where)
+    at = np.flatnonzero(present)
+    check_losses(kind, losses[at], lambda j: where(int(at[j])))
+    return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind, proxy_cal=proxy_cal)

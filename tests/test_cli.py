@@ -4,6 +4,7 @@ Exit codes under test: 0 success, 2 parse, 3 precondition, 4 consistency
 (argparse's own usage failures also exit 2, via SystemExit).
 """
 
+import csv as csv_module
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strateval import simulate
+from strateval import simulate, tables
 from strateval.calibration import split_half
 from strateval.cli import main
 from strateval.dataset import ingest
@@ -980,3 +981,44 @@ def test_every_subcommand_is_byte_reproducible(tmp_path):
         assert main(full) == 0, name
         for f in files:
             assert (out / f).read_bytes() == first[f], (name, f)
+
+
+def _calibrate_plan_estimate(tmp_path, src):
+    """Run calibrate, plan on its calibrated.csv and estimate, annotating the
+    worksheet from the pool; every output file's bytes, by name."""
+    cal, plan, est = tmp_path / "cal", tmp_path / "plan", tmp_path / "est"
+    assert main(["calibrate", "--input", str(src), "--out", str(cal)]) == 0
+    calibrated = cal / "calibrated.csv"
+    assert main(["plan", "--input", str(calibrated), "--proxy-col", "proxy_cal", "--strata", "4",
+                 "--budget", "40", "--strategy", "neyman", "--out", str(plan)]) == 0
+    pool = ingest(calibrated, "accuracy")
+    rows = data_rows(plan / "worksheet.csv")
+    ws = tmp_path / "ws.csv"
+    ws.write_text(rows[0] + ",loss\r\n" + "".join(
+        f"{r},{float(pool.loss[pool.index_of(_worksheet_id(r))])!r}\r\n" for r in rows[1:]))
+    assert main(["estimate", "--input", str(calibrated), "--proxy-col", "proxy_cal",
+                 "--worksheet", str(ws), "--out", str(est)]) == 0
+    return {f"{d.name}/{p.name}": p.read_bytes() for d in (cal, plan, est) for p in d.iterdir()}
+
+
+def _worksheet_id(row):
+    """The id cell of a worksheet row, which plan quotes when it holds a comma or a quote."""
+    return next(iter(csv_module.reader([row])))[0]
+
+
+def test_outputs_do_not_depend_on_the_csv_batches(tmp_path, monkeypatch):
+    # a pool with quoted ids, comments and blank lines, read and written
+    # whole (one batch) and in batches of a few lines and rows
+    rng = np.random.default_rng(3)
+    lines = ["\ufeff# pool", "id,proxy,loss"]
+    for i in range(400):
+        uid = f'"u,{i}"' if i % 37 == 0 else f'"say ""{i}"""' if i % 53 == 0 else f"u{i}"
+        p = float(rng.random())
+        lines += [f"{uid},{p!r},{float(rng.random() < p)!r}"] + ["# c", ""] * (i % 41 == 0)
+    src = tmp_path / "pool.csv"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    whole = _calibrate_plan_estimate(tmp_path, src)
+    assert len(whole) == 6
+    monkeypatch.setattr(tables, "_CSV_BATCH_BYTES", 97)
+    monkeypatch.setattr(tables, "_CSV_WRITE_ROWS", 3)
+    assert _calibrate_plan_estimate(tmp_path, src) == whole
