@@ -20,13 +20,17 @@ from rounding.  A stratum of one unit is taken whole.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .dataset import Population
 from .errors import ConsistencyError, PreconditionError
 from .estimators import MIN_PER_STRATUM, stratum_moments
 from .losses import LossKind, conditional_moments
-from .stratify import StrataPartition
+
+if TYPE_CHECKING:
+    from .dataset import Population
+    from .stratify import StrataPartition
 
 
 def _check_budget(sizes: np.ndarray, floors: np.ndarray, budget: int) -> None:

@@ -11,7 +11,9 @@ spent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -77,6 +79,19 @@ class IsotonicMap:
         }
 
 
+_FLOAT_BATCH = 4096
+
+
+def _floats(values: np.ndarray) -> Iterator[float]:
+    """The elements of ``values`` as Python floats, converted ``_FLOAT_BATCH`` at a time.
+
+    Only one batch of float objects exists at once: a whole array's would
+    raise the peak memory of a fit by 64 bytes per distinct proxy value.
+    """
+    return chain.from_iterable(values[i:i + _FLOAT_BATCH].tolist()
+                               for i in range(0, values.size, _FLOAT_BATCH))
+
+
 def fit_isotonic(proxy, loss) -> IsotonicMap:
     """Least-squares nondecreasing fit of loss against proxy (PAVA).
 
@@ -110,13 +125,14 @@ def fit_isotonic(proxy, loss) -> IsotonicMap:
     counts = np.diff(np.append(start, x.size)).astype(float)
     sums = np.add.reduceat(y, start)
 
-    # PAVA: maintain a stack of blocks (weight, sum, right edge in ux)
+    # PAVA: maintain a stack of blocks (weight, sum, right edge in ux), on
+    # Python floats, which do the same IEEE arithmetic faster than numpy scalars
     blk_w: list[float] = []
     blk_s: list[float] = []
     blk_r: list[int] = []
-    for j in range(ux.size):
-        blk_w.append(counts[j])
-        blk_s.append(sums[j])
+    for j, (w, s) in enumerate(zip(_floats(counts), _floats(sums))):
+        blk_w.append(w)
+        blk_s.append(s)
         blk_r.append(j)
         while len(blk_w) > 1 and blk_s[-2] * blk_w[-1] >= blk_s[-1] * blk_w[-2]:
             # previous block mean >= current: merge (weights positive)

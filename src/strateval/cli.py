@@ -16,6 +16,14 @@ Run as a program (the ``strateval`` script, ``python -m strateval`` or
 leaves through ``os._exit``, without interpreter teardown: every output
 file is closed by then.  Library callers use :func:`main`, which still
 returns the exit code.
+
+Each command is its own short process, so what it imports is paid on
+every run: the module loads only the standard library, numpy, ``errors``
+and ``losses`` (whose kinds are ``--loss-kind``'s choices).  Every other
+name resolves through :data:`_LAZY` on first use: a command binds the
+names it calls when it starts, so ``estimate`` never imports the
+simulator, nor ``plan`` the calibration.  A name already set on the
+module, by a test or a tracer, is kept and is the one the command calls.
 """
 
 from __future__ import annotations
@@ -24,30 +32,55 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
 from . import __version__
-from .allocate import neyman, plugin_sds, proportional
-from .calibration import fit_isotonic, split_half
-from .dataset import Population, check_losses, ingest
 from .errors import ConsistencyError, ParseError, PreconditionError
-from .estimators import confidence_interval, stratified_estimate, stratum_moments
 from .losses import LossKind
-from .rng import check_seed
-from .sampling import draw_ssrs, load_worksheet, worksheet_table
-from .simulate import (
-    MIN_REPS,
-    SuperpopSpec,
-    efficiency_csv,
-    efficiency_table,
-    generate,
-    run_methods,
-)
-from .stratify import StrataPartition, equal_width_bins, kmeans_1d, partition_table
-from .tables import _not_utf8, write_csv
+
+if TYPE_CHECKING:
+    from .dataset import Population
+    from .stratify import StrataPartition
+
+# every other name a command calls, by the module it comes from
+_LAZY = {
+    "allocate": ("neyman", "plugin_sds", "proportional"),
+    "calibration": ("fit_isotonic", "split_half"),
+    "dataset": ("check_losses", "ingest"),
+    "estimators": ("confidence_interval", "stratified_estimate", "stratum_moments"),
+    "rng": ("check_seed",),
+    "sampling": ("draw_ssrs", "load_worksheet", "worksheet_table"),
+    "simulate": ("MIN_REPS", "SuperpopSpec", "efficiency_csv", "efficiency_table", "generate",
+                 "run_methods"),
+    "stratify": ("StrataPartition", "equal_width_bins", "kmeans_1d", "partition_table"),
+    "tables": ("_not_utf8", "write_csv"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __package__), name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind each of ``names`` in this module unless it is bound already.
+
+    A name set on the module before the command runs, such as a test's
+    stand-in or a tracer's timing wrapper, is kept, so it is the one the
+    command calls.
+    """
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
+
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -89,9 +122,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_calibrate(args) -> int:
+    _bind("ingest", "split_half", "fit_isotonic", "write_csv")
     cfg = _config_dict(args)
-    pop = ingest(args.input, args.loss_kind)
-    cal, ev = split_half(pop, args.seed_split)
+    # the whole pool is held by no name, so its memory goes once it is split
+    cal, ev = split_half(ingest(args.input, args.loss_kind), args.seed_split)
     if not cal.has_all_losses:
         missing = int(np.isnan(cal.loss).sum())
         raise ConsistencyError(
@@ -117,6 +151,8 @@ def _build_partition(pop: Population, args) -> StrataPartition:
 
 
 def cmd_plan(args) -> int:
+    _bind("ingest", "StrataPartition", "kmeans_1d", "equal_width_bins", "partition_table",
+          "plugin_sds", "neyman", "proportional", "draw_ssrs", "worksheet_table", "write_csv")
     cfg = _config_dict(args)
     pop = ingest(args.input, args.loss_kind, scores_path=args.scores)
     n = args.budget
@@ -172,6 +208,8 @@ def _design_from_worksheet(ws) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_estimate(args) -> int:
+    _bind("ingest", "load_worksheet", "check_losses", "stratum_moments", "stratified_estimate",
+          "confidence_interval")
     cfg = _config_dict(args)
     pop = ingest(args.input, args.loss_kind)
     ws = load_worksheet(args.worksheet)
@@ -289,6 +327,8 @@ def _spec_number(path: Path, doc: dict, key: str, default=None, *, integer: bool
 
 
 def cmd_simulate(args) -> int:
+    _bind("_not_utf8", "check_seed", "SuperpopSpec", "generate", "MIN_REPS", "kmeans_1d",
+          "run_methods", "efficiency_table", "efficiency_csv")
     cfg = _config_dict(args)
     path = Path(args.spec)
     doc = _load_sim_spec(path)
@@ -370,6 +410,7 @@ def cmd_simulate(args) -> int:
 
 def _seed_flag(text: str) -> int:
     """Value of a ``--seed-*`` flag: a non-negative integer."""
+    _bind("check_seed")
     try:
         return check_seed(int(text))
     except ValueError as e:

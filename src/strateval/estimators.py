@@ -35,11 +35,14 @@ whole ("take-all": ``1 - n_h/N_h = 0``) and its term is 0.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import PreconditionError
-from .stratify import StrataPartition
+
+if TYPE_CHECKING:
+    from .stratify import StrataPartition
 
 __all__ = [
     "stratified_estimate",

@@ -13,15 +13,17 @@ reader in :mod:`strateval.tables`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tables
-from .dataset import Population
 from .errors import ConsistencyError, PreconditionError
 from .estimators import MIN_PER_STRATUM
-from .rng import fisher_yates
-from .stratify import StrataPartition
+
+if TYPE_CHECKING:
+    from .dataset import Population
+    from .stratify import StrataPartition
 
 
 @dataclass
@@ -54,6 +56,8 @@ def stratified_indices(partition: StrataPartition, n_h, seeds) -> np.ndarray:
     positions come in selection order.  Every row is drawn in the one
     batched pass of :func:`strateval.rng.fisher_yates`.
     """
+    from .rng import fisher_yates  # imported here: reading a worksheet needs no rng
+
     return partition.order[fisher_yates(seeds, partition.sizes, n_h)]
 
 

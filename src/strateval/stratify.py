@@ -87,7 +87,9 @@ def _dp_rows(u: np.ndarray, w: np.ndarray, n_strata: int):
     one depth at a time: every node of a depth is evaluated in one batched
     pass over its candidates laid end to end, so a row costs about
     log2(m) passes of O(m) work each rather than one numpy call per
-    column.  Ties go to the smallest left edge, as with ``np.argmin``.
+    column.  The last row holds only column ``m - 1``, the one entry the
+    walk back reads, filled in one pass over its candidates.  Ties go to
+    the smallest left edge, as with ``np.argmin``.
     """
     m = u.size
     cw = np.concatenate([[0.0], np.cumsum(w)])
@@ -102,7 +104,7 @@ def _dp_rows(u: np.ndarray, w: np.ndarray, n_strata: int):
 
     prev = seg_cost(np.zeros(m, dtype=np.int64), np.arange(1, m + 1))
     splits = np.zeros((n_strata, m), dtype=np.int64)
-    for h in range(1, n_strata):
+    for h in range(1, n_strata - 1):
         cur = np.full(m, np.inf)
         # one column per pending node: right edges klo..khi, left-edge
         # candidates jlo..jhi.  jlo >= h and jlo <= klo hold at every node,
@@ -128,6 +130,9 @@ def _dp_rows(u: np.ndarray, w: np.ndarray, n_strata: int):
             nodes = np.concatenate([[klo, k - 1, jlo, opt], [k + 1, khi, opt, jhi]], axis=1)
             nodes = nodes[:, nodes[0] <= nodes[1]]
         prev = cur
+    last = n_strata - 1
+    j = np.arange(last, m)
+    splits[last, m - 1] = last + np.argmin(prev[j - 1] + seg_cost(j, m))
     return splits
 
 

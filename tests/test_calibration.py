@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import best_monotone_fit
+from strateval import calibration
 from strateval.calibration import IsotonicMap, fit_isotonic, split_half
 from strateval.dataset import Population
 from strateval.errors import PreconditionError
@@ -139,6 +140,41 @@ def test_fit_matches_oracle_with_ties():
         want, _ = best_monotone_fit(pooled, weights=w)
         got = fit_isotonic(x, y).apply(ux)
         assert np.allclose(got, want, atol=1e-9)
+
+
+def stack_pava(counts, sums):
+    """The PAVA block stack on numpy scalars, one element at a time: the reference."""
+    blk_w, blk_s, blk_r = [], [], []
+    for j in range(counts.size):
+        blk_w.append(counts[j])
+        blk_s.append(sums[j])
+        blk_r.append(j)
+        while len(blk_w) > 1 and blk_s[-2] * blk_w[-1] >= blk_s[-1] * blk_w[-2]:
+            blk_w[-2] += blk_w[-1]
+            blk_s[-2] += blk_s[-1]
+            blk_r[-2] = blk_r[-1]
+            del blk_w[-1], blk_s[-1], blk_r[-1]
+    fitted = np.empty(counts.size)
+    left = 0
+    for w, s, r in zip(blk_w, blk_s, blk_r):
+        fitted[left : r + 1] = s / w
+        left = r + 1
+    return fitted
+
+
+@pytest.mark.parametrize("loss", ["binary", "continuous"])
+def test_fit_over_many_batches_is_bit_identical_to_the_scalar_stack(loss):
+    # about 2.6 * 10^4 distinct proxies, some tied, span the fit's float batches
+    rng = np.random.default_rng(8)
+    x = np.round(rng.random(30_000), 5)
+    y = (rng.random(x.size) < x).astype(float) if loss == "binary" else rng.random(x.size) * x
+    ux, start = np.unique(np.sort(x), return_index=True)
+    assert ux.size > 2 * calibration._FLOAT_BATCH
+    y_sorted = y[np.argsort(x, kind="stable")]
+    counts = np.diff(np.append(start, x.size)).astype(float)
+    want = stack_pava(counts, np.add.reduceat(y_sorted, start))
+    got = fit_isotonic(x, y).apply(ux)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- IsotonicMap ---------------------------------------------------------------

@@ -4,6 +4,7 @@ Exit codes under test: 0 success, 2 parse, 3 precondition, 4 consistency
 (argparse's own usage failures also exit 2, via SystemExit).
 """
 
+import ast
 import csv as csv_module
 import json
 import os
@@ -905,6 +906,109 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
     assert done.returncode == 1
     assert done.stderr == ""
     assert sorted(p.name for p in out.iterdir()) == ["partition.csv", "plan.json", "worksheet.csv"]
+
+
+# -- what each command imports ----------------------------------------------------
+
+# runs main(argv) in a fresh interpreter and prints its exit code and the package
+# modules loaded by then
+CHILD_MAIN = """
+import json, sys
+from strateval import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "strateval")]))
+"""
+INGEST_MODULES = {"strateval", "strateval.cli", "strateval.errors", "strateval.losses",
+                  "strateval.dataset", "strateval.tables"}
+# each command's argv (files made under DIR) and the package modules it loads: its step's only
+COMMAND_MODULES = {
+    "calibrate": (["calibrate", "--input", "DIR/pool.csv"],
+                  INGEST_MODULES | {"strateval.calibration", "strateval.rng"}),
+    "plan": (["plan", "--input", "DIR/pool.csv", "--budget", "12", "--strata", "3", "--strategy",
+              "neyman", "--seed-sample", "5"],
+             INGEST_MODULES | {"strateval.stratify", "strateval.allocate", "strateval.estimators",
+                               "strateval.sampling", "strateval.rng"}),
+    "estimate": (["estimate", "--input", "DIR/fixture/pool.csv", "--worksheet", "DIR/fixture/ws.csv"],
+                 INGEST_MODULES | {"strateval.sampling", "strateval.estimators"}),
+    "simulate": (["simulate", "--spec", str(ORDERING_SPEC)],
+                 INGEST_MODULES | {"strateval.stratify", "strateval.allocate", "strateval.estimators",
+                                   "strateval.sampling", "strateval.rng", "strateval.simulate"}),
+}
+
+
+def child_main(tmp_path, code, argv):
+    """Run ``code`` in a fresh interpreter with ``argv`` (files under DIR) as its one argument."""
+    write_pool(tmp_path / "pool.csv", [f"u{i}" for i in range(30)], np.linspace(0.02, 0.98, 30),
+               np.arange(30) % 3 == 0)
+    (tmp_path / "fixture").mkdir()
+    fixture_pool(tmp_path / "fixture")
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv] + ["--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_its_steps_modules(tmp_path, command):
+    # a command is a process of its own: a module its step does not run
+    # costs it the module's compile and import on every run
+    argv, modules = COMMAND_MODULES[command]
+    code, loaded = child_main(tmp_path, CHILD_MAIN, argv)
+    assert code == 0
+    assert set(loaded) == modules
+
+
+def test_a_name_set_on_the_cli_before_main_is_the_one_called(tmp_path):
+    # perfbench's tracer reads names off strateval.cli, sets timing wrappers
+    # in their place, then runs main(): the command must call the wrappers
+    code = """
+import json, sys
+from strateval import cli, stratify
+calls = []
+def spy(name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+for name in ("cmd_plan", "ingest", "proportional", "draw_ssrs"):
+    setattr(cli, name, spy(name, getattr(cli, name)))
+cli.kmeans_1d = spy("kmeans_1d", stratify.kmeans_1d)  # set before it was ever read
+print(json.dumps([cli.main(json.loads(sys.argv[1])), calls]))
+"""
+    argv = ["plan", "--input", "DIR/pool.csv", "--budget", "12", "--strata", "3"]
+    assert child_main(tmp_path, code, argv) == [
+        0, ["cmd_plan", "ingest", "kmeans_1d", "proportional", "draw_ssrs"]]
+
+
+def test_each_command_binds_every_name_it_reads_on_first_use():
+    # a name read only on an error path and left out of the command's _bind
+    # call would fail with NameError there, in no other run
+    from strateval import cli
+
+    funcs = {n.name: n for n in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+             if isinstance(n, ast.FunctionDef)}
+
+    def reads(name, seen):
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+                if node.id in funcs and node.id not in seen:
+                    found |= reads(node.id, seen | {node.id})
+        return found
+
+    for name in [*(f for f in funcs if f.startswith("cmd_")), "_seed_flag"]:
+        bound = {arg.value for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_bind" for arg in node.args}
+        assert reads(name, {name}) & set(cli._MODULE_OF) == bound, name
+
+
+def test_an_unknown_cli_attribute_raises_attribute_error():
+    from strateval import cli
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
 
 
 def test_every_subcommand_is_byte_reproducible(tmp_path):

@@ -3,7 +3,10 @@
 import ast
 import doctest
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,10 +44,29 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
 
 
 def test_public_exports_resolve_and_are_listed():
-    # every name in __all__ exists, and every public name __init__ imports is in __all__,
-    # so an export cannot outlive its definition or go unlisted
+    # every name in __all__ exists, and every name the package exports on first use is in
+    # __all__, so an export cannot outlive its definition or go unlisted
     assert [name for name in strateval.__all__ if not hasattr(strateval, name)] == []
-    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert sorted(n for n in imported if not n.startswith("_")) == sorted(strateval.__all__)
+    assert sorted(strateval._MODULE_OF) == sorted(strateval.__all__)
+    modules = sorted(info.name for info in pkgutil.iter_modules(strateval.__path__))
+    assert sorted(strateval._EXPORTS) == [m for m in modules if m != "__main__"]
+
+
+def test_a_bare_import_loads_nothing_and_resolves_every_name():
+    # run in a fresh interpreter: this one has imported every module already
+    code = """
+import json, sys
+import strateval
+loaded = [m for m in sys.modules if m.startswith("strateval.")]
+module = lambda name: sys.modules[f"strateval.{name}"]
+wrong = [n for n in strateval.__all__
+         if getattr(strateval, n) is not getattr(module(strateval._MODULE_OF[n]), n)]
+wrong += [m for m in strateval._EXPORTS if getattr(strateval, m) is not module(m)]
+listed = set(dir(strateval)) >= {*strateval.__all__, *strateval._EXPORTS}
+print(json.dumps([loaded, wrong, listed, hasattr(strateval, "no_such_name")]))
+"""
+    path = os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], [], True, False]

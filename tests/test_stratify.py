@@ -155,7 +155,9 @@ def partition_with(row_fill, v, h):
 def assert_matches_recursive_fill(v, h):
     got = partition_with(stratify._dp_rows, v, h)
     want = partition_with(recursive_dp_rows, v, h)
-    assert np.array_equal(got[1], want[1]), (v, h)
+    # of the last row, the fill keeps only the entry the walk back reads
+    assert np.array_equal(got[1][:-1], want[1][:-1]), (v, h)
+    assert got[1][-1, -1] == want[1][-1, -1], (v, h)
     assert np.array_equal(got[0], want[0]), (v, h)
 
 
@@ -209,6 +211,14 @@ def test_row_fill_matches_recursive_fill_when_costs_overflow():
         v = rng.choice([-1e300, -1e160, 0.0, 1.0, 1e155, 1e160, 5e200, 1e300], size=20)
         for h in range(2, np.unique(v).size + 1):
             assert_matches_recursive_fill(v, h)
+
+
+def test_a_tie_in_the_last_row_alone_goes_to_the_smallest_left_edge():
+    # {2}, {3}, {9, 10} and {2, 3}, {9}, {10} both cost 0.5, and no entry of
+    # the earlier rows ties: the last interval starts at its first candidate
+    v = np.array([2.0, 3.0, 9.0, 10.0])
+    assert kmeans_1d(v, 3).assignment.tolist() == [0, 1, 2, 2]
+    assert_matches_recursive_fill(v, 3)
 
 
 def test_kmeans_1d_is_exact_past_the_square_range():
