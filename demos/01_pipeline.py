@@ -20,6 +20,7 @@ import numpy as np
 
 from strateval.cli import main as strateval
 from strateval.simulate import SuperpopSpec, generate
+from strateval.tables import write_csv
 
 
 def build_pool(path: Path) -> float:
@@ -36,7 +37,7 @@ def build_pool(path: Path) -> float:
         },
     )
     pop = generate(spec)
-    path.write_text(pop.canonical_csv())
+    write_csv(path, "", *pop.canonical_table())
     return float(np.mean(pop.loss))
 
 

@@ -28,48 +28,14 @@ _EXPORTS = {
     "losses": ("LossKind", "conditional_moments", "eval_loss"),
     "rng": ("derive_seed", "generator"),
     "sampling": ("SampleDraw", "draw_ssrs", "load_worksheet"),
-    "simulate": ("MCResult", "SuperpopSpec", "efficiency_csv", "efficiency_table", "generate",
-                 "run_mc", "run_methods"),
+    "simulate": ("MCResult", "SuperpopSpec", "efficiency_table", "generate", "run_mc",
+                 "run_methods"),
     "stratify": ("StrataPartition", "equal_width_bins", "kmeans_1d"),
     "tables": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ConsistencyError",
-    "IsotonicMap",
-    "LossKind",
-    "MCResult",
-    "ParseError",
-    "Population",
-    "PreconditionError",
-    "SampleDraw",
-    "StrataPartition",
-    "SuperpopSpec",
-    "attach_scores",
-    "conditional_moments",
-    "confidence_interval",
-    "derive_seed",
-    "design_mse",
-    "draw_ssrs",
-    "efficiency_csv",
-    "efficiency_table",
-    "equal_width_bins",
-    "eval_loss",
-    "fit_isotonic",
-    "generate",
-    "generator",
-    "ingest",
-    "kmeans_1d",
-    "load_worksheet",
-    "neyman",
-    "normal_quantile",
-    "proportional",
-    "run_mc",
-    "run_methods",
-    "split_half",
-    "stratified_estimate",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

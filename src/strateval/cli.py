@@ -54,7 +54,7 @@ _LAZY = {
     "estimators": ("confidence_interval", "stratified_estimate", "stratum_moments"),
     "rng": ("check_seed",),
     "sampling": ("draw_ssrs", "load_worksheet", "worksheet_table"),
-    "simulate": ("MIN_REPS", "SuperpopSpec", "efficiency_csv", "efficiency_table", "generate",
+    "simulate": ("METHOD_FIELDS", "MIN_REPS", "SuperpopSpec", "efficiency_table", "generate",
                  "run_methods"),
     "stratify": ("StrataPartition", "equal_width_bins", "kmeans_1d", "partition_table"),
     "tables": ("_not_utf8", "write_csv"),
@@ -90,8 +90,6 @@ DEFAULT_SEED_SPLIT = 13
 DEFAULT_SEED_SAMPLE = 37
 DEFAULT_SEED_SIM = 101
 DEFAULT_STRATA = 10
-# the settings of a simulate method, each with the value it takes when the method omits it
-METHOD_DEFAULTS = {"design": "srs", "estimator": "ht", "allocation": "prop", "sd_source": "true"}
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -293,7 +291,7 @@ def _load_sim_spec(path: Path) -> dict:
         if m["name"] in names:
             raise ParseError(f"{path}: two methods are named {m['name']!r}")
         for key in m:
-            if key != "name" and key not in METHOD_DEFAULTS:
+            if key != "name" and key not in METHOD_FIELDS:
                 raise ParseError(f"{path}: method {m['name']!r} has unknown key {key!r}")
         names.append(m["name"])
     chain = doc.get("assert_ordering", [])
@@ -327,8 +325,8 @@ def _spec_number(path: Path, doc: dict, key: str, default=None, *, integer: bool
 
 
 def cmd_simulate(args) -> int:
-    _bind("_not_utf8", "check_seed", "SuperpopSpec", "generate", "MIN_REPS", "kmeans_1d",
-          "run_methods", "efficiency_table", "efficiency_csv")
+    _bind("_not_utf8", "METHOD_FIELDS", "check_seed", "SuperpopSpec", "generate", "MIN_REPS",
+          "kmeans_1d", "run_methods", "efficiency_table", "write_csv")
     cfg = _config_dict(args)
     path = Path(args.spec)
     doc = _load_sim_spec(path)
@@ -364,7 +362,7 @@ def cmd_simulate(args) -> int:
     methods = doc["methods"]
     needs_partition = any(m.get("design") == "ssrs" for m in methods)
     partition = kmeans_1d(pop.proxy, strata) if needs_partition else None
-    settings = [{key: m.get(key, value) for key, value in METHOD_DEFAULTS.items()}
+    settings = [{key: m.get(key, values[0]) for key, values in METHOD_FIELDS.items()}
                 for m in methods]
     runs = run_methods(pop, settings, n=n, reps=reps, seed=sim_seed, partition=partition,
                        level=level)
@@ -391,9 +389,8 @@ def cmd_simulate(args) -> int:
         "ordering_ok": ordering_ok,
     }
     _write_json(out / "results.json", payload)
-    (out / "efficiency.csv").write_text(
-        _config_comment(cfg) + efficiency_csv(table, row_label=spec.family), encoding="utf-8"
-    )
+    write_csv(out / "efficiency.csv", _config_comment(cfg), ["population", *table],
+              [[spec.family], *([v] for v in table.values())])
     for name, r in results.items():
         print(
             f"simulate[{name}]: mse={r.empirical_mse:.4e} (mc se {r.mse_mc_se:.1e}) "

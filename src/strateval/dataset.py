@@ -178,7 +178,7 @@ class Population:
 
     def canonical_table(self) -> tuple[list[str], list]:
         """Header and columns of the canonical CSV, ``id,proxy[,proxy_cal],loss``,
-        for :func:`strateval.tables.csv_text` or :func:`strateval.tables.write_csv`."""
+        for :func:`strateval.tables.write_csv`; equal populations write equal bytes."""
         header = ["id", "proxy"]
         cols = [tables.writable_ids(self.ids), self.proxy]
         if self.proxy_cal is not None:
@@ -187,10 +187,6 @@ class Population:
         header.append("loss")
         cols.append(tables.BlankNaN(self.loss))  # NaN: not annotated
         return header, cols
-
-    def canonical_csv(self) -> str:
-        """Canonical CSV text; equal populations serialize to equal bytes."""
-        return tables.csv_text(*self.canonical_table())
 
 
 # -- file ingest -----------------------------------------------------------

@@ -92,17 +92,12 @@ def draw_ssrs(pop: Population, partition: StrataPartition, n_h, seed: int) -> Sa
 
 
 def worksheet_table(draw: SampleDraw) -> tuple[list[str], list]:
-    """Header and columns of the worksheet: ``id,stratum,pi``, one row per sampled unit."""
-    return ["id", "stratum", "pi"], [tables.writable_ids(draw.ids), draw.strata, draw.pi]
-
-
-def worksheet_csv(draw: SampleDraw) -> str:
-    """CSV listing the sampled units: ``id,stratum,pi``.
+    """Header and columns of the worksheet: ``id,stratum,pi``, one row per sampled unit.
 
     The annotator appends a ``loss`` column (or adds values under one) and
     the filled file goes back in through :func:`load_worksheet`.
     """
-    return tables.csv_text(*worksheet_table(draw))
+    return ["id", "stratum", "pi"], [tables.writable_ids(draw.ids), draw.strata, draw.pi]
 
 
 @dataclass

@@ -58,10 +58,9 @@ from .losses import LossKind
 from .rng import derive_seeds, generator
 from .sampling import stratified_indices
 from .stratify import StrataPartition
-from .tables import csv_text
 
 FAMILIES = ("two_point", "beta_conditional", "miscalibrated")
-# the values each setting of a Monte Carlo method may take
+# the values each setting of a Monte Carlo method may take; the first is its default
 METHOD_FIELDS = {
     "design": ("srs", "ssrs"),
     "estimator": ("ht", "df"),
@@ -454,9 +453,3 @@ def efficiency_table(results: dict, baseline: str) -> dict[str, float]:
     if base == 0.0:
         raise PreconditionError("baseline MSE is zero; ratios undefined")
     return {name: res.empirical_mse / base for name, res in results.items()}
-
-
-def efficiency_csv(table: dict[str, float], row_label: str = "pool") -> str:
-    """One-row CSV, method names as columns (values < 1 = cheaper than baseline)."""
-    return csv_text(["population", *table.keys()],
-                    [[row_label], *([float(v)] for v in table.values())])

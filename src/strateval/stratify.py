@@ -3,9 +3,9 @@
 Every stratum is an interval of one proxy column.  Two routes: exact 1-D
 k-means (dynamic program over the sorted values — the globally optimal
 interval partition) and fixed-width bins.  Strata are labeled
-``0..H-1`` in increasing proxy order.  ``partition.csv`` is written and
-read back through the one table writer and reader in
-:mod:`strateval.tables`.
+``0..H-1`` in increasing proxy order.  ``plan`` writes the partition to
+``partition.csv`` through the one table writer in :mod:`strateval.tables`,
+for the record: no step reads it back.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 
 
 @dataclass
@@ -59,19 +59,6 @@ def partition_table(partition: StrataPartition, ids) -> tuple[list[str], list]:
     if len(ids) != partition.assignment.size:
         raise PreconditionError("ids and assignment lengths disagree")
     return ["id", "stratum"], [tables.writable_ids(ids), partition.assignment]
-
-
-def partition_csv(partition: StrataPartition, ids) -> str:
-    return tables.csv_text(*partition_table(partition, ids))
-
-
-def load_partition_csv(path) -> dict[str, int]:
-    """Read an ``id,stratum`` file back to a mapping; an id may occur once."""
-    t = tables.read_csv(path, ints=("stratum",))
-    if t.header[:2] != ["id", "stratum"]:
-        raise ParseError(f"{t.path} line {t.header_line}: expected header id,stratum")
-    strata = t.numbers("stratum")
-    return dict(zip(tables.ids(t.columns["id"], t.where), strata.tolist()))
 
 
 # -- exact 1-D k-means -------------------------------------------------------

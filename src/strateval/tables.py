@@ -1,8 +1,10 @@
 """The one reader and the one writer of strateval's table files.
 
 Every file a workflow step hands to the next -- the pool (CSV or JSONL),
-the class-score sidecar, ``calibrated.csv``, ``partition.csv`` and
-``worksheet.csv`` -- follows the same rules, implemented here once:
+the class-score sidecar, ``calibrated.csv`` and ``worksheet.csv`` --
+follows the same rules, implemented here once; so do ``partition.csv``
+and ``efficiency.csv``, which are written for the record and read by no
+step:
 
 * a line that starts with ``#`` is a comment, and a blank line is
   skipped; tool outputs carry their run config in a leading comment;
@@ -12,7 +14,7 @@ the class-score sidecar, ``calibrated.csv``, ``partition.csv`` and
   and blank lines;
 * an id is stripped of surrounding whitespace and must then be nonempty,
   must not start with ``#`` and must not contain a line break: exactly
-  the ids that come back unchanged when :func:`csv_text` writes them and
+  the ids that come back unchanged when :func:`write_csv` writes them and
   :func:`read_csv` reads them.  Readers apply this rule through
   :func:`ids`, which also refuses a repeated id, and writers of id
   columns through :func:`writable_ids`.
@@ -29,8 +31,8 @@ slice is split, so only the text columns (the ids) and one slice's cells
 are ever held as ``str``; cells are scanned one by one only when a
 slice's column fails, to name the line.  Every error but a field too
 long for the ``csv`` module waits until the whole file is read, so the
-error that wins does not depend on the slices.  :func:`write_csv` writes 4096 rows at a time, through the
-formatter of :func:`csv_text`.  On a 2-core host, ``ingest`` of an
+error that wins does not depend on the slices.  :func:`write_csv` writes
+4096 rows at a time.  On a 2-core host, ``ingest`` of an
 ``id,proxy,loss`` CSV costs about 1.2-1.8 µs per row and writing
 ``calibrated.csv`` about 1.8-3.2 µs per row, as when the file was read
 and written whole, but ``calibrate`` on a 10⁵-row pool peaks at 55 MB
@@ -571,21 +573,17 @@ def _csv_chunks(header: Sequence[str], columns) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(*map(_cells, batch), strict=True))) + "\n"
 
 
-def csv_text(header: Sequence[str], columns) -> str:
-    """CSV text of a header and columns of str, int or float cells.
-
-    Floats are written as ``repr``, and a cell holding a comma, a quote or
-    a line feed is quoted: byte for byte what ``csv.writer`` with
-    ``lineterminator="\\n"`` writes for rows of two or more cells.  Every
-    CSV file strateval writes goes through here or :func:`write_csv`, so
-    every one of them reads back through :func:`read_csv`.
-    """
-    return "".join(_csv_chunks(header, columns))
-
-
 def write_csv(path, comment: str, header: Sequence[str], columns) -> None:
-    """Write ``comment``, then :func:`csv_text` of ``header`` and ``columns``, to ``path``,
-    ``_CSV_WRITE_ROWS`` rows at a time."""
+    """Write ``comment``, then a CSV table of ``header`` and ``columns``, to ``path``,
+    ``_CSV_WRITE_ROWS`` rows at a time.
+
+    A column holds str, int or float cells.  Floats are written as
+    ``repr``, and a cell holding a comma, a quote or a line feed is
+    quoted: byte for byte what ``csv.writer`` with ``lineterminator="\\n"``
+    writes for rows of two or more cells.  Every CSV file strateval writes
+    goes through here, so every one of them reads back through
+    :func:`read_csv`.
+    """
     with open(path, "w", encoding="utf-8") as f:
         f.write(comment)
         f.writelines(_csv_chunks(header, columns))

@@ -6,6 +6,7 @@ Exit codes under test: 0 success, 2 parse, 3 precondition, 4 consistency
 
 import ast
 import csv as csv_module
+import io
 import json
 import os
 import subprocess
@@ -15,12 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strateval import simulate, tables
+from strateval import __version__, simulate, tables
 from strateval.calibration import split_half
 from strateval.cli import main
 from strateval.dataset import ingest
 from strateval.estimators import normal_quantile
-from strateval.stratify import load_partition_csv
 
 ORDERING_SPEC = Path(__file__).resolve().parent.parent / "demos" / "configs" / "design_ordering.json"
 
@@ -44,6 +44,13 @@ def grid_pool(path, n=20, loss="identity"):
 def data_rows(path):
     """File lines minus the embedded config comment."""
     return [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+
+
+def partition_of(path):
+    """Each id's stratum in a ``partition.csv``, read by the csv module."""
+    header, *rows = csv_module.reader(data_rows(path))
+    assert header == ["id", "stratum"]
+    return {uid: int(h) for uid, h in rows}
 
 
 # -- calibrate -------------------------------------------------------------------
@@ -173,9 +180,7 @@ def test_plan_partition_round_trips_ids_with_commas_and_quotes(tmp_path):
     out = tmp_path / "plan"
     argv = ["plan", "--input", str(src), "--out", str(out), "--budget", "4", "--strata", "2"]
     assert main(argv) == 0
-    assert load_partition_csv(out / "partition.csv") == {
-        uid: int(i >= 3) for i, uid in enumerate(ids)
-    }
+    assert partition_of(out / "partition.csv") == {uid: int(i >= 3) for i, uid in enumerate(ids)}
     # plain ids are written bare, as before
     assert data_rows(out / "partition.csv")[3:] == ["u2,0", "u3,1", "u4,1", "u5,1"]
 
@@ -306,7 +311,7 @@ def test_plan_stratifies_proxies_past_the_square_range(tmp_path):
     argv = ["plan", "--input", str(src), "--out", str(out), "--loss-kind", "cross_entropy",
             "--strata", "2", "--budget", "4"]
     assert main(argv) == 0
-    assert load_partition_csv(out / "partition.csv") == {**dict.fromkeys("abcde", 0), "f": 1}
+    assert partition_of(out / "partition.csv") == {**dict.fromkeys("abcde", 0), "f": 1}
 
 
 def test_plan_refuses_an_embedding_column(tmp_path, capsys):
@@ -1126,3 +1131,40 @@ def test_outputs_do_not_depend_on_the_csv_batches(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "_CSV_BATCH_BYTES", 97)
     monkeypatch.setattr(tables, "_CSV_WRITE_ROWS", 3)
     assert _calibrate_plan_estimate(tmp_path, src) == whole
+
+
+def test_every_csv_a_command_writes_is_its_config_line_then_what_csv_writer_writes(tmp_path):
+    # every id holds a comma and every other method name too, so each file quotes cells
+    src = tmp_path / "pool.csv"
+    src.write_text("id,proxy,loss\n"
+                   + "".join(f'"u,{i}",{i % 10 / 10},{i % 2}\n' for i in range(60)))
+    methods = json.loads(ORDERING_SPEC.read_text())["methods"]
+    spec = sim_spec(tmp_path, methods=methods, reps=100)
+    runs = {
+        "calibrate": (["calibrate", "--input", str(src)], "map.json", ["calibrated.csv"]),
+        "plan": (["plan", "--input", str(src), "--budget", "12", "--strata", "3"], "plan.json",
+                 ["partition.csv", "worksheet.csv"]),
+        "simulate": (["simulate", "--spec", str(spec)], "results.json", ["efficiency.csv"]),
+    }
+    for name, (argv, json_file, csv_files) in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0, name
+        config = json.loads((out / json_file).read_text())["config"]
+        for csv_file in csv_files:
+            text = (out / csv_file).read_bytes().decode("utf-8")
+            first, rest = text.split("\n", 1)
+            prefix = f"# strateval {__version__} config="
+            assert first.startswith(prefix), csv_file
+            assert json.loads(first[len(prefix):]) == config, csv_file
+            rows = list(csv_module.reader(io.StringIO(rest, newline="")))
+            assert len(rows) > 1 and '"' in rest, csv_file
+            assert not any(row[0].startswith("#") for row in rows), csv_file
+            buf = io.StringIO()
+            csv_module.writer(buf, lineterminator="\n").writerows(rows)
+            assert rest == buf.getvalue(), csv_file
+    # efficiency.csv holds the efficiencies of results.json under the population's family
+    header, row = csv_module.reader(data_rows(tmp_path / "simulate" / "efficiency.csv"))
+    assert header == ["population", *(m["name"] for m in methods)]
+    assert row[0] == "two_point"
+    doc = json.loads((tmp_path / "simulate" / "results.json").read_text())
+    assert dict(zip(header[1:], map(float, row[1:]))) == doc["efficiency"]

@@ -7,12 +7,20 @@ import pytest
 from strateval.dataset import Population, attach_scores, ingest
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
 from strateval.losses import LossKind
+from strateval.tables import write_csv
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def canonical(tmp_path, name, pop):
+    """The canonical CSV of ``pop``, as the one table writer writes it to ``name``."""
+    p = tmp_path / name
+    write_csv(p, "", *pop.canonical_table())
+    return p.read_text()
 
 
 BASIC = "id,proxy,loss\na,0.1,0\nb,0.5,1\nc,0.9,\n"
@@ -35,9 +43,9 @@ def test_ingest_preserves_file_order(tmp_path):
 
 def test_round_trip_is_identity(tmp_path):
     pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
-    again = write(tmp_path, "rt.csv", pop.canonical_csv())
-    pop2 = ingest(again, "accuracy")
-    assert pop2.canonical_csv() == pop.canonical_csv()
+    text = canonical(tmp_path, "rt.csv", pop)
+    pop2 = ingest(tmp_path / "rt.csv", "accuracy")
+    assert canonical(tmp_path, "rt2.csv", pop2) == text
     assert pop2.ids == pop.ids
     assert np.array_equal(pop2.proxy, pop.proxy)
     assert np.array_equal(pop2.loss, pop.loss, equal_nan=True)
@@ -45,7 +53,8 @@ def test_round_trip_is_identity(tmp_path):
 
 def test_same_file_twice_bitwise_equal(tmp_path):
     p = write(tmp_path, "d.csv", BASIC)
-    assert ingest(p, "accuracy").canonical_csv() == ingest(p, "accuracy").canonical_csv()
+    first = canonical(tmp_path, "a.csv", ingest(p, "accuracy"))
+    assert canonical(tmp_path, "b.csv", ingest(p, "accuracy")) == first
 
 
 def test_round_trip_with_cal(tmp_path):
@@ -56,8 +65,9 @@ def test_round_trip_with_cal(tmp_path):
     )
     pop = ingest(write(tmp_path, "d.csv", text), "accuracy")
     assert pop.proxy_cal.tolist() == [0.15, 0.6]
-    pop2 = ingest(write(tmp_path, "rt.csv", pop.canonical_csv()), "accuracy")
-    assert pop2.canonical_csv() == pop.canonical_csv()
+    text = canonical(tmp_path, "rt.csv", pop)
+    pop2 = ingest(tmp_path / "rt.csv", "accuracy")
+    assert canonical(tmp_path, "rt2.csv", pop2) == text
 
 
 def test_comment_lines_skipped_and_line_numbers_physical(tmp_path):
@@ -126,7 +136,7 @@ def test_jsonl_matches_csv(tmp_path):
     ]
     p = write(tmp_path, "d.jsonl", "".join(json.dumps(r) + "\n" for r in lines))
     jpop = ingest(p, "accuracy")
-    assert jpop.canonical_csv() == csv_pop.canonical_csv()
+    assert canonical(tmp_path, "j.csv", jpop) == canonical(tmp_path, "c.csv", csv_pop)
 
 
 def test_jsonl_embedding_field_is_unknown(tmp_path):

@@ -14,9 +14,10 @@ from strateval.sampling import (
     draw_ssrs,
     load_worksheet,
     stratified_indices,
-    worksheet_csv,
+    worksheet_table,
 )
 from strateval.stratify import StrataPartition
+from strateval.tables import write_csv
 
 
 def make_pop(n):
@@ -181,10 +182,9 @@ def test_worksheet_header_and_round_trip(tmp_path):
     pop = make_pop(20)
     part = StrataPartition(np.repeat([0, 1], 10), 2)
     draw = draw_ssrs(pop, part, np.array([3, 2]), seed=21)
-    text = worksheet_csv(draw)
-    assert text.splitlines()[0] == "id,stratum,pi"
     p = tmp_path / "w.csv"
-    p.write_text(text)
+    write_csv(p, "", *worksheet_table(draw))
+    assert p.read_text().splitlines()[0] == "id,stratum,pi"
     ws = load_worksheet(p)
     assert ws.ids == draw.ids
     assert np.array_equal(ws.strata, draw.strata)

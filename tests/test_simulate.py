@@ -4,8 +4,6 @@ Statistical assertions run at fixed seeds (deterministic reruns) and use
 3 Monte Carlo standard errors unless the quantity is exact by design.
 """
 
-import csv
-import io
 import json
 import os
 import signal
@@ -27,11 +25,10 @@ from strateval.errors import ParseError, PreconditionError
 from strateval.estimators import design_mse, stratified_estimate, stratum_moments
 from strateval.losses import LossKind
 from strateval.rng import derive_seed
-from strateval.sampling import draw_ssrs, worksheet_csv
+from strateval.sampling import draw_ssrs, worksheet_table
 from strateval.simulate import (
     MCResult,
     SuperpopSpec,
-    efficiency_csv,
     efficiency_table,
     generate,
     mc_design,
@@ -39,6 +36,7 @@ from strateval.simulate import (
     run_methods,
 )
 from strateval.stratify import StrataPartition, kmeans_1d
+from strateval.tables import write_csv
 
 
 def two_point_spec(size, seed, p=(0.2, 0.8), w=(0.5, 0.5)):
@@ -269,7 +267,7 @@ def test_run_mc_replications_match_public_draws(tmp_path):
     # one-stratum draw_ssrs, and run_mc's replication replayed from it
     pop = generate(two_point_spec(300, seed=33))
     pool = tmp_path / "pool.csv"
-    pool.write_text(pop.canonical_csv())
+    write_csv(pool, "", *pop.canonical_table())
     res = run_mc(
         pop, design="srs", estimator="ht", n=40, reps=120, seed=77, keep_estimates=True
     )
@@ -313,7 +311,7 @@ def test_run_mc_validates_the_se_estimate_reports(tmp_path, design):
     # mean standard error are the ones a user running the CLI would see
     pop = generate(two_point_spec(90, seed=12))
     pool = tmp_path / "pool.csv"
-    pool.write_text(pop.canonical_csv())
+    write_csv(pool, "", *pop.canonical_table())
     part = kmeans_1d(pop.proxy, 2) if design == "ssrs" else one_stratum(pop)
     n_h = proportional(part.sizes, 16)
     kw = dict(design=design, n=16, reps=100, seed=91, partition=part, keep_estimates=True)
@@ -321,8 +319,9 @@ def test_run_mc_validates_the_se_estimate_reports(tmp_path, design):
     reported = {"ht": ([], []), "df": ([], [])}
     for r in range(100):
         draw = draw_ssrs(pop, part, n_h, derive_seed(91, r))
-        rows = worksheet_csv(draw).splitlines()
         sheet = tmp_path / "annotated.csv"
+        write_csv(sheet, "", *worksheet_table(draw))
+        rows = sheet.read_text().splitlines()
         sheet.write_text(
             rows[0] + ",loss\n"
             + "".join(f"{row},{float(pop.loss[i])!r}\n" for row, i in zip(rows[1:], draw.indices))
@@ -677,13 +676,3 @@ def test_efficiency_table_ratios():
         efficiency_table(results, "missing")
     with pytest.raises(PreconditionError):
         efficiency_table({"a": _result(0.0)}, "a")
-
-
-def test_efficiency_csv_layout():
-    table = {"SRS+HT": 1.0, "SRS+DF": 0.5, "SSRS,p+HT": 0.625, "SSRS,o+HT": 0.375}
-    text = efficiency_csv(table, row_label="two_point")
-    assert text.splitlines()[0] == 'population,SRS+HT,SRS+DF,"SSRS,p+HT","SSRS,o+HT"'
-    parsed = list(csv.reader(io.StringIO(text)))
-    assert parsed[0] == ["population", "SRS+HT", "SRS+DF", "SSRS,p+HT", "SSRS,o+HT"]
-    assert parsed[1][0] == "two_point"
-    assert [float(v) for v in parsed[1][1:]] == [1.0, 0.5, 0.625, 0.375]

@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 from oracles import best_interval_partition, quadratic_dp_partition_cost, within_cluster_ss
 from strateval import stratify
 from strateval.errors import PreconditionError
-from strateval.stratify import (
-    StrataPartition,
-    equal_width_bins,
-    kmeans_1d,
-    load_partition_csv,
-    partition_csv,
-)
+from strateval.stratify import StrataPartition, equal_width_bins, kmeans_1d, partition_table
+from strateval.tables import read_csv, write_csv
 
 
 # -- kmeans_1d -------------------------------------------------------------
@@ -298,6 +293,8 @@ def test_partition_csv_round_trip(tmp_path):
     part = kmeans_1d([0.1, 0.2, 0.8, 0.9], 2)
     ids = ["a", "b", "c", "d"]
     p = tmp_path / "part.csv"
-    p.write_text(partition_csv(part, ids))
-    back = load_partition_csv(p)
-    assert back == {"a": 0, "b": 0, "c": 1, "d": 1}
+    write_csv(p, "", *partition_table(part, ids))
+    back = read_csv(p, ints=("stratum",))
+    assert back.header == ["id", "stratum"]
+    assert back.columns["id"] == ids
+    assert back.numbers("stratum").tolist() == [0, 0, 1, 1]

@@ -19,9 +19,9 @@ from strateval.cli import main
 from strateval.dataset import Population, ingest
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
 from strateval.losses import LossKind
-from strateval.sampling import SampleDraw, load_worksheet, worksheet_csv
-from strateval.stratify import StrataPartition, load_partition_csv, partition_csv
-from strateval.tables import csv_text, numbers
+from strateval.sampling import SampleDraw, load_worksheet, worksheet_table
+from strateval.stratify import StrataPartition, partition_table
+from strateval.tables import numbers, write_csv
 
 SETTINGS = settings(max_examples=60)  # on top of the suite's profile (conftest.py)
 
@@ -82,11 +82,11 @@ def populations(draw):
 @SETTINGS
 @given(pop=populations())
 def test_canonical_csv_ingest_round_trip_is_byte_exact(scratch, pop):
-    text = pop.canonical_csv()
-    path = scratch / "pool.csv"
-    path.write_text("# config line\n" + text)
+    path, again = scratch / "pool.csv", scratch / "again.csv"
+    write_csv(path, "# config line\n", *pop.canonical_table())
     back = ingest(path, "squared_error")
-    assert back.canonical_csv() == text
+    write_csv(again, "# config line\n", *back.canonical_table())
+    assert again.read_bytes() == path.read_bytes()
     assert back.ids == pop.ids
     assert np.array_equal(back.loss, pop.loss, equal_nan=True)
 
@@ -102,14 +102,15 @@ def test_worksheet_round_trip_is_byte_exact(scratch, ids, data):
     pi = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
     loss = data.draw(st.lists(st.one_of(st.just(math.nan), UNIT), min_size=n, max_size=n))
     draw = SampleDraw(indices=np.arange(n), ids=tuple(ids), strata=strata, pi=pi)
-    text = worksheet_csv(draw)
-    path = scratch / "worksheet.csv"
-    path.write_text(text)
+    path, again = scratch / "worksheet.csv", scratch / "again.csv"
+    write_csv(path, "", *worksheet_table(draw))
+    text = path.read_text()
     ws = load_worksheet(path)
     assert ws.ids == draw.ids
     assert np.array_equal(ws.strata, draw.strata) and np.array_equal(ws.pi, draw.pi)
-    again = SampleDraw(indices=np.arange(n), ids=ws.ids, strata=ws.strata, pi=ws.pi)
-    assert worksheet_csv(again) == text
+    back = SampleDraw(indices=np.arange(n), ids=ws.ids, strata=ws.strata, pi=ws.pi)
+    write_csv(again, "", *worksheet_table(back))
+    assert again.read_text() == text
     # the annotator appends a loss column; blank cells are not yet labelled
     head, *rows = text.splitlines()
     path.write_text("\n".join(
@@ -124,12 +125,14 @@ def test_partition_round_trip_is_byte_exact(scratch, ids, data):
     raw = data.draw(st.lists(st.integers(0, 5), min_size=len(ids), max_size=len(ids)))
     labels, assignment = np.unique(raw, return_inverse=True)
     partition = StrataPartition(assignment, labels.size)
-    text = partition_csv(partition, ids)
-    path = scratch / "partition.csv"
-    path.write_text(text)
-    back = load_partition_csv(path)
-    assert back == dict(zip(ids, assignment.tolist()))
-    assert partition_csv(StrataPartition(list(back.values()), labels.size), list(back)) == text
+    path, again = scratch / "partition.csv", scratch / "again.csv"
+    write_csv(path, "# config\n", *partition_table(partition, ids))
+    t = tables.read_csv(path, ints=("stratum",))
+    assert t.header == ["id", "stratum"]
+    back_ids, strata = tables.ids(t.columns["id"], t.where), t.numbers("stratum")
+    assert back_ids == tuple(ids) and strata.tolist() == assignment.tolist()
+    write_csv(again, "# config\n", *partition_table(StrataPartition(strata, labels.size), back_ids))
+    assert again.read_bytes() == path.read_bytes()
 
 
 EDGE_CELLS = [" 1 ", "1_0", "+.5", "1e400", "-0.0", "nan", "inf", "-inf", "1e-320", ".5e1"]
@@ -214,7 +217,7 @@ WRITER_CELL = st.one_of(
 
 @SETTINGS
 @given(data=st.data(), width=st.integers(2, 4), n=st.integers(0, 5))
-def test_csv_text_writes_what_the_csv_module_writes(data, width, n):
+def test_write_csv_writes_what_the_csv_module_writes(scratch, data, width, n):
     header = data.draw(st.lists(st.text(st.sampled_from(list('ab ,"')), max_size=4),
                                 min_size=width, max_size=width))
     columns = [data.draw(st.lists(WRITER_CELL, min_size=n, max_size=n)) for _ in range(width)]
@@ -222,7 +225,9 @@ def test_csv_text_writes_what_the_csv_module_writes(data, width, n):
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(zip(*columns))
-    assert csv_text(header, columns) == buf.getvalue()
+    path = scratch / "written.csv"
+    write_csv(path, "# c\n", header, columns)
+    assert path.read_bytes().decode("utf-8") == "# c\n" + buf.getvalue()
 
 
 @pytest.mark.parametrize("text", [
@@ -333,12 +338,12 @@ def test_ingest_memory_peak_is_bounded(tmp_path):
 
 # Peak of the traced allocations of writing the calibrated.csv below, measured
 # with the rows written a batch at a time, plus 10%: 1.74 MB on Python 3.11 and
-# numpy 2.  Writing canonical_csv's whole text, as calibrate did before,
+# numpy 2.  Writing the whole text at once, as calibrate did before,
 # peaked at 21.3 MB.
 WRITE_PEAK_BOUND_MB = 1.91
 
 
-def test_csv_write_memory_peak_is_bounded(tmp_path):
+def test_csv_write_memory_peak_is_bounded(tmp_path, monkeypatch):
     n = 50_000
     rng = np.random.default_rng(1)
     pop = Population(ids=tuple(f"u{i:06d}" for i in range(n)), proxy=rng.random(n),
@@ -352,7 +357,11 @@ def test_csv_write_memory_peak_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / 1e6 <= WRITE_PEAK_BOUND_MB
-    assert path.read_text() == "# config\n" + pop.canonical_csv()
+    # written in batches, the file has the bytes of every row written in one batch
+    monkeypatch.setattr(tables, "_CSV_WRITE_ROWS", n)
+    whole = tmp_path / "whole.csv"
+    tables.write_csv(whole, "# config\n", *pop.canonical_table())
+    assert path.read_bytes() == whole.read_bytes()
 
 
 # -- the id rule ---------------------------------------------------------------
@@ -367,10 +376,12 @@ READERS = {
     "sidecar": ("scores.jsonl", lambda uid: '# c\n\n{"id": "a", "scores": [1.0]}\n'
                 + json.dumps({"id": uid, "scores": [1.0]}) + "\n",
                 lambda p: ingest(_two_unit_pool(p.parent), "accuracy", scores_path=p)),
+    "calibrated": ("calibrated.csv", lambda uid: "# c\nid,proxy,proxy_cal,loss\na,0.1,0.2,\n"
+                   + _csv_row(uid, "0.5,0.4,1"), lambda p: ingest(p, "accuracy")),
     "worksheet": ("worksheet.csv", lambda uid: "# c\nid,stratum,pi\na,0,0.5\n"
                   + _csv_row(uid, "0,0.5"), load_worksheet),
-    "partition": ("partition.csv", lambda uid: "# c\nid,stratum\na,0\n" + _csv_row(uid, "1"),
-                  load_partition_csv),
+    "annotated": ("annotated.csv", lambda uid: "# c\nid,stratum,pi,loss\na,0,0.5,1\n"
+                  + _csv_row(uid, "0,0.5,"), load_worksheet),
 }
 
 
@@ -431,9 +442,6 @@ def test_ids_are_stripped_in_every_reader(tmp_path):
     p = tmp_path / "w.csv"
     p.write_text("id,stratum,pi\n a b ,0,0.5\n")
     assert load_worksheet(p).ids == ("a b",)
-    p = tmp_path / "part.csv"
-    p.write_text("id,stratum\n a b ,0\n")
-    assert load_partition_csv(p) == {"a b": 0}
 
 
 @pytest.mark.parametrize("uid", ["#7", "u3\nx"])
@@ -454,13 +462,13 @@ def test_cli_refuses_a_pool_whose_ids_cannot_round_trip(tmp_path, capsys, uid):
 
 # the writers hold ids to the same rule, so what they write reads back
 WRITERS = {
-    "canonical_csv": lambda ids: Population(
+    "canonical_table": lambda ids: Population(
         ids=ids, proxy=np.full(3, 0.5), loss=np.full(3, np.nan), loss_kind=LossKind.ACCURACY
-    ).canonical_csv(),
-    "worksheet_csv": lambda ids: worksheet_csv(SampleDraw(
+    ).canonical_table(),
+    "worksheet_table": lambda ids: worksheet_table(SampleDraw(
         indices=np.arange(3), ids=ids, strata=np.zeros(3), pi=np.full(3, 0.5),
     )),
-    "partition_csv": lambda ids: partition_csv(StrataPartition(np.zeros(3), 1), ids),
+    "partition_table": lambda ids: partition_table(StrataPartition(np.zeros(3), 1), ids),
 }
 
 
@@ -468,20 +476,22 @@ WRITERS = {
 @pytest.mark.parametrize("uid", ["#7", "", " a", "a ", "u3\nx", "u3\rx"],
                          ids=["hash", "empty", "leading-space", "trailing-space", "lf", "cr"])
 def test_writers_refuse_ids_that_would_not_read_back(writer, uid):
-    # before, canonical_csv wrote "#7" as a comment line and ingest dropped the unit
+    # before, the pool writer wrote "#7" as a comment line and ingest dropped the unit
     with pytest.raises(PreconditionError, match="cannot write id"):
         WRITERS[writer]((uid, "b", "c"))
 
 
-@pytest.mark.parametrize("name,text,read", [
-    ("partition.csv", "id,stratum\n# c\na,0\nb,1\na,1\n", load_partition_csv),
-    ("worksheet.csv", "id,stratum,pi\n# c\na,0,0.5\nb,0,0.5\na,0,0.5\n", load_worksheet),
-], ids=["partition", "worksheet"])
-def test_a_repeated_id_names_its_line(tmp_path, name, text, read):
-    # before, load_partition_csv kept the last row of a repeated id
+@pytest.mark.parametrize("name,text,read,line", [
+    ("pool.csv", "id,proxy\n# c\na,0.1\nb,0.5\na,0.9\n", lambda p: ingest(p, "accuracy"), 5),
+    ("scores.jsonl", '{"id": "a", "scores": [1.0]}\n# c\n{"id": "b", "scores": [1.0]}\n'
+     '{"id": "a", "scores": [1.0]}\n',
+     lambda p: ingest(_two_unit_pool(p.parent), "accuracy", scores_path=p), 4),
+    ("worksheet.csv", "id,stratum,pi\n# c\na,0,0.5\nb,0,0.5\na,0,0.5\n", load_worksheet, 5),
+], ids=["pool", "sidecar", "worksheet"])
+def test_a_repeated_id_names_its_line(tmp_path, name, text, read, line):
     p = tmp_path / name
     p.write_text(text)
-    with pytest.raises(ParseError, match="line 5: duplicate id 'a'"):
+    with pytest.raises(ParseError, match=f"line {line}: duplicate id 'a'"):
         read(p)
 
 
