@@ -125,28 +125,27 @@ def fit_isotonic(proxy, loss) -> IsotonicMap:
     counts = np.diff(np.append(start, x.size)).astype(float)
     sums = np.add.reduceat(y, start)
 
-    # PAVA: maintain a stack of blocks (weight, sum, right edge in ux), on
-    # Python floats, which do the same IEEE arithmetic faster than numpy scalars
+    # PAVA: maintain a stack of blocks (weight, sum, distinct proxies covered), on
+    # Python floats, which do the same IEEE arithmetic faster than numpy scalars.
+    # An incoming point absorbs every top block whose mean is >= its own before
+    # it is pushed: the same sums, products and comparisons as pushing it and
+    # then merging the top two blocks, since IEEE + and * commute.
     blk_w: list[float] = []
     blk_s: list[float] = []
-    blk_r: list[int] = []
-    for j, (w, s) in enumerate(zip(_floats(counts), _floats(sums))):
+    blk_n: list[int] = []
+    for w, s in zip(_floats(counts), _floats(sums)):
+        n = 1
+        while blk_w and blk_s[-1] * w >= s * blk_w[-1]:
+            # top block mean >= incoming: merge (weights positive)
+            w += blk_w.pop()
+            s += blk_s.pop()
+            n += blk_n.pop()
         blk_w.append(w)
         blk_s.append(s)
-        blk_r.append(j)
-        while len(blk_w) > 1 and blk_s[-2] * blk_w[-1] >= blk_s[-1] * blk_w[-2]:
-            # previous block mean >= current: merge (weights positive)
-            blk_w[-2] += blk_w[-1]
-            blk_s[-2] += blk_s[-1]
-            blk_r[-2] = blk_r[-1]
-            del blk_w[-1], blk_s[-1], blk_r[-1]
+        blk_n.append(n)
 
     # expand block means back onto the distinct proxy grid
-    fitted = np.empty(ux.size)
-    left = 0
-    for w, s, r in zip(blk_w, blk_s, blk_r):
-        fitted[left : r + 1] = s / w
-        left = r + 1
+    fitted = np.repeat(np.divide(blk_s, blk_w), blk_n)
     # collapse equal-value runs so breakpoints mark actual level changes
     keep = np.append(True, np.diff(fitted) > 0)
     return IsotonicMap(breakpoints=ux[keep], values=fitted[keep])

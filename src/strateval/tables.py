@@ -21,10 +21,12 @@ step:
 
 CSV tables are read column first, a batch of lines at a time.  A file is
 read and decoded once, as UTF-8 (a leading byte-order mark is dropped),
-and then cut into slices of about 64 KiB of whole lines.  A slice with no
-quote, carriage return or NUL is split on line feeds and then, once, on
-commas, and each column is sliced out of its cells; from the first slice
-that has one, the ``csv`` module reads the rest of the file line by line.
+and then cut into slices of about 64 KiB of whole lines.  One regular
+expression search tells whether a slice holds a comment or blank line;
+only then are its lines tested one by one.  A slice with no quote,
+carriage return or NUL is split on line feeds and then, once, on commas,
+and each column is sliced out of its cells; from the first slice that
+has one, the ``csv`` module reads the rest of the file line by line.
 The split is only a faster way to the same table.  The numeric columns a
 caller names are converted by numpy a slice at a time, before the next
 slice is split, so only the text columns (the ids) and one slice's cells
@@ -32,11 +34,13 @@ are ever held as ``str``; cells are scanned one by one only when a
 slice's column fails, to name the line.  Every error but a field too
 long for the ``csv`` module waits until the whole file is read, so the
 error that wins does not depend on the slices.  :func:`write_csv` writes
-4096 rows at a time.  On a 2-core host, ``ingest`` of an
-``id,proxy,loss`` CSV costs about 1.2-1.8 µs per row and writing
-``calibrated.csv`` about 1.8-3.2 µs per row, as when the file was read
-and written whole, but ``calibrate`` on a 10⁵-row pool peaks at 55 MB
-resident instead of 76 MB.
+4096 rows at a time, and formats each distinct number of a batch's
+numeric column once.  On a 2-core host, ``ingest`` of an
+``id,proxy,loss`` CSV costs about 1.2-1.6 µs per row and writing
+``calibrated.csv`` about 1.1-1.8 µs per row, most of it the ``repr`` of
+the raw proxy, whose values are nearly all distinct; ``calibrate`` on a
+10⁵-row pool peaks at 55 MB resident (76 MB when the file was read and
+written whole).
 
 JSONL files are read column first too, in bounded batches:
 :func:`read_jsonl` yields the records of about 64 KiB of lines at a time,
@@ -56,6 +60,7 @@ import io
 import json
 import json.scanner
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from pathlib import Path
@@ -217,24 +222,43 @@ def read_csv(path, *, floats: Iterable[str] = (), ints: Iterable[str] = (),
     first = 1  # physical line number of the slice's first line
     for chunk in slices:
         lines = chunk.split("\n")
-        # the rule of _content, spelled out: a function call per line would cost twice as much
-        keep = [line != "" and line[0] != "#" and not line.isspace() for line in lines]
-        rows = list(compress(lines, keep))
+        if _all_content(chunk):
+            # the lines but the empty string after the last line feed
+            rows = lines[:-1] if lines[-1] == "" else lines
+            linenos = np.arange(first, first + len(rows))
+        else:
+            # the rule of _content, spelled out: a function call per line would cost twice as much
+            keep = [line != "" and line[0] != "#" and not line.isspace() for line in lines]
+            rows = list(compress(lines, keep))
+            linenos = np.flatnonzero(keep) + first
         if not _splittable(chunk, rows):
             _module_rows(path, chain([chunk], slices), first, table)
             break
         if rows:
-            table.split_rows(np.flatnonzero(keep) + first, rows)
+            table.split_rows(linenos, rows)
         first += len(lines) - 1
     return table.table()
+
+
+# a line :func:`_content` skips, with the line feed before it: ``\s`` is exactly
+# what ``str.isspace`` accepts, and the leading literal makes a search one fast scan
+_SKIPPED = re.compile(r"\n(?:#|[^\S\n]*(?:\n|\Z))")
+
+
+def _all_content(chunk: str) -> bool:
+    """Whether no line of a slice is a comment or blank line, in one search of
+    the whole slice; the line feed that ends the slice starts no line."""
+    return _SKIPPED.search("\n" + chunk, 0, len(chunk) + 1 - chunk.endswith("\n")) is None
 
 
 def _splittable(chunk: str, rows: list[str]) -> bool:
     """Whether splitting on line feeds and commas reads a slice's content lines
     as the csv module would: no quoted field, no line end but a line feed, and
-    no field the csv module would refuse as too long."""
+    no field the csv module would refuse as too long (no row is longer than
+    its slice)."""
+    limit = csv.field_size_limit()
     return not ("\r" in chunk or "\0" in chunk or ('"' in chunk and '"' in "".join(rows))
-                or (rows and max(map(len, rows)) > csv.field_size_limit()))
+                or (len(chunk) > limit and rows and max(map(len, rows)) > limit))
 
 
 def _slices(text: str) -> Iterator[str]:
@@ -406,16 +430,18 @@ class _Rows:
                         converted, present)
 
 
-def _first_unreadable(uids: Sequence[str]) -> int:
+def _first_unreadable(uids: Sequence[str], stripped: bool) -> int:
     """Position of the first id that would not come back unchanged from a file, or -1.
 
-    The whole column is tested at once; the ids are walked one by one
-    only when that test fails, to find the first bad one.
+    The whole column is tested at once, with the test for surrounding
+    whitespace left out when the ids were ``stripped`` already; the ids
+    are walked one by one only when that test fails, to find the first
+    bad one.
     """
     text = "\n".join(uids)
     if (all(uids) and text.count("\n") == len(uids) - 1 and "\r" not in text
             and text[:1] != "#" and "\n#" not in text
-            and tuple(map(str.strip, uids)) == tuple(uids)):
+            and (stripped or tuple(map(str.strip, uids)) == tuple(uids))):
         return -1
     for i, uid in enumerate(uids):
         if not uid or uid[0] == "#" or uid != uid.strip() or "\n" in uid or "\r" in uid:
@@ -429,7 +455,7 @@ _ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a
 def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
     """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique."""
     out = tuple(map(str.strip, cells))
-    i = _first_unreadable(out)
+    i = _first_unreadable(out, stripped=True)
     if i >= 0:
         raise ParseError(f"{where(i)}: bad id {out[i]!r} ({_ID_RULE})")
     if len(set(out)) < len(out):
@@ -442,7 +468,7 @@ def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
 
 def writable_ids(uids: Sequence[str]) -> Sequence[str]:
     """Ids about to be written, refused if one would not read back unchanged."""
-    i = _first_unreadable(uids)
+    i = _first_unreadable(uids, stripped=False)
     if i >= 0:
         raise PreconditionError(f"cannot write id {uids[i]!r}: it would not read back "
                                 f"({_ID_RULE}, and must have no surrounding whitespace)")
@@ -546,8 +572,7 @@ _CSV_WRITE_ROWS = 4096
 
 class BlankNaN:
     """A float column written with a blank cell where a value is NaN: the
-    writer's side of :func:`optional_numbers`.  Sliced, it gives the cells
-    of the slice only."""
+    writer's side of :func:`optional_numbers`."""
 
     def __init__(self, values: np.ndarray):
         self.values = values
@@ -555,22 +580,40 @@ class BlankNaN:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, rows: slice) -> list:
-        return ["" if v != v else v for v in self.values[rows].tolist()]
+
+def _number_cells(values: np.ndarray, blank_nan: bool) -> list[str]:
+    """The text cells of a 1-D int or float array, each distinct value formatted once.
+
+    Floats are told apart by their bits, so ``-0.0`` and ``0.0`` keep their
+    own cells; with ``blank_nan`` a NaN is a blank cell.
+    """
+    bits = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(["" if blank_nan and v != v else str(v)  # a float's str is its repr
+                      for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _batch_cells(column, rows: slice) -> list[str]:
+    """The text cells of a column's rows ``rows``."""
+    if isinstance(column, BlankNaN):
+        return _number_cells(column.values[rows], True)
+    if isinstance(column, np.ndarray):
+        return _number_cells(column[rows], False)
+    return _cells(column[rows])
 
 
 def _csv_chunks(header: Sequence[str], columns) -> Iterator[str]:
     """The header line, then the rows ``_CSV_WRITE_ROWS`` at a time, as text.
 
-    A column is a sequence, a :class:`BlankNaN` or a 1-D array, whose slices
-    are turned into Python numbers with ``tolist``; so only one batch of
-    rows is ever held as cells and text.
+    A column is a sequence, a :class:`BlankNaN` or a 1-D int or float
+    array; only one batch of rows is ever held as cells and text.
     """
     yield ",".join(_cells(header)) + "\n"
     for start in range(0, max(map(len, columns), default=0), _CSV_WRITE_ROWS):
-        batch = [column[start:start + _CSV_WRITE_ROWS] for column in columns]
-        batch = [b.tolist() if isinstance(b, np.ndarray) else b for b in batch]
-        yield "\n".join(map(",".join, zip(*map(_cells, batch), strict=True))) + "\n"
+        rows = slice(start, start + _CSV_WRITE_ROWS)
+        cells = [_batch_cells(column, rows) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
 
 
 def write_csv(path, comment: str, header: Sequence[str], columns) -> None:

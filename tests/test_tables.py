@@ -215,18 +215,47 @@ WRITER_CELL = st.one_of(
 )
 
 
+# floats whose cells the array writer must keep apart or whose repr changes form;
+# -math.nan is a NaN with its sign bit set
+WRITER_FLOAT = st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, -math.nan,
+                                5e-324, 2.5e-310, 1e16, 1e-05, 0.1 + 0.2]) | st.floats()
+WRITER_INT = st.sampled_from([0, -1, 7]) | st.integers(-2**63, 2**63 - 1)
+
+
+def writer_columns(n):
+    """A column of ``n`` cells as a caller of write_csv holds it: a list, a
+    float64 or int64 array, or a BlankNaN."""
+    floats = st.lists(WRITER_FLOAT, min_size=n, max_size=n).map(np.array)
+    return st.one_of(
+        st.lists(WRITER_CELL, min_size=n, max_size=n),
+        floats,
+        st.lists(WRITER_INT, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        floats.map(tables.BlankNaN),
+    )
+
+
+def python_cells(column) -> list:
+    """The cells csv.writer is given for a column: its Python values, "" for a BlankNaN NaN."""
+    if isinstance(column, tables.BlankNaN):
+        return ["" if v != v else v for v in column.values.tolist()]
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 @SETTINGS
-@given(data=st.data(), width=st.integers(2, 4), n=st.integers(0, 5))
-def test_write_csv_writes_what_the_csv_module_writes(scratch, data, width, n):
+@given(data=st.data(), width=st.integers(2, 4), n=st.integers(0, 12),
+       batch=st.integers(1, 5))
+def test_write_csv_writes_what_the_csv_module_writes(scratch, data, width, n, batch):
+    # a small batch makes repeated values span batches
     header = data.draw(st.lists(st.text(st.sampled_from(list('ab ,"')), max_size=4),
                                 min_size=width, max_size=width))
-    columns = [data.draw(st.lists(WRITER_CELL, min_size=n, max_size=n)) for _ in range(width)]
+    columns = [data.draw(writer_columns(n)) for _ in range(width)]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows(zip(*columns))
+    w.writerows(zip(*map(python_cells, columns)))
     path = scratch / "written.csv"
-    write_csv(path, "# c\n", header, columns)
+    with mock.patch.object(tables, "_CSV_WRITE_ROWS", batch):
+        write_csv(path, "# c\n", header, columns)
     assert path.read_bytes().decode("utf-8") == "# c\n" + buf.getvalue()
 
 
@@ -864,7 +893,9 @@ def csv_pools(draw, faults=0):
 
     lines = []
     for row in [header, *rows]:
-        lines += draw(st.lists(st.sampled_from(["# c", '# "a, b"', "", "  ", "\t"]), max_size=2))
+        lines += draw(st.lists(st.sampled_from(["# c", '# "a, b"', "", "  ", "\t", "\x0b", "\x1c",
+                                                "\x85", "\xa0 ", "\u2028", "\u3000"]),
+                               max_size=2))
         lines.append(",".join(map(cell, row)))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"] if crlf else ["\n"]),
                          min_size=len(lines), max_size=len(lines)))
