@@ -37,7 +37,8 @@ building a ``SeedSequence``, ``PCG64`` or ``Generator`` per stream:
   construction.
 * The Fisher-Yates swaps of every stream are resolved at once: the unit a
   step selects is the one carried along the chain of earlier swaps into
-  its position, found by one sort and pointer jumping.
+  its position, found by one argsort, one binary search and pointer
+  jumping.
 
 ``tests/test_rng.py`` pins every stage word for word against live numpy.
 """
@@ -444,39 +445,48 @@ def _resolve(fill: np.ndarray, took: np.ndarray) -> np.ndarray:
     steps are in order.  Before step ``t``, a position holds what the last
     earlier step that took from it carried there, which is what that
     step's own position held before it, or else the position itself.  The
-    takes, sorted by (position, step), answer "last earlier take from
-    here" by binary search, and pointer jumping follows the carries, at
-    most one per step, back to their start.
+    takes, keyed (position, step) and sorted, answer "last earlier take
+    from here": the key just below, if it is from the same position.  A
+    take's own key is in that sorted list, so the key just below it sits
+    one before its sorted index, read off the argsort.  A fill's key need
+    not be, so a binary search places it; the fills' keys come in
+    ascending order, which keeps that search cheap.  Pointer jumping
+    follows the carries, at most one per step, back to their start.
     """
     reps, n = fill.shape
     step = np.arange(n)
     row_start = (np.arange(reps) * n)[:, None]
-    takes = took * n
-    takes += step
-    takes = takes.reshape(-1)
-    takes.sort()
+    keys = took * n
+    keys += step
+    order = keys.reshape(-1).argsort()
+    takes = keys.reshape(-1)[order]
+    below = np.empty_like(order)  # sorted index of the key just below a take's own
+    below[order] = np.arange(-1, order.size - 1)
+    del order
 
-    def last_take(position):
+    def last_take(key, i):
         # flat index of the last step before each step that took from
-        # ``position``, or -1: the take just below (position, step) in
-        # sorted order, if it is from the same position
-        query = position * n
-        query += step
-        i = np.searchsorted(takes, query)
-        i -= 1
+        # the position of ``key`` (position * n + step), or -1: the take
+        # at sorted index ``i``, just below ``key``, if it is from the
+        # same position
         found = takes[i]
-        found -= query
+        found -= key
         found += step
         ok = found >= 0
         ok &= i >= 0
         found += row_start
         return np.where(ok, found, -1).reshape(-1)
 
-    into_fill = last_take(fill)
+    query = fill * n
+    query += step
+    i = np.searchsorted(takes, query)
+    i -= 1
+    into_fill = last_take(query, i)
+    del query, i
     ptr = np.where(into_fill >= 0, into_fill, np.arange(reps * n))
     del into_fill
     for _ in range(n.bit_length()):
         ptr = ptr[ptr]
-    into_took = last_take(took)
+    into_took = last_take(keys, below.reshape(reps, n))
     out = np.where(into_took >= 0, fill.reshape(-1)[ptr[into_took]], took.reshape(-1))
     return out.reshape(reps, n)

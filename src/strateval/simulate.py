@@ -182,14 +182,18 @@ class MCResult:
 
 
 MIN_REPS = 100
-# draws per batch of replications: each draw holds about 100 bytes of
-# temporaries while its batch is seeded, drawn and estimated, so a batch
-# stays near half a megabyte.  The widest partition's shared draw sets
-# the batch; the methods on it read that draw rather than drawing again.
+# draws per batch of replications: each draw holds about 105 bytes of
+# temporaries while its batch is seeded, drawn and estimated (a
+# tracemalloc peak, four strata and 119 draws a replication), so a batch
+# stays under a megabyte.  A larger batch pays numpy's per-call overhead
+# less often but splits less evenly across CPUs: 16384 was slower than
+# 8192 on two CPUs, and its peak RSS 0.7 MB higher.  The widest
+# partition's shared draw sets the batch; the methods on it read that
+# draw rather than drawing again.
 # The batches are split across the CPUs in the affinity mask, whole
 # batches per worker, so every replication's bits are the same for any
 # number of CPUs (``taskset -c 0`` runs them all in this process)
-_CHUNK_DRAWS = 4096
+_CHUNK_DRAWS = 8192
 
 
 def mc_design(pop: Population, *, design: str, estimator: str, n: int,

@@ -9,6 +9,7 @@ from strateval.rng import (
     SCHEME,
     _jump_columns,
     _pcg64_outputs,
+    _resolve,
     check_seed,
     derive_seed,
     derive_seeds,
@@ -138,6 +139,53 @@ def test_fisher_yates_matches_numpy_draws():
     for seed in EDGE_SEEDS:  # one draw from a plain int seed of any size
         want = stratified_slots(seed, [300, 1], [40, 1])
         assert np.array_equal(fisher_yates(seed, [300, 1], [40, 1])[0], want)
+
+
+def test_fisher_yates_long_swap_chains():
+    # census and near-census draws of up to 1024 units: half the steps take
+    # from a position an earlier swap moved a unit into, and the longest
+    # carry chains run back 12 steps (in stratum 0 of these 50 rows).
+    # Seeded draws seldom chain much further, so the test below builds a
+    # chain through every step
+    parents = derive_seeds(9, np.arange(50))
+    cases = [([1024], [1024]), ([1024], [1023]), ([1000, 24], [999, 24]),
+             ([3, 1024, 512], [3, 1023, 512]), ([700, 1, 300], [699, 1, 299])]
+    for sizes, n_h in cases:
+        got = fisher_yates(parents, sizes, n_h)
+        for seed, row in zip(parents, got):
+            assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
+
+
+class GivenOffsets:
+    """Stands in for a generator whose ``integers`` returns ``offsets``."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def integers(self, spans):
+        assert np.all(self.offsets < spans)
+        return self.offsets
+
+
+@pytest.mark.parametrize("n", [1024, 1023])
+def test_resolve_follows_a_chain_through_every_step(n):
+    # offsets 1, 1, ..., 1, 0 over 1024 units carry unit 0 one position on
+    # at every step, and the last step selects it: one chain of carries
+    # through every step, which a seeded draw all but never makes.  At
+    # n = 1023 it takes every one of the n.bit_length() rounds of pointer
+    # jumping.  Other rows: no swaps, and random swaps
+    size = 1024
+    rs = np.random.default_rng(8)
+    offsets = np.stack([
+        np.r_[np.ones(n - 1, np.int64), 0],
+        np.zeros(n, np.int64),
+        *(rs.integers(np.arange(size, size - n, -1)) for _ in range(3)),
+    ])
+    fill = np.arange(len(offsets))[:, None] * size + np.arange(n)
+    got = _resolve(fill, fill + offsets)
+    for r, row in enumerate(offsets):
+        assert np.array_equal(got[r] - r * size, srs_indices(GivenOffsets(row), size, n))
+    assert got[0, -1] == 0
 
 
 def first_rejection(seed, h, size, k):

@@ -412,15 +412,48 @@ def test_run_methods_shares_one_draw_per_partition(monkeypatch):
     assert np.array_equal(runs[0].estimates, runs[1].estimates)
 
 
+MC_DESIGNS = [dict(design="srs", estimator="ht"), dict(design="srs", estimator="df"),
+              dict(design="ssrs", estimator="ht", allocation="prop"),
+              dict(design="ssrs", estimator="ht", allocation="neyman", sd_source="true"),
+              dict(design="ssrs", estimator="df", allocation="neyman", sd_source="plugin")]
+
+
+def test_five_paired_methods_do_not_depend_on_the_batch_size(monkeypatch):
+    # the shape of the benchmark's mc-designs: two SRS methods and three
+    # SSRS ones on four strata, a budget of 100.  The SSRS draw is 120 units
+    # wide, so a batch of 30 draws holds one replication, 4096 hold 34 and
+    # the default more; every estimate and standard error keeps its bits
+    params = {"p_values": [0.03, 0.25, 0.55, 0.9], "weights": [0.4, 0.3, 0.2, 0.1]}
+    pop = generate(SuperpopSpec("two_point", 2000, 12, params))
+    part = kmeans_1d(pop.proxy, 4)
+    n_max = np.max([mc_design(pop, n=100, partition=part, **m)[3] for m in MC_DESIGNS[2:]],
+                   axis=0)
+    assert n_max.sum() == 120
+    kept = []
+    real = simulate._summary
+    monkeypatch.setattr(simulate, "_summary", lambda e, s, *rest: kept.append(
+        (e.tobytes(), s.tobytes())) or real(e, s, *rest))
+    runs = {}
+    for chunk_draws in (30, 4096, simulate._CHUNK_DRAWS):
+        monkeypatch.setattr(simulate, "_CHUNK_DRAWS", chunk_draws)
+        kept.clear()
+        results = run_methods(pop, MC_DESIGNS, n=100, reps=250, seed=21, partition=part)
+        runs[chunk_draws] = [r.to_dict() for r in results], list(kept)
+    assert len(runs[30][1]) == len(MC_DESIGNS)
+    assert runs[30] == runs[4096] == runs[simulate._CHUNK_DRAWS]
+
+
 # -- batches split across forked workers ------------------------------------------
 
 
-@given(paired_runs(), st.sampled_from([16, 64, 4096]), st.integers(101, 300))
+@given(paired_runs(), st.sampled_from([16, 64, 4096, simulate._CHUNK_DRAWS]),
+       st.integers(101, 300))
 @settings(max_examples=30)
 def test_run_methods_bits_do_not_depend_on_the_cpu_count(case, chunk_draws, reps):
-    # smaller batches than the default give several batches per run, a
-    # last one cut short when reps is not a multiple; 4096 gives one batch
-    # on these pools, run in this process with no fork
+    # 16 and 64 give many batches per run, a last one cut short when reps
+    # is not a multiple.  The widest draw of these pools is at most 156
+    # units, so 4096 and the default hold from 26 replications a batch to
+    # every replication in one batch, which runs in this process with no fork
     pop, part, n, methods, seed = case
     kw = dict(n=n, reps=reps, seed=seed, partition=part, keep_estimates=True)
     # a batch holds chunk_draws // (units of the widest shared draw) reps
