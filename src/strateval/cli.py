@@ -334,7 +334,7 @@ def cmd_simulate(args) -> int:
     n = _spec_number(path, doc, "budget", integer=True)
     strata = _spec_number(path, doc, "strata", 2, integer=True)
     level = _spec_number(path, doc, "level", 0.95)
-    sim_seed = check_seed(_spec_number(path, doc, "sim_seed", args.seed_sim, integer=True),
+    sim_seed = check_seed(_spec_number(path, doc, "sim_seed", DEFAULT_SEED_SIM, integer=True),
                           "sim_seed")
     pop_doc = doc["population"]
     if not isinstance(pop_doc, dict):
@@ -476,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo comparison of designs/estimators on a synthetic pool",
     )
     ps.add_argument("--spec", required=True, help="simulation spec JSON")
-    ps.add_argument("--seed-sim", type=_seed_flag, default=DEFAULT_SEED_SIM)
     ps.set_defaults(func=cmd_simulate)
     return p
 

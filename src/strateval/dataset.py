@@ -185,7 +185,7 @@ class Population:
             header.append("proxy_cal")
             cols.append(self.proxy_cal)
         header.append("loss")
-        cols.append(tables.BlankNaN(self.loss))  # NaN: not annotated
+        cols.append(self.loss)  # NaN, a blank cell: not annotated
         return header, cols
 
 
@@ -354,7 +354,7 @@ def attach_scores(pop: Population, scores_path) -> Population:
     The records are read a batch at a time into one ``(N, K)`` score
     matrix, checked once at the end; units without a record get a NaN row
     and label -1.  A batch is tested and written as a whole; only when
-    that fails are its records taken one by one, to name the first bad one.
+    that fails are its records checked one by one, to name the first bad one.
     """
     scores_path = Path(scores_path)
     index = dict(zip(pop.ids, range(pop.size)))
@@ -364,10 +364,10 @@ def attach_scores(pop: Population, scores_path) -> Population:
     for linenos, recs in tables.read_jsonl(scores_path):
         if not recs:
             continue
-        batch = _score_batch(index, lines, scores, linenos, recs)
+        k = None if scores is None else scores.shape[1]
+        batch = _score_batch(index, lines, k, linenos, recs)
         if batch is None:
-            scores = _score_records(scores_path, index, lines, labels, scores, linenos, recs)
-            continue
+            _name_bad_score_record(scores_path, index, lines, k, linenos, recs)
         rows, values, labs = batch
         if scores is None:
             scores = np.full((pop.size, values.shape[1]), np.nan)
@@ -383,11 +383,11 @@ def attach_scores(pop: Population, scores_path) -> Population:
     return replace(pop, labels=labels, scores=scores, _ids_unique=True)
 
 
-def _score_batch(index: dict, lines: np.ndarray, scores: np.ndarray | None,
+def _score_batch(index: dict, lines: np.ndarray, k: int | None,
                  linenos: list[int], recs: list):
     """The rows, score matrix and labels of a batch of sidecar records, or None.
 
-    None means some record fails one of :func:`_score_records`'s checks;
+    None means some record fails one of :func:`_name_bad_score_record`'s checks;
     they are all tested here at once, for the whole batch.
     """
     if set(map(type, recs)) != {dict}:
@@ -406,7 +406,7 @@ def _score_batch(index: dict, lines: np.ndarray, scores: np.ndarray | None,
     rows = list(map(index.get, uids))
     if None in rows or lines[rows].any() or set(map(type, vecs)) != {list}:
         return None
-    k = len(vecs[0]) if scores is None else scores.shape[1]
+    k = len(vecs[0]) if k is None else k
     if k == 0 or set(map(len, vecs)) != {k}:
         return None
     try:
@@ -419,13 +419,15 @@ def _score_batch(index: dict, lines: np.ndarray, scores: np.ndarray | None,
     return rows, values.reshape(-1, k), [-1 if label is None else label for label in labs]
 
 
-def _score_records(path: Path, index: dict, lines: np.ndarray, labels: np.ndarray,
-                   scores: np.ndarray | None, linenos: list[int], recs: list) -> np.ndarray:
-    """Check and write a batch of sidecar records one by one; the first bad one raises.
+def _name_bad_score_record(path: Path, index: dict, lines: np.ndarray, k: int | None,
+                           linenos: list[int], recs: list) -> None:
+    """Raise the error of the first record of a batch that fails a check, record by record.
 
-    Returns the score matrix, allocated here if the batch holds the
-    file's first record.
+    ``lines`` holds the line of each unit's record in the earlier batches
+    (0: none), and ``k`` the class count of the file's first record, None
+    when this batch holds it.
     """
+    seen = set()  # the units of this batch's records so far
     for lineno, rec in zip(linenos, recs):
         where = f"{path} line {lineno}"
         if not isinstance(rec, dict):
@@ -439,22 +441,19 @@ def _score_records(path: Path, index: dict, lines: np.ndarray, labels: np.ndarra
         i = index.get(uid)
         if i is None:
             raise ConsistencyError(f"{where}: id {uid!r} not present in the dataset")
-        if lines[i]:
+        if lines[i] or i in seen:
             raise ParseError(f"{where}: duplicate id {uid!r}")
-        lines[i] = lineno
+        seen.add(i)
         vec = rec["scores"]
         if not isinstance(vec, list) or not vec:
             raise ParseError(f"{where}: scores must be a nonempty array")
-        if scores is None:
-            scores = np.full((len(lines), len(vec)), np.nan)
-        if len(vec) != scores.shape[1]:
-            raise ParseError(f"{where}: {len(vec)} class scores, but the first record has "
-                             f"{scores.shape[1]}")
-        scores[i] = tables.json_numbers(vec, "scores", lambda _: where)
+        k = len(vec) if k is None else k
+        if len(vec) != k:
+            raise ParseError(f"{where}: {len(vec)} class scores, but the first record has {k}")
+        tables.json_numbers(vec, "scores", lambda _: where)
         label = rec.get("label")
-        if label is not None:
-            if type(label) is not int or not 0 <= label < len(vec):  # a bool is not an int here
-                raise ParseError(f"{where}: label {label!r} is not an integer in [0, {len(vec)})")
-            labels[i] = label
+        # a bool is not an int here
+        if label is not None and (type(label) is not int or not 0 <= label < k):
+            raise ParseError(f"{where}: label {label!r} is not an integer in [0, {k})")
         _check_fields(where, rec, _SIDECAR_FIELDS)
-    return scores
+    raise AssertionError("a batch failed its test, but none of its records did")

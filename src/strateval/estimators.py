@@ -44,16 +44,6 @@ from .errors import PreconditionError
 if TYPE_CHECKING:
     from .stratify import StrataPartition
 
-__all__ = [
-    "stratified_estimate",
-    "stratum_moments",
-    "design_variance",
-    "design_mse",
-    "normal_quantile",
-    "critical_z",
-    "confidence_interval",
-]
-
 MIN_PER_STRATUM = 2
 
 
@@ -242,10 +232,11 @@ def critical_z(level: float) -> float:
     return normal_quantile(0.5 + level / 2.0)
 
 
-def confidence_interval(theta: float, se: float, level: float = 0.95) -> tuple[float, float]:
-    """Symmetric normal interval ``theta ± z_{(1+level)/2} * se``."""
+def confidence_interval(theta, se, level: float = 0.95):
+    """Symmetric normal interval ``theta ± z_{(1+level)/2} * se``, of floats or arrays
+    elementwise: the ``ci`` that ``estimate`` reports and ``simulate`` scores."""
     z = critical_z(level)
-    if se < 0:
+    if np.any(se < 0):
         raise PreconditionError("standard error must be >= 0")
     return theta - z * se, theta + z * se
 

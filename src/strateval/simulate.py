@@ -17,7 +17,8 @@ draws, and ``run_mc`` is its one-method call.  Plain SRS is the
 one-stratum design.  Replication ``r`` draws exactly what ``draw_ssrs``
 draws with sub-seed ``derive_seed(seed, r)`` and estimates with
 ``stratified_estimate``, so the harness validates the sampling path and
-the standard error that ``estimate`` reports.  Both run on a batch of
+the standard error that ``estimate`` reports, and counts coverage with
+the ``confidence_interval`` it reports.  Both run on a batch of
 replications at a time: one call seeds and draws the whole batch and
 one call estimates it, with every replication's bits and sums the same
 as on its own.  Accumulation uses numpy's pairwise summation.
@@ -53,7 +54,7 @@ import numpy as np
 from .allocate import neyman, plugin_sds, proportional
 from .dataset import Population
 from .errors import ParseError, PreconditionError
-from .estimators import critical_z, stratified_estimate, stratum_moments
+from .estimators import confidence_interval, critical_z, stratified_estimate, stratum_moments
 from .losses import LossKind
 from .rng import derive_seeds, generator
 from .sampling import stratified_indices
@@ -166,7 +167,7 @@ class MCResult:
     coverage: float
     reps: int
     target: float  # the fixed pool mean being estimated
-    estimates: np.ndarray | None = None  # per-rep estimates, when requested
+    estimates: np.ndarray  # the estimate of each replication
 
     def to_dict(self) -> dict:
         return {
@@ -243,7 +244,6 @@ def run_mc(
     allocation: str = "prop",
     sd_source: str = "true",
     level: float = 0.95,
-    keep_estimates: bool = False,
 ) -> MCResult:
     """Replicate a design/estimator pair and summarize its sampling error.
 
@@ -268,7 +268,8 @@ def run_mc(
         Neyman inputs: realized within-stratum loss SDs, or the plug-in
         SDs of ``allocate.plugin_sds`` on ``pop.proxy``.
     level : float
-        Nominal confidence level for the coverage tally.
+        Nominal confidence level for the coverage tally: the share of
+        replications whose ``confidence_interval`` holds the target.
 
     Notes
     -----
@@ -281,7 +282,7 @@ def run_mc(
     method = dict(design=design, estimator=estimator, allocation=allocation,
                   sd_source=sd_source)
     return run_methods(pop, [method], n=n, reps=reps, seed=seed, partition=partition,
-                       level=level, keep_estimates=keep_estimates)[0]
+                       level=level)[0]
 
 
 def run_methods(
@@ -293,7 +294,6 @@ def run_methods(
     seed: int,
     partition: StrataPartition | None = None,
     level: float = 0.95,
-    keep_estimates: bool = False,
 ) -> list[MCResult]:
     """:func:`run_mc` for each of ``methods``, paired on common draws.
 
@@ -320,7 +320,7 @@ def run_methods(
             f"reps={reps} below minimum {MIN_REPS}: Monte Carlo standard error "
             "too large for assertions"
         )
-    zcrit = critical_z(level)
+    critical_z(level)  # a bad level fails before any replication
     values, shifts, parts, n_hs = zip(*designs)
     # one draw per sampled partition, at the largest n_h of its methods
     groups: dict[str, list[int]] = {}
@@ -363,7 +363,7 @@ def run_methods(
     _fill_in_spans(fill, table, [min(reps, chunk * (k * batches // workers))
                                  for k in range(workers + 1)])
     target = pop.finite_mean()
-    return [_summary(e, s, target, zcrit, keep_estimates) for e, s in zip(estimates, ses)]
+    return [_summary(e, s, target, level) for e, s in zip(estimates, ses)]
 
 
 def _cpu_count() -> int:
@@ -432,9 +432,10 @@ def _child(fill, table: np.ndarray, lo: int, hi: int, fd: int):
         os._exit(code)
 
 
-def _summary(estimates, ses, target: float, zcrit: float, keep_estimates: bool) -> MCResult:
+def _summary(estimates, ses, target: float, level: float) -> MCResult:
     reps = estimates.size
-    covered = np.abs(estimates - target) <= zcrit * ses
+    lo, hi = confidence_interval(estimates, ses, level)
+    covered = (lo <= target) & (target <= hi)
     sq = (estimates - target) ** 2
     return MCResult(
         empirical_mse=float(np.mean(sq)),
@@ -445,7 +446,7 @@ def _summary(estimates, ses, target: float, zcrit: float, keep_estimates: bool) 
         coverage=float(np.mean(covered)),
         reps=reps,
         target=target,
-        estimates=estimates if keep_estimates else None,
+        estimates=estimates,
     )
 
 

@@ -17,7 +17,9 @@ step:
   the ids that come back unchanged when :func:`write_csv` writes them and
   :func:`read_csv` reads them.  Readers apply this rule through
   :func:`ids`, which also refuses a repeated id, and writers of id
-  columns through :func:`writable_ids`.
+  columns through :func:`writable_ids`;
+* a NaN of a float column is written as a blank cell, which an optional
+  column reads back as NaN: "no value yet", such as a loss not annotated.
 
 CSV tables are read column first, a batch of lines at a time.  A file is
 read and decoded once, as UTF-8 (a leading byte-order mark is dropped),
@@ -570,44 +572,31 @@ def _cells(column) -> list[str]:
 _CSV_WRITE_ROWS = 4096
 
 
-class BlankNaN:
-    """A float column written with a blank cell where a value is NaN: the
-    writer's side of :func:`optional_numbers`."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _number_cells(values: np.ndarray, blank_nan: bool) -> list[str]:
+def _number_cells(values: np.ndarray) -> list[str]:
     """The text cells of a 1-D int or float array, each distinct value formatted once.
 
     Floats are told apart by their bits, so ``-0.0`` and ``0.0`` keep their
-    own cells; with ``blank_nan`` a NaN is a blank cell.
+    own cells; a NaN is a blank cell, which :func:`optional_numbers` reads.
     """
     bits = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
     distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(["" if blank_nan and v != v else str(v)  # a float's str is its repr
+    texts = np.array(["" if v != v else str(v)  # a float's str is its repr
                       for v in distinct.view(values.dtype).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
 def _batch_cells(column, rows: slice) -> list[str]:
     """The text cells of a column's rows ``rows``."""
-    if isinstance(column, BlankNaN):
-        return _number_cells(column.values[rows], True)
     if isinstance(column, np.ndarray):
-        return _number_cells(column[rows], False)
+        return _number_cells(column[rows])
     return _cells(column[rows])
 
 
 def _csv_chunks(header: Sequence[str], columns) -> Iterator[str]:
     """The header line, then the rows ``_CSV_WRITE_ROWS`` at a time, as text.
 
-    A column is a sequence, a :class:`BlankNaN` or a 1-D int or float
-    array; only one batch of rows is ever held as cells and text.
+    A column is a sequence or a 1-D int or float array; only one batch of
+    rows is ever held as cells and text.
     """
     yield ",".join(_cells(header)) + "\n"
     for start in range(0, max(map(len, columns), default=0), _CSV_WRITE_ROWS):
@@ -621,11 +610,11 @@ def write_csv(path, comment: str, header: Sequence[str], columns) -> None:
     ``_CSV_WRITE_ROWS`` rows at a time.
 
     A column holds str, int or float cells.  Floats are written as
-    ``repr``, and a cell holding a comma, a quote or a line feed is
-    quoted: byte for byte what ``csv.writer`` with ``lineterminator="\\n"``
-    writes for rows of two or more cells.  Every CSV file strateval writes
-    goes through here, so every one of them reads back through
-    :func:`read_csv`.
+    ``repr``, but a NaN of a float array as a blank cell, and a cell
+    holding a comma, a quote or a line feed is quoted: byte for byte what
+    ``csv.writer`` with ``lineterminator="\\n"`` writes for rows of two or
+    more cells.  Every CSV file strateval writes goes through here, so
+    every one of them reads back through :func:`read_csv`.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(comment)

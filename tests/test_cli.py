@@ -803,15 +803,21 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("removed,message", [
-    (["--stratify-on", "embeddings"], "argument --stratify-on: invalid choice: 'embeddings'"),
-    (["--seed-strat", "7"], "unrecognized arguments: --seed-strat 7"),
-], ids=["stratify-on-embeddings", "seed-strat"])
-def test_removed_embedding_options_exit_two(tmp_path, capsys, removed, message):
-    # every stratum is an interval of one proxy column; the embedding options are gone
+PLAN_ARGV = ["plan", "--input", "pool.csv", "--budget", "4"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([*PLAN_ARGV, "--stratify-on", "embeddings"],
+     "argument --stratify-on: invalid choice: 'embeddings'"),
+    ([*PLAN_ARGV, "--seed-strat", "7"], "unrecognized arguments: --seed-strat 7"),
+    (["simulate", "--spec", "spec.json", "--seed-sim", "5"],
+     "unrecognized arguments: --seed-sim 5"),
+], ids=["stratify-on-embeddings", "seed-strat", "seed-sim"])
+def test_removed_options_exit_two(tmp_path, capsys, argv, message):
+    # every stratum is an interval of one proxy column, so the embedding options are
+    # gone; simulate's seed is the spec's sim_seed, so --seed-sim is gone
     with pytest.raises(SystemExit) as exc:
-        main(["plan", "--input", "pool.csv", "--budget", "4", *removed,
-              "--out", str(tmp_path / "o")])
+        main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
@@ -822,7 +828,6 @@ def test_removed_embedding_options_exit_two(tmp_path, capsys, removed, message):
         ["calibrate", "--input", "pool.csv", "--seed-split", "-1"],
         ["plan", "--input", "pool.csv", "--budget", "4", "--seed-sample", "-5"],
         ["plan", "--input", "pool.csv", "--budget", "4", "--seed-sample", str(-2**64)],
-        ["simulate", "--spec", "spec.json", "--seed-sim", "-1"],
     ],
 )
 def test_negative_seed_flags_exit_two(tmp_path, capsys, argv):

@@ -249,7 +249,7 @@ def test_run_mc_batches_straddle_chunk_boundaries(monkeypatch):
     # its own draw and estimate
     params = {"p_values": [0.2, 0.7], "weights": [0.5, 0.5]}
     pop = generate(SuperpopSpec("two_point", 120, 6, params))
-    kw = dict(design="srs", estimator="ht", n=10, reps=101, seed=8, keep_estimates=True)
+    kw = dict(design="srs", estimator="ht", n=10, reps=101, seed=8)
     whole = run_mc(pop, **kw)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 30)  # three replications a batch
     assert np.array_equal(run_mc(pop, **kw).estimates, whole.estimates)

@@ -268,10 +268,8 @@ def test_run_mc_replications_match_public_draws(tmp_path):
     pop = generate(two_point_spec(300, seed=33))
     pool = tmp_path / "pool.csv"
     write_csv(pool, "", *pop.canonical_table())
-    res = run_mc(
-        pop, design="srs", estimator="ht", n=40, reps=120, seed=77, keep_estimates=True
-    )
-    assert res.estimates is not None and res.estimates.shape == (120,)
+    res = run_mc(pop, design="srs", estimator="ht", n=40, reps=120, seed=77)
+    assert res.estimates.shape == (120,)
     for r in (0, 57, 119):
         sub_seed = derive_seed(77, r)
         out = tmp_path / f"plan{r}"
@@ -285,38 +283,27 @@ def test_run_mc_replications_match_public_draws(tmp_path):
 
     part = kmeans_1d(pop.proxy, 2)
     n_h = proportional(part.sizes, 40)
-    res2 = run_mc(
-        pop,
-        design="ssrs",
-        estimator="df",
-        n=40,
-        reps=120,
-        seed=78,
-        partition=part,
-        keep_estimates=True,
-    )
+    res2 = run_mc(pop, design="ssrs", estimator="df", n=40, reps=120, seed=78, partition=part)
     pool_mean = float(np.mean(pop.proxy))
     for r in (0, 119):
         draw = draw_ssrs(pop, part, n_h, derive_seed(78, r))
         residuals = pop.loss[draw.indices] - pop.proxy[draw.indices]
         correction, _ = stratified_estimate(residuals, draw.strata, part.sizes)
         assert res2.estimates[r] == pytest.approx(pool_mean + correction, rel=1e-12)
-    # estimates are only materialized on request
-    assert run_mc(pop, design="srs", estimator="ht", n=40, reps=120, seed=77).estimates is None
 
 
 @pytest.mark.parametrize("design", ["srs", "ssrs"])
 def test_run_mc_validates_the_se_estimate_reports(tmp_path, design):
-    # replay every replication through `estimate`: run_mc's estimates and
-    # mean standard error are the ones a user running the CLI would see
+    # replay every replication through `estimate`: run_mc's estimates, mean
+    # standard error and coverage are the ones a user running the CLI would see
     pop = generate(two_point_spec(90, seed=12))
     pool = tmp_path / "pool.csv"
     write_csv(pool, "", *pop.canonical_table())
     part = kmeans_1d(pop.proxy, 2) if design == "ssrs" else one_stratum(pop)
     n_h = proportional(part.sizes, 16)
-    kw = dict(design=design, n=16, reps=100, seed=91, partition=part, keep_estimates=True)
+    kw = dict(design=design, n=16, reps=100, seed=91, partition=part)
     runs = {est: run_mc(pop, estimator=est, **kw) for est in ("ht", "df")}
-    reported = {"ht": ([], []), "df": ([], [])}
+    reported = {"ht": ([], [], []), "df": ([], [], [])}
     for r in range(100):
         draw = draw_ssrs(pop, part, n_h, derive_seed(91, r))
         sheet = tmp_path / "annotated.csv"
@@ -330,12 +317,16 @@ def test_run_mc_validates_the_se_estimate_reports(tmp_path, design):
         argv = ["estimate", "--input", str(pool), "--worksheet", str(sheet), "--out", str(out)]
         assert main(argv) == 0
         report = json.loads((out / "report.json").read_text())
-        for est, (thetas, ses) in reported.items():
+        for est, (thetas, ses, cis) in reported.items():
             thetas.append(report[est]["theta"])
             ses.append(report[est]["se"])
-    for est, (thetas, ses) in reported.items():
+            cis.append(report[est]["ci"])
+    target = pop.finite_mean()
+    for est, (thetas, ses, cis) in reported.items():
         assert runs[est].estimates == pytest.approx(thetas, rel=1e-12)
         assert runs[est].avg_plugin_se == pytest.approx(np.mean(ses), rel=1e-12)
+        # the coverage is the share of the reported intervals that hold the pool mean
+        assert runs[est].coverage == np.mean([lo <= target <= hi for lo, hi in cis])
 
 
 def test_run_mc_deterministic():
@@ -377,7 +368,7 @@ def paired_runs(draw):
 def test_run_methods_rows_are_the_one_method_calls(case):
     # sharing one draw per partition changes no bit of any method's result
     pop, part, n, methods, seed = case
-    kw = dict(n=n, reps=101, seed=seed, partition=part, keep_estimates=True)
+    kw = dict(n=n, reps=101, seed=seed, partition=part)
     for method, res in zip(methods, run_methods(pop, methods, **kw)):
         alone = run_mc(pop, **method, **kw)
         assert res.to_dict() == alone.to_dict()
@@ -395,7 +386,7 @@ def test_run_methods_shares_one_draw_per_partition(monkeypatch):
                dict(design="ssrs", estimator="ht"),
                dict(design="ssrs", estimator="df", allocation="neyman"),
                dict(design="srs", estimator="df")]
-    kw = dict(n=40, reps=300, seed=5, partition=part, keep_estimates=True)
+    kw = dict(n=40, reps=300, seed=5, partition=part)
     n_h = [mc_design(pop, partition=part, n=40, **m)[3] for m in methods[2:4]]
     assert not np.array_equal(*n_h)
     draws = []
@@ -455,7 +446,7 @@ def test_run_methods_bits_do_not_depend_on_the_cpu_count(case, chunk_draws, reps
     # units, so 4096 and the default hold from 26 replications a batch to
     # every replication in one batch, which runs in this process with no fork
     pop, part, n, methods, seed = case
-    kw = dict(n=n, reps=reps, seed=seed, partition=part, keep_estimates=True)
+    kw = dict(n=n, reps=reps, seed=seed, partition=part)
     # a batch holds chunk_draws // (units of the widest shared draw) reps
     widest = {}
     for m in methods:
@@ -692,6 +683,7 @@ def _result(mse):
         coverage=0.95,
         reps=100,
         target=0.5,
+        estimates=np.full(100, 0.5),
     )
 
 

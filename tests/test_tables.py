@@ -223,21 +223,19 @@ WRITER_INT = st.sampled_from([0, -1, 7]) | st.integers(-2**63, 2**63 - 1)
 
 
 def writer_columns(n):
-    """A column of ``n`` cells as a caller of write_csv holds it: a list, a
-    float64 or int64 array, or a BlankNaN."""
-    floats = st.lists(WRITER_FLOAT, min_size=n, max_size=n).map(np.array)
+    """A column of ``n`` cells as a caller of write_csv holds it: a list, or a
+    float64 or int64 array."""
     return st.one_of(
         st.lists(WRITER_CELL, min_size=n, max_size=n),
-        floats,
+        st.lists(WRITER_FLOAT, min_size=n, max_size=n).map(np.array),
         st.lists(WRITER_INT, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
-        floats.map(tables.BlankNaN),
     )
 
 
 def python_cells(column) -> list:
-    """The cells csv.writer is given for a column: its Python values, "" for a BlankNaN NaN."""
-    if isinstance(column, tables.BlankNaN):
-        return ["" if v != v else v for v in column.values.tolist()]
+    """The cells csv.writer is given for a column: its Python values, "" for a float array's NaN."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return ["" if v != v else v for v in column.tolist()]
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
