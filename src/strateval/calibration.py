@@ -38,7 +38,10 @@ def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
         raise PreconditionError(f"need at least 4 units to split, got {n}")
     perm = generator(seed).permutation(n)
     n_cal = (n + 1) // 2
-    return pop.take(np.sort(perm[:n_cal])), pop.take(np.sort(perm[n_cal:]))
+    cal, ev = perm[:n_cal], perm[n_cal:]  # views, each sorted in place: no copy of the indices
+    cal.sort()
+    ev.sort()
+    return pop.take(cal), pop.take(ev)
 
 
 @dataclass

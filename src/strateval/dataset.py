@@ -96,8 +96,8 @@ class Population:
     scores: np.ndarray | None = None
     _index: dict = field(init=False, repr=False, default=None)
     # set where the ids are known distinct (ingest, which checked them,
-    # and copies that keep them), so the id set is built only where they
-    # can repeat: construction, and ``take`` with a repeated index
+    # and copies that keep them), so the ids are tested for a repeat only
+    # where they can have one: construction, and ``take`` with a repeated index
     _ids_unique: InitVar[bool] = False
 
     def __post_init__(self, _ids_unique):
@@ -109,10 +109,11 @@ class Population:
         for arr in (self.proxy, self.loss, self.proxy_cal, self.labels, self.scores):
             if arr is not None:
                 arr.setflags(write=False)
-        if not _ids_unique and len(set(self.ids)) != n:
+        if not _ids_unique and tables.may_repeat(self.ids):
             last = dict(zip(self.ids, range(n)))
-            dup = next(u for i, u in enumerate(self.ids) if last[u] != i)
-            raise ParseError(f"duplicate id {dup!r}")
+            dup = next((u for i, u in enumerate(self.ids) if last[u] != i), None)
+            if dup is not None:
+                raise ParseError(f"duplicate id {dup!r}")
 
     @property
     def size(self) -> int:
@@ -152,14 +153,18 @@ class Population:
     def take(self, indices) -> "Population":
         """Sub-population at ``indices`` (order preserved as given)."""
         idx = np.asarray(indices, dtype=np.int64)
-        distinct = (np.bincount(idx % max(self.size, 1)) <= 1).all()
+        # nonnegative and strictly increasing (as split_half's halves are) is distinct
+        # without a pool-length count
+        distinct = (((idx[:1] >= 0).all() and (idx[1:] > idx[:-1]).all())
+                    or (np.bincount(idx % max(self.size, 1)) <= 1).all())
 
         def pick(arr):
             return None if arr is None else arr[idx]
 
         return replace(
             self,
-            ids=tuple(map(self.ids.__getitem__, idx.tolist())),
+            # gathered as object references: no Python int per index
+            ids=tuple(np.fromiter(self.ids, object, self.size)[idx].tolist()),
             proxy=self.proxy[idx],
             loss=self.loss[idx],
             proxy_cal=pick(self.proxy_cal),
@@ -208,8 +213,11 @@ def _population(kind: LossKind, where: tables.Where, ids, number, optional,
     proxy = _proxy_column(kind, number("proxy"), "proxy", where)
     proxy_cal = _proxy_column(kind, number("proxy_cal"), "proxy_cal", where) if has_cal else None
     losses, present = optional("loss")
-    at = np.flatnonzero(present)
-    check_losses(kind, losses[at], lambda j: where(int(at[j])))
+    if present.all():
+        check_losses(kind, losses, where)
+    else:
+        at = np.flatnonzero(present)
+        check_losses(kind, losses[at], lambda j: where(int(at[j])))
     return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind, proxy_cal=proxy_cal,
                       _ids_unique=True)  # tables.ids refused a repeat, naming its line
 

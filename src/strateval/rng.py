@@ -451,7 +451,8 @@ def _resolve(fill: np.ndarray, took: np.ndarray) -> np.ndarray:
     one before its sorted index, read off the argsort.  A fill's key need
     not be, so a binary search places it; the fills' keys come in
     ascending order, which keeps that search cheap.  Pointer jumping
-    follows the carries, at most one per step, back to their start.
+    follows the carries, at most one per step, back to their start, and
+    stops at the first round that moves no pointer: chains are short.
     """
     reps, n = fill.shape
     step = np.arange(n)
@@ -486,7 +487,10 @@ def _resolve(fill: np.ndarray, took: np.ndarray) -> np.ndarray:
     ptr = np.where(into_fill >= 0, into_fill, np.arange(reps * n))
     del into_fill
     for _ in range(n.bit_length()):
-        ptr = ptr[ptr]
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):  # every carry reached its start
+            break
+        ptr = jumped
     into_took = last_take(keys, below.reshape(reps, n))
     out = np.where(into_took >= 0, fill.reshape(-1)[ptr[into_took]], took.reshape(-1))
     return out.reshape(reps, n)

@@ -22,27 +22,35 @@ step:
   column reads back as NaN: "no value yet", such as a loss not annotated.
 
 CSV tables are read column first, a batch of lines at a time.  A file is
-read and decoded once, as UTF-8 (a leading byte-order mark is dropped),
-and then cut into slices of about 64 KiB of whole lines.  One regular
-expression search tells whether a slice holds a comment or blank line;
-only then are its lines tested one by one.  A slice with no quote,
-carriage return or NUL is split on line feeds and then, once, on commas,
-and each column is sliced out of its cells; from the first slice that
-has one, the ``csv`` module reads the rest of the file line by line.
-The split is only a faster way to the same table.  The numeric columns a
-caller names are converted by numpy a slice at a time, before the next
-slice is split, so only the text columns (the ids) and one slice's cells
-are ever held as ``str``; cells are scanned one by one only when a
-slice's column fails, to name the line.  Every error but a field too
-long for the ``csv`` module waits until the whole file is read, so the
-error that wins does not depend on the slices.  :func:`write_csv` writes
-4096 rows at a time, and formats each distinct number of a batch's
-numeric column once.  On a 2-core host, ``ingest`` of an
-``id,proxy,loss`` CSV costs about 1.2-1.6 µs per row and writing
-``calibrated.csv`` about 1.1-1.8 µs per row, most of it the ``repr`` of
-the raw proxy, whose values are nearly all distinct; ``calibrate`` on a
-10⁵-row pool peaks at 55 MB resident (76 MB when the file was read and
-written whole).
+read and decoded as UTF-8 a slice at a time, each slice about 64 KiB of
+whole lines (a leading byte-order mark is dropped), so the reader never
+holds the file's bytes or text, only one slice of them.  A line feed
+byte is part of no other character, so each slice decodes on its own and
+a bad byte is named at the line a decode of the whole file would name.
+One regular expression search tells whether a slice holds a comment or
+blank line; only then are its lines tested one by one.  A slice with no
+quote, carriage return or NUL is split on line feeds and then, once, on
+commas, and each column is sliced out of its cells; from the first slice
+that has one, the ``csv`` module reads the rest of the file line by
+line.  The split is only a faster way to the same table.  The numeric
+columns a caller names are converted by numpy a slice at a time, before
+the next slice is split, so only the text columns (the ids) and one
+slice's cells are ever held as ``str``; cells are scanned one by one
+only when a slice's column fails, to name the line.  A bad byte is
+raised when its slice is decoded, a field too long for the ``csv``
+module once the rest of the file has decoded, and every other error
+waits until the whole file is read, so the error that wins does not
+depend on the slices.  The ids are tested against the id rule 4096 at a
+time, and for a repeat by sorting their hashes, 8 bytes an id where a
+set of them takes about 40; only equal hashes make the reader walk the
+ids to name the repeat.  :func:`write_csv` writes 4096 rows at a time,
+and formats each distinct number of a batch's numeric column once.  On a
+2-core host, ``ingest`` of an ``id,proxy,loss`` CSV costs about
+1.2-1.6 µs per row and writing ``calibrated.csv`` about 1.1-1.8 µs per
+row, most of it the ``repr`` of the raw proxy, whose values are nearly
+all distinct; ``calibrate`` on a 10⁵-row pool peaks at 50 MB resident
+(53 MB when the file was decoded whole and the ids tested with a set,
+76 MB when the file was also read and written whole).
 
 JSONL files are read column first too, in bounded batches:
 :func:`read_jsonl` yields the records of about 64 KiB of lines at a time,
@@ -80,20 +88,47 @@ def _content(line: str) -> bool:
     return not line.startswith("#") and not line.isspace() and line != ""
 
 
-def _open(path: Path):
+def _open(path: Path, binary: bool = False):
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    return open(path, encoding="utf-8-sig", newline="")
+    return open(path, "rb") if binary else open(path, encoding="utf-8-sig", newline="")
+
+
+# bytes of lines per batch of a CSV file: bounds the text and cells alive at once
+_CSV_BATCH_BYTES = 64 * 1024
+
+
+def _decoded(path: Path, f) -> Iterator[str]:
+    """The text of the binary file ``f`` as UTF-8, in slices of whole lines of
+    about ``_CSV_BATCH_BYTES`` bytes; a leading byte-order mark is dropped.
+
+    A line feed byte is never part of another character, so each slice
+    decodes on its own, and its first bad byte is the one a decode of the
+    whole file finds first: the error names that byte's line.
+    """
+    line = 1  # physical line of the slice's first byte
+    while chunk := f.read(_CSV_BATCH_BYTES):
+        if chunk[-1:] != b"\n":
+            chunk += f.readline()
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line += chunk.count(b"\n", 0, e.start)
+            raise ParseError(f"{path} line {line}: not valid UTF-8 "
+                             f"(byte {chunk[e.start]:#04x})") from None
+        yield text.removeprefix("\ufeff") if line == 1 else text  # only the first slice has line 1
+        line += chunk.count(b"\n")
 
 
 def _not_utf8(path: Path) -> ParseError:
-    """The error for a file that does not decode, naming the line of its first bad byte."""
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        return ParseError(f"{path} line {line}: not valid UTF-8 (byte {raw[e.start]:#04x})")
+    """The error for a file that does not decode, naming the line of its first bad byte.
+
+    The file is decoded again a slice at a time, and the slice that holds
+    the bad byte raises that error itself.
+    """
+    with _open(path, binary=True) as f:
+        for _ in _decoded(path, f):
+            pass
     return ParseError(f"{path}: not valid UTF-8")
 
 
@@ -156,10 +191,6 @@ def read_jsonl(path) -> Iterator[tuple[list[int], list[object]]]:
             yield linenos, records
 
 
-# characters of lines per batch of a CSV file: bounds the text cells alive at once
-_CSV_BATCH_BYTES = 64 * 1024
-
-
 @dataclass
 class CsvTable:
     """A CSV file read column first, a batch of lines at a time.
@@ -212,33 +243,29 @@ def read_csv(path, *, floats: Iterable[str] = (), ints: Iterable[str] = (),
     before the next batch is split.  Every other column is kept as text.
     """
     path = Path(path)
-    with _open(path) as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
     table = _Rows(path, {**dict.fromkeys(floats, (float, False)),
                          **dict.fromkeys(ints, (np.int64, False)),
                          **dict.fromkeys(optional, (float, True))})
-    slices = _slices(text)
-    first = 1  # physical line number of the slice's first line
-    for chunk in slices:
-        lines = chunk.split("\n")
-        if _all_content(chunk):
-            # the lines but the empty string after the last line feed
-            rows = lines[:-1] if lines[-1] == "" else lines
-            linenos = np.arange(first, first + len(rows))
-        else:
-            # the rule of _content, spelled out: a function call per line would cost twice as much
-            keep = [line != "" and line[0] != "#" and not line.isspace() for line in lines]
-            rows = list(compress(lines, keep))
-            linenos = np.flatnonzero(keep) + first
-        if not _splittable(chunk, rows):
-            _module_rows(path, chain([chunk], slices), first, table)
-            break
-        if rows:
-            table.split_rows(linenos, rows)
-        first += len(lines) - 1
+    with _open(path, binary=True) as f:
+        slices = _decoded(path, f)
+        first = 1  # physical line number of the slice's first line
+        for chunk in slices:
+            lines = chunk.split("\n")
+            if _all_content(chunk):
+                # the lines but the empty string after the last line feed
+                rows = lines[:-1] if lines[-1] == "" else lines
+                linenos = np.arange(first, first + len(rows))
+            else:
+                # the rule of _content, spelled out: a function call per line would cost twice
+                keep = [line != "" and line[0] != "#" and not line.isspace() for line in lines]
+                rows = list(compress(lines, keep))
+                linenos = np.flatnonzero(keep) + first
+            if not _splittable(chunk, rows):
+                _module_rows(path, chain([chunk], slices), first, table)
+                break
+            if rows:
+                table.split_rows(linenos, rows)
+            first += len(lines) - 1
     return table.table()
 
 
@@ -261,15 +288,6 @@ def _splittable(chunk: str, rows: list[str]) -> bool:
     limit = csv.field_size_limit()
     return not ("\r" in chunk or "\0" in chunk or ('"' in chunk and '"' in "".join(rows))
                 or (len(chunk) > limit and rows and max(map(len, rows)) > limit))
-
-
-def _slices(text: str) -> Iterator[str]:
-    """``text`` in slices of about ``_CSV_BATCH_BYTES`` characters, each ending at a line feed."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CSV_BATCH_BYTES - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
 
 
 def _module_rows(path: Path, slices: Iterable[str], first: int, table: "_Rows") -> None:
@@ -304,7 +322,10 @@ def _module_rows(path: Path, slices: Iterable[str], first: int, table: "_Rows") 
                 starts, rows, size, done = [], [], 0, used
                 linenos.clear()
     except csv.Error as e:  # a field longer than csv.field_size_limit()
-        raise ParseError(f"{path} line {linenos[reader.line_num - 1 - done]}: {e}") from None
+        lineno = linenos[reader.line_num - 1 - done]
+        for _ in slices:  # a byte that is not UTF-8, later in the file, wins
+            pass
+        raise ParseError(f"{path} line {lineno}: {e}") from None
     if rows:
         table.cell_rows(np.array(starts, dtype=np.int64), rows)
 
@@ -424,31 +445,55 @@ class _Rows:
         if self.ragged is not None:
             line, got = self.ragged
             raise ParseError(f"{path} line {line}: expected {len(header)} fields, got {got}")
-        converted = {name: p if isinstance(p, ParseError) else np.concatenate(p)
-                     for name, p in self.parts.items()}
-        present = {name: np.concatenate(p) for name, p in self.present.items()
+        # each column's parts are released as it is joined, so no two copies of all are alive
+        lines, self.lines = np.concatenate(self.lines), []
+        converted = {name: _joined(self.parts.pop(name)) for name in list(self.parts)}
+        present = {name: _joined(self.present.pop(name)) for name in list(self.present)
                    if not isinstance(converted[name], ParseError)}
-        return CsvTable(path, header, self.header_line, np.concatenate(self.lines), self.text,
-                        converted, present)
+        return CsvTable(path, header, self.header_line, lines, self.text, converted, present)
+
+
+def _joined(parts: list[np.ndarray] | ParseError) -> np.ndarray | ParseError:
+    """A column's converted parts as one array; a column that failed keeps its error."""
+    return parts if isinstance(parts, ParseError) else np.concatenate(parts)
+
+
+# ids per batch of the id rule's test: bounds the joined text alive at once
+_ID_BATCH = 4096
 
 
 def _first_unreadable(uids: Sequence[str], stripped: bool) -> int:
     """Position of the first id that would not come back unchanged from a file, or -1.
 
-    The whole column is tested at once, with the test for surrounding
-    whitespace left out when the ids were ``stripped`` already; the ids
-    are walked one by one only when that test fails, to find the first
-    bad one.
+    The ids are tested ``_ID_BATCH`` at a time, each batch at once, with
+    the test for surrounding whitespace left out when the ids were
+    ``stripped`` already; a batch's ids are walked one by one only when
+    its test fails, to find the first bad one.
     """
-    text = "\n".join(uids)
-    if (all(uids) and text.count("\n") == len(uids) - 1 and "\r" not in text
-            and text[:1] != "#" and "\n#" not in text
-            and (stripped or tuple(map(str.strip, uids)) == tuple(uids))):
-        return -1
-    for i, uid in enumerate(uids):
-        if not uid or uid[0] == "#" or uid != uid.strip() or "\n" in uid or "\r" in uid:
-            return i
+    for start in range(0, len(uids), _ID_BATCH):
+        batch = uids[start:start + _ID_BATCH]
+        text = "\n".join(batch)
+        if (all(batch) and text.count("\n") == len(batch) - 1 and "\r" not in text
+                and text[:1] != "#" and "\n#" not in text
+                and (stripped or tuple(map(str.strip, batch)) == tuple(batch))):
+            continue
+        for i, uid in enumerate(batch, start):
+            if not uid or uid[0] == "#" or uid != uid.strip() or "\n" in uid or "\r" in uid:
+                return i
     return -1
+
+
+def may_repeat(uids: Sequence) -> bool:
+    """Whether two of ``uids`` may be equal: two of their hashes are.
+
+    The hashes are sorted in one int64 array, 8 bytes an id, where a set
+    of the ids would take about 40.  A caller that gets True walks the ids
+    to name the repeat, so equal hashes of distinct ids cost time, never a
+    wrong answer.
+    """
+    hashes = np.fromiter(map(hash, uids), np.int64, len(uids))
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any())
 
 
 _ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a line break"
@@ -460,7 +505,7 @@ def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
     i = _first_unreadable(out, stripped=True)
     if i >= 0:
         raise ParseError(f"{where(i)}: bad id {out[i]!r} ({_ID_RULE})")
-    if len(set(out)) < len(out):
+    if may_repeat(out):
         first: dict[str, int] = {}
         for i, uid in enumerate(out):
             if first.setdefault(uid, i) != i:

@@ -203,6 +203,8 @@ def test_ids_are_checked_where_they_can_repeat(tmp_path):
         pop.take([2, 0, 2])
     with pytest.raises(ParseError, match="duplicate id 'a'"):
         pop.take([0, 1, -3])
+    with pytest.raises(ParseError, match="duplicate id 'a'"):
+        pop.take([-3, 0])  # increasing, but the same unit
     assert pop.take([2, -2, 0]).ids == ("c", "b", "a")
     assert pop.with_proxy_cal([0.2, 0.4, 0.8]).ids == pop.ids
 

@@ -338,10 +338,29 @@ def test_a_field_longer_than_the_csv_limit_names_its_line(tmp_path, head, end):
         ingest(path, "accuracy")
 
 
+@pytest.mark.parametrize("far", [False, True], ids=["next-line", "past-a-batch"])
+@pytest.mark.parametrize("head,end", [
+    ("id,proxy", "\n"), ('"id",proxy', "\n"), ("id,proxy", "\r\n"),
+], ids=["bulk", "quoted", "crlf"])
+def test_a_bad_byte_after_a_field_longer_than_the_csv_limit_wins(tmp_path, head, end, far):
+    # a decode of the whole file before any parsing put a bad byte anywhere ahead
+    # of a field too long for the csv module; decoded a slice at a time, it still is
+    path = tmp_path / "pool.csv"
+    rows = [head, "# c", "a,0.1", "b" * (csv.field_size_limit() + 1) + ",0.5", "c,0.2"]
+    pad = [PAD.rstrip("\n")] * (PAD_LINES if far else 0)
+    data = (end.join(rows + pad) + end).encode() + b"caf\xe9,0.3" + end.encode()
+    path.write_bytes(data)
+    line = len(rows) + len(pad) + 1
+    with pytest.raises(ParseError, match=f"{path} line {line}: not valid UTF-8 \\(byte 0xe9\\)"):
+        ingest(path, "accuracy")
+
+
 # Peak of the traced allocations of `ingest` on the pool below, measured with
-# the CSV read a batch of lines at a time, plus 10%: 16.07 MB on Python 3.11
-# and numpy 2.  The whole-file read before it peaked at 25.4 MB.
-INGEST_PEAK_BOUND_MB = 17.6
+# the CSV decoded a slice at a time and the ids tested for a repeat by their
+# sorted hashes, plus 10%: 10.65 MB on Python 3.11 and numpy 2.  Decoding
+# the whole file first and testing the ids with a set peaked at 16.07 MB,
+# and reading the whole file as one batch at 25.4 MB.
+INGEST_PEAK_BOUND_MB = 11.7
 
 
 def test_ingest_memory_peak_is_bounded(tmp_path):
@@ -520,6 +539,25 @@ def test_a_repeated_id_names_its_line(tmp_path, name, text, read, line):
     p.write_text(text)
     with pytest.raises(ParseError, match=f"line {line}: duplicate id 'a'"):
         read(p)
+
+
+def test_equal_hashes_of_distinct_ids_are_not_a_repeat(tmp_path, monkeypatch):
+    # with every hash equal, the repeat test always finds two equal hashes:
+    # distinct ids must still pass, and a true repeat must still be named
+    monkeypatch.setattr(tables, "hash", lambda _: 7, raising=False)
+    assert tables.may_repeat(("a", "b"))
+    assert tables.ids([" a", "b ", "c"], str) == ("a", "b", "c")
+    pool = tmp_path / "pool.csv"
+    pool.write_text("id,proxy\n# c\na,0.1\nb,0.5\nc,0.9\n")
+    assert ingest(pool, "accuracy").ids == ("a", "b", "c")
+    assert Population(ids=("a", "b", "c"), proxy=[0.1, 0.2, 0.3], loss=[0.0, 1.0, 0.0],
+                      loss_kind=LossKind.ACCURACY).ids == ("a", "b", "c")
+    pool.write_text("id,proxy\n# c\na,0.1\nb,0.5\na,0.9\n")
+    with pytest.raises(ParseError, match=f"{pool} line 5: duplicate id 'a'"):
+        ingest(pool, "accuracy")
+    with pytest.raises(ParseError, match="^duplicate id 'b'$"):
+        Population(ids=("a", "b", "c", "b"), proxy=[0.1, 0.2, 0.3, 0.4],
+                   loss=[0.0, 1.0, 0.0, 1.0], loss_kind=LossKind.ACCURACY)
 
 
 # -- line numbers in errors ----------------------------------------------------
