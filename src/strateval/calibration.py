@@ -19,11 +19,16 @@ import numpy as np
 
 from .dataset import Population
 from .errors import PreconditionError
-from .rng import generator
+from .rng import permutation_tail
 
 
 def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
     """Deterministic random split into calibration and evaluation halves.
+
+    The evaluation half is the last ``floor(N/2)`` units of numpy's
+    ``Generator(PCG64(seed)).permutation(N)``, computed bit for bit by
+    :func:`strateval.rng.permutation_tail`; the calibration half is the
+    rest.
 
     Returns
     -------
@@ -36,12 +41,11 @@ def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
     n = pop.size
     if n < 4:
         raise PreconditionError(f"need at least 4 units to split, got {n}")
-    perm = generator(seed).permutation(n)
-    n_cal = (n + 1) // 2
-    cal, ev = perm[:n_cal], perm[n_cal:]  # views, each sorted in place: no copy of the indices
-    cal.sort()
+    ev = permutation_tail(seed, n, n // 2)
     ev.sort()
-    return pop.take(cal), pop.take(ev)
+    in_cal = np.ones(n, dtype=bool)
+    in_cal[ev] = False
+    return pop.take(np.flatnonzero(in_cal)), pop.take(ev)
 
 
 @dataclass

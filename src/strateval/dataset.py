@@ -200,16 +200,16 @@ _POOL_FIELDS = ("id", "proxy", "proxy_cal", "loss")
 _SIDECAR_FIELDS = ("id", "label", "scores")
 
 
-def _population(kind: LossKind, where: tables.Where, ids, number, optional,
+def _population(kind: LossKind, where: tables.Where, uids: tuple[str, ...], number, optional,
                 has_cal: bool) -> Population:
-    """Convert and range-check the columns of a pool file, column by column.
+    """Convert and range-check the columns of a pool file, column by column,
+    after its ids passed :func:`tables.ids`.
 
     ``number(col)`` gives a converted column and ``optional(col)`` the
     values and the present-mask of the ``loss`` column, where "not
     annotated yet" is a blank CSV cell or a JSON ``None``; either raises
     the error of the column's first bad cell.
     """
-    uids = tables.ids(ids, where)
     proxy = _proxy_column(kind, number("proxy"), "proxy", where)
     proxy_cal = _proxy_column(kind, number("proxy_cal"), "proxy_cal", where) if has_cal else None
     losses, present = optional("loss")
@@ -229,7 +229,8 @@ def _ingest_csv(path: Path, kind: LossKind) -> Population:
         if h not in _POOL_FIELDS:
             raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
     t.require("id", "proxy")
-    return _population(kind, t.where, t.columns["id"], t.numbers, t.optional_numbers,
+    uids = tables.ids(t.columns.pop("id"), t.where)  # handed over: freed once the ids are made
+    return _population(kind, t.where, uids, t.numbers, t.optional_numbers,
                        "proxy_cal" in t.header)
 
 
@@ -310,7 +311,7 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
         return f"{path} line {linenos[i]}"
 
     fields = {"proxy": proxy, "proxy_cal": proxy_cal, "loss": loss}
-    return _population(kind, where, ids,
+    return _population(kind, where, tables.ids(ids, where),
                        lambda col: tables.json_numbers(fields[col], col, where),
                        lambda col: tables.optional_json_numbers(fields[col], col, where),
                        bool(has_cal))

@@ -14,6 +14,12 @@ Reproducibility contract (scheme tag ``pcg64-fy-v1``):
   step ``j`` swaps position ``j`` with position ``j + o_j``, where the
   offsets are ``Generator(PCG64(derive_seed(s, h))).integers(spans)`` for
   the spans ``N_h, N_h - 1, ..., N_h - n_h + 1``.
+* Split: the evaluation half of a pool of ``N`` units under split seed
+  ``s`` is the last ``floor(N/2)`` units of
+  ``Generator(PCG64(s)).permutation(N)``: numpy's shuffle swaps position
+  ``i = N - 1, ..., 1`` with ``random_interval(i)``, the next 32-bit word
+  masked to ``i``'s bit length, drawn again while above ``i``.  The
+  calibration half is the rest.
 
 Given the same seed and key path, every function here returns identical
 results on every platform for a fixed numpy major/minor version.
@@ -33,20 +39,30 @@ building a ``SeedSequence``, ``PCG64`` or ``Generator`` per stream:
 * ``Generator.integers`` on a span below 2**32 is Lemire's bounded 32-bit
   method (arXiv:1805.10941) on the low, then the high half of each output
   word; a span of 1 consumes nothing.  A stream that would reject a draw
-  is drawn again by numpy's own ``Generator.integers``, so it is exact by
-  construction.
+  is drawn again by Lemire's method one word at a time, on the stream's
+  words below; only a span of 2**32 or more, which takes numpy's 64-bit
+  method, is drawn by numpy's own ``Generator.integers``.
+* One stream's 32-bit words come a block at a time, its 128-bit state
+  carried between blocks, so a long stream needs no table of its length.
+  :func:`permutation_tail` draws numpy's shuffle on them: a run of steps
+  that share a mask keeps a word when it is at most the step's ``i``,
+  which depends on the words kept before it; a fixed point of a cumulative
+  sum settles that a window of words at a time.
 * The Fisher-Yates swaps of every stream are resolved at once: the unit a
   step selects is the one carried along the chain of earlier swaps into
-  its position, found by one argsort, one binary search and pointer
-  jumping.
+  its position, found by one sort, one binary search and pointer
+  jumping.  The split's shuffle, mirrored, is one such pass.
 
 ``tests/test_rng.py`` pins every stage word for word against live numpy.
+Only :func:`generator` loads ``numpy.random``: the split and the draws of
+spans below 2**32 need none of it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +82,10 @@ _MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 _STEP_ADD = np.array([[0], [1]], _U64)
 # PCG64's 128-bit LCG multiplier, as (high, low) 64-bit limbs
 _MULT = (_U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645))
+_MULT_INT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW64, _LOW128 = (1 << 64) - 1, (1 << 128) - 1
+_BLOCK = 4096  # output words a block of one stream's words
+_WINDOW = 8192  # 32-bit words a bounded-interval pass reads at most
 
 
 def check_seed(seed, name: str = "seed") -> int:
@@ -322,11 +342,39 @@ def _pcg64_outputs(seeds: np.ndarray, stream: np.ndarray, jump) -> np.ndarray:
     y_hi = np.stack([x_hi, inc_hi]).reshape(2, rows, streams)[:, :, stream]
     y_lo = np.stack([x_lo, inc_lo]).reshape(2, rows, streams)[:, :, stream]
     hi, lo = _mul128(y_hi, y_lo, *jump)
-    hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
-    # XSL-RR: xor the halves, rotate right by the top six bits
+    return _xsl_rr(*_add128(hi[0], lo[0], hi[1], lo[1]))
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output function: xor the halves, rotate right by the top six bits."""
     x = hi ^ lo
     rot = hi >> 58
     return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _pcg64_words(seed: int):
+    """``PCG64(seed)``'s 32-bit words in the order numpy's bounded draws
+    take them -- the low, then the high half of output words 1, 2, ... --
+    as uint32 blocks of ``2 * _BLOCK``, without end.
+
+    The 128-bit state lives in a Python int between blocks; a block's
+    states are that state jumped ``0 .. _BLOCK - 1`` steps ahead, so
+    nothing grows with the number of words taken.
+    """
+    v = _join(_hash(*_entropy([seed]), 8))[0].tolist()
+    inc = (v[2] << 65 | v[3] << 1 | 1) & _LOW128
+    # seeding ends one step past inc + initstate; output word 1 comes
+    # from the next step
+    state = (_MULT_INT * (inc + (v[0] << 64 | v[1])) + inc) & _LOW128
+    state = (_MULT_INT * state + inc) & _LOW128
+    hi, lo = _jumps(_BLOCK.bit_length() - 1)
+    inc_hi, inc_lo = _mul128(hi[1], lo[1], _U64(inc >> 64), _U64(inc & _LOW64))
+    while True:
+        s_hi, s_lo = _add128(*_mul128(hi[0], lo[0], _U64(state >> 64), _U64(state & _LOW64)),
+                             inc_hi, inc_lo)
+        state = (_MULT_INT * (int(s_hi[-1]) << 64 | int(s_lo[-1])) + inc) & _LOW128
+        out = _xsl_rr(s_hi, s_lo)
+        yield np.stack([out & _LOW32, out >> 32], axis=1).astype(_U32).reshape(-1)
 
 
 # -- the batched draw ---------------------------------------------------------------
@@ -371,7 +419,9 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
         for r, g in set(zip(rows.tolist(), plan.h[cols].tolist())):
             mine = plan.h == g
             seed = int(_join(sub[r, g][None])[0, 0])
-            offset[r, mine] = generator(seed).integers(plan.span[mine].astype(np.int64))
+            spans = plan.span[mine].astype(np.int64)
+            offset[r, mine] = (generator(seed).integers(spans) if plan.wide[mine].any()
+                               else _lemire(seed, spans.tolist()))
     del redo
 
     # resolve the swaps; rows are kept apart by a position offset of one
@@ -381,6 +431,80 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
     offset += fill
     out = _resolve(fill, offset)
     out -= row
+    return out
+
+
+def permutation_tail(seed: int, n: int, k: int) -> np.ndarray:
+    """``Generator(PCG64(seed)).permutation(n)[::-1][:k]``, bit for bit,
+    for ``k < n <= 2**32``: the units numpy's shuffle swaps into
+    positions ``n - 1, n - 2, ..., n - k``, in that order.
+
+    Its step ``t`` swaps position ``n - 1 - t`` with position
+    ``_interval_draws(seed, n, k)[t]``; mirrored (position ``p`` as
+    ``n - 1 - p``) that is a partial Fisher-Yates pass, which
+    :func:`_resolve` turns into the units selected.
+    """
+    if not 0 <= k < n <= _LOW32 + 1:  # a larger n draws 64-bit words
+        raise ValueError(f"cannot take {k} of a permutation of {n}")
+    took = _interval_draws(seed, n, k)
+    np.subtract(n - 1, took, out=took)
+    out = _resolve(np.arange(k)[None], took[None])[0]
+    np.subtract(n - 1, out, out=out)
+    return out
+
+
+def _interval_draws(seed: int, n: int, k: int) -> np.ndarray:
+    """numpy's ``random_interval(i)`` for ``i = n - 1, ..., n - k`` on the
+    32-bit words of ``PCG64(seed)``: the word masked to ``i``'s bit length,
+    drawn again while above ``i``.
+
+    The steps that share a mask are one run.  In a run from ``top``, word
+    ``p`` is kept iff ``v[p] <= top - s[p]``, ``s[p]`` counting the words
+    kept before it.  ``s`` is the fixed point of ``s -> exclusive cumsum
+    (v <= top - s)``, found by iterating from 0: a pass settles at least
+    one more word, and in practice a window of words takes a few passes.
+    """
+    words = _pcg64_words(seed)
+    buf = np.empty(0, _U32)
+    out = np.empty(k, np.int64)
+    t = 0
+    while t < k:
+        top = n - 1 - t
+        mask = (1 << top.bit_length()) - 1
+        run = min(k - t, top - mask // 2)  # the steps down to the next power of two
+        need = min(_WINDOW, 2 * run + 64)  # more than a run of this length takes, mostly
+        while buf.size < need:
+            buf = np.concatenate([buf, next(words)])
+        v = (buf[:need] & mask).astype(np.int64)
+        s = np.zeros(need, np.int64)
+        while True:
+            keep = v <= top - s
+            before = np.cumsum(keep)
+            before -= keep
+            if np.array_equal(before, s):
+                break
+            s = before
+        kept = np.flatnonzero(keep)[:run]
+        out[t : t + kept.size] = v[kept]
+        t += kept.size
+        buf = buf[kept[-1] + 1 if kept.size == run else need :]
+    return out
+
+
+def _lemire(seed: int, spans: list) -> list:
+    """``Generator(PCG64(seed)).integers(spans)`` for spans below 2**32,
+    rejections included: Lemire's method, one 32-bit word at a time."""
+    words = chain.from_iterable(block.tolist() for block in _pcg64_words(seed))
+    out = []
+    for span in spans:
+        m = 0
+        if span > 1:  # a span of 1 consumes nothing
+            m = next(words) * span
+            if m & _LOW32 < span:
+                threshold = (1 << 32) % span
+                while m & _LOW32 < threshold:
+                    m = next(words) * span
+        out.append(m >> 32)
     return out
 
 
@@ -445,52 +569,47 @@ def _resolve(fill: np.ndarray, took: np.ndarray) -> np.ndarray:
     steps are in order.  Before step ``t``, a position holds what the last
     earlier step that took from it carried there, which is what that
     step's own position held before it, or else the position itself.  The
-    takes, keyed (position, step) and sorted, answer "last earlier take
-    from here": the key just below, if it is from the same position.  A
-    take's own key is in that sorted list, so the key just below it sits
-    one before its sorted index, read off the argsort.  A fill's key need
-    not be, so a binary search places it; the fills' keys come in
-    ascending order, which keeps that search cheap.  Pointer jumping
-    follows the carries, at most one per step, back to their start, and
-    stops at the first round that moves no pointer: chains are short.
+    takes, keyed (position, flat step) and sorted, answer "last earlier
+    take from here": the key just below, if it is from the same position.
+    A take's key is in that list, so the key just below it is its sorted
+    neighbour; a fill's key is not, so a binary search places it (the
+    fills' keys come in ascending order, which keeps that search cheap).
+    A key's low bits are its flat step.  Pointer jumping follows the
+    carries, at most one per step, back to their start, and stops at the
+    first round that moves no pointer: chains are short.
     """
     reps, n = fill.shape
-    step = np.arange(n)
-    row_start = (np.arange(reps) * n)[:, None]
-    keys = took * n
-    keys += step
-    order = keys.reshape(-1).argsort()
-    takes = keys.reshape(-1)[order]
-    below = np.empty_like(order)  # sorted index of the key just below a take's own
-    below[order] = np.arange(-1, order.size - 1)
-    del order
+    flat = np.arange(reps * n).reshape(reps, n)
+    bits = max(flat.size - 1, 1).bit_length()
+    low = (1 << bits) - 1
+    takes = took << bits
+    takes |= flat
+    takes = takes.reshape(-1)
+    takes.sort()
 
-    def last_take(key, i):
-        # flat index of the last step before each step that took from
-        # the position of ``key`` (position * n + step), or -1: the take
-        # at sorted index ``i``, just below ``key``, if it is from the
-        # same position
-        found = takes[i]
-        found -= key
-        found += step
-        ok = found >= 0
-        ok &= i >= 0
-        found += row_start
-        return np.where(ok, found, -1).reshape(-1)
-
-    query = fill * n
-    query += step
-    i = np.searchsorted(takes, query)
+    # each fill's position: the step whose fill it holds then, or its own
+    i = fill << bits
+    i |= flat
+    i = np.searchsorted(takes, i)
     i -= 1
-    into_fill = last_take(query, i)
-    del query, i
-    ptr = np.where(into_fill >= 0, into_fill, np.arange(reps * n))
-    del into_fill
+    ptr = takes[i]
+    held = ptr >> bits == fill
+    held &= i >= 0
+    del i
+    ptr &= low
+    np.copyto(ptr, flat, where=~held)
+    del held
+    ptr = ptr.reshape(-1)
     for _ in range(n.bit_length()):
         jumped = ptr[ptr]
         if np.array_equal(jumped, ptr):  # every carry reached its start
             break
         ptr = jumped
-    into_took = last_take(keys, below.reshape(reps, n))
-    out = np.where(into_took >= 0, fill.reshape(-1)[ptr[into_took]], took.reshape(-1))
+
+    # a take from where an earlier step took gets what that step's
+    # position held; any other take gets its position's own unit
+    below, key = takes[:-1], takes[1:]
+    carried = below >> bits == key >> bits
+    out = took.reshape(-1).copy()
+    out[key[carried] & low] = fill.reshape(-1)[ptr[below[carried] & low]]
     return out.reshape(reps, n)

@@ -500,8 +500,13 @@ _ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a
 
 
 def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
-    """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique."""
+    """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique.
+
+    A cell list the caller hands over, holding no other reference to it,
+    is freed once the ids are made, before the repeat test.
+    """
     out = tuple(map(str.strip, cells))
+    del cells
     i = _first_unreadable(out, stripped=True)
     if i >= 0:
         raise ParseError(f"{where(i)}: bad id {out[i]!r} ({_ID_RULE})")

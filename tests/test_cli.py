@@ -921,16 +921,19 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
 # -- what each command imports ----------------------------------------------------
 
 # runs main(argv) in a fresh interpreter and prints its exit code and the package
-# modules loaded by then
+# modules loaded by then, and numpy.random if it was
 CHILD_MAIN = """
 import json, sys
 from strateval import cli
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "strateval")]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "strateval" or m == "numpy.random")]))
 """
 INGEST_MODULES = {"strateval", "strateval.cli", "strateval.errors", "strateval.losses",
                   "strateval.dataset", "strateval.tables"}
-# each command's argv (files made under DIR) and the package modules it loads: its step's only
+# each command's argv (files made under DIR) and the package modules it loads: its step's only.
+# Only simulate loads numpy.random, to draw its pools: the other commands take every
+# bit they draw from strateval.rng's own PCG64
 COMMAND_MODULES = {
     "calibrate": (["calibrate", "--input", "DIR/pool.csv"],
                   INGEST_MODULES | {"strateval.calibration", "strateval.rng"}),
@@ -942,7 +945,8 @@ COMMAND_MODULES = {
                  INGEST_MODULES | {"strateval.sampling", "strateval.estimators"}),
     "simulate": (["simulate", "--spec", str(ORDERING_SPEC)],
                  INGEST_MODULES | {"strateval.stratify", "strateval.allocate", "strateval.estimators",
-                                   "strateval.sampling", "strateval.rng", "strateval.simulate"}),
+                                   "strateval.sampling", "strateval.rng", "strateval.simulate",
+                                   "numpy.random"}),
 }
 
 
@@ -967,6 +971,23 @@ def test_each_command_loads_only_its_steps_modules(tmp_path, command):
     code, loaded = child_main(tmp_path, CHILD_MAIN, argv)
     assert code == 0
     assert set(loaded) == modules
+
+
+def test_rejected_draws_and_the_split_load_no_numpy_random(tmp_path):
+    # spans just above 2**31 reject about half of all 32-bit words, as a
+    # draw from a large pool now and then does: those streams, like the
+    # split, are drawn from rng's own words
+    code = """
+import sys
+from strateval.rng import derive_seeds, fisher_yates, permutation_tail
+fisher_yates(derive_seeds(3, range(60)), [2**31 + 5, 3 * 2**30], [9, 6])
+permutation_tail(13, 1000, 500)
+print("numpy.random" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_a_name_set_on_the_cli_before_main_is_the_one_called(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import srs_indices, stratified_slots
 from strateval import simulate
@@ -9,12 +11,14 @@ from strateval.rng import (
     SCHEME,
     _jump_columns,
     _pcg64_outputs,
+    _pcg64_words,
     _resolve,
     check_seed,
     derive_seed,
     derive_seeds,
     fisher_yates,
     generator,
+    permutation_tail,
 )
 from strateval.simulate import SuperpopSpec, generate, run_mc
 
@@ -117,6 +121,47 @@ def test_pcg64_outputs_match_numpy():
         assert np.array_equal(row, np.random.PCG64(int(s)).random_raw(300)[k - 1])
 
 
+def test_stream_words_match_numpy_across_blocks():
+    # numpy's bounded draws take the low, then the high half of each output
+    # word; three blocks cross two block boundaries, for roots of one to
+    # five words
+    for seed in EDGE_SEEDS:
+        words = _pcg64_words(seed)
+        got = np.concatenate([next(words) for _ in range(3)])
+        raw = np.random.PCG64(seed).random_raw(got.size // 2)
+        want = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).reshape(-1)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)
+
+
+def numpy_tail(seed, n, k):
+    """The units numpy's own shuffle puts in positions n - 1, ..., n - k."""
+    return np.random.Generator(np.random.PCG64(seed)).permutation(n)[::-1][:k]
+
+
+# 2**12 steps share one mask, 2**12 + 1 starts with a one-step run, and
+# 3 * 8192 + 7 has a run of more words than one pass reads
+@pytest.mark.parametrize("n", [4, 5, 2**12, 2**12 + 1, 3 * 8192 + 7, 10**5 + 1])
+def test_permutation_tail_matches_numpy(n):
+    for seed in EDGE_SEEDS:
+        assert np.array_equal(permutation_tail(seed, n, n // 2), numpy_tail(seed, n, n // 2))
+    # every step of the shuffle: position 0 keeps what is left
+    assert np.array_equal(permutation_tail(5, n, n - 1), numpy_tail(5, n, n - 1))
+
+
+@given(st.integers(0, 2**70), st.integers(2, 3000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_permutation_tail_is_numpys_on_any_seed_and_length(seed, nk):
+    n, k = nk
+    assert np.array_equal(permutation_tail(seed, n, k), numpy_tail(seed, n, k))
+
+
+def test_permutation_tail_refuses_lengths_it_does_not_draw():
+    for n, k in [(5, 5), (5, -1), (2**32 + 1, 1)]:  # numpy draws 64-bit words past 2**32
+        with pytest.raises(ValueError, match=f"cannot take {k} of a permutation of {n}"):
+            permutation_tail(1, n, k)
+
+
 def test_fisher_yates_matches_numpy_draws():
     # every row equals stratum-by-stratum Generator.integers and the dict
     # loop: edge sizes n_h = N_h, N_h = 1, n = 1 and empty strata included
@@ -209,6 +254,17 @@ def test_rejection_fallback_is_exact():
         for seed in parents for h, (size, k) in enumerate(zip(sizes, n_h))
     )
     assert rejecting > 100
+    got = fisher_yates(parents, sizes, n_h)
+    for seed, row in zip(parents, got):
+        assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
+
+
+def test_spans_of_2_32_and_more_are_drawn_by_numpy():
+    # a span of 2**32 or more needs numpy's 64-bit method; in the same rows
+    # stratum 1's spans just above 2**31 reject about half of all 32-bit
+    # words, and stratum 2 takes a plain draw
+    sizes, n_h = [2**32 + 5, 2**31 + 5, 40], [4, 6, 5]
+    parents = derive_seeds(6, np.arange(20))
     got = fisher_yates(parents, sizes, n_h)
     for seed, row in zip(parents, got):
         assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
