@@ -263,6 +263,10 @@ def cmd_estimate(args) -> int:
 
 # -- simulate ------------------------------------------------------------------
 
+# every key a simulation spec may hold
+_SPEC_KEYS = ("population", "budget", "reps", "methods", "strata", "level", "sim_seed",
+              "baseline", "assert_ordering")
+
 
 def _load_sim_spec(path: Path) -> dict:
     """The spec document, its methods, ordering and baseline checked before any replication."""
@@ -279,6 +283,7 @@ def _load_sim_spec(path: Path) -> dict:
     for req in ("population", "budget", "reps", "methods"):
         if req not in doc:
             raise ParseError(f"{path}: spec missing {req!r}")
+    _refuse_unknown_keys(path, doc, _SPEC_KEYS, "spec")
     methods = doc["methods"]
     if not isinstance(methods, list) or not methods:
         raise ParseError(f"{path}: 'methods' must be a nonempty array")
@@ -290,9 +295,7 @@ def _load_sim_spec(path: Path) -> dict:
             raise ParseError(f"{path}: each method needs a string 'name'")
         if m["name"] in names:
             raise ParseError(f"{path}: two methods are named {m['name']!r}")
-        for key in m:
-            if key != "name" and key not in METHOD_FIELDS:
-                raise ParseError(f"{path}: method {m['name']!r} has unknown key {key!r}")
+        _refuse_unknown_keys(path, m, ("name", *METHOD_FIELDS), f"method {m['name']!r}")
         names.append(m["name"])
     chain = doc.get("assert_ordering", [])
     if not isinstance(chain, list):
@@ -304,6 +307,13 @@ def _load_sim_spec(path: Path) -> dict:
         if name not in names:
             raise ParseError(f"{path}: {key!r} names {json.dumps(name)}, not a method")
     return doc
+
+
+def _refuse_unknown_keys(path: Path, obj: dict, known, where: str) -> None:
+    """A misspelt key would otherwise fall back to its default: refuse any key not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"{path}: {where} has unknown key {key!r}")
 
 
 def _spec_number(path: Path, doc: dict, key: str, default=None, *, integer: bool = False,
@@ -339,6 +349,7 @@ def cmd_simulate(args) -> int:
     pop_doc = doc["population"]
     if not isinstance(pop_doc, dict):
         raise ParseError(f"{path}: 'population' must be an object, got {json.dumps(pop_doc)}")
+    _refuse_unknown_keys(path, pop_doc, ("family", "size", "seed", "params"), "'population'")
     size = _spec_number(path, pop_doc, "size", integer=True, field="population.size")
     pop_seed = _spec_number(path, pop_doc, "seed", 0, integer=True, field="population.seed")
     try:

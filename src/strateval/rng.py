@@ -20,6 +20,9 @@ Reproducibility contract (scheme tag ``pcg64-fy-v1``):
   ``i = N - 1, ..., 1`` with ``random_interval(i)``, the next 32-bit word
   masked to ``i``'s bit length, drawn again while above ``i``.  The
   calibration half is the rest.
+* Uniforms: ``uniforms(s, n)`` is ``Generator(PCG64(s)).random(n)``,
+  ``(w >> 11) * 2**-53`` for each of the stream's 64-bit output words
+  ``w``; the simulator's two-point pools are drawn on them.
 
 Given the same seed and key path, every function here returns identical
 results on every platform for a fixed numpy major/minor version.
@@ -42,20 +45,24 @@ building a ``SeedSequence``, ``PCG64`` or ``Generator`` per stream:
   is drawn again by Lemire's method one word at a time, on the stream's
   words below; only a span of 2**32 or more, which takes numpy's 64-bit
   method, is drawn by numpy's own ``Generator.integers``.
-* One stream's 32-bit words come a block at a time, its 128-bit state
-  carried between blocks, so a long stream needs no table of its length.
-  :func:`permutation_tail` draws numpy's shuffle on them: a run of steps
-  that share a mask keeps a word when it is at most the step's ``i``,
-  which depends on the words kept before it; a fixed point of a cumulative
-  sum settles that a window of words at a time.
+* One stream's 64-bit output words come a block at a time, its 128-bit
+  state carried between blocks, so a long stream needs no table of its
+  length; its 32-bit words are their low, then high halves.
+  :func:`uniforms` fills its array from the 64-bit words, and
+  :func:`permutation_tail` draws numpy's shuffle on the 32-bit ones: a
+  run of steps that share a mask keeps a word when it is at most the
+  step's ``i``, which depends on the words kept before it; a fixed point
+  of a cumulative sum settles that a window of words at a time.
 * The Fisher-Yates swaps of every stream are resolved at once: the unit a
   step selects is the one carried along the chain of earlier swaps into
   its position, found by one sort, one binary search and pointer
   jumping.  The split's shuffle, mirrored, is one such pass.
 
 ``tests/test_rng.py`` pins every stage word for word against live numpy.
-Only :func:`generator` loads ``numpy.random``: the split and the draws of
-spans below 2**32 need none of it.
+Only :func:`generator` loads ``numpy.random``, and only two callers still
+reach it: a Beta pool (``simulate.generate``, for numpy's Beta sampler)
+and a stratum span of 2**32 or more.  The split, the uniforms and every
+other draw need none of it.
 """
 
 from __future__ import annotations
@@ -352,10 +359,10 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> rot) | (x << ((64 - rot) & 63))
 
 
-def _pcg64_words(seed: int):
-    """``PCG64(seed)``'s 32-bit words in the order numpy's bounded draws
-    take them -- the low, then the high half of output words 1, 2, ... --
-    as uint32 blocks of ``2 * _BLOCK``, without end.
+def _pcg64_blocks(seed: int):
+    """``PCG64(seed)``'s 64-bit output words 1, 2, ... as uint64 blocks of
+    ``_BLOCK``, without end: the one PCG64 stream every draw of a single
+    seed reads.
 
     The 128-bit state lives in a Python int between blocks; a block's
     states are that state jumped ``0 .. _BLOCK - 1`` steps ahead, so
@@ -373,8 +380,30 @@ def _pcg64_words(seed: int):
         s_hi, s_lo = _add128(*_mul128(hi[0], lo[0], _U64(state >> 64), _U64(state & _LOW64)),
                              inc_hi, inc_lo)
         state = (_MULT_INT * (int(s_hi[-1]) << 64 | int(s_lo[-1])) + inc) & _LOW128
-        out = _xsl_rr(s_hi, s_lo)
-        yield np.stack([out & _LOW32, out >> 32], axis=1).astype(_U32).reshape(-1)
+        yield _xsl_rr(s_hi, s_lo)
+
+
+def _pcg64_words(seed: int):
+    """``PCG64(seed)``'s 32-bit words in the order numpy's bounded draws
+    take them -- the low, then the high half of output words 1, 2, ... --
+    as uint32 blocks of ``2 * _BLOCK``, without end."""
+    for block in _pcg64_blocks(seed):
+        # little-endian bytes, read back as little-endian halves, on any platform
+        yield block.astype("<u8", copy=False).view("<u4")
+
+
+def uniforms(seed: int, n: int) -> np.ndarray:
+    """``Generator(PCG64(seed)).random(n)``, bit for bit: ``(w >> 11) * 2**-53``
+    for ``PCG64(seed)``'s output words ``w_1 .. w_n``, filled into one
+    float64 array a block at a time."""
+    out = np.empty(n)
+    blocks = _pcg64_blocks(seed)
+    for at in range(0, n, _BLOCK):
+        w = next(blocks)[: n - at]
+        w >>= 11
+        out[at : at + w.size] = w
+    out *= 2.0**-53
+    return out
 
 
 # -- the batched draw ---------------------------------------------------------------

@@ -12,6 +12,11 @@ ground truth to be checked against.  Families:
   the true ``p``; identity distortion reproduces ``two_point`` bit for
   bit at the same seed.
 
+A pool is what numpy's ``Generator(PCG64(seed))`` draws for it (see
+:func:`generate`).  Only a Beta pool calls numpy's sampler, and so loads
+``numpy.random``; a two-point pool takes the same bits from
+``rng.uniforms``.  A spec key the family does not read is refused.
+
 ``run_methods`` replays design/estimator pairs over many replicated
 draws, and ``run_mc`` is its one-method call.  Plain SRS is the
 one-stratum design.  Replication ``r`` draws exactly what ``draw_ssrs``
@@ -56,11 +61,18 @@ from .dataset import Population
 from .errors import ParseError, PreconditionError
 from .estimators import confidence_interval, critical_z, stratified_estimate, stratum_moments
 from .losses import LossKind
-from .rng import derive_seeds, generator
+from .rng import derive_seeds, generator, uniforms
 from .sampling import stratified_indices
 from .stratify import StrataPartition
 
-FAMILIES = ("two_point", "beta_conditional", "miscalibrated")
+# the params each family reads; any other key is refused
+FAMILY_PARAMS = {
+    "two_point": ("p_values", "weights"),
+    "beta_conditional": ("alpha", "beta"),
+    "miscalibrated": ("p_values", "weights", "slope", "offset"),
+}
+# Generator.choice's tolerance on the weights' compensated sum: sqrt(eps)
+_WEIGHTS_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 # the values each setting of a Monte Carlo method may take; the first is its default
 METHOD_FIELDS = {
     "design": ("srs", "ssrs"),
@@ -80,32 +92,56 @@ class SuperpopSpec:
     params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
+        """Refuse a spec ``generate`` cannot draw, before any draw.
+
+        Weights follow ``Generator.choice``'s own rule: nonnegative, and a
+        left-to-right compensated sum within sqrt(eps) of 1.  Every param
+        is a number (an array of numbers for ``p_values`` and
+        ``weights``), and a key the family does not read is refused.
+        """
+        if self.family not in FAMILY_PARAMS:
             raise ParseError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown family {self.family!r}; expected one of {tuple(FAMILY_PARAMS)}"
             )
         if self.size < 2:
             raise PreconditionError("pool size must be at least 2")
         p = self.params
         if not isinstance(p, dict):
             raise ParseError(f"'params' must be an object, got {p!r}")
+        known = FAMILY_PARAMS[self.family]
+        for key in p:
+            if key not in known:
+                raise ParseError(f"{self.family} params have unknown key {key!r}; "
+                                 f"expected {', '.join(known)}")
         if self.family in ("two_point", "miscalibrated"):
             values, weights = _real_array(p, "p_values"), _real_array(p, "weights")
             if values.size == 0 or values.shape != weights.shape:
                 raise ParseError("need aligned nonempty p_values and weights")
             if not np.all((values >= 0) & (values <= 1)):
                 raise ParseError("p_values must lie in [0,1]")
-            if np.any(weights < 0) or not np.isclose(weights.sum(), 1.0):
-                raise ParseError("weights must be nonnegative and sum to 1")
+            total = _kahan_sum(weights.tolist())
+            if np.any(weights < 0) or not abs(total - 1.0) <= _WEIGHTS_ATOL:
+                raise ParseError(f"weights must be nonnegative and sum to 1 within "
+                                 f"{_WEIGHTS_ATOL:.3g}; their sum is {total!r}")
         if self.family == "beta_conditional":
-            a, b = p.get("alpha"), p.get("beta")
-            if a is None or b is None or a <= 0 or b <= 0:
+            a, b = _real(p, "alpha"), _real(p, "beta")
+            if a is None or b is None or not (a > 0 and b > 0):
                 raise ParseError("beta_conditional needs alpha > 0 and beta > 0")
         if self.family == "miscalibrated":
             for key in ("slope", "offset"):
-                v = p.get(key)
+                v = _real(p, key)
                 if v is None or not np.isfinite(v):
                     raise ParseError(f"miscalibrated needs finite {key!r}")
+
+
+def _real(params: dict, key: str) -> float | None:
+    """``params[key]`` as a float, None when absent: a real number, not a bool or a string."""
+    v = params.get(key)
+    if v is None:
+        return None
+    if not _is_number(v):
+        raise ParseError(f"{key!r} must be a number, got {v!r}")
+    return float(v)
 
 
 def _real_array(params: dict, key: str) -> np.ndarray:
@@ -116,9 +152,25 @@ def _real_array(params: dict, key: str) -> np.ndarray:
     if not isinstance(values, (list, tuple)):
         raise ParseError(f"{key!r} must be an array of numbers, got {values!r}")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        if not _is_number(v):
             raise ParseError(f"{key!r} entries must be numbers, got {v!r}")
     return np.array(values, dtype=float)
+
+
+def _is_number(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+
+
+def _kahan_sum(values: list) -> float:
+    """numpy's ``kahan_sum``, which ``Generator.choice`` checks its weights
+    with: a compensated sum, left to right."""
+    total, carry = values[0], 0.0
+    for v in values[1:]:
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
 
 
 def generate(spec: SuperpopSpec) -> Population:
@@ -126,32 +178,38 @@ def generate(spec: SuperpopSpec) -> Population:
 
     The proxy column stores the conditional mean (distorted for the
     ``miscalibrated`` family); losses are the realized 0/1 outcomes.
-    Deterministic per ``spec.seed``.
+    Deterministic per ``spec.seed``: with ``g = Generator(PCG64(seed))``,
+    a ``beta_conditional`` pool is ``p = g.beta(alpha, beta, size)`` and
+    ``loss = g.random(size) < p``; a ``two_point`` or ``miscalibrated``
+    one is ``p = g.choice(p_values, size, p=weights)``, then the same
+    ``loss``.  The latter is drawn on ``rng.uniforms``, bit for bit what
+    ``choice`` and ``random`` draw, so it loads no ``numpy.random``.
     """
     spec.validate()
-    rng = generator(spec.seed)
-    n = spec.size
+    n, params = spec.size, spec.params
     if spec.family == "beta_conditional":
-        p = rng.beta(spec.params["alpha"], spec.params["beta"], size=n)
+        rng = generator(spec.seed)
+        p = rng.beta(params["alpha"], params["beta"], size=n)
+        loss = rng.random(n) < p
     else:
-        p = rng.choice(
-            np.asarray(spec.params["p_values"], dtype=float),
-            size=n,
-            p=np.asarray(spec.params["weights"], dtype=float),
-        )
-    loss = (rng.random(n) < p).astype(float)
+        # Generator.choice: the first n uniforms, placed on the weights'
+        # normalized cumulative sum; then Generator.random: the next n
+        u = uniforms(spec.seed, 2 * n)
+        cdf = np.asarray(params["weights"], dtype=float).cumsum()
+        cdf /= cdf[-1]
+        p = np.asarray(params["p_values"], dtype=float)[cdf.searchsorted(u[:n], side="right")]
+        loss = u[n:] < p
+        del u
     proxy = p
     if spec.family == "miscalibrated":
-        proxy = np.clip(
-            spec.params["slope"] * p + spec.params["offset"], 0.0, 1.0
-        )
+        proxy = np.clip(params["slope"] * p + params["offset"], 0.0, 1.0)
     width = len(str(n - 1))
-    ids = tuple(f"u{i:0{width}d}" for i in range(n))
     return Population(
-        ids=ids,
+        ids=tuple(f"u{i:0{width}d}" for i in range(n)),
         proxy=np.asarray(proxy, dtype=float),
-        loss=loss,
+        loss=loss.astype(float),
         loss_kind=LossKind.ACCURACY,
+        _ids_unique=True,  # distinct by construction
     )
 
 

@@ -23,6 +23,7 @@ from strateval.dataset import ingest
 from strateval.estimators import normal_quantile
 
 ORDERING_SPEC = Path(__file__).resolve().parent.parent / "demos" / "configs" / "design_ordering.json"
+BACKFIRE_SPEC = ORDERING_SPEC.with_name("miscalibrated_backfire.json")
 
 
 def write_pool(path, ids, proxy, loss=None):
@@ -695,11 +696,34 @@ def spec_with_latin1_byte(spec):
      "'p_values' entries must be numbers, got '0.5'"),
     (lambda doc: doc["population"]["params"].update(weights=[True, False]),
      "'weights' entries must be numbers, got True"),
+    # numpy's own rule, checked before numpy sees the weights: numpy's message was
+    # "Probabilities do not sum to 1"
+    (lambda doc: doc["population"]["params"].update(p_values=[0.03, 0.25, 0.55, 0.9],
+                                                    weights=[0.4, 0.3, 0.2, 0.100001]),
+     "weights must be nonnegative and sum to 1 within 1.49e-08; their sum is 1.000001"),
+    (lambda doc: doc["population"].update(family="miscalibrated", params={
+        **doc["population"]["params"], "slope": True, "offset": 0.0}),
+     "'slope' must be a number, got True"),
+    (lambda doc: doc["population"].update(family="beta_conditional",
+                                          params={"alpha": True, "beta": 2.0}),
+     "'alpha' must be a number, got True"),
+    (lambda doc: doc["population"].update(family="beta_conditional",
+                                          params={"alpha": "2", "beta": 2.0}),
+     "'alpha' must be a number, got '2'"),
+    (lambda doc: doc.update(sim_sede=5), "spec has unknown key 'sim_sede'"),
+    (lambda doc: doc["population"].update(sede=5), "'population' has unknown key 'sede'"),
+    (lambda doc: doc["population"]["params"].update(slope=2.0),
+     "two_point params have unknown key 'slope'; expected p_values, weights"),
+    (lambda doc: doc["population"].update(family="beta_conditional",
+                                          params={"alpha": 2.0, "beta": 2.0, "offset": 0.1}),
+     "beta_conditional params have unknown key 'offset'; expected alpha, beta"),
 ], ids=["not-utf8", "reps", "budget", "strata", "level", "method-not-object",
         "ordering-unknown-method", "duplicate-name", "baseline-unknown-method", "params",
         "misspelt-method-key", "fractional-budget", "fractional-strata", "string-reps",
         "bool-reps", "fractional-sim-seed", "fractional-population-size",
-        "bool-population-seed", "population-not-object", "string-p-values", "bool-weights"])
+        "bool-population-seed", "population-not-object", "string-p-values", "bool-weights",
+        "weights-sum", "bool-slope", "bool-alpha", "string-alpha", "misspelt-spec-key",
+        "misspelt-population-key", "two-point-slope", "beta-offset"])
 def test_a_bad_spec_exits_two_before_any_replication(tmp_path, capsys, monkeypatch, edit,
                                                       message):
     spec = sim_spec(tmp_path)
@@ -932,8 +956,10 @@ print(json.dumps([code, sorted(m for m in sys.modules
 INGEST_MODULES = {"strateval", "strateval.cli", "strateval.errors", "strateval.losses",
                   "strateval.dataset", "strateval.tables"}
 # each command's argv (files made under DIR) and the package modules it loads: its step's only.
-# Only simulate loads numpy.random, to draw its pools: the other commands take every
-# bit they draw from strateval.rng's own PCG64
+# Only a Beta pool loads numpy.random, for numpy's Beta sampler: every other bit the
+# commands draw, two-point pools included, comes from strateval.rng's own PCG64
+SIM_MODULES = INGEST_MODULES | {"strateval.stratify", "strateval.allocate", "strateval.estimators",
+                                "strateval.sampling", "strateval.rng", "strateval.simulate"}
 COMMAND_MODULES = {
     "calibrate": (["calibrate", "--input", "DIR/pool.csv"],
                   INGEST_MODULES | {"strateval.calibration", "strateval.rng"}),
@@ -943,10 +969,9 @@ COMMAND_MODULES = {
                                "strateval.sampling", "strateval.rng"}),
     "estimate": (["estimate", "--input", "DIR/fixture/pool.csv", "--worksheet", "DIR/fixture/ws.csv"],
                  INGEST_MODULES | {"strateval.sampling", "strateval.estimators"}),
-    "simulate": (["simulate", "--spec", str(ORDERING_SPEC)],
-                 INGEST_MODULES | {"strateval.stratify", "strateval.allocate", "strateval.estimators",
-                                   "strateval.sampling", "strateval.rng", "strateval.simulate",
-                                   "numpy.random"}),
+    "simulate": (["simulate", "--spec", str(ORDERING_SPEC)], SIM_MODULES),
+    "simulate-miscalibrated": (["simulate", "--spec", str(BACKFIRE_SPEC)], SIM_MODULES),
+    "simulate-beta": (["simulate", "--spec", "DIR/beta.json"], SIM_MODULES | {"numpy.random"}),
 }
 
 
@@ -956,6 +981,11 @@ def child_main(tmp_path, code, argv):
                np.arange(30) % 3 == 0)
     (tmp_path / "fixture").mkdir()
     fixture_pool(tmp_path / "fixture")
+    beta = {**json.loads(ORDERING_SPEC.read_text()), "reps": 200}
+    del beta["assert_ordering"]
+    beta["population"] = {"family": "beta_conditional", "size": 500, "seed": 3,
+                          "params": {"alpha": 2.0, "beta": 5.0}}
+    (tmp_path / "beta.json").write_text(json.dumps(beta))
     argv = [a.replace("DIR", str(tmp_path)) for a in argv] + ["--out", str(tmp_path / "out")]
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
                           text=True, env=child_env(), cwd=tmp_path, timeout=120)

@@ -19,6 +19,7 @@ from strateval.rng import (
     fisher_yates,
     generator,
     permutation_tail,
+    uniforms,
 )
 from strateval.simulate import SuperpopSpec, generate, run_mc
 
@@ -132,6 +133,20 @@ def test_stream_words_match_numpy_across_blocks():
         want = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).reshape(-1)
         assert got.dtype == np.uint32
         assert np.array_equal(got, want)
+
+
+# one output word, one short of a block, a block, one past it, three blocks and a part
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_uniforms_are_numpys_random(n):
+    for seed in EDGE_SEEDS:
+        got = uniforms(seed, n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.random.Generator(np.random.PCG64(seed)).random(n))
+
+
+@given(st.integers(0, 2**140), st.integers(0, 9000))
+def test_uniforms_are_numpys_random_on_any_seed_and_length(seed, n):
+    assert np.array_equal(uniforms(seed, n), np.random.Generator(np.random.PCG64(seed)).random(n))
 
 
 def numpy_tail(seed, n, k):

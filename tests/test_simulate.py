@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import two_group_losses
-from strateval import simulate
+from strateval import simulate, tables
 from strateval.allocate import neyman, proportional
 from strateval.cli import main
 from strateval.dataset import Population
@@ -104,6 +104,85 @@ def test_generate_miscalibrated_stores_distorted_proxy():
         SuperpopSpec("miscalibrated", 100, 11, {**params, "slope": 2.0, "offset": -0.2})
     )
     assert np.array_equal(np.unique(clipped.proxy), [0.2, 1.0])
+
+
+def numpy_pool(seed, size, p_values, weights):
+    """The documented recipe on numpy's own Generator: choice, then random."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    p = g.choice(np.asarray(p_values, dtype=float), size=size, p=np.asarray(weights, dtype=float))
+    return p, (g.random(size) < p).astype(float)
+
+
+ATOL = np.sqrt(np.finfo(np.float64).eps)
+
+
+# the last weights sum to 1 + 0.9 sqrt(eps): inside numpy's rule, where the pool's
+# normalized cumulative sum differs from the raw one
+@pytest.mark.parametrize("p_values,weights", [
+    ([0.03, 0.25, 0.55, 0.9], [0.4, 0.3, 0.2, 0.1]),
+    ([0.5, 0.05], [0.5, 0.5]),
+    ([0.1, 0.0, 1.0], [0.0, 1 / 3, 2 / 3]),
+    ([0.7], [1.0]),
+    ([0.2, 0.6, 0.9], [0.25, 0.5, 0.25 + 0.9 * ATOL]),
+])
+@pytest.mark.parametrize("size", [2, 777, 4096, 5000])
+def test_two_point_pools_are_numpys_choice_then_random(p_values, weights, size):
+    params = {"p_values": p_values, "weights": weights}
+    bent = {**params, "slope": 0.5, "offset": 0.25}
+    for seed in (0, 7, 2**40 + 3):
+        p, loss = numpy_pool(seed, size, p_values, weights)
+        pop = generate(SuperpopSpec("two_point", size, seed, params))
+        assert np.array_equal(pop.proxy, p) and np.array_equal(pop.loss, loss)
+        pop = generate(SuperpopSpec("miscalibrated", size, seed, bent))
+        assert np.array_equal(pop.proxy, np.clip(0.5 * p + 0.25, 0.0, 1.0))
+        assert np.array_equal(pop.loss, loss)
+
+
+@pytest.mark.parametrize("weights,accepted", [
+    ([0.25, 0.5, 0.25 + 0.9 * ATOL], True),
+    ([0.25, 0.5, 0.25 - 0.9 * ATOL], True),
+    ([0.25, 0.5, 0.25 + 1.1 * ATOL], False),
+    ([0.25, 0.5, 0.25 - 1.1 * ATOL], False),
+    # a plain left-to-right sum lands one ulp past the bound, the compensated one inside
+    ([0.5007691101851777, 0.13909035103854536, 0.3601405536774383], True),
+])
+def test_the_weights_rule_is_numpys(weights, accepted):
+    spec = SuperpopSpec("two_point", 100, 3, {"p_values": [0.2, 0.6, 0.9], "weights": weights})
+    if accepted:
+        numpy_pool(3, 100, [0.2, 0.6, 0.9], weights)
+        spec.validate()
+        return
+    with pytest.raises(ValueError, match="Probabilities do not sum to 1"):
+        numpy_pool(3, 100, [0.2, 0.6, 0.9], weights)
+    with pytest.raises(ParseError, match="sum to 1 within 1.49e-08; their sum is"):
+        spec.validate()
+
+
+def test_ties_and_the_normalized_sum_place_uniforms_as_numpy_does():
+    # seed 4's first uniform u0 > 1/2: with weights [u0, 1 - u0] it equals the first
+    # cumulative weight, which searchsorted(side="right") passes; with the first weight
+    # u0 + d/2 and a sum of 1 + d, it lies below the raw cumulative weight but above
+    # the normalized one.  Both times the first unit takes the second value
+    u0 = np.random.Generator(np.random.PCG64(4)).random()
+    assert u0 > 0.5
+    d = 0.9 * ATOL
+    for weights in ([u0, 1 - u0], [u0 + d / 2, 1 + d / 2 - u0]):
+        p, loss = numpy_pool(4, 50, [0.1, 0.9], weights)
+        params = {"p_values": [0.1, 0.9], "weights": weights}
+        pop = generate(SuperpopSpec("two_point", 50, 4, params))
+        assert p[0] == pop.proxy[0] == 0.9
+        assert np.array_equal(pop.proxy, p) and np.array_equal(pop.loss, loss)
+
+
+def test_generate_skips_the_id_repeat_test(monkeypatch):
+    # its ids are distinct by construction; at 10**6 units the test took
+    # about a sixth of generate's time
+    def no_repeat_test(ids):
+        raise AssertionError("ids tested for a repeat")
+
+    monkeypatch.setattr(tables, "may_repeat", no_repeat_test)
+    pop = generate(two_point_spec(1001, seed=4))
+    assert len(set(pop.ids)) == 1001 and pop.ids[0] == "u0000"
 
 
 def test_spec_validation():
