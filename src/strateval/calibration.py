@@ -19,16 +19,16 @@ import numpy as np
 
 from .dataset import Population
 from .errors import PreconditionError
-from .rng import permutation_tail
+from .rng import uniforms
 
 
 def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
     """Deterministic random split into calibration and evaluation halves.
 
-    The evaluation half is the last ``floor(N/2)`` units of numpy's
-    ``Generator(PCG64(seed)).permutation(N)``, computed bit for bit by
-    :func:`strateval.rng.permutation_tail`; the calibration half is the
-    rest.
+    The evaluation half is the ``floor(N/2)`` units that hold the smallest
+    of ``uniforms(seed, N)`` (numpy's ``Generator(PCG64(seed)).random(N)``),
+    a tie going to the earlier unit: the first half of a stable argsort of
+    those uniforms.  The calibration half is the rest.
 
     Returns
     -------
@@ -41,11 +41,14 @@ def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
     n = pop.size
     if n < 4:
         raise PreconditionError(f"need at least 4 units to split, got {n}")
-    ev = permutation_tail(seed, n, n // 2)
-    ev.sort()
-    in_cal = np.ones(n, dtype=bool)
-    in_cal[ev] = False
-    return pop.take(np.flatnonzero(in_cal)), pop.take(ev)
+    k = n // 2
+    u = uniforms(seed, n)
+    cut = np.partition(u, k - 1)[k - 1]  # the k-th smallest
+    in_ev = u < cut
+    # units at the cut fill the slots left, the earliest first
+    in_ev[np.flatnonzero(u == cut)[: k - np.count_nonzero(in_ev)]] = True
+    del u
+    return pop.take(np.flatnonzero(~in_ev)), pop.take(np.flatnonzero(in_ev))
 
 
 @dataclass

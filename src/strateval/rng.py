@@ -1,28 +1,23 @@
 """Seeded random-number plumbing shared by sampling, calibration, and simulation.
 
-Reproducibility contract (scheme tag ``pcg64-fy-v1``):
+Reproducibility contract (scheme tag ``pcg64-fy-v2``):
 
 * Bit source: numpy's PCG64, a named, versioned, platform-independent
   64-bit generator.
 * Stream derivation: ``derive_seed(seed, *keys)`` is the first 64-bit
-  word of the state of ``numpy.random.SeedSequence([seed, *keys])``.
+  word of the state of numpy's ``SeedSequence([seed, *keys])``.
   Distinct key paths give statistically independent streams; the
   mapping is documented numpy behaviour and does not depend on OS, word
   size, or endianness.
 * Selection: stratum ``h`` of a draw with seed ``s`` takes ``n_h`` of its
-  ``N_h`` members by a partial Fisher-Yates shuffle over ``0..N_h-1``:
-  step ``j`` swaps position ``j`` with position ``j + o_j``, where the
-  offsets are ``Generator(PCG64(derive_seed(s, h))).integers(spans)`` for
-  the spans ``N_h, N_h - 1, ..., N_h - n_h + 1``.
-* Split: the evaluation half of a pool of ``N`` units under split seed
-  ``s`` is the last ``floor(N/2)`` units of
-  ``Generator(PCG64(s)).permutation(N)``: numpy's shuffle swaps position
-  ``i = N - 1, ..., 1`` with ``random_interval(i)``, the next 32-bit word
-  masked to ``i``'s bit length, drawn again while above ``i``.  The
-  calibration half is the rest.
+  ``N_h < 2**32`` members by a partial Fisher-Yates shuffle over
+  ``0..N_h-1``: step ``j`` swaps position ``j`` with position ``j + o_j``,
+  where the offsets are ``Generator(PCG64(derive_seed(s, h))).integers(
+  spans)`` for the spans ``N_h, N_h - 1, ..., N_h - n_h + 1``.
 * Uniforms: ``uniforms(s, n)`` is ``Generator(PCG64(s)).random(n)``,
   ``(w >> 11) * 2**-53`` for each of the stream's 64-bit output words
-  ``w``; the simulator's two-point pools are drawn on them.
+  ``w``.  The simulator's two-point pools are drawn on them, and
+  ``calibrate``'s split ranks them (``calibration.split_half``).
 
 Given the same seed and key path, every function here returns identical
 results on every platform for a fixed numpy major/minor version.
@@ -43,26 +38,18 @@ building a ``SeedSequence``, ``PCG64`` or ``Generator`` per stream:
   method (arXiv:1805.10941) on the low, then the high half of each output
   word; a span of 1 consumes nothing.  A stream that would reject a draw
   is drawn again by Lemire's method one word at a time, on the stream's
-  words below; only a span of 2**32 or more, which takes numpy's 64-bit
-  method, is drawn by numpy's own ``Generator.integers``.
+  words below.  A stratum of 2**32 or more units, whose spans numpy draws
+  by a 64-bit method, is refused.
 * One stream's 64-bit output words come a block at a time, its 128-bit
   state carried between blocks, so a long stream needs no table of its
   length; its 32-bit words are their low, then high halves.
-  :func:`uniforms` fills its array from the 64-bit words, and
-  :func:`permutation_tail` draws numpy's shuffle on the 32-bit ones: a
-  run of steps that share a mask keeps a word when it is at most the
-  step's ``i``, which depends on the words kept before it; a fixed point
-  of a cumulative sum settles that a window of words at a time.
 * The Fisher-Yates swaps of every stream are resolved at once: the unit a
   step selects is the one carried along the chain of earlier swaps into
   its position, found by one sort, one binary search and pointer
-  jumping.  The split's shuffle, mirrored, is one such pass.
+  jumping.
 
-``tests/test_rng.py`` pins every stage word for word against live numpy.
-Only :func:`generator` loads ``numpy.random``, and only two callers still
-reach it: a Beta pool (``simulate.generate``, for numpy's Beta sampler)
-and a stratum span of 2**32 or more.  The split, the uniforms and every
-other draw need none of it.
+``tests/test_rng.py`` pins every stage word for word against live numpy,
+and nothing here loads numpy's ``random`` module.
 """
 
 from __future__ import annotations
@@ -76,12 +63,12 @@ import numpy as np
 
 from .errors import ParseError
 
-SCHEME = "pcg64-fy-v1"
+SCHEME = "pcg64-fy-v2"
 
 _U32 = np.uint32
 _U64 = np.uint64
 _LOW32 = 0xFFFFFFFF
-# numpy.random.SeedSequence: pool size and hash constants
+# numpy's SeedSequence: pool size and hash constants
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -92,7 +79,6 @@ _MULT = (_U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645))
 _MULT_INT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW64, _LOW128 = (1 << 64) - 1, (1 << 128) - 1
 _BLOCK = 4096  # output words a block of one stream's words
-_WINDOW = 8192  # 32-bit words a bounded-interval pass reads at most
 
 
 def check_seed(seed, name: str = "seed") -> int:
@@ -115,11 +101,6 @@ def check_seed(seed, name: str = "seed") -> int:
     if value < 0:
         raise ParseError(f"{name} must be a non-negative integer, got {value}")
     return value
-
-
-def generator(seed: int) -> np.random.Generator:
-    """PCG64 generator seeded directly with ``seed``."""
-    return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -440,7 +421,6 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
     u &= _LOW32
     u *= plan.span
     redo = (u & _LOW32) < plan.threshold
-    redo |= plan.wide
     u >>= 32
     offset = u.view(np.int64)
     if redo.any():
@@ -448,9 +428,7 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
         for r, g in set(zip(rows.tolist(), plan.h[cols].tolist())):
             mine = plan.h == g
             seed = int(_join(sub[r, g][None])[0, 0])
-            spans = plan.span[mine].astype(np.int64)
-            offset[r, mine] = (generator(seed).integers(spans) if plan.wide[mine].any()
-                               else _lemire(seed, spans.tolist()))
+            offset[r, mine] = _lemire(seed, plan.span[mine].tolist())
     del redo
 
     # resolve the swaps; rows are kept apart by a position offset of one
@@ -460,63 +438,6 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
     offset += fill
     out = _resolve(fill, offset)
     out -= row
-    return out
-
-
-def permutation_tail(seed: int, n: int, k: int) -> np.ndarray:
-    """``Generator(PCG64(seed)).permutation(n)[::-1][:k]``, bit for bit,
-    for ``k < n <= 2**32``: the units numpy's shuffle swaps into
-    positions ``n - 1, n - 2, ..., n - k``, in that order.
-
-    Its step ``t`` swaps position ``n - 1 - t`` with position
-    ``_interval_draws(seed, n, k)[t]``; mirrored (position ``p`` as
-    ``n - 1 - p``) that is a partial Fisher-Yates pass, which
-    :func:`_resolve` turns into the units selected.
-    """
-    if not 0 <= k < n <= _LOW32 + 1:  # a larger n draws 64-bit words
-        raise ValueError(f"cannot take {k} of a permutation of {n}")
-    took = _interval_draws(seed, n, k)
-    np.subtract(n - 1, took, out=took)
-    out = _resolve(np.arange(k)[None], took[None])[0]
-    np.subtract(n - 1, out, out=out)
-    return out
-
-
-def _interval_draws(seed: int, n: int, k: int) -> np.ndarray:
-    """numpy's ``random_interval(i)`` for ``i = n - 1, ..., n - k`` on the
-    32-bit words of ``PCG64(seed)``: the word masked to ``i``'s bit length,
-    drawn again while above ``i``.
-
-    The steps that share a mask are one run.  In a run from ``top``, word
-    ``p`` is kept iff ``v[p] <= top - s[p]``, ``s[p]`` counting the words
-    kept before it.  ``s`` is the fixed point of ``s -> exclusive cumsum
-    (v <= top - s)``, found by iterating from 0: a pass settles at least
-    one more word, and in practice a window of words takes a few passes.
-    """
-    words = _pcg64_words(seed)
-    buf = np.empty(0, _U32)
-    out = np.empty(k, np.int64)
-    t = 0
-    while t < k:
-        top = n - 1 - t
-        mask = (1 << top.bit_length()) - 1
-        run = min(k - t, top - mask // 2)  # the steps down to the next power of two
-        need = min(_WINDOW, 2 * run + 64)  # more than a run of this length takes, mostly
-        while buf.size < need:
-            buf = np.concatenate([buf, next(words)])
-        v = (buf[:need] & mask).astype(np.int64)
-        s = np.zeros(need, np.int64)
-        while True:
-            keep = v <= top - s
-            before = np.cumsum(keep)
-            before -= keep
-            if np.array_equal(before, s):
-                break
-            s = before
-        kept = np.flatnonzero(keep)[:run]
-        out[t : t + kept.size] = v[kept]
-        t += kept.size
-        buf = buf[kept[-1] + 1 if kept.size == run else need :]
     return out
 
 
@@ -540,10 +461,9 @@ def _lemire(seed: int, spans: list) -> list:
 class _Plan(NamedTuple):
     """What every row of a draw shares, per draw: its stratum ``h``, its
     ``slot`` (stratum start + step), the ``span`` of its bounded integer
-    and Lemire's rejection ``threshold``, whether the span is too ``wide``
-    for the 32-bit method, and which half (``shift``) of which output word
-    (``column``) it consumes; per output word, its stream ``word_h`` and
-    jump-ahead limbs."""
+    and Lemire's rejection ``threshold``, and which half (``shift``) of
+    which output word (``column``) it consumes; per output word, its
+    stream ``word_h`` and jump-ahead limbs."""
 
     strata: np.ndarray
     pool: int
@@ -551,7 +471,6 @@ class _Plan(NamedTuple):
     slot: np.ndarray
     span: np.ndarray
     threshold: np.ndarray
-    wide: np.ndarray
     shift: np.ndarray
     column: np.ndarray
     word_h: np.ndarray
@@ -563,6 +482,9 @@ def _plan(sizes: tuple, n_h: tuple) -> _Plan:
     sizes, n_h = np.array(sizes, dtype=np.int64), np.array(n_h, dtype=np.int64)
     if sizes.shape != n_h.shape or np.any(n_h < 0) or np.any(n_h > sizes):
         raise ValueError(f"sample sizes {n_h.tolist()} outside [0, {sizes.tolist()}]")
+    if np.any(sizes > _LOW32):  # numpy draws such spans by a 64-bit method
+        raise ValueError(f"cannot draw from a stratum of 2**32 or more units: "
+                         f"sizes {sizes.tolist()}")
     n_strata = sizes.size
     h = np.repeat(np.arange(n_strata), n_h)
     step = np.arange(n_h.sum()) - (np.cumsum(n_h) - n_h)[h]
@@ -577,7 +499,6 @@ def _plan(sizes: tuple, n_h: tuple) -> _Plan:
         slot=(np.cumsum(sizes) - sizes)[h] + step,
         span=span.astype(_U64),
         threshold=((1 << 32) % span).astype(_U64),
-        wide=span > _LOW32,
         shift=((step & 1) * 32).astype(_U64),
         column=first_word[h] + step // 2,
         word_h=word_h,

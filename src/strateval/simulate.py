@@ -61,7 +61,7 @@ from .dataset import Population
 from .errors import ParseError, PreconditionError
 from .estimators import confidence_interval, critical_z, stratified_estimate, stratum_moments
 from .losses import LossKind
-from .rng import derive_seeds, generator, uniforms
+from .rng import check_seed, derive_seeds, uniforms
 from .sampling import stratified_indices
 from .stratify import StrataPartition
 
@@ -188,7 +188,7 @@ def generate(spec: SuperpopSpec) -> Population:
     spec.validate()
     n, params = spec.size, spec.params
     if spec.family == "beta_conditional":
-        rng = generator(spec.seed)
+        rng = np.random.Generator(np.random.PCG64(check_seed(spec.seed)))
         p = rng.beta(params["alpha"], params["beta"], size=n)
         loss = rng.random(n) < p
     else:
@@ -205,7 +205,7 @@ def generate(spec: SuperpopSpec) -> Population:
         proxy = np.clip(params["slope"] * p + params["offset"], 0.0, 1.0)
     width = len(str(n - 1))
     return Population(
-        ids=tuple(f"u{i:0{width}d}" for i in range(n)),
+        ids=tuple(map(f"u%0{width}d".__mod__, range(n))),
         proxy=np.asarray(proxy, dtype=float),
         loss=loss.astype(float),
         loss_kind=LossKind.ACCURACY,

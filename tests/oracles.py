@@ -24,6 +24,10 @@ from strateval.errors import ParseError
 from strateval.losses import LossKind
 
 
+# Seeds of one to five 32-bit words, at and around the word boundaries
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 11, 2**130 + 7)
+
+
 # -- clustering ---------------------------------------------------------------
 
 
@@ -243,6 +247,14 @@ def srs_indices(rng, n_population, n_sample):
         out[j] = swapped.get(k, k)
         swapped[k] = swapped.get(j, j)
     return out
+
+
+def split_eval(seed, n):
+    """Positions of ``calibrate``'s evaluation half of ``n`` units, straight
+    from numpy: the first ``n // 2`` of a stable argsort of
+    ``Generator(PCG64(seed)).random(n)``, in ascending order."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return np.sort(np.argsort(u, kind="stable")[: n // 2])
 
 
 def stratified_slots(seed, sizes, n_h):

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import best_monotone_fit
+from oracles import EDGE_SEEDS, best_monotone_fit, split_eval
 from strateval import calibration
 from strateval.calibration import IsotonicMap, fit_isotonic, split_half
 from strateval.dataset import Population
@@ -48,27 +50,55 @@ def test_split_halves_keep_canonical_order():
         assert np.all(np.diff([pop.index_of(u) for u in half.ids]) > 0)
 
 
-def test_split_is_numpys_permutation():
-    # the evaluation half is the last floor(N/2) units of numpy's own
-    # Generator(PCG64(seed)).permutation(N), the calibration half the rest
-    pop = make_pop(10)
-    cal, ev = split_half(pop, seed=13)
-    assert cal.ids == ("u0", "u1", "u4", "u5", "u6")
-    assert ev.ids == ("u2", "u3", "u7", "u8", "u9")
-    for n, seed in [(4, 0), (5, 13), (200, 13), (1001, 2**64 + 5), (100_001, 7)]:
-        pop = make_pop(n)
-        perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+def ids_at(pop, positions):
+    return tuple(pop.ids[i] for i in positions)
+
+
+def test_split_pins_a_small_pool():
+    cal, ev = split_half(make_pop(10), seed=13)
+    assert cal.ids == ("u0", "u1", "u5", "u8", "u9")
+    assert ev.ids == ("u2", "u3", "u4", "u6", "u7")
+
+
+# 2**12 + 1 crosses a block of the uniforms' stream
+@pytest.mark.parametrize("n", [4, 5, 2**12 + 1, 10**5 + 1])
+def test_split_matches_numpy(n):
+    pop = make_pop(n)
+    for seed in EDGE_SEEDS:
+        want = split_eval(seed, n)
         cal, ev = split_half(pop, seed)
-        n_cal = (n + 1) // 2
-        assert cal.ids == tuple(pop.ids[i] for i in np.sort(perm[:n_cal]))
-        assert ev.ids == tuple(pop.ids[i] for i in np.sort(perm[n_cal:]))
+        assert ev.ids == ids_at(pop, want)
+        assert cal.ids == ids_at(pop, np.setdiff1d(np.arange(n), want))
+
+
+@given(st.integers(0, 2**140), st.integers(4, 3000))
+def test_split_matches_numpy_on_any_seed_and_length(seed, n):
+    pop = make_pop(n)
+    assert split_half(pop, seed)[1].ids == ids_at(pop, split_eval(seed, n))
+
+
+@pytest.mark.parametrize("u", [
+    [0.5, 0.2, 0.5, 0.5, 0.2, 0.9, 0.5, 0.1],  # ties below the cut, and at it
+    [0.3, 0.3, 0.3, 0.3, 0.1, 0.1],
+    [0.2, 0.1, 0.1, 0.1, 0.7],  # more ties at the cut than slots left
+    [0.0] * 9,  # every unit ties
+])
+def test_split_ties_go_to_the_earlier_unit(monkeypatch, u):
+    # uniforms tie about once in 2**53 draws: feed the split tied values
+    u = np.array(u)
+    monkeypatch.setattr(calibration, "uniforms", lambda seed, n: u.copy())
+    pop = make_pop(u.size)
+    want = np.sort(np.argsort(u, kind="stable")[: u.size // 2])
+    cal, ev = split_half(pop, seed=0)
+    assert ev.ids == ids_at(pop, want)
+    assert cal.ids == ids_at(pop, np.setdiff1d(np.arange(u.size), want))
 
 
 # Peak of the traced allocations of split_half on 10**5 units, plus 10%:
-# 3.25 MB on Python 3.11 and numpy 2, most of it rng._resolve's int64
-# temporaries.  numpy's own permutation peaked at 3.20 MB, and resolving
-# with a pool-length argsort and a second search at 4.45 MB.
-SPLIT_PEAK_BOUND_MB = 3.6
+# 2.90 MB on Python 3.11 and numpy 2.4: the uniforms and their partitioned
+# copy, then the two halves.  The uniforms are freed before the halves are
+# taken; holding them reads 3.70 MB.
+SPLIT_PEAK_BOUND_MB = 3.2
 
 
 def test_split_memory_peak_is_bounded():

@@ -1009,9 +1009,14 @@ def test_rejected_draws_and_the_split_load_no_numpy_random(tmp_path):
     # split, are drawn from rng's own words
     code = """
 import sys
-from strateval.rng import derive_seeds, fisher_yates, permutation_tail
+import numpy as np
+from strateval.calibration import split_half
+from strateval.dataset import Population
+from strateval.losses import LossKind
+from strateval.rng import derive_seeds, fisher_yates
 fisher_yates(derive_seeds(3, range(60)), [2**31 + 5, 3 * 2**30], [9, 6])
-permutation_tail(13, 1000, 500)
+split_half(Population(ids=tuple(map(str, range(1000))), proxy=np.zeros(1000),
+                      loss=np.zeros(1000), loss_kind=LossKind.ACCURACY), 13)
 print("numpy.random" in sys.modules)
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import srs_indices, stratified_slots
+from oracles import EDGE_SEEDS, srs_indices, stratified_slots
 from strateval import simulate
 from strateval.estimators import stratified_estimate
 from strateval.errors import ParseError
@@ -17,13 +17,9 @@ from strateval.rng import (
     derive_seed,
     derive_seeds,
     fisher_yates,
-    generator,
-    permutation_tail,
     uniforms,
 )
 from strateval.simulate import SuperpopSpec, generate, run_mc
-
-EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 11, 2**130 + 7)
 
 
 def draw(seed, n_population, n_sample):
@@ -34,7 +30,7 @@ def draw(seed, n_population, n_sample):
 def test_scheme_tag_is_stable():
     # the tag names the reproducibility contract; changing it is a
     # breaking change for anyone relying on stored seeds
-    assert SCHEME == "pcg64-fy-v1"
+    assert SCHEME == "pcg64-fy-v2"
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -52,7 +48,7 @@ def test_derive_seed_range():
 
 
 def test_negative_seeds_are_refused():
-    for call in (lambda: derive_seed(-1, 2), lambda: generator(-5), lambda: draw(-3, 10, 2)):
+    for call in (lambda: derive_seed(-1, 2), lambda: uniforms(-5, 3), lambda: draw(-3, 10, 2)):
         with pytest.raises(ValueError, match="non-negative"):
             call()
 
@@ -149,34 +145,6 @@ def test_uniforms_are_numpys_random_on_any_seed_and_length(seed, n):
     assert np.array_equal(uniforms(seed, n), np.random.Generator(np.random.PCG64(seed)).random(n))
 
 
-def numpy_tail(seed, n, k):
-    """The units numpy's own shuffle puts in positions n - 1, ..., n - k."""
-    return np.random.Generator(np.random.PCG64(seed)).permutation(n)[::-1][:k]
-
-
-# 2**12 steps share one mask, 2**12 + 1 starts with a one-step run, and
-# 3 * 8192 + 7 has a run of more words than one pass reads
-@pytest.mark.parametrize("n", [4, 5, 2**12, 2**12 + 1, 3 * 8192 + 7, 10**5 + 1])
-def test_permutation_tail_matches_numpy(n):
-    for seed in EDGE_SEEDS:
-        assert np.array_equal(permutation_tail(seed, n, n // 2), numpy_tail(seed, n, n // 2))
-    # every step of the shuffle: position 0 keeps what is left
-    assert np.array_equal(permutation_tail(5, n, n - 1), numpy_tail(5, n, n - 1))
-
-
-@given(st.integers(0, 2**70), st.integers(2, 3000).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
-def test_permutation_tail_is_numpys_on_any_seed_and_length(seed, nk):
-    n, k = nk
-    assert np.array_equal(permutation_tail(seed, n, k), numpy_tail(seed, n, k))
-
-
-def test_permutation_tail_refuses_lengths_it_does_not_draw():
-    for n, k in [(5, 5), (5, -1), (2**32 + 1, 1)]:  # numpy draws 64-bit words past 2**32
-        with pytest.raises(ValueError, match=f"cannot take {k} of a permutation of {n}"):
-            permutation_tail(1, n, k)
-
-
 def test_fisher_yates_matches_numpy_draws():
     # every row equals stratum-by-stratum Generator.integers and the dict
     # loop: edge sizes n_h = N_h, N_h = 1, n = 1 and empty strata included
@@ -261,7 +229,7 @@ def first_rejection(seed, h, size, k):
 
 def test_rejection_fallback_is_exact():
     # spans just above 2**31 reject about half of all 32-bit words, so
-    # almost every stream takes numpy's own Generator.integers path
+    # almost every stream is drawn again by Lemire's one-word redo
     sizes, n_h = [2**31 + 5, 3 * 2**30], [9, 6]
     parents = derive_seeds(3, np.arange(60))
     rejecting = sum(
@@ -274,15 +242,16 @@ def test_rejection_fallback_is_exact():
         assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
 
 
-def test_spans_of_2_32_and_more_are_drawn_by_numpy():
-    # a span of 2**32 or more needs numpy's 64-bit method; in the same rows
-    # stratum 1's spans just above 2**31 reject about half of all 32-bit
-    # words, and stratum 2 takes a plain draw
-    sizes, n_h = [2**32 + 5, 2**31 + 5, 40], [4, 6, 5]
-    parents = derive_seeds(6, np.arange(20))
-    got = fisher_yates(parents, sizes, n_h)
-    for seed, row in zip(parents, got):
-        assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
+def test_strata_of_2_32_and_more_units_are_refused():
+    # numpy draws a span of 2**32 or more by a 64-bit method, which this
+    # draw does not copy; no pool that large can be held in memory
+    for sizes, n_h in [([2**32, 40], [4, 5]), ([40, 2**32 + 5], [5, 0])]:
+        with pytest.raises(ValueError, match="a stratum of 2\\*\\*32 or more units"):
+            fisher_yates(6, sizes, n_h)
+    # the largest stratum it draws still matches numpy
+    sizes, n_h = [2**32 - 1, 40], [4, 5]
+    for seed in derive_seeds(6, np.arange(5)):
+        assert np.array_equal(fisher_yates(seed, sizes, n_h)[0], stratified_slots(seed, sizes, n_h))
 
 
 def prefix_columns(n_h, n_max):
@@ -353,7 +322,8 @@ def test_srs_indices_deterministic():
     c = draw(22, 50, 7)
     assert not np.array_equal(a, c)
     # the reference loop on the same stream agrees
-    assert np.array_equal(a, srs_indices(generator(derive_seed(21, 0)), 50, 7))
+    stream = np.random.Generator(np.random.PCG64(derive_seed(21, 0)))
+    assert np.array_equal(a, srs_indices(stream, 50, 7))
 
 
 def test_srs_indices_edge_sizes():
