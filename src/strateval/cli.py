@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from importlib import import_module
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -205,13 +206,26 @@ def _design_from_worksheet(ws) -> tuple[np.ndarray, np.ndarray]:
     return n_h, sizes.astype(np.int64)
 
 
+def _worksheet_rows(pop, ws) -> np.ndarray:
+    """Canonical positions of the worksheet's units, in worksheet order: one
+    scan of the pool's ids against the worksheet's."""
+    at = dict(zip(ws.ids, range(len(ws.ids))))
+    found = np.fromiter(map(at.get, pop.ids, repeat(-1)), dtype=np.int64, count=pop.size)
+    rows = np.flatnonzero(found >= 0)
+    out = np.full(len(ws.ids), -1, dtype=np.int64)
+    out[found[rows]] = rows
+    if rows.size < out.size:  # argmin: the first -1, in worksheet order
+        raise ConsistencyError(f"unknown unit id {ws.ids[int(out.argmin())]!r}")
+    return out
+
+
 def cmd_estimate(args) -> int:
     _bind("ingest", "load_worksheet", "check_losses", "stratum_moments", "stratified_estimate",
           "confidence_interval")
     cfg = _config_dict(args)
     pop = ingest(args.input, args.loss_kind)
     ws = load_worksheet(args.worksheet)
-    sample_idx = np.array([pop.index_of(uid) for uid in ws.ids], dtype=np.int64)
+    sample_idx = _worksheet_rows(pop, ws)
     if np.any(np.isnan(ws.loss)):
         missing = [ws.ids[i] for i in np.flatnonzero(np.isnan(ws.loss))]
         raise ConsistencyError(

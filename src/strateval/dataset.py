@@ -18,7 +18,7 @@ physical line numbers in errors, and ids.
 from __future__ import annotations
 
 import codecs
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, replace
 from itertools import chain, repeat
 from operator import contains, itemgetter
 from pathlib import Path
@@ -94,7 +94,6 @@ class Population:
     proxy_cal: np.ndarray | None = None
     labels: np.ndarray | None = None
     scores: np.ndarray | None = None
-    _index: dict = field(init=False, repr=False, default=None)
     # set where the ids are known distinct (ingest, which checked them,
     # and copies that keep them), so the ids are tested for a repeat only
     # where they can have one: construction, and ``take`` with a repeated index
@@ -118,14 +117,6 @@ class Population:
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    def index_of(self, unit_id: str) -> int:
-        if self._index is None:  # built on first use: only a few steps look ids up
-            self._index = dict(zip(self.ids, range(len(self.ids))))
-        try:
-            return self._index[unit_id]
-        except KeyError:
-            raise ConsistencyError(f"unknown unit id {unit_id!r}") from None
 
     def get_proxy(self, column: str = "proxy") -> np.ndarray:
         """Proxy values from the designated column (``proxy`` or ``proxy_cal``)."""

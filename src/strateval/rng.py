@@ -1,84 +1,69 @@
 """Seeded random-number plumbing shared by sampling, calibration, and simulation.
 
-Reproducibility contract (scheme tag ``pcg64-fy-v2``):
+Reproducibility contract (scheme tag ``splitmix-fy-v3``):
 
-* Bit source: numpy's PCG64, a named, versioned, platform-independent
-  64-bit generator.
-* Stream derivation: ``derive_seed(seed, *keys)`` is the first 64-bit
-  word of the state of numpy's ``SeedSequence([seed, *keys])``.
-  Distinct key paths give statistically independent streams; the
-  mapping is documented numpy behaviour and does not depend on OS, word
-  size, or endianness.
+* Draw bits: a counter-based stream.  Word ``c`` of the stream with
+  64-bit key ``k`` is ``mix64(k + c * GAMMA mod 2**64)``, which is output
+  ``c`` of SplitMix64 seeded with ``k`` (Steele, Lea & Flood, "Fast
+  splittable pseudorandom number generators", OOPSLA 2014):
+  ``GAMMA = 0x9E3779B97F4A7C15`` and ``mix64`` is its finalizer.  A word
+  depends on ``(k, c)`` alone, so any words of any streams come in one
+  vectorised pass, and nothing is carried from word to word.
+* Stream derivation: ``derive_seed(seed, *keys)`` folds the seed's
+  little-endian 64-bit limbs (0 is one limb), then the keys, into a state
+  that starts at the seed's limb count: ``h <- mix64((h ^ x) + GAMMA)``
+  for each ``x`` in turn.  A fold is a bijection of its ``x``, so sibling
+  keys never share a sub-seed, and a seed of any size is taken whole.
 * Selection: stratum ``h`` of a draw with seed ``s`` takes ``n_h`` of its
   ``N_h < 2**32`` members by a partial Fisher-Yates shuffle over
-  ``0..N_h-1``: step ``j`` swaps position ``j`` with position ``j + o_j``,
-  where the offsets are ``Generator(PCG64(derive_seed(s, h))).integers(
-  spans)`` for the spans ``N_h, N_h - 1, ..., N_h - n_h + 1``.
-* Uniforms: ``uniforms(s, n)`` is ``Generator(PCG64(s)).random(n)``,
-  ``(w >> 11) * 2**-53`` for each of the stream's 64-bit output words
-  ``w``.  The simulator's two-point pools are drawn on them, and
-  ``calibrate``'s split ranks them (``calibration.split_half``).
+  ``0..N_h-1``: step ``j`` swaps position ``j`` with position ``j + o_j``.
+  The offset ``o_j``, of span ``N_h - j``, is Lemire's 32-bit bounded
+  draw (arXiv:1805.10941) on the high half of word ``lane * 2**32 + j +
+  1`` of the stream keyed ``derive_seed(s, h)``, at the first ``lane = 0,
+  1, ...`` it does not reject.  So an offset depends only on the key, the
+  step and its span: a larger ``n_h`` extends a draw, rejected steps
+  included.  A stratum of 2**32 or more units is refused.
+* Uniforms: ``uniforms(s, n)`` is ``Generator(PCG64(s)).random(n)`` of
+  numpy, ``(w >> 11) * 2**-53`` for each of the stream's 64-bit output
+  words ``w``: numpy's ``SeedSequence`` hash in Python ints seeds PCG64,
+  whose 128-bit LCG runs in uint64 limbs.  The simulator's two-point
+  pools are drawn on them, and ``calibrate``'s split ranks them
+  (``calibration.split_half``).
 
 Given the same seed and key path, every function here returns identical
-results on every platform for a fixed numpy major/minor version.
-
-Bulk derivation.  :func:`fisher_yates` produces those bits for a whole
-batch of (seed, stratum) streams in a fixed number of numpy calls, without
-building a ``SeedSequence``, ``PCG64`` or ``Generator`` per stream:
-
-* ``SeedSequence``'s published hash (pool of four 32-bit words, the
-  ``hashmix``/``mix`` constants) runs over one row of entropy words per
-  key; a key below 2**32 is one word and a larger one two, row by row.
-* ``PCG64(int)`` hashes its seed the same way, then seeds its 128-bit LCG;
-  the LCG runs in uint64 limbs, and output word ``k`` of a stream is taken
-  directly from the seeded state as ``A_k * state + C_k * inc`` with
-  jump-ahead multipliers (Brown 1994, "Random number generation with
-  arbitrary strides"), then the XSL-RR output function.
-* ``Generator.integers`` on a span below 2**32 is Lemire's bounded 32-bit
-  method (arXiv:1805.10941) on the low, then the high half of each output
-  word; a span of 1 consumes nothing.  A stream that would reject a draw
-  is drawn again by Lemire's method one word at a time, on the stream's
-  words below.  A stratum of 2**32 or more units, whose spans numpy draws
-  by a 64-bit method, is refused.
-* One stream's 64-bit output words come a block at a time, its 128-bit
-  state carried between blocks, so a long stream needs no table of its
-  length; its 32-bit words are their low, then high halves.
-* The Fisher-Yates swaps of every stream are resolved at once: the unit a
-  step selects is the one carried along the chain of earlier swaps into
-  its position, found by one sort, one binary search and pointer
-  jumping.
-
-``tests/test_rng.py`` pins every stage word for word against live numpy,
-and nothing here loads numpy's ``random`` module.
+results on every platform, and nothing here loads numpy's ``random``
+module.  ``tests/oracles.py`` holds a plain-Python reference of the draw;
+``tests/test_rng.py`` pins it with literal values and pins ``uniforms``
+against live numpy.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError
 
-SCHEME = "pcg64-fy-v2"
+SCHEME = "splitmix-fy-v3"
 
-_U32 = np.uint32
 _U64 = np.uint64
 _LOW32 = 0xFFFFFFFF
-# numpy's SeedSequence: pool size and hash constants
-_POOL = 4
+_LOW64, _LOW128 = (1 << 64) - 1, (1 << 128) - 1
+# SplitMix64: the counter increment and the finalizer's multipliers
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA, _MIX_1, _MIX_2 = _U64(_GAMMA_INT), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+# numpy's SeedSequence hash constants, for the seeding of uniforms' PCG64
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
-_STEP_ADD = np.array([[0], [1]], _U64)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier, as (high, low) 64-bit limbs
 _MULT = (_U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645))
 _MULT_INT = 0x2360ED051FC65DA44385DF649FCCF645
-_LOW64, _LOW128 = (1 << 64) - 1, (1 << 128) - 1
-_BLOCK = 4096  # output words a block of one stream's words
+_STEP_ADD = np.array([[0], [1]], _U64)
+_BLOCK = 4096  # output words a block of one PCG64 stream's words
 
 
 def check_seed(seed, name: str = "seed") -> int:
@@ -125,126 +110,93 @@ def derive_seed(seed: int, *keys: int) -> int:
 
 def derive_seeds(seed: int, *keys) -> np.ndarray:
     """:func:`derive_seed` for every row of the broadcast key arrays, as uint64."""
-    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(k, dtype=_U64)) for k in keys))
-    return _join(_hash(*_entropy([seed, *(c.ravel() for c in cols)]), 2))[:, 0]
+    h = _root(seed)
+    for k in np.broadcast_arrays(*(np.atleast_1d(np.asarray(k, dtype=_U64)) for k in keys)):
+        h = _fold(h, k.ravel())
+    return h
 
 
-# -- SeedSequence, one row per key -----------------------------------------------
+def _root(seed) -> np.ndarray:
+    """The seed's 64-bit limbs folded in, as a uint64 array: one entry for
+    an int seed of any size, or one per entry of a uint64 seed array (one
+    limb each)."""
+    if isinstance(seed, np.ndarray):
+        return _fold(np.ones_like(seed), seed)
+    seed = check_seed(seed)
+    limbs = [seed & _LOW64]
+    while seed > _LOW64:
+        seed >>= 64
+        limbs.append(seed & _LOW64)
+    h = np.array([len(limbs)], dtype=_U64)  # an array: numpy scalars warn on overflow
+    for limb in limbs:
+        h = _fold(h, _U64(limb))
+    return h
 
 
-def _int_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of ``n``; 0 is one word, as in SeedSequence."""
-    words = [n & _LOW32]
-    while n > _LOW32:
-        n >>= 32
-        words.append(n & _LOW32)
-    return words
+def _fold(h: np.ndarray, x) -> np.ndarray:
+    """``mix64((h ^ x) + GAMMA)``: key ``x`` folded into stream state ``h``."""
+    z = h ^ x
+    z += _GAMMA
+    return _mix64(z)
 
 
-def _chain(start: int, mult: int, count: int) -> np.ndarray:
-    """``start * mult**t mod 2**32`` for ``t < count``: SeedSequence's hash constants."""
-    out = [start]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _LOW32)
-    return np.array(out, dtype=_U32)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    return z
 
 
-def _entropy(keys: list):
-    """SeedSequence's entropy words for ``keys``, one row per entry of the
-    key arrays, and each row's word count.
+# -- uniforms: numpy's PCG64 -------------------------------------------------------
 
-    A key is a uint64 array (one word per row below 2**32, two from there,
-    so later keys land row by row) or a Python int of any size, shared by
-    every row: the seed a caller passed in, checked here.
+
+def _seed_sequence(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)`` of numpy, in Python ints.
+
+    The entropy is the seed's little-endian 32-bit words (0 is one word).
+    The first four are hashed into a pool, the pool is cross-mixed, each
+    further word is mixed into every pool word, and the output cycles the
+    pool through a second hash; ``hashmix`` advances its multiplier on
+    every call.
     """
-    keys = [k if isinstance(k, np.ndarray) else check_seed(k) for k in keys]
-    rows = max((k.size for k in keys if isinstance(k, np.ndarray)), default=1)
-    widths = [2 if isinstance(k, np.ndarray) else len(_int_words(k)) for k in keys]
-    entropy = np.zeros((rows, max(sum(widths), _POOL)), dtype=_U32)
-    length = np.zeros(rows, dtype=np.int64)
-    at = np.arange(rows)
-    for k, w in zip(keys, widths):
-        if isinstance(k, np.ndarray):
-            high = k >> 32
-            entropy[at, length] = k & _LOW32
-            entropy[at, length + 1] = high  # overwritten, or zero padding, when high == 0
-            length += 1 + (high > 0)
-        else:
-            entropy[at[:, None], length[:, None] + np.arange(w)] = _int_words(k)
-            length += w
-    return entropy, length
+    words = [seed & _LOW32]
+    while seed > _LOW32:
+        seed >>= 32
+        words.append(seed & _LOW32)
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _LOW32
+        value = value * const & _LOW32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _LOW32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _LOW32
+        value = value * const & _LOW32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _hash(entropy: np.ndarray, length, n32: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n32, uint32)`` for every row of
-    ``entropy``, which has at least pool-size columns.  Zero words past a
-    row's ``length`` but within the pool size change nothing, so
-    ``length`` is only read for entropy wider than the pool."""
-    # mix_entropy: hash the first pool-size words in, cross-mix the pool
-    # (word s into every other word), then mix each further word into
-    # every pool word
-    pool = entropy[:, :_POOL] ^ _HASH_IN[0]
-    pool *= _HASH_IN[1]
-    pool ^= pool >> 16
-    for s in range(_POOL):
-        pool = _mix(pool, pool[:, s : s + 1], _CROSS[s], keep=s)
-    width = entropy.shape[1]
-    if width > _POOL:
-        c = _chain(_INIT_A, _MULT_A, 17 + 4 * (width - _POOL))
-        for s in range(_POOL, width):
-            t = 16 + 4 * (s - _POOL)
-            mixed = _mix(pool, entropy[:, s : s + 1], (c[t : t + 4], c[t + 1 : t + 5]))
-            pool = np.where((length > s)[:, None], mixed, pool)
-
-    # generate_state: cycle the pool through the output hash
-    out = np.tile(pool, (1, -(-n32 // _POOL)))[:, :n32]
-    out ^= _HASH_OUT[0][:n32]
-    out *= _HASH_OUT[1][:n32]
-    out ^= out >> 16
-    return out
-
-
-def _join(words: np.ndarray) -> np.ndarray:
-    """Little-endian pairs of uint32 words as uint64 values."""
-    w = words.astype(_U64)
-    return w[:, 0::2] | (w[:, 1::2] << 32)
-
-
-def _mix(pool: np.ndarray, src: np.ndarray, c, keep: int | None = None) -> np.ndarray:
-    """``mix(pool[:, i], hashmix(src))`` for each column ``i``, with hash
-    constants ``c = (xor, mult)`` per column; column ``keep`` stays."""
-    h = src ^ c[0]
-    h *= c[1]
-    h ^= h >> 16
-    h *= _MIX_R
-    x = pool * _MIX_L
-    x -= h
-    x ^= x >> 16
-    if keep is not None:
-        x[:, keep] = pool[:, keep]
-    return x
-
-
-def _hash_constants():
-    """SeedSequence's hash constants, laid out per pool word: (xor, mult)
-    pairs for the first hash-in, the four cross-mix rounds (a dummy in the
-    column a round keeps) and eight output words."""
-    a = _chain(_INIT_A, _MULT_A, 17)
-    cross = []
-    for s in range(_POOL):
-        cols = [d for d in range(_POOL) if d != s]
-        x, m = np.zeros(_POOL, _U32), np.zeros(_POOL, _U32)
-        t = 4 + 3 * s
-        x[cols], m[cols] = a[t : t + 3], a[t + 1 : t + 4]
-        cross.append((x, m))
-    b = _chain(_INIT_B, _MULT_B, 9)
-    return (a[:4], a[1:5]), cross, (b[:8], b[1:9])
-
-
-_HASH_IN, _CROSS, _HASH_OUT = _hash_constants()
-
-
-# -- PCG64 in uint64 limbs --------------------------------------------------------
+# -- PCG64 in uint64 limbs, for uniforms ------------------------------------------
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,35 +256,6 @@ def _jumps(bits: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _jump_columns(k: np.ndarray):
-    """Jump-ahead limbs for output words ``k`` (from 1): ``(hi, lo)``, each
-    of shape ``(2, 1, len(k))``, ``A_{k+1}`` over ``C_{k+1}``."""
-    hi, lo = _jumps(int(k.max(initial=0) + 1).bit_length())
-    return hi[:, None, k + 1], lo[:, None, k + 1]
-
-
-def _pcg64_outputs(seeds: np.ndarray, stream: np.ndarray, jump) -> np.ndarray:
-    """Output word ``k[j]`` (from 1) of ``PCG64(seed)`` for the seed of
-    stream ``stream[j]`` in every row, given ``jump = _jump_columns(k)``.
-
-    ``seeds`` holds each seed's two little-endian uint32 words, shape
-    ``(rows, streams, 2)``; the result has shape ``(rows, len(k))``.
-    """
-    rows, streams = seeds.shape[:2]
-    entropy = np.zeros((rows * streams, _POOL), dtype=_U32)
-    entropy[:, :2] = seeds.reshape(-1, 2)
-    v = _join(_hash(entropy, None, 8))
-    # seeding: x = 0; step (x = inc); x += initstate; step.  Output word k
-    # comes from k more steps, so it is A_{k+1} (inc + initstate) + C_{k+1} inc
-    inc_hi = (v[:, 2] << 1) | (v[:, 3] >> 63)
-    inc_lo = (v[:, 3] << 1) | 1
-    x_hi, x_lo = _add128(inc_hi, inc_lo, v[:, 0], v[:, 1])
-    y_hi = np.stack([x_hi, inc_hi]).reshape(2, rows, streams)[:, :, stream]
-    y_lo = np.stack([x_lo, inc_lo]).reshape(2, rows, streams)[:, :, stream]
-    hi, lo = _mul128(y_hi, y_lo, *jump)
-    return _xsl_rr(*_add128(hi[0], lo[0], hi[1], lo[1]))
-
-
 def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """PCG64's output function: xor the halves, rotate right by the top six bits."""
     x = hi ^ lo
@@ -342,14 +265,13 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def _pcg64_blocks(seed: int):
     """``PCG64(seed)``'s 64-bit output words 1, 2, ... as uint64 blocks of
-    ``_BLOCK``, without end: the one PCG64 stream every draw of a single
-    seed reads.
+    ``_BLOCK``, without end: the words :func:`uniforms` reads.
 
     The 128-bit state lives in a Python int between blocks; a block's
     states are that state jumped ``0 .. _BLOCK - 1`` steps ahead, so
     nothing grows with the number of words taken.
     """
-    v = _join(_hash(*_entropy([seed]), 8))[0].tolist()
+    v = _seed_sequence(check_seed(seed))
     inc = (v[2] << 65 | v[3] << 1 | 1) & _LOW128
     # seeding ends one step past inc + initstate; output word 1 comes
     # from the next step
@@ -362,15 +284,6 @@ def _pcg64_blocks(seed: int):
                              inc_hi, inc_lo)
         state = (_MULT_INT * (int(s_hi[-1]) << 64 | int(s_lo[-1])) + inc) & _LOW128
         yield _xsl_rr(s_hi, s_lo)
-
-
-def _pcg64_words(seed: int):
-    """``PCG64(seed)``'s 32-bit words in the order numpy's bounded draws
-    take them -- the low, then the high half of output words 1, 2, ... --
-    as uint32 blocks of ``2 * _BLOCK``, without end."""
-    for block in _pcg64_blocks(seed):
-        # little-endian bytes, read back as little-endian halves, on any platform
-        yield block.astype("<u8", copy=False).view("<u4")
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
@@ -394,46 +307,40 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
     """Stratified partial Fisher-Yates draws, one row per seed.
 
     Row ``r`` draws, for every stratum ``h``, ``n_h[h]`` of the positions
-    ``0..sizes[h]-1`` on the stream ``Generator(PCG64(derive_seed(seeds[r],
-    h)))`` (see the module notes).  ``seeds`` is an array of uint64 seeds,
-    or one int seed of any size for a single row.  Positions are returned
-    as *slots* in the stratum-major order of all units,
+    ``0..sizes[h]-1`` on the stream keyed ``derive_seed(seeds[r], h)``
+    (see the module notes).  ``seeds`` is an array of uint64 seeds, or one
+    int seed of any size for a single row.  Positions are returned as
+    *slots* in the stratum-major order of all units,
     ``sum(sizes[:h]) + position``: stratum 0's draws first, in selection
     order, then stratum 1's, and so on.  Shape ``(rows, sum(n_h))``, dtype
     int64.
     """
     plan = _plan(tuple(map(int, sizes)), tuple(map(int, n_h)))
-    if isinstance(seeds, int):
-        parent, reps = seeds, 1
-    else:
-        seeds = np.asarray(seeds, dtype=_U64)
-        parent, reps = np.repeat(seeds, plan.strata.size), seeds.size
+    if not isinstance(seeds, int):
+        seeds = np.asarray(seeds, dtype=_U64).reshape(-1)
+    keys = _fold(_root(seeds)[:, None], plan.strata)  # stream (row, h)'s key
 
-    # stream (row, h) is PCG64(derive_seed(seeds[row], h)); the draws
-    # take its output words 1, 2, ...
-    sub = _hash(*_entropy([parent, np.tile(plan.strata, reps)]), 2)
-    sub = sub.reshape(reps, plan.strata.size, 2)
-    u = _pcg64_outputs(sub, plan.word_h, plan.jump)[:, plan.column]
-
-    # Lemire: the offset is the high half of u * span, rejected when the
-    # low half falls below 2**32 mod span
-    u >>= plan.shift
-    u &= _LOW32
-    u *= plan.span
-    redo = (u & _LOW32) < plan.threshold
-    u >>= 32
-    offset = u.view(np.int64)
-    if redo.any():
-        rows, cols = np.nonzero(redo)
-        for r, g in set(zip(rows.tolist(), plan.h[cols].tolist())):
-            mine = plan.h == g
-            seed = int(_join(sub[r, g][None])[0, 0])
-            offset[r, mine] = _lemire(seed, plan.span[mine].tolist())
-    del redo
+    # Lemire: the offset is the high half of u * span for the high half u
+    # of step j's word, rejected when the low half falls below 2**32 mod
+    # span; a rejected step tries its lanes 1, 2, ... in turn
+    u = keys[:, plan.h]
+    u += plan.counter
+    offset = _bounded(u, plan.span, plan.threshold)
+    rows, cols = np.nonzero(offset < 0)
+    lane = 0
+    while rows.size:
+        lane += 1
+        u = keys[rows, plan.h[cols]]
+        u += plan.counter[cols]
+        u += _U64((lane << 32) * _GAMMA_INT & _LOW64)
+        redo = _bounded(u, plan.span[cols], plan.threshold[cols])
+        done = redo >= 0
+        offset[rows[done], cols[done]] = redo[done]
+        rows, cols = rows[~done], cols[~done]
 
     # resolve the swaps; rows are kept apart by a position offset of one
     # pool each
-    row = np.arange(reps)[:, None] * plan.pool
+    row = np.arange(keys.shape[0])[:, None] * plan.pool
     fill = row + plan.slot
     offset += fill
     out = _resolve(fill, offset)
@@ -441,29 +348,25 @@ def fisher_yates(seeds, sizes, n_h) -> np.ndarray:
     return out
 
 
-def _lemire(seed: int, spans: list) -> list:
-    """``Generator(PCG64(seed)).integers(spans)`` for spans below 2**32,
-    rejections included: Lemire's method, one 32-bit word at a time."""
-    words = chain.from_iterable(block.tolist() for block in _pcg64_words(seed))
-    out = []
-    for span in spans:
-        m = 0
-        if span > 1:  # a span of 1 consumes nothing
-            m = next(words) * span
-            if m & _LOW32 < span:
-                threshold = (1 << 32) % span
-                while m & _LOW32 < threshold:
-                    m = next(words) * span
-        out.append(m >> 32)
-    return out
+def _bounded(u: np.ndarray, span: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Lemire's 32-bit draws below ``span`` on the words ``mix64(u)`` of the
+    counters ``u = key + counter * GAMMA`` (consumed), as int64; -1 where
+    the draw rejects."""
+    _mix64(u)
+    u >>= 32
+    u *= span
+    reject = (u & _LOW32) < threshold
+    u >>= 32
+    offset = u.view(np.int64)
+    offset[reject] = -1
+    return offset
 
 
 class _Plan(NamedTuple):
     """What every row of a draw shares, per draw: its stratum ``h``, its
     ``slot`` (stratum start + step), the ``span`` of its bounded integer
-    and Lemire's rejection ``threshold``, and which half (``shift``) of
-    which output word (``column``) it consumes; per output word, its
-    stream ``word_h`` and jump-ahead limbs."""
+    and Lemire's rejection ``threshold``, and its lane-0 word counter
+    ``step + 1`` times GAMMA."""
 
     strata: np.ndarray
     pool: int
@@ -471,10 +374,7 @@ class _Plan(NamedTuple):
     slot: np.ndarray
     span: np.ndarray
     threshold: np.ndarray
-    shift: np.ndarray
-    column: np.ndarray
-    word_h: np.ndarray
-    jump: tuple[np.ndarray, np.ndarray]
+    counter: np.ndarray
 
 
 @lru_cache(maxsize=16)
@@ -482,29 +382,22 @@ def _plan(sizes: tuple, n_h: tuple) -> _Plan:
     sizes, n_h = np.array(sizes, dtype=np.int64), np.array(n_h, dtype=np.int64)
     if sizes.shape != n_h.shape or np.any(n_h < 0) or np.any(n_h > sizes):
         raise ValueError(f"sample sizes {n_h.tolist()} outside [0, {sizes.tolist()}]")
-    if np.any(sizes > _LOW32):  # numpy draws such spans by a 64-bit method
+    if np.any(sizes > _LOW32):  # a span fits Lemire's 32-bit draw, a step a counter's low half
         raise ValueError(f"cannot draw from a stratum of 2**32 or more units: "
                          f"sizes {sizes.tolist()}")
-    n_strata = sizes.size
-    h = np.repeat(np.arange(n_strata), n_h)
+    h = np.repeat(np.arange(sizes.size), n_h)
     step = np.arange(n_h.sum()) - (np.cumsum(n_h) - n_h)[h]
     span = sizes[h] - step
-    words = (n_h + 1) // 2
-    word_h = np.repeat(np.arange(n_strata), words)
-    first_word = np.cumsum(words) - words
     plan = _Plan(
-        strata=np.arange(n_strata, dtype=_U64),
+        strata=np.arange(sizes.size, dtype=_U64),
         pool=int(sizes.sum()),
         h=h,
         slot=(np.cumsum(sizes) - sizes)[h] + step,
         span=span.astype(_U64),
         threshold=((1 << 32) % span).astype(_U64),
-        shift=((step & 1) * 32).astype(_U64),
-        column=first_word[h] + step // 2,
-        word_h=word_h,
-        jump=_jump_columns(np.arange(words.sum()) - first_word[word_h] + 1),
+        counter=(step + 1).astype(_U64) * _GAMMA,
     )
-    for a in (*plan, *plan.jump):
+    for a in plan:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return plan

@@ -257,16 +257,68 @@ def split_eval(seed, n):
     return np.sort(np.argsort(u, kind="stable")[: n // 2])
 
 
+# The draw's counter-based stream, one Python int at a time
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = 2**64 - 1
+
+
+def mix64(z):
+    """SplitMix64's finalizer."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def fold_key(seed, *keys):
+    """``derive_seed(seed, *keys)``: the seed's little-endian 64-bit limbs (0
+    is one limb), then the keys, folded by ``h <- mix64((h ^ x) + GAMMA)``
+    into a state that starts at the limb count."""
+    limbs = [seed & MASK64]
+    while seed >> 64 * len(limbs):
+        limbs.append(seed >> 64 * len(limbs) & MASK64)
+    h = len(limbs)
+    for x in limbs + [int(k) for k in keys]:
+        h = mix64((h ^ x) + GAMMA & MASK64)
+    return h
+
+
+def stream_word(key, counter):
+    """Word ``counter`` of the stream keyed ``key``: SplitMix64's output ``counter``."""
+    return mix64(key + counter * GAMMA & MASK64)
+
+
+def bounded(key, step, span):
+    """Step ``step``'s offset below ``span`` and the lane it came from:
+    Lemire's 32-bit draw on the high half of word ``lane * 2**32 + step + 1``,
+    at the first lane that does not reject."""
+    lane = 0
+    while True:
+        m = (stream_word(key, (lane << 32) + step + 1) >> 32) * span
+        if m & 0xFFFFFFFF >= (1 << 32) % span:
+            return m >> 32, lane
+        lane += 1
+
+
+class CounterStream:
+    """Stands in for a generator whose ``integers(spans)`` gives the offsets
+    of steps 0, 1, ... of the stream keyed ``key``."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def integers(self, spans):
+        return np.array([bounded(self.key, j, int(s))[0] for j, s in enumerate(spans)],
+                        dtype=np.int64)
+
+
 def stratified_slots(seed, sizes, n_h):
     """One stratified draw as slots ``sum(sizes[:h]) + position``: stratum
-    ``h`` runs :func:`srs_indices` on ``PCG64(SeedSequence([seed, h]))``'s
-    first output word, straight from numpy."""
+    ``h`` runs :func:`srs_indices` on the stream keyed ``fold_key(seed, h)``."""
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
     parts = []
     for h, (size, k) in enumerate(zip(sizes, n_h)):
-        sub = int(np.random.SeedSequence([int(seed), h]).generate_state(1, np.uint64)[0])
-        rng = np.random.Generator(np.random.PCG64(sub))
-        parts.append(starts[h] + srs_indices(rng, int(size), int(k)))
+        stream = CounterStream(fold_key(int(seed), h))
+        parts.append(starts[h] + srs_indices(stream, int(size), int(k)))
     return np.concatenate(parts)
 
 

@@ -202,6 +202,18 @@ def test_plan_defaults_to_ten_strata(tmp_path):
     assert len(ws) == 41
 
 
+def test_plan_pins_a_small_worksheet(tmp_path):
+    # the worksheet of the splitmix-fy-v3 draw at the default sample seed:
+    # a change to the stream fails here, and has to bump rng.SCHEME
+    src = tmp_path / "pool.csv"
+    src.write_text("id,proxy\n" + "".join(f"u{i},{i / 40}\n" for i in range(40)))
+    out = tmp_path / "plan"
+    assert main(["plan", "--input", str(src), "--budget", "8", "--strata", "2",
+                 "--out", str(out)]) == 0
+    ids = [row.split(",")[0] for row in data_rows(out / "worksheet.csv")[1:]]
+    assert ids == ["u8", "u10", "u2", "u13", "u21", "u20", "u24", "u26"]
+
+
 def test_plan_budget_out_of_range(tmp_path, capsys):
     src = tmp_path / "pool.csv"
     write_pool(src, [f"p{i}" for i in range(40)], np.linspace(0, 1, 40))
@@ -472,13 +484,16 @@ def test_estimate_partial_worksheet_lists_missing_ids(tmp_path, capsys):
     assert "u1" in capsys.readouterr().err
 
 
-def test_estimate_unknown_worksheet_id(tmp_path):
+def test_estimate_unknown_worksheet_id(tmp_path, capsys):
+    # the error names the first unknown id in worksheet order
     src, ws = fixture_pool(tmp_path)
-    ws.write_text(ws.read_text().replace("u7,1,0.5,0", "zz,1,0.5,0"))
+    ws.write_text(ws.read_text().replace("u1,0,0.5,0", "zz,0,0.5,0").replace("u7,1,0.5,0",
+                                                                          "aa,1,0.5,0"))
     rc = main(
         ["estimate", "--input", str(src), "--worksheet", str(ws), "--out", str(tmp_path / "o")]
     )
     assert rc == 4
+    assert "unknown unit id 'zz'" in capsys.readouterr().err
 
 
 def test_estimate_design_must_cover_pool(tmp_path):
@@ -1162,10 +1177,11 @@ def _calibrate_plan_estimate(tmp_path, src):
     assert main(["plan", "--input", str(calibrated), "--proxy-col", "proxy_cal", "--strata", "4",
                  "--budget", "40", "--strategy", "neyman", "--out", str(plan)]) == 0
     pool = ingest(calibrated, "accuracy")
+    loss = dict(zip(pool.ids, pool.loss.tolist()))
     rows = data_rows(plan / "worksheet.csv")
     ws = tmp_path / "ws.csv"
     ws.write_text(rows[0] + ",loss\r\n" + "".join(
-        f"{r},{float(pool.loss[pool.index_of(_worksheet_id(r))])!r}\r\n" for r in rows[1:]))
+        f"{r},{loss[_worksheet_id(r)]!r}\r\n" for r in rows[1:]))
     assert main(["estimate", "--input", str(calibrated), "--proxy-col", "proxy_cal",
                  "--worksheet", str(ws), "--out", str(est)]) == 0
     return {f"{d.name}/{p.name}": p.read_bytes() for d in (cal, plan, est) for p in d.iterdir()}

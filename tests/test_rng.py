@@ -1,17 +1,30 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import EDGE_SEEDS, srs_indices, stratified_slots
+from scipy import stats
+
+from oracles import (
+    EDGE_SEEDS,
+    GAMMA,
+    CounterStream,
+    bounded,
+    fold_key,
+    mix64,
+    srs_indices,
+    stratified_slots,
+    stream_word,
+)
 from strateval import simulate
 from strateval.estimators import stratified_estimate
 from strateval.errors import ParseError
 from strateval.rng import (
     SCHEME,
-    _jump_columns,
-    _pcg64_outputs,
-    _pcg64_words,
+    _bounded,
+    _mix64,
     _resolve,
     check_seed,
     derive_seed,
@@ -30,7 +43,7 @@ def draw(seed, n_population, n_sample):
 def test_scheme_tag_is_stable():
     # the tag names the reproducibility contract; changing it is a
     # breaking change for anyone relying on stored seeds
-    assert SCHEME == "pcg64-fy-v2"
+    assert SCHEME == "splitmix-fy-v3"
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -64,71 +77,72 @@ def test_a_seed_that_is_not_an_integer_is_refused(seed):
 
 
 @pytest.mark.parametrize("seed,want", [
-    (7, 16920295385781661272),
-    (np.int64(7), 16920295385781661272),
-    (7.0, 16920295385781661272),
-    (np.float32(7.0), 16920295385781661272),
-    (2**63 + 5, 9074091149795526953),
-    (np.uint64(2**63 + 5), 9074091149795526953),
+    (7, 13647215125184110592),
+    (np.int64(7), 13647215125184110592),
+    (7.0, 13647215125184110592),
+    (np.float32(7.0), 13647215125184110592),
+    (2**63 + 5, 1380322360509708497),
+    (np.uint64(2**63 + 5), 1380322360509708497),
 ], ids=["int", "numpy-int", "integral-float", "numpy-integral-float", "big-int", "numpy-uint"])
 def test_accepted_seeds_keep_their_bits(seed, want):
-    # the values derive_seed gave each of these before check_seed was tightened
+    # every accepted spelling of a seed derives what its int does
     assert derive_seed(seed) == want
 
 
-# -- the bulk derivation, word for word against live numpy ---------------------
+def test_scheme_pins_its_sub_seeds():
+    # literal values of the splitmix-fy-v3 fold: a change to the stream
+    # fails here, and has to bump SCHEME
+    assert derive_seed(0) == 10451216379200822465
+    assert derive_seed(2**140, 3) == 9098172664599996435
 
 
-def seed_sequence_word(*entropy):
-    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
+# -- the counter-based stream, against the plain-Python reference ----------------
 
 
-def test_derive_seeds_match_seed_sequence():
+def test_derive_seeds_match_the_reference_fold():
     rs = np.random.default_rng(0)
     keys = np.concatenate([
         np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64),
         rs.integers(0, 2**32, 700, dtype=np.uint64),
         rs.integers(0, 2**64 - 1, 700, dtype=np.uint64, endpoint=True),
     ])
-    for seed in EDGE_SEEDS:  # roots of one to five words
+    for seed in EDGE_SEEDS + (2**128 - 1, 2**128):  # roots of one to three limbs
         got = derive_seeds(seed, keys).tolist()
-        assert got == [seed_sequence_word(seed, k) for k in keys]
-    # several key columns, the later ones landing row by row
+        assert got == [fold_key(seed, k) for k in keys]
+    # several key columns, broadcast against a scalar one
     a, b = keys[:300], keys[300:600]
     got = derive_seeds(2**40 + 3, a, b, 7).tolist()
-    assert got == [seed_sequence_word(2**40 + 3, x, y, 7) for x, y in zip(a, b)]
-    assert derive_seed(2**200 + 1) == seed_sequence_word(2**200 + 1)
+    assert got == [fold_key(2**40 + 3, x, y, 7) for x, y in zip(a, b)]
+    assert derive_seed(2**200 + 1) == fold_key(2**200 + 1)
+    # a limb of the seed is not a key: the limb count starts the fold
+    assert derive_seed(5 + 2**64 * 9) != derive_seed(5, 9)
 
 
-def test_pcg64_outputs_match_numpy():
+def test_mix64_matches_the_reference():
     rs = np.random.default_rng(1)
-    seeds = np.concatenate([
+    z = np.concatenate([
         np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64),
-        rs.integers(0, 2**32, 4000, dtype=np.uint64),
-        rs.integers(0, 2**64 - 1, 6000, dtype=np.uint64, endpoint=True),
+        rs.integers(0, 2**64 - 1, 10_000, dtype=np.uint64, endpoint=True),
     ])
-    words = np.stack([seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)], axis=-1)
-    words = words.astype(np.uint32)[:, None, :]
-    out = _pcg64_outputs(words, np.zeros(3, dtype=np.int64), _jump_columns(np.arange(1, 4)))
-    assert out.tolist() == [np.random.PCG64(int(s)).random_raw(3).tolist() for s in seeds]
-    # far jumps: 300 words of a few streams, taken out of order
-    k = rs.permutation(np.arange(1, 301))
-    out = _pcg64_outputs(words[:8], np.zeros(300, dtype=np.int64), _jump_columns(k))
-    for s, row in zip(seeds[:8], out):
-        assert np.array_equal(row, np.random.PCG64(int(s)).random_raw(300)[k - 1])
+    want = [mix64(int(v)) for v in z]
+    assert _mix64(z.copy()).tolist() == want
 
 
-def test_stream_words_match_numpy_across_blocks():
-    # numpy's bounded draws take the low, then the high half of each output
-    # word; three blocks cross two block boundaries, for roots of one to
-    # five words
-    for seed in EDGE_SEEDS:
-        words = _pcg64_words(seed)
-        got = np.concatenate([next(words) for _ in range(3)])
-        raw = np.random.PCG64(seed).random_raw(got.size // 2)
-        want = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1).reshape(-1)
-        assert got.dtype == np.uint32
-        assert np.array_equal(got, want)
+def test_bounded_draws_match_the_reference_on_every_lane():
+    # a step's word on lane l is word l * 2**32 + step + 1 of its stream;
+    # spans just above 2**31 reject about half of all words, steps near
+    # 2**32 fill the counter's low half
+    rs = np.random.default_rng(3)
+    keys = rs.integers(0, 2**64 - 1, 4000, dtype=np.uint64, endpoint=True)
+    steps = np.concatenate([rs.integers(0, 2**32 - 1, 3990), np.arange(2**32 - 11, 2**32 - 1)])
+    spans = np.concatenate([rs.integers(1, 2**32, 2000), rs.integers(2**31, 2**31 + 9, 2000)])
+    for lane in range(4):
+        counters = (np.uint64(lane) << np.uint64(32)) + steps.astype(np.uint64) + np.uint64(1)
+        got = _bounded(keys + counters * np.uint64(GAMMA), spans.astype(np.uint64),
+                       (2**32 % spans).astype(np.uint64))
+        for k, c, span, g in zip(keys.tolist(), counters.tolist(), spans.tolist(), got.tolist()):
+            m = (stream_word(k, c) >> 32) * span
+            assert g == (-1 if m & 0xFFFFFFFF < 2**32 % span else m >> 32)
 
 
 # one output word, one short of a block, a block, one past it, three blocks and a part
@@ -145,9 +159,9 @@ def test_uniforms_are_numpys_random_on_any_seed_and_length(seed, n):
     assert np.array_equal(uniforms(seed, n), np.random.Generator(np.random.PCG64(seed)).random(n))
 
 
-def test_fisher_yates_matches_numpy_draws():
-    # every row equals stratum-by-stratum Generator.integers and the dict
-    # loop: edge sizes n_h = N_h, N_h = 1, n = 1 and empty strata included
+def test_fisher_yates_matches_the_reference_draws():
+    # every row equals the reference stream and the dict loop: edge sizes
+    # n_h = N_h, N_h = 1, n = 1 and empty strata included
     rs = np.random.default_rng(2)
     cases = [([1], [1]), ([5], [5]), ([7], [1]), ([1, 1, 3], [1, 1, 3]), ([4, 9], [0, 9])]
     cases.append(([6], [0]))
@@ -156,7 +170,7 @@ def test_fisher_yates_matches_numpy_draws():
         cases.append((sizes, [int(rs.integers(0, s + 1)) for s in sizes]))
     parents = np.concatenate([
         np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64),
-        rs.integers(0, 2**32, 3, dtype=np.uint64),  # parents below 2**32: one word
+        rs.integers(0, 2**32, 3, dtype=np.uint64),
         derive_seeds(5, np.arange(3)),
     ])
     for sizes, n_h in cases:
@@ -172,9 +186,9 @@ def test_fisher_yates_matches_numpy_draws():
 def test_fisher_yates_long_swap_chains():
     # census and near-census draws of up to 1024 units: half the steps take
     # from a position an earlier swap moved a unit into, and the longest
-    # carry chains run back 12 steps (in stratum 0 of these 50 rows).
-    # Seeded draws seldom chain much further, so the test below builds a
-    # chain through every step
+    # carry chains run back 12 to 15 steps in these 50 rows.  Seeded draws
+    # seldom chain much further, so the test below builds a chain through
+    # every step
     parents = derive_seeds(9, np.arange(50))
     cases = [([1024], [1024]), ([1024], [1023]), ([1000, 24], [999, 24]),
              ([3, 1024, 512], [3, 1023, 512]), ([700, 1, 300], [699, 1, 299])]
@@ -182,6 +196,19 @@ def test_fisher_yates_long_swap_chains():
         got = fisher_yates(parents, sizes, n_h)
         for seed, row in zip(parents, got):
             assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
+
+
+def test_every_ordering_of_six_is_equally_likely():
+    # a census draw of 6 is a uniform random permutation: chi-square over
+    # all 720 orderings, 72 draws each on average
+    reps = 720 * 72
+    rows = fisher_yates(derive_seeds(31, np.arange(reps)), [6], [6])
+    code = rows @ 6 ** np.arange(6)
+    orderings = np.array([p @ 6 ** np.arange(6) for p in permutations(range(6))])
+    assert np.isin(code, orderings).all()
+    counts = np.bincount(np.searchsorted(np.sort(orderings), code), minlength=720)
+    p = stats.chisquare(counts).pvalue
+    assert p > 0.001, f"ordering counts from {counts.min()} to {counts.max()} (p={p:.2e})"
 
 
 class GivenOffsets:
@@ -216,39 +243,34 @@ def test_resolve_follows_a_chain_through_every_step(n):
     assert got[0, -1] == 0
 
 
-def first_rejection(seed, h, size, k):
-    """The first of stream ``(seed, h)``'s ``k`` draws from ``size`` units
-    that Lemire's 32-bit method rejects, or ``k`` if none does."""
-    raw = np.random.PCG64(derive_seed(int(seed), h)).random_raw((k + 1) // 2)
-    u = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1)
-    u = u.reshape(-1)[:k]  # low half first
-    spans = np.arange(size, size - k, -1, dtype=np.uint64)
-    rejected = np.flatnonzero((u * spans & np.uint64(0xFFFFFFFF)) < (2**32 % spans))
-    return int(rejected[0]) if rejected.size else k
+def lanes(seed, h, size, k):
+    """The lane each of stream ``(seed, h)``'s first ``k`` draws from ``size``
+    units comes from: 0 unless Lemire's method rejects the step's word."""
+    key = fold_key(int(seed), h)
+    return [bounded(key, j, size - j)[1] for j in range(k)]
 
 
-def test_rejection_fallback_is_exact():
+def test_rejected_steps_are_redrawn_exactly():
     # spans just above 2**31 reject about half of all 32-bit words, so
-    # almost every stream is drawn again by Lemire's one-word redo
+    # almost every stream redraws a step on a later lane, some on several
     sizes, n_h = [2**31 + 5, 3 * 2**30], [9, 6]
     parents = derive_seeds(3, np.arange(60))
-    rejecting = sum(
-        first_rejection(seed, h, size, k) < k
-        for seed in parents for h, (size, k) in enumerate(zip(sizes, n_h))
-    )
-    assert rejecting > 100
+    used = [lanes(seed, h, size, k)
+            for seed in parents for h, (size, k) in enumerate(zip(sizes, n_h))]
+    assert sum(max(u) > 0 for u in used) > 100
+    assert max(max(u) for u in used) >= 4
     got = fisher_yates(parents, sizes, n_h)
     for seed, row in zip(parents, got):
         assert np.array_equal(row, stratified_slots(seed, sizes, n_h))
 
 
 def test_strata_of_2_32_and_more_units_are_refused():
-    # numpy draws a span of 2**32 or more by a 64-bit method, which this
-    # draw does not copy; no pool that large can be held in memory
+    # a span must fit Lemire's 32-bit draw and a step the low half of a
+    # word's counter; no pool that large can be held in memory
     for sizes, n_h in [([2**32, 40], [4, 5]), ([40, 2**32 + 5], [5, 0])]:
         with pytest.raises(ValueError, match="a stratum of 2\\*\\*32 or more units"):
             fisher_yates(6, sizes, n_h)
-    # the largest stratum it draws still matches numpy
+    # the largest stratum it draws still matches the reference
     sizes, n_h = [2**32 - 1, 40], [4, 5]
     for seed in derive_seeds(6, np.arange(5)):
         assert np.array_equal(fisher_yates(seed, sizes, n_h)[0], stratified_slots(seed, sizes, n_h))
@@ -273,15 +295,19 @@ def test_draws_extend_by_prefix():
         seeds = derive_seeds(trial, np.arange(3))
         whole = fisher_yates(seeds, sizes, a + b)
         assert np.array_equal(whole[:, prefix_columns(a, a + b)], fisher_yates(seeds, sizes, a))
-    # stratum 1's whole draw rejects a 32-bit word past its prefix, so the
-    # whole draw takes numpy's Generator.integers path and the prefix does not
+    # stratum 1's whole draw rejects steps past its prefix, which are
+    # redrawn on later lanes of their own step: the prefix does not move
     sizes, a, b = [40, 2**31 + 5, 7], np.array([3, 4, 2]), np.array([10, 8, 0])
     seed = next(s for s in derive_seeds(11, np.arange(100))
-                if 4 <= first_rejection(s, 1, sizes[1], 12) < 12)
+                if max(lanes(s, 1, sizes[1], 4)) == 0 < max(lanes(s, 1, sizes[1], 12)[4:]))
     whole = fisher_yates(np.array([seed]), sizes, a + b)
     assert np.array_equal(whole[:, prefix_columns(a, a + b)],
                           fisher_yates(np.array([seed]), sizes, a))
     assert np.array_equal(whole[0], stratified_slots(seed, sizes, a + b))
+    # and on a stream whose prefix itself rejects
+    seed = next(s for s in derive_seeds(12, np.arange(100)) if max(lanes(s, 1, sizes[1], 4)) > 0)
+    whole = fisher_yates(seed, sizes, a + b)
+    assert np.array_equal(whole[:, prefix_columns(a, a + b)], fisher_yates(seed, sizes, a))
 
 
 def test_run_mc_batches_straddle_chunk_boundaries(monkeypatch):
@@ -322,8 +348,7 @@ def test_srs_indices_deterministic():
     c = draw(22, 50, 7)
     assert not np.array_equal(a, c)
     # the reference loop on the same stream agrees
-    stream = np.random.Generator(np.random.PCG64(derive_seed(21, 0)))
-    assert np.array_equal(a, srs_indices(stream, 50, 7))
+    assert np.array_equal(a, srs_indices(CounterStream(derive_seed(21, 0)), 50, 7))
 
 
 def test_srs_indices_edge_sizes():

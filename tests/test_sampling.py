@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import srs_indices
+from oracles import CounterStream, srs_indices
 from strateval.dataset import Population
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
 from strateval.losses import LossKind
@@ -92,8 +92,7 @@ def test_ssrs_single_stratum_matches_srs_substream():
     pop = make_pop(50)
     part = StrataPartition(np.zeros(50, dtype=np.int64), 1)
     a = draw_ssrs(pop, part, np.array([12]), seed=99)
-    stream = np.random.Generator(np.random.PCG64(derive_seed(99, 0)))
-    assert np.array_equal(a.indices, srs_indices(stream, 50, 12))
+    assert np.array_equal(a.indices, srs_indices(CounterStream(derive_seed(99, 0)), 50, 12))
     assert a.ids == tuple(pop.ids[i] for i in a.indices)
     assert np.all(a.pi == 12 / 50)
 
