@@ -48,7 +48,7 @@ def split_half(pop: Population, seed: int) -> tuple[Population, Population]:
     # units at the cut fill the slots left, the earliest first
     in_ev[np.flatnonzero(u == cut)[: k - np.count_nonzero(in_ev)]] = True
     del u
-    return pop.take(np.flatnonzero(~in_ev)), pop.take(np.flatnonzero(in_ev))
+    return pop.take(~in_ev), pop.take(in_ev)
 
 
 @dataclass

@@ -12,7 +12,10 @@ JSONL with the same field names.  A class-score sidecar (JSONL records
 predictive distributions.  An unknown column or field is a parse error in
 all three.  They are read through the one table reader in
 :mod:`strateval.tables`, which owns the rules for ``#`` comment lines,
-physical line numbers in errors, and ids.
+physical line numbers in errors, and ids.  A population's ids are one
+:class:`strateval.tables.Ids` column, UTF-8 bytes and their offsets,
+built a batch of records at a time: the pool never holds a ``str`` per
+unit.
 """
 
 from __future__ import annotations
@@ -72,8 +75,10 @@ class Population:
 
     Attributes
     ----------
-    ids : tuple of str
-        Unit identifiers in canonical (file) order.
+    ids : tables.Ids
+        Unit identifiers in canonical (file) order: a read-only sequence of
+        ``str`` held as one UTF-8 byte array and its offsets, not a ``str``
+        per unit.  Any sequence of ``str`` given here is encoded into one.
     proxy : ndarray
         Designated per-unit proxy value (predicted loss scale).
     loss : ndarray
@@ -87,7 +92,7 @@ class Population:
         sidecar has no record for unit ``i``).
     """
 
-    ids: tuple[str, ...]
+    ids: tables.Ids
     proxy: np.ndarray
     loss: np.ndarray
     loss_kind: LossKind
@@ -100,6 +105,7 @@ class Population:
     _ids_unique: InitVar[bool] = False
 
     def __post_init__(self, _ids_unique):
+        self.ids = tables.Ids.of(self.ids)
         self.proxy = np.asarray(self.proxy, dtype=float)
         self.loss = np.asarray(self.loss, dtype=float)
         n = len(self.ids)
@@ -142,11 +148,14 @@ class Population:
         return float(np.mean(self.loss))
 
     def take(self, indices) -> "Population":
-        """Sub-population at ``indices`` (order preserved as given)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        # nonnegative and strictly increasing (as split_half's halves are) is distinct
+        """Sub-population at ``indices``: positions (order preserved as given), or
+        a boolean mask of the pool's length, which holds less than its positions."""
+        idx = np.asarray(indices)
+        if idx.dtype != bool:
+            idx = idx.astype(np.int64, copy=False)
+        # a mask, or nonnegative and strictly increasing positions, is distinct
         # without a pool-length count
-        distinct = (((idx[:1] >= 0).all() and (idx[1:] > idx[:-1]).all())
+        distinct = (idx.dtype == bool or ((idx[:1] >= 0).all() and (idx[1:] > idx[:-1]).all())
                     or (np.bincount(idx % max(self.size, 1)) <= 1).all())
 
         def pick(arr):
@@ -154,8 +163,7 @@ class Population:
 
         return replace(
             self,
-            # gathered as object references: no Python int per index
-            ids=tuple(np.fromiter(self.ids, object, self.size)[idx].tolist()),
+            ids=self.ids.take(idx),
             proxy=self.proxy[idx],
             loss=self.loss[idx],
             proxy_cal=pick(self.proxy_cal),
@@ -191,10 +199,10 @@ _POOL_FIELDS = ("id", "proxy", "proxy_cal", "loss")
 _SIDECAR_FIELDS = ("id", "label", "scores")
 
 
-def _population(kind: LossKind, where: tables.Where, uids: tuple[str, ...], number, optional,
+def _population(kind: LossKind, where: tables.Where, uids: tables.Ids, number, optional,
                 has_cal: bool) -> Population:
-    """Convert and range-check the columns of a pool file, column by column,
-    after its ids passed :func:`tables.ids`.
+    """Range-check the converted columns of a pool file, column by column,
+    after its ids passed the id rule and the repeat test.
 
     ``number(col)`` gives a converted column and ``optional(col)`` the
     values and the present-mask of the ``loss`` column, where "not
@@ -210,18 +218,17 @@ def _population(kind: LossKind, where: tables.Where, uids: tuple[str, ...], numb
         at = np.flatnonzero(present)
         check_losses(kind, losses[at], lambda j: where(int(at[j])))
     return Population(ids=uids, proxy=proxy, loss=losses, loss_kind=kind, proxy_cal=proxy_cal,
-                      _ids_unique=True)  # tables.ids refused a repeat, naming its line
+                      _ids_unique=True)  # the id column refused a repeat, naming its line
 
 
 def _ingest_csv(path: Path, kind: LossKind) -> Population:
     """Read a CSV pool; its numeric columns are converted a batch of lines at a time."""
-    t = tables.read_csv(path, floats=("proxy", "proxy_cal"), optional=("loss",))
+    t = tables.read_csv(path, ids="id", floats=("proxy", "proxy_cal"), optional=("loss",))
     for h in t.header:
         if h not in _POOL_FIELDS:
             raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
     t.require("id", "proxy")
-    uids = tables.ids(t.columns.pop("id"), t.where)  # handed over: freed once the ids are made
-    return _population(kind, t.where, uids, t.numbers, t.optional_numbers,
+    return _population(kind, t.where, t.ids(), t.numbers, t.optional_numbers,
                        "proxy_cal" in t.header)
 
 
@@ -273,14 +280,19 @@ def _name_bad_pool_record(path: Path, linenos: list[int], recs: list,
 
 
 def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
-    """Read a JSONL pool a batch of records at a time, each field gathered as one list.
+    """Read a JSONL pool a batch of records at a time, each field taken in as one column.
 
     A batch is tested as a whole; only when that fails are its records
-    checked one by one, to name the first bad one.  The fields are
-    converted after the last record, column by column, as for CSV.
+    checked one by one, to name the first bad one.  Its ids and numeric
+    fields are then taken in, a column at a time, as for CSV: the first
+    error of each column is kept, and raised after the last record, in
+    the order the columns are checked.
     """
-    linenos: list[int] = []
-    ids, proxy, proxy_cal, loss = [], [], [], []
+    linenos: list[np.ndarray] = []
+    uids = tables.IdColumn()
+    columns = {"proxy": tables.Converted("proxy", tables.json_numbers),
+               "proxy_cal": tables.Converted("proxy_cal", tables.json_numbers),
+               "loss": tables.Converted("loss", tables.optional_json_numbers)}
     has_cal = None  # set from the file's first record; every record must match it
     for lines, recs in tables.read_jsonl(path):
         if not recs:
@@ -289,23 +301,27 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
             has_cal = "proxy_cal" in recs[0]
         if has_cal is None or not _layout_ok(recs, has_cal):
             _name_bad_pool_record(path, lines, recs, has_cal)
-        linenos += lines
-        ids += map(itemgetter("id"), recs)
-        proxy += map(itemgetter("proxy"), recs)
-        loss += map(dict.get, recs, repeat("loss"))
+
+        def at(i: int, lines=lines) -> str:
+            return f"{path} line {lines[i]}"
+
+        linenos.append(np.array(lines, dtype=np.int64))
+        uids.add(list(map(itemgetter("id"), recs)), at)
+        columns["proxy"].add(list(map(itemgetter("proxy"), recs)), at)
+        columns["loss"].add(list(map(dict.get, recs, repeat("loss"))), at)
         if has_cal:
-            proxy_cal += map(itemgetter("proxy_cal"), recs)
+            columns["proxy_cal"].add(list(map(itemgetter("proxy_cal"), recs)), at)
     if not linenos:
         raise ParseError(f"{path}: no data rows")
+    lines, linenos = np.concatenate(linenos), []
 
     def where(i: int) -> str:
-        return f"{path} line {linenos[i]}"
+        return f"{path} line {lines[i]}"
 
-    fields = {"proxy": proxy, "proxy_cal": proxy_cal, "loss": loss}
-    return _population(kind, where, tables.ids(ids, where),
-                       lambda col: tables.json_numbers(fields[col], col, where),
-                       lambda col: tables.optional_json_numbers(fields[col], col, where),
-                       bool(has_cal))
+    def converted(col: str):
+        return columns[col].values()
+
+    return _population(kind, where, uids.ids(where), converted, converted, bool(has_cal))
 
 
 def ingest(path, kind: LossKind | str, scores_path=None) -> Population:

@@ -92,17 +92,38 @@ def conditional_moments(kind: LossKind | str, scores):
     """
     kind = LossKind(kind)
     scores = _check_scores(scores)
+    rows = np.atleast_2d(scores)  # a vector is one row
     if kind is LossKind.ACCURACY:
         # Z is an indicator, so Z^2 = Z and both moments equal the
         # score of the predicted class.
-        zbar = z2bar = scores.max(axis=-1)
+        zbar = z2bar = rows.max(axis=-1)
     else:
-        if kind is LossKind.SQUARED_ERROR:
-            per_class = (1.0 - scores) ** 2
-        else:
-            per_class = -np.log(np.maximum(scores, SCORE_FLOOR))
-        zbar = (scores * per_class).sum(axis=-1)
-        z2bar = (scores * per_class**2).sum(axis=-1)
+        zbar, z2bar = np.empty(rows.shape[0]), np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], _MOMENT_ROWS):
+            block = slice(start, start + _MOMENT_ROWS)
+            zbar[block], z2bar[block] = _block_moments(kind, rows[block])
     if scores.ndim == 1:
-        return float(zbar), float(z2bar)
+        return float(zbar[0]), float(z2bar[0])
     return zbar, z2bar
+
+
+# score rows per block of conditional_moments: bounds its temporaries to two
+# blocks, where whole-matrix arithmetic held several (N, K) arrays at once
+_MOMENT_ROWS = 4096
+
+
+def _block_moments(kind: LossKind, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(zbar, z2bar)`` of a block of score rows, the per-class losses and
+    their products with the scores computed in place."""
+    if kind is LossKind.SQUARED_ERROR:
+        per_class = 1.0 - s
+        per_class *= per_class
+    else:
+        per_class = np.maximum(s, SCORE_FLOOR)
+        np.log(per_class, out=per_class)
+        np.negative(per_class, out=per_class)
+    t = s * per_class
+    zbar = t.sum(axis=-1)
+    per_class *= per_class
+    np.multiply(s, per_class, out=t)
+    return zbar, t.sum(axis=-1)

@@ -12,6 +12,7 @@ reader in :mod:`strateval.tables`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,7 +32,7 @@ class SampleDraw:
     """Result of one sampling pass: who to annotate, with what weight."""
 
     indices: np.ndarray  # canonical-order unit positions, selection order
-    ids: tuple[str, ...]
+    ids: Sequence[str]  # the pool's ids at ``indices``
     strata: np.ndarray  # stratum label per sampled unit
     pi: np.ndarray  # inclusion probability per sampled unit
 
@@ -82,7 +83,7 @@ def draw_ssrs(pop: Population, partition: StrataPartition, n_h, seed: int) -> Sa
     idx = stratified_indices(partition, n_h, int(seed))[0]
     return SampleDraw(
         indices=idx,
-        ids=tuple(pop.ids[i] for i in idx),
+        ids=pop.ids.take(idx),
         strata=np.repeat(np.arange(partition.n_strata), n_h),
         pi=np.repeat(n_h / sizes, n_h),
     )
@@ -104,7 +105,7 @@ def worksheet_table(draw: SampleDraw) -> tuple[list[str], list]:
 class Worksheet:
     """Re-ingested worksheet, losses possibly filled in by the annotator."""
 
-    ids: tuple[str, ...]
+    ids: tables.Ids
     strata: np.ndarray
     pi: np.ndarray
     loss: np.ndarray  # NaN where still unlabeled
@@ -112,9 +113,9 @@ class Worksheet:
 
 
 def load_worksheet(path) -> Worksheet:
-    t = tables.read_csv(path, floats=("pi",), ints=("stratum",), optional=("loss",))
+    t = tables.read_csv(path, ids="id", floats=("pi",), ints=("stratum",), optional=("loss",))
     t.require("id", "stratum", "pi")
-    ids = tables.ids(t.columns["id"], t.where)
+    ids = t.ids()
     strata = t.numbers("stratum")
     pi = t.numbers("pi")
     tables.check((pi > 0) & (pi <= 1), t.where, lambda i: f"pi {float(pi[i])!r} outside (0, 1]")

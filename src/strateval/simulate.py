@@ -64,6 +64,7 @@ from .losses import LossKind
 from .rng import check_seed, derive_seeds, uniforms
 from .sampling import stratified_indices
 from .stratify import StrataPartition
+from .tables import Ids
 
 # the params each family reads; any other key is refused
 FAMILY_PARAMS = {
@@ -203,14 +204,26 @@ def generate(spec: SuperpopSpec) -> Population:
     proxy = p
     if spec.family == "miscalibrated":
         proxy = np.clip(params["slope"] * p + params["offset"], 0.0, 1.0)
-    width = len(str(n - 1))
     return Population(
-        ids=tuple(map(f"u%0{width}d".__mod__, range(n))),
+        ids=_unit_ids(n),
         proxy=np.asarray(proxy, dtype=float),
         loss=loss.astype(float),
         loss_kind=LossKind.ACCURACY,
         _ids_unique=True,  # distinct by construction
     )
+
+
+def _unit_ids(n: int) -> Ids:
+    """The ids ``u0…``, ``u1…``, … of ``n`` units, zero-padded to one width,
+    written as bytes digit by digit: no ``str`` per unit."""
+    width = len(str(n - 1))
+    cells = np.empty((n, width + 2), dtype=np.uint8)  # "u", the digits, a line feed
+    cells[:, 0], cells[:, -1] = ord("u"), ord("\n")
+    rest = np.arange(n)
+    for j in range(width, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        cells[:, j] = digit + ord("0")
+    return Ids(cells.reshape(-1), np.arange(n + 1, dtype=np.int64) * (width + 2))
 
 
 @dataclass

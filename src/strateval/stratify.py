@@ -199,7 +199,13 @@ def equal_width_bins(values, n_strata: int) -> StrataPartition:
                 f"all values identical: {n_strata} bins collapsed to 1 stratum"
             )
         return part
-    edges = np.linspace(lo, hi, n_strata + 1)
+    if math.isfinite(hi - lo):
+        edges = np.linspace(lo, hi, n_strata + 1)
+    else:
+        # the span overflows: cut a quarter of it, where linspace's products
+        # stay finite too, and scale the edges back by four, exactly (no
+        # value this large is subnormal); the values are compared unscaled
+        edges = np.ldexp(np.linspace(lo / 4, hi / 4, n_strata + 1), 2)
     raw = np.searchsorted(edges[1:-1], values, side="right")
     # merge empty bins rightward = drop unused labels, keep order
     used, assignment = np.unique(raw, return_inverse=True)

@@ -15,9 +15,11 @@ step:
 * an id is stripped of surrounding whitespace and must then be nonempty,
   must not start with ``#`` and must not contain a line break: exactly
   the ids that come back unchanged when :func:`write_csv` writes them and
-  :func:`read_csv` reads them.  Readers apply this rule through
-  :func:`ids`, which also refuses a repeated id, and writers of id
-  columns through :func:`writable_ids`;
+  :func:`read_csv` reads them.  :mod:`strateval.idcolumn` holds this
+  rule and the id column (:class:`Ids`), and this module re-exports
+  them: readers apply the rule through :class:`IdColumn` (:func:`ids`
+  for a list of cells), which also refuses a repeated id, and writers of
+  id columns through :func:`writable_ids`;
 * a NaN of a float column is written as a blank cell, which an optional
   column reads back as NaN: "no value yet", such as a loss not annotated.
 
@@ -34,33 +36,40 @@ commas, and each column is sliced out of its cells; from the first slice
 that has one, the ``csv`` module reads the rest of the file line by
 line.  The split is only a faster way to the same table.  The numeric
 columns a caller names are converted by numpy a slice at a time, before
-the next slice is split, so only the text columns (the ids) and one
-slice's cells are ever held as ``str``; cells are scanned one by one
-only when a slice's column fails, to name the line.  A bad byte is
-raised when its slice is decoded, a field too long for the ``csv``
-module once the rest of the file has decoded, and every other error
-waits until the whole file is read, so the error that wins does not
-depend on the slices.  The ids are tested against the id rule 4096 at a
-time, and for a repeat by sorting their hashes, 8 bytes an id where a
-set of them takes about 40; only equal hashes make the reader walk the
-ids to name the repeat.  :func:`write_csv` writes 4096 rows at a time,
-and formats each distinct number of a batch's numeric column once.  On a
-2-core host, ``ingest`` of an ``id,proxy,loss`` CSV costs about
-1.2-1.6 µs per row and writing ``calibrated.csv`` about 1.1-1.8 µs per
-row, most of it the ``repr`` of the raw proxy, whose values are nearly
-all distinct; ``calibrate`` on a 10⁵-row pool peaks at 50 MB resident
-(53 MB when the file was decoded whole and the ids tested with a set,
-76 MB when the file was also read and written whole).
+the next slice is split, and the id column is built the same way: each
+slice's ids are stripped, tested against the id rule, hashed for the
+repeat test and encoded, and their ``str`` objects dropped.  So only one
+slice's cells are ever held as ``str``; cells are scanned one by one only
+when a slice's column fails, to name the line.  A bad byte is raised when
+its slice is decoded, a field too long for the ``csv`` module once the
+rest of the file has decoded, and every other error waits until the
+whole file is read, so the error that wins does not depend on the
+slices.
+
+:func:`write_csv` writes 4096 rows at a time, decoding an id column's
+rows as it writes them (:func:`writable_ids` tests them first, decoded
+the same way), and formats each distinct number of a batch's numeric
+column once.  On a 2-core host, ``ingest`` of an ``id,proxy,loss`` CSV
+costs about 0.8-1.6 µs per row and writing
+``calibrated.csv`` about 1.1-1.8 µs per row, most of it the ``repr`` of
+the raw proxy, whose values are nearly all distinct.  ``ingest`` of a
+10⁵-row pool peaks at 5.9 MB of traced allocations and keeps 3.2 MB (10.0
+and 8.0 MB with the ids as a tuple of str); ``calibrate`` on a 10⁵-row
+pool peaks at 39 MB resident (44 MB with the ids as a tuple
+of str, 53 MB when the file was decoded whole and the ids tested with a
+set, 76 MB when the file was also read and written whole), and ``plan``
+on a 10⁶-row pool at 137 MB (178 MB with the ids as a tuple of str).
 
 JSONL files are read column first too, in bounded batches:
 :func:`read_jsonl` yields the records of about 64 KiB of lines at a time,
 each decoded by the C scanner that ``json.loads`` runs, and its callers
-test a whole batch at once and gather each field as one list, which
-:func:`json_numbers` converts in one numpy call (class scores a batch at
-a time).  A JSON number field must hold a JSON number, not a string or a
-bool.  On a 2-core host this costs
-about 3 µs per record of an ``id,proxy,loss`` pool and about 7.5 µs per
-record of a 10-class score sidecar (7 and 11 µs read record by record).
+test a whole batch at once and take each field into its column a batch
+at a time: :func:`json_numbers` converts a batch of a numeric field in one
+numpy call, and a pool's ids go into an :class:`IdColumn` as a CSV
+file's do.  A JSON number field must hold a JSON number, not a string or
+a bool.  On a 2-core host this costs about 2-3 µs per record of an
+``id,proxy,loss`` pool and about 7.5 µs per record of a 10-class score
+sidecar (7 and 11 µs read record by record).
 """
 
 from __future__ import annotations
@@ -71,16 +80,18 @@ import json
 import json.scanner
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError, PreconditionError
-
-Where = Callable[[int], str]
+from .errors import ParseError
+# the id column's names, part of this module's interface
+from .idcolumn import IdColumn, Ids, Where, ids, may_repeat, writable_ids  # noqa: F401
 
 
 def _content(line: str) -> bool:
@@ -197,9 +208,10 @@ class CsvTable:
 
     ``header`` holds the stripped column names, ``lines[i]`` the physical
     line of data row ``i`` and ``columns[name]`` the raw text cells, in row
-    order, of each column not read as numbers.  A numeric column was
-    converted a batch at a time; :meth:`numbers` returns it, or raises the
-    error of its first cell that did not convert.
+    order, of each column not read as numbers or ids.  A numeric column
+    was converted a batch at a time; :meth:`numbers` returns it, or raises
+    the error of its first cell that did not convert.  The id column was
+    built a batch at a time too; :meth:`ids` returns it.
     """
 
     path: Path
@@ -207,8 +219,8 @@ class CsvTable:
     header_line: int
     lines: np.ndarray
     columns: dict[str, list[str]]
-    converted: dict[str, np.ndarray | ParseError]
-    present: dict[str, np.ndarray]  # of each optional column: the cells that hold a value
+    converted: dict[str, Converted]
+    id_column: IdColumn | None
 
     def where(self, i: int) -> str:
         return f"{self.path} line {self.lines[i]}"
@@ -220,32 +232,35 @@ class CsvTable:
 
     def numbers(self, name: str) -> np.ndarray:
         """A numeric column, converted as :func:`numbers` converts it."""
-        values = self.converted[name]
-        if isinstance(values, ParseError):
-            raise values
-        return values
+        return self.converted[name].values()
 
     def optional_numbers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """An optional column as :func:`optional_numbers` returns it; a file without
         the column has no value in any row."""
         if name not in self.converted:
             return np.full(self.lines.size, np.nan), np.zeros(self.lines.size, dtype=bool)
-        return self.numbers(name), self.present[name]
+        return self.converted[name].values()
+
+    def ids(self) -> Ids:
+        """The id column as :func:`ids` makes it, or the error of its first bad or repeated id."""
+        return self.id_column.ids(self.where)
 
 
-def read_csv(path, *, floats: Iterable[str] = (), ints: Iterable[str] = (),
-             optional: Iterable[str] = ()) -> CsvTable:
+def read_csv(path, *, ids: str | None = None, floats: Iterable[str] = (),
+             ints: Iterable[str] = (), optional: Iterable[str] = ()) -> CsvTable:
     """Read a CSV table: header, then rows of exactly the header's width.
 
+    The column named ``ids`` is read as unit ids (:meth:`CsvTable.ids`).
     The columns named in ``floats`` and ``ints`` are converted to float
     and int64 arrays, and those in ``optional`` to floats whose blank
-    cells mean "no value"; each is converted a batch of lines at a time,
-    before the next batch is split.  Every other column is kept as text.
+    cells mean "no value"; each of these is built a batch of lines at a
+    time, before the next batch is split.  Every other column is kept as
+    text.
     """
     path = Path(path)
-    table = _Rows(path, {**dict.fromkeys(floats, (float, False)),
-                         **dict.fromkeys(ints, (np.int64, False)),
-                         **dict.fromkeys(optional, (float, True))})
+    table = _Rows(path, ids, {**dict.fromkeys(floats, numbers),
+                              **dict.fromkeys(ints, partial(numbers, dtype=np.int64)),
+                              **dict.fromkeys(optional, optional_numbers)})
     with _open(path, binary=True) as f:
         slices = _decoded(path, f)
         first = 1  # physical line number of the slice's first line
@@ -334,18 +349,21 @@ class _Rows:
     """The rows of a CSV file as they are read, a batch at a time.
 
     The file's first row is its header.  Each later batch of rows is cut
-    into columns, and each numeric column of the batch is converted at
-    once, before the next batch is read.  An error found on the way waits
-    until the whole file is read, so that the error that wins does not
-    depend on the batches: no header, repeated column, no data rows,
-    ragged row, then the conversions, in the order a caller asks for the
-    columns (:meth:`CsvTable.numbers`).  A field too long for the csv
-    module comes first of all; it is raised where it is read.
+    into columns, and the batch's id cells and each of its numeric
+    columns are taken in at once (:class:`IdColumn`, :class:`Converted`),
+    before the next batch is read.  An error found on the way waits until
+    the whole file is read, so that the error that wins does not depend on
+    the batches: no header, repeated column, no data rows, ragged row,
+    then the ids and the conversions, in the order a caller asks for the
+    columns (:meth:`CsvTable.ids`, :meth:`CsvTable.numbers`).  A field too
+    long for the csv module comes first of all; it is raised where it is
+    read.
     """
 
-    def __init__(self, path: Path, numeric: dict[str, tuple[type, bool]]):
+    def __init__(self, path: Path, ids: str | None, numeric: dict[str, Callable]):
         self.path = path
-        self.numeric = numeric  # name -> (dtype, whether blank cells mean "no value")
+        self.id_name = ids
+        self.numeric = numeric  # name -> converter, (cells, col, where) -> the converted cells
         self.header: list[str] | None = None
         self.header_line = 0
         self.rows = 0  # data rows read
@@ -353,8 +371,8 @@ class _Rows:
         self.refused = False  # the header repeats a name, or a row was ragged
         self.lines: list[np.ndarray] = []
         self.text: dict[str, list[str]] = {}
-        self.parts: dict[str, list[np.ndarray] | ParseError] = {}
-        self.present: dict[str, list[np.ndarray]] = {}
+        self.converted: dict[str, Converted] = {}
+        self.id_column: IdColumn | None = None
 
     def _start(self, cells: list[str], line: int) -> None:
         """Take the file's first row as its header."""
@@ -362,12 +380,12 @@ class _Rows:
         self.header_line = int(line)
         self.refused = len(set(self.header)) < len(self.header)
         for name in self.header:
-            if name not in self.numeric:
+            if name == self.id_name:
+                self.id_column = IdColumn()
+            elif name in self.numeric:
+                self.converted[name] = Converted(name, self.numeric[name])
+            else:
                 self.text[name] = []
-                continue
-            self.parts[name] = []
-            if self.numeric[name][1]:
-                self.present[name] = []
 
     def _counted(self, rows: list) -> bool:
         """Count a batch's data rows; whether they are to be kept.  Once the header
@@ -405,32 +423,19 @@ class _Rows:
         self._keep(linenos, list(map(list, zip(*rows))))
 
     def _keep(self, linenos: np.ndarray, columns: list[list[str]]) -> None:
-        """Keep a batch's text columns and convert its numeric ones.
-
-        A numeric column that fails keeps the error of its first bad cell
-        and is not converted further: every earlier batch converted.
-        """
+        """Keep a batch's text columns and take in its ids and numeric columns."""
         self.lines.append(linenos)
 
         def where(i: int) -> str:
             return f"{self.path} line {linenos[i]}"
 
         for name, cells in zip(self.header, columns):
-            parts = self.parts.get(name)
             if name in self.text:
                 self.text[name] += cells
-            elif not isinstance(parts, ParseError):
-                dtype, blanks = self.numeric[name]
-                try:
-                    if blanks:
-                        values, present = optional_numbers(cells, name, where)
-                        self.present[name].append(present)
-                    else:
-                        values = numbers(cells, name, where, dtype)
-                except ParseError as e:
-                    self.parts[name] = e
-                    continue
-                parts.append(values)
+            elif name == self.id_name:
+                self.id_column.add(cells, where)
+            else:
+                self.converted[name].add(cells, where)
 
     def table(self) -> CsvTable:
         """The table read, or the first of its errors."""
@@ -445,86 +450,43 @@ class _Rows:
         if self.ragged is not None:
             line, got = self.ragged
             raise ParseError(f"{path} line {line}: expected {len(header)} fields, got {got}")
-        # each column's parts are released as it is joined, so no two copies of all are alive
         lines, self.lines = np.concatenate(self.lines), []
-        converted = {name: _joined(self.parts.pop(name)) for name in list(self.parts)}
-        present = {name: _joined(self.present.pop(name)) for name in list(self.present)
-                   if not isinstance(converted[name], ParseError)}
-        return CsvTable(path, header, self.header_line, lines, self.text, converted, present)
+        return CsvTable(path, header, self.header_line, lines, self.text, self.converted,
+                        self.id_column)
 
 
-def _joined(parts: list[np.ndarray] | ParseError) -> np.ndarray | ParseError:
-    """A column's converted parts as one array; a column that failed keeps its error."""
-    return parts if isinstance(parts, ParseError) else np.concatenate(parts)
+class Converted:
+    """A column converted a batch of cells at a time, by ``convert(cells, name, where)``.
 
-
-# ids per batch of the id rule's test: bounds the joined text alive at once
-_ID_BATCH = 4096
-
-
-def _first_unreadable(uids: Sequence[str], stripped: bool) -> int:
-    """Position of the first id that would not come back unchanged from a file, or -1.
-
-    The ids are tested ``_ID_BATCH`` at a time, each batch at once, with
-    the test for surrounding whitespace left out when the ids were
-    ``stripped`` already; a batch's ids are walked one by one only when
-    its test fails, to find the first bad one.
+    A batch that fails makes the error of its first bad cell the column's
+    outcome, and no later batch is converted: every earlier batch
+    converted, so that cell is the column's first bad one.
     """
-    for start in range(0, len(uids), _ID_BATCH):
-        batch = uids[start:start + _ID_BATCH]
-        text = "\n".join(batch)
-        if (all(batch) and text.count("\n") == len(batch) - 1 and "\r" not in text
-                and text[:1] != "#" and "\n#" not in text
-                and (stripped or tuple(map(str.strip, batch)) == tuple(batch))):
-            continue
-        for i, uid in enumerate(batch, start):
-            if not uid or uid[0] == "#" or uid != uid.strip() or "\n" in uid or "\r" in uid:
-                return i
-    return -1
 
+    def __init__(self, name: str, convert: Callable):
+        self.name, self.convert = name, convert
+        self.parts: list = []
+        self.outcome: np.ndarray | tuple[np.ndarray, np.ndarray] | ParseError | None = None
 
-def may_repeat(uids: Sequence) -> bool:
-    """Whether two of ``uids`` may be equal: two of their hashes are.
+    def add(self, cells: Sequence, where: Where) -> None:
+        """Convert a batch of cells; ``where(i)`` names the place of ``cells[i]``."""
+        if self.outcome is None:
+            try:
+                self.parts.append(self.convert(cells, self.name, where))
+            except ParseError as e:
+                self.outcome, self.parts = e, []
 
-    The hashes are sorted in one int64 array, 8 bytes an id, where a set
-    of the ids would take about 40.  A caller that gets True walks the ids
-    to name the repeat, so equal hashes of distinct ids cost time, never a
-    wrong answer.
-    """
-    hashes = np.fromiter(map(hash, uids), np.int64, len(uids))
-    hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any())
-
-
-_ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a line break"
-
-
-def ids(cells: Sequence[str], where: Where) -> tuple[str, ...]:
-    """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique.
-
-    A cell list the caller hands over, holding no other reference to it,
-    is freed once the ids are made, before the repeat test.
-    """
-    out = tuple(map(str.strip, cells))
-    del cells
-    i = _first_unreadable(out, stripped=True)
-    if i >= 0:
-        raise ParseError(f"{where(i)}: bad id {out[i]!r} ({_ID_RULE})")
-    if may_repeat(out):
-        first: dict[str, int] = {}
-        for i, uid in enumerate(out):
-            if first.setdefault(uid, i) != i:
-                raise ParseError(f"{where(i)}: duplicate id {uid!r}")
-    return out
-
-
-def writable_ids(uids: Sequence[str]) -> Sequence[str]:
-    """Ids about to be written, refused if one would not read back unchanged."""
-    i = _first_unreadable(uids, stripped=False)
-    if i >= 0:
-        raise PreconditionError(f"cannot write id {uids[i]!r}: it would not read back "
-                                f"({_ID_RULE}, and must have no surrounding whitespace)")
-    return uids
+    def values(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """The converted column -- its values, with their present-mask when
+        ``convert`` gives one -- or the error of its first bad cell.  The
+        parts are released as they are joined."""
+        if self.outcome is None:
+            parts, self.parts = self.parts, []
+            self.outcome = (tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple)
+                            else np.concatenate(parts))
+        if isinstance(self.outcome, ParseError):
+            raise self.outcome
+        return self.outcome
 
 
 def numbers(cells: Sequence[str], col: str, where: Where, dtype=float) -> np.ndarray:
@@ -652,7 +614,10 @@ def _csv_chunks(header: Sequence[str], columns) -> Iterator[str]:
     for start in range(0, max(map(len, columns), default=0), _CSV_WRITE_ROWS):
         rows = slice(start, start + _CSV_WRITE_ROWS)
         cells = [_batch_cells(column, rows) for column in columns]
-        yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+        lines = list(map(",".join, zip(*cells, strict=True)))
+        del cells  # released before the text is joined
+        lines.append("")  # the line feed that ends the last row
+        yield "\n".join(lines)
 
 
 def write_csv(path, comment: str, header: Sequence[str], columns) -> None:

@@ -969,7 +969,7 @@ print(json.dumps([code, sorted(m for m in sys.modules
                                if m.partition(".")[0] == "strateval" or m == "numpy.random")]))
 """
 INGEST_MODULES = {"strateval", "strateval.cli", "strateval.errors", "strateval.losses",
-                  "strateval.dataset", "strateval.tables"}
+                  "strateval.dataset", "strateval.tables", "strateval.idcolumn"}
 # each command's argv (files made under DIR) and the package modules it loads: its step's only.
 # Only a Beta pool loads numpy.random, for numpy's Beta sampler: every other bit the
 # commands draw, two-point pools included, comes from strateval.rng's own PCG64

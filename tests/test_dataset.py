@@ -29,7 +29,7 @@ BASIC = "id,proxy,loss\na,0.1,0\nb,0.5,1\nc,0.9,\n"
 def test_ingest_basic_csv(tmp_path):
     pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
     assert pop.size == 3
-    assert pop.ids == ("a", "b", "c")
+    assert tuple(pop.ids) == ("a", "b", "c")
     assert pop.proxy.tolist() == [0.1, 0.5, 0.9]
     assert pop.loss[0] == 0 and pop.loss[1] == 1 and math.isnan(pop.loss[2])
     assert not pop.has_all_losses
@@ -38,7 +38,7 @@ def test_ingest_basic_csv(tmp_path):
 def test_ingest_preserves_file_order(tmp_path):
     text = "id,proxy\nz,0.9\nm,0.2\na,0.5\n"
     pop = ingest(write(tmp_path, "d.csv", text), "accuracy")
-    assert pop.ids == ("z", "m", "a")
+    assert tuple(pop.ids) == ("z", "m", "a")
 
 
 def test_round_trip_is_identity(tmp_path):
@@ -151,7 +151,7 @@ def test_jsonl_embedding_field_is_unknown(tmp_path):
 
 def test_jsonl_sniffed_without_extension(tmp_path):
     p = write(tmp_path, "data.txt", '{"id":"a","proxy":0.4}\n')
-    assert ingest(p, "accuracy").ids == ("a",)
+    assert tuple(ingest(p, "accuracy").ids) == ("a",)
 
 
 def test_scores_sidecar(tmp_path):
@@ -188,7 +188,7 @@ def test_finite_mean_requires_all_losses(tmp_path):
 def test_take_subsets_in_given_order(tmp_path):
     pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
     sub = pop.take([2, 0])
-    assert sub.ids == ("c", "a")
+    assert tuple(sub.ids) == ("c", "a")
     assert sub.proxy.tolist() == [0.9, 0.1]
 
 
@@ -205,7 +205,7 @@ def test_ids_are_checked_where_they_can_repeat(tmp_path):
         pop.take([0, 1, -3])
     with pytest.raises(ParseError, match="duplicate id 'a'"):
         pop.take([-3, 0])  # increasing, but the same unit
-    assert pop.take([2, -2, 0]).ids == ("c", "b", "a")
+    assert tuple(pop.take([2, -2, 0]).ids) == ("c", "b", "a")
     assert pop.with_proxy_cal([0.2, 0.4, 0.8]).ids == pop.ids
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from strateval.errors import PreconditionError
+from strateval import losses
 from strateval.losses import SCORE_FLOOR, LossKind, conditional_moments, eval_loss
 
 
@@ -86,6 +88,50 @@ def test_moments_match_expectation_over_labels(kind):
         )
         assert zbar == pytest.approx(want_z, rel=1e-12, abs=1e-12)
         assert z2bar == pytest.approx(want_z2, rel=1e-12, abs=1e-12)
+
+
+def whole_matrix_moments(kind, scores):
+    """The moments as one whole-matrix expression, before they were computed in blocks."""
+    if kind is LossKind.SQUARED_ERROR:
+        per_class = (1.0 - scores) ** 2
+    else:
+        per_class = -np.log(np.maximum(scores, SCORE_FLOOR))
+    return (scores * per_class).sum(axis=-1), (scores * per_class**2).sum(axis=-1)
+
+
+B = losses._MOMENT_ROWS
+
+
+@pytest.mark.parametrize("kind", [LossKind.SQUARED_ERROR, LossKind.CROSS_ENTROPY])
+@pytest.mark.parametrize("rows,k", [(1, 4), (B - 1, 3), (B, 10), (B + 1, 7), (3 * B + 7, 10),
+                                    (9000, 7), (5, 3)])
+def test_blocked_moments_are_bit_identical_to_the_whole_matrix(kind, rows, k):
+    rng = np.random.default_rng(rows + k)
+    scores = rng.dirichlet(np.full(k, 0.3), size=rows)
+    scores[0, 0] = 0.0  # a floored log
+    scores[0] /= scores[0].sum()
+    zbar, z2bar = conditional_moments(kind, scores)
+    want = whole_matrix_moments(kind, scores)
+    assert zbar.tobytes() == want[0].tobytes() and z2bar.tobytes() == want[1].tobytes()
+
+
+# Peak of the traced allocations of conditional_moments on the 10**5 x 10
+# matrix below, plus 10%: 2.32 MB on Python 3.11 and numpy 2, with the
+# per-class losses computed 4096 rows at a time in place.  The whole-matrix
+# expression peaked at 17.6 MB.
+MOMENTS_PEAK_BOUND_MB = 2.56
+
+
+@pytest.mark.parametrize("kind", [LossKind.SQUARED_ERROR, LossKind.CROSS_ENTROPY])
+def test_moments_memory_peak_is_bounded(kind):
+    scores = np.random.default_rng(0).dirichlet(np.ones(10), size=100_000)
+    tracemalloc.start()
+    try:
+        conditional_moments(kind, scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= MOMENTS_PEAK_BOUND_MB
 
 
 def test_jensen_inequality_on_random_simplex():

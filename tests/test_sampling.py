@@ -93,7 +93,7 @@ def test_ssrs_single_stratum_matches_srs_substream():
     part = StrataPartition(np.zeros(50, dtype=np.int64), 1)
     a = draw_ssrs(pop, part, np.array([12]), seed=99)
     assert np.array_equal(a.indices, srs_indices(CounterStream(derive_seed(99, 0)), 50, 12))
-    assert a.ids == tuple(pop.ids[i] for i in a.indices)
+    assert tuple(a.ids) == tuple(pop.ids[i] for i in a.indices)
     assert np.all(a.pi == 12 / 50)
 
 
@@ -220,7 +220,7 @@ def test_worksheet_errors(tmp_path):
 def test_worksheet_comment_lines_skipped(tmp_path):
     p = tmp_path / "w.csv"
     p.write_text("# config\nid,stratum,pi\nu1,0,0.5\n")
-    assert load_worksheet(p).ids == ("u1",)
+    assert tuple(load_worksheet(p).ids) == ("u1",)
 
 
 def test_draw_rejects_bad_pi():

@@ -356,7 +356,7 @@ def test_run_mc_replications_match_public_draws(tmp_path):
                 "--strategy", "srs", "--seed-sample", str(sub_seed)]
         assert main(argv) == 0
         draw = draw_ssrs(pop, one_stratum(pop), [40], sub_seed)
-        assert worksheet_ids(out / "worksheet.csv") == draw.ids
+        assert worksheet_ids(out / "worksheet.csv") == tuple(draw.ids)
         ht, _ = stratified_estimate(pop.loss[draw.indices], draw.strata, [pop.size])
         assert res.estimates[r] == pytest.approx(ht, rel=1e-12)
 

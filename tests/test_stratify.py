@@ -256,6 +256,18 @@ def test_bins_constant_values_collapse_with_warning():
     assert part.warnings
 
 
+def test_bins_cut_a_span_past_the_largest_float():
+    # max - min overflows: the edges were nan/inf, numpy warned, and every
+    # value fell into one stratum "with 3 empty bins merged rightward"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = equal_width_bins([-1e308, -5e307, 0.0, 5e307, 1e308], 4)
+        top = np.finfo(float).max
+        widest = equal_width_bins([-top, top, 0.0, -top / 2, top / 3], 4)
+    assert part.assignment.tolist() == [0, 1, 2, 3, 3] and not part.warnings
+    assert widest.assignment.tolist() == [0, 3, 2, 1, 2] and not widest.warnings
+
+
 def test_bins_never_beat_kmeans():
     rng = np.random.default_rng(6)
     for _ in range(50):

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strateval import tables
+from strateval import idcolumn, tables
 from strateval.cli import main
 from strateval.dataset import Population, ingest
 from strateval.errors import ConsistencyError, ParseError, PreconditionError
@@ -25,9 +26,9 @@ from strateval.tables import numbers, write_csv
 
 SETTINGS = settings(max_examples=60)  # on top of the suite's profile (conftest.py)
 
-# ids a writer can write and the reader reads back: commas, quotes and
-# inner spaces included
-ID_CHARS = st.sampled_from(list('ab7Z,"\' #;é'))
+# ids a writer can write and the reader reads back: commas, quotes, inner
+# spaces and characters of two, three and four UTF-8 bytes included
+ID_CHARS = st.sampled_from(list('ab7Z,"\' #;é日本😀'))
 IDS = st.lists(
     st.text(ID_CHARS, min_size=1, max_size=6)
     .map(str.strip)
@@ -91,6 +92,31 @@ def test_canonical_csv_ingest_round_trip_is_byte_exact(scratch, pop):
     assert np.array_equal(back.loss, pop.loss, equal_nan=True)
 
 
+def _jsonl_pool(pop, ensure_ascii):
+    """A population as a JSONL pool: a NaN loss is a null, not yet annotated."""
+    lines = []
+    for i, uid in enumerate(pop.ids):
+        rec = {"id": uid, "proxy": float(pop.proxy[i]),
+               "loss": None if math.isnan(pop.loss[i]) else float(pop.loss[i])}
+        if pop.proxy_cal is not None:
+            rec["proxy_cal"] = float(pop.proxy_cal[i])
+        lines.append(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n")
+    return "".join(lines)
+
+
+@SETTINGS
+@given(pop=populations(), ensure_ascii=st.booleans())
+def test_jsonl_ingest_round_trip_is_byte_exact(scratch, pop, ensure_ascii):
+    # ids spelt as UTF-8 or as \u escapes read back as the ids written
+    path, want, got = scratch / "pool.jsonl", scratch / "want.csv", scratch / "got.csv"
+    path.write_text(_jsonl_pool(pop, ensure_ascii), encoding="utf-8")
+    back = ingest(path, "squared_error")
+    write_csv(want, "# config line\n", *pop.canonical_table())
+    write_csv(got, "# config line\n", *back.canonical_table())
+    assert got.read_bytes() == want.read_bytes()
+    assert back.ids == pop.ids and tuple(back.ids) == tuple(pop.ids)
+
+
 @SETTINGS
 @given(
     ids=IDS,
@@ -106,7 +132,7 @@ def test_worksheet_round_trip_is_byte_exact(scratch, ids, data):
     write_csv(path, "", *worksheet_table(draw))
     text = path.read_text()
     ws = load_worksheet(path)
-    assert ws.ids == draw.ids
+    assert tuple(ws.ids) == draw.ids
     assert np.array_equal(ws.strata, draw.strata) and np.array_equal(ws.pi, draw.pi)
     back = SampleDraw(indices=np.arange(n), ids=ws.ids, strata=ws.strata, pi=ws.pi)
     write_csv(again, "", *worksheet_table(back))
@@ -130,9 +156,64 @@ def test_partition_round_trip_is_byte_exact(scratch, ids, data):
     t = tables.read_csv(path, ints=("stratum",))
     assert t.header == ["id", "stratum"]
     back_ids, strata = tables.ids(t.columns["id"], t.where), t.numbers("stratum")
-    assert back_ids == tuple(ids) and strata.tolist() == assignment.tolist()
+    assert tuple(back_ids) == tuple(ids) and strata.tolist() == assignment.tolist()
     write_csv(again, "# config\n", *partition_table(StrataPartition(strata, labels.size), back_ids))
     assert again.read_bytes() == path.read_bytes()
+
+
+# -- the id column -------------------------------------------------------------
+
+# any ids at all, which the column holds as they are: empty, repeated, with
+# surrounding spaces or line breaks of their own, or of several UTF-8 bytes
+ANY_IDS = st.lists(st.text(st.sampled_from(list("a7 #é日本😀\n\r\x1c\u3000")), max_size=4),
+                  max_size=12)
+SLICE_BOUND = st.none() | st.integers(-15, 15)
+
+
+@SETTINGS
+@given(ids=IDS | ANY_IDS, batch=st.integers(1, 5), data=st.data())
+def test_the_id_column_acts_as_the_list_of_its_ids(ids, batch, data):
+    n = len(ids)
+    with mock.patch.object(idcolumn, "_ID_BATCH", batch):  # columns of many batches
+        column = tables.Ids.of(ids)
+        assert len(column) == n and list(column) == ids
+        for i in range(-n, n):
+            assert column[i] == ids[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                column[i]
+        step = data.draw(st.none() | st.integers(-4, 4).filter(bool))
+        cut = slice(data.draw(SLICE_BOUND), data.draw(SLICE_BOUND), step)
+        assert column[cut] == ids[cut]
+        index = st.integers(-n, n - 1) if n else st.nothing()
+        for idx in (
+            sorted(set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))) if n else [],
+            data.draw(st.permutations(range(n))),
+            data.draw(st.lists(index, min_size=n and 1, max_size=3 * n)),  # repeated, negative
+            [],
+        ):
+            taken = column.take(np.array(idx, dtype=np.int64))
+            assert list(taken) == [ids[i] for i in idx]
+            assert taken == tables.Ids.of([ids[i] for i in idx])
+        keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        assert list(column.take(np.array(keep, dtype=bool))) == list(compress(ids, keep))
+        for bad in ([n], np.ones(n + 1, dtype=bool)):
+            with pytest.raises(IndexError):
+                column.take(bad)
+        # equal to any sequence of its ids, each way round, and to nothing else
+        assert column == ids and tuple(ids) == column and not column != ids
+        assert column != [*ids, "a"] and column != [*ids[:-1], ids[-1:] and ids[-1] + "a"]
+        assert column != "".join(ids)
+        # the writers' check refuses in the column what it refuses in the ids
+        assert _outcome_of_write(column) == _outcome_of_write(ids)
+
+
+def _outcome_of_write(uids):
+    try:
+        tables.writable_ids(uids)
+    except PreconditionError as e:
+        return str(e)
+    return None
 
 
 EDGE_CELLS = [" 1 ", "1_0", "+.5", "1e400", "-0.0", "nan", "inf", "-inf", "1e-320", ".5e1"]
@@ -276,7 +357,7 @@ def test_a_byte_order_mark_is_dropped(tmp_path, name):
             else "id,proxy\na,0.1\nb,0.5\n")
     path = tmp_path / name
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    assert ingest(path, "accuracy").ids == ("a", "b")
+    assert tuple(ingest(path, "accuracy").ids) == ("a", "b")
 
 
 NOT_UTF8 = {
@@ -356,29 +437,43 @@ def test_a_bad_byte_after_a_field_longer_than_the_csv_limit_wins(tmp_path, head,
 
 
 # Peak of the traced allocations of `ingest` on the pool below, measured with
-# the CSV decoded a slice at a time, the id cell list freed once the id tuple
-# is made and the ids tested for a repeat by their sorted hashes, plus 10%:
-# 9.98 MB on Python 3.11 and numpy 2.  Keeping the cell list alive through
-# the repeat test peaked at 10.65 MB, decoding the whole file first and
-# testing the ids with a set at 16.07 MB, and reading the whole file as one
-# batch at 25.4 MB.
-INGEST_PEAK_BOUND_MB = 11.0
+# the CSV decoded a slice at a time and the ids built a batch at a time into
+# one UTF-8 column (hashed for the repeat test, then encoded, their strs
+# dropped), plus 10%: 5.95 MB on Python 3.11 and numpy 2 (3.20 MB held after
+# ingest).  Holding the ids as a tuple of str peaked at 9.98 MB (8.00 MB
+# held), decoding the whole file first and testing the ids with a set at
+# 16.07 MB, and reading the whole file as one batch at 25.4 MB.
+INGEST_PEAK_BOUND_MB = 6.55
+
+# Peak of the traced allocations of building the id column below, per id,
+# plus 10%: 31.0 bytes on Python 3.11 and numpy 2, as the repeat test joins
+# the hashes (twice 8 bytes an id) while each batch's UTF-8 and id ends
+# (7 and 8 bytes an id) are alive; the column then holds 14.9.  This test
+# makes the ids' str objects inside the traced span, a batch at a time: a
+# tuple of them takes about 64 bytes an id, which the test of the tuple
+# did not count (its ids were made before tracing, and it bounded the
+# tuple and the hashes at 20 bytes an id).
+ID_COLUMN_PEAK_BOUND_BYTES = 34
 
 
-def test_ids_free_a_handed_over_cell_list():
-    # the cell list is freed once the id tuple is made, before the repeat
-    # test's hash array: two arrays of 8 bytes an id are alive at the peak,
-    # not three
+def test_an_id_column_holds_no_str_per_id():
+    # a reader hands the column one batch of cells at a time and drops it;
+    # each batch is encoded and its strs dropped, so only arrays of a few
+    # bytes an id are alive at the peak, and the column keeps its bytes and
+    # offsets alone
     n = 100_000
-    cells = [f"u{i}" for i in range(n)]
     tracemalloc.start()
     try:
-        uids = tables.ids(cells.copy(), str)
-        peak = tracemalloc.get_traced_memory()[1]
+        column = tables.IdColumn()
+        for start in range(0, n, idcolumn._ID_BATCH):
+            column.add([f"u{i}" for i in range(start, min(start + idcolumn._ID_BATCH, n))], str)
+        uids = column.ids(str)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert uids == tuple(cells)
-    assert peak <= 2.5 * 8 * n
+    assert list(uids) == [f"u{i}" for i in range(n)]
+    assert held <= 1.05 * (uids.data.nbytes + uids.offsets.nbytes)
+    assert peak <= ID_COLUMN_PEAK_BOUND_BYTES * n
 
 
 def test_ingest_memory_peak_is_bounded(tmp_path):
@@ -502,10 +597,10 @@ def test_a_bad_id_past_the_first_batch_names_its_line(tmp_path, reader, uid):
 def test_ids_are_stripped_in_every_reader(tmp_path):
     p = tmp_path / "pool.jsonl"
     p.write_text(json.dumps({"id": " a b ", "proxy": 0.5}) + "\n")
-    assert ingest(p, "accuracy").ids == ("a b",)
+    assert tuple(ingest(p, "accuracy").ids) == ("a b",)
     p = tmp_path / "w.csv"
     p.write_text("id,stratum,pi\n a b ,0,0.5\n")
-    assert load_worksheet(p).ids == ("a b",)
+    assert tuple(load_worksheet(p).ids) == ("a b",)
 
 
 @pytest.mark.parametrize("uid", ["#7", "u3\nx"])
@@ -562,14 +657,14 @@ def test_a_repeated_id_names_its_line(tmp_path, name, text, read, line):
 def test_equal_hashes_of_distinct_ids_are_not_a_repeat(tmp_path, monkeypatch):
     # with every hash equal, the repeat test always finds two equal hashes:
     # distinct ids must still pass, and a true repeat must still be named
-    monkeypatch.setattr(tables, "hash", lambda _: 7, raising=False)
+    monkeypatch.setattr(idcolumn, "hash", lambda _: 7, raising=False)
     assert tables.may_repeat(("a", "b"))
-    assert tables.ids([" a", "b ", "c"], str) == ("a", "b", "c")
+    assert tuple(tables.ids([" a", "b ", "c"], str)) == ("a", "b", "c")
     pool = tmp_path / "pool.csv"
     pool.write_text("id,proxy\n# c\na,0.1\nb,0.5\nc,0.9\n")
-    assert ingest(pool, "accuracy").ids == ("a", "b", "c")
-    assert Population(ids=("a", "b", "c"), proxy=[0.1, 0.2, 0.3], loss=[0.0, 1.0, 0.0],
-                      loss_kind=LossKind.ACCURACY).ids == ("a", "b", "c")
+    assert tuple(ingest(pool, "accuracy").ids) == ("a", "b", "c")
+    assert tuple(Population(ids=("a", "b", "c"), proxy=[0.1, 0.2, 0.3], loss=[0.0, 1.0, 0.0],
+                            loss_kind=LossKind.ACCURACY).ids) == ("a", "b", "c")
     pool.write_text("id,proxy\n# c\na,0.1\nb,0.5\na,0.9\n")
     with pytest.raises(ParseError, match=f"{pool} line 5: duplicate id 'a'"):
         ingest(pool, "accuracy")
@@ -807,7 +902,7 @@ def test_batched_jsonl_ingest_matches_the_record_by_record_oracle(scratch, files
         pop = ingest(pool, "squared_error", scores_path=side)
     want = oracles.ingest_jsonl(pool)
     labels, scores = oracles.attach_scores(want["ids"], side)
-    assert pop.ids == want["ids"]
+    assert tuple(pop.ids) == want["ids"]
     for name in ("proxy", "loss", "proxy_cal"):
         got = getattr(pop, name)
         assert (got is None) == (want[name] is None)
@@ -873,9 +968,36 @@ def test_the_error_a_jsonl_file_gets_does_not_depend_on_the_batches(scratch, fil
 
 
 # Peak of the traced allocations of `ingest` on the pool and sidecar below,
-# measured at commit 6b73999, which read the records one at a time: 3.26 MB.
-# The batched read must not hold more at once.
-JSONL_INGEST_PEAK_BOUND_MB = 3.26
+# plus 10%: 2.94 MB on Python 3.11 and numpy 2, with each batch's ids and
+# numbers taken into their columns before the next batch is read; 2.87 MB
+# with every field gathered as a list of Python objects and converted at
+# the end, and 3.26 MB at commit 6b73999, which read the records one at a
+# time.  The batched read must not hold more at once.
+JSONL_INGEST_PEAK_BOUND_MB = 3.24
+
+# Peak of the traced allocations of `ingest` of the 10**5-record JSONL pool
+# below, plus 10%: 6.28 MB on Python 3.11 and numpy 2.  Gathering each field
+# as a list of Python objects, converted at the end, peaked at 17.7 MB.
+JSONL_POOL_PEAK_BOUND_MB = 6.9
+
+
+def test_jsonl_pool_ingest_memory_peak_is_bounded(tmp_path):
+    n = 100_000
+    rng = np.random.default_rng(0)
+    proxy = rng.random(n)
+    loss = (rng.random(n) < proxy).astype(int)
+    path = tmp_path / "pool.jsonl"
+    path.write_text("".join(f'{{"id": "u{i:06d}", "proxy": {p!r}, "loss": {z}}}\n'
+                            for i, (p, z) in enumerate(zip(proxy.tolist(), loss.tolist()))))
+    tracemalloc.start()
+    try:
+        pop = ingest(path, "accuracy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pop.size == n and pop.ids[-1] == f"u{n - 1:06d}"
+    assert pop.proxy.tobytes() == proxy.tobytes() and pop.loss.tolist() == loss.tolist()
+    assert peak / 1e6 <= JSONL_POOL_PEAK_BOUND_MB
 
 
 def test_jsonl_ingest_memory_peak_is_bounded(tmp_path):
@@ -902,7 +1024,7 @@ def test_jsonl_ingest_memory_peak_is_bounded(tmp_path):
     # the files span many batches of the real size; the values are the oracle's
     want = oracles.ingest_jsonl(pool)
     labels, scores = oracles.attach_scores(want["ids"], side)
-    assert pop.ids == want["ids"] and pop.proxy.tobytes() == want["proxy"].tobytes()
+    assert tuple(pop.ids) == want["ids"] and pop.proxy.tobytes() == want["proxy"].tobytes()
     assert pop.loss.tobytes() == want["loss"].tobytes()
     assert pop.scores.tobytes() == scores.tobytes() and pop.labels.tobytes() == labels.tobytes()
 
