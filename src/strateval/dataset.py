@@ -114,11 +114,8 @@ class Population:
         for arr in (self.proxy, self.loss, self.proxy_cal, self.labels, self.scores):
             if arr is not None:
                 arr.setflags(write=False)
-        if not _ids_unique and tables.may_repeat(self.ids):
-            last = dict(zip(self.ids, range(n)))
-            dup = next((u for i, u in enumerate(self.ids) if last[u] != i), None)
-            if dup is not None:
-                raise ParseError(f"duplicate id {dup!r}")
+        if not _ids_unique and (i := tables.first_repeat(self.ids)) >= 0:
+            raise ParseError(f"duplicate id {self.ids[i]!r}")
 
     @property
     def size(self) -> int:
@@ -228,7 +225,7 @@ def _ingest_csv(path: Path, kind: LossKind) -> Population:
         if h not in _POOL_FIELDS:
             raise ParseError(f"{path} line {t.header_line}: unknown column {h!r}")
     t.require("id", "proxy")
-    return _population(kind, t.where, t.ids(), t.numbers, t.optional_numbers,
+    return _population(kind, t.where, t.ids("id"), t.numbers, t.optional_numbers,
                        "proxy_cal" in t.header)
 
 
@@ -289,8 +286,8 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
     the order the columns are checked.
     """
     linenos: list[np.ndarray] = []
-    uids = tables.IdColumn()
-    columns = {"proxy": tables.Converted("proxy", tables.json_numbers),
+    columns = {"id": tables.Converted("id", tables.id_cells),
+               "proxy": tables.Converted("proxy", tables.json_numbers),
                "proxy_cal": tables.Converted("proxy_cal", tables.json_numbers),
                "loss": tables.Converted("loss", tables.optional_json_numbers)}
     has_cal = None  # set from the file's first record; every record must match it
@@ -306,7 +303,7 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
             return f"{path} line {lines[i]}"
 
         linenos.append(np.array(lines, dtype=np.int64))
-        uids.add(list(map(itemgetter("id"), recs)), at)
+        columns["id"].add(list(map(itemgetter("id"), recs)), at)
         columns["proxy"].add(list(map(itemgetter("proxy"), recs)), at)
         columns["loss"].add(list(map(dict.get, recs, repeat("loss"))), at)
         if has_cal:
@@ -321,7 +318,8 @@ def _ingest_jsonl(path: Path, kind: LossKind) -> Population:
     def converted(col: str):
         return columns[col].values()
 
-    return _population(kind, where, uids.ids(where), converted, converted, bool(has_cal))
+    uids = columns["id"].values(lambda parts: tables.id_column(parts, where))
+    return _population(kind, where, uids, converted, converted, bool(has_cal))
 
 
 def ingest(path, kind: LossKind | str, scores_path=None) -> Population:
@@ -373,7 +371,7 @@ def attach_scores(pop: Population, scores_path) -> Population:
     that fails are its records checked one by one, to name the first bad one.
     """
     scores_path = Path(scores_path)
-    index = dict(zip(pop.ids, range(pop.size)))
+    index = tables.IdIndex(pop.ids)
     labels = np.full(pop.size, -1, dtype=np.int64)
     lines = np.zeros(pop.size, dtype=np.int64)  # 0: no record
     scores = None
@@ -399,7 +397,7 @@ def attach_scores(pop: Population, scores_path) -> Population:
     return replace(pop, labels=labels, scores=scores, _ids_unique=True)
 
 
-def _score_batch(index: dict, lines: np.ndarray, k: int | None,
+def _score_batch(index: tables.IdIndex, lines: np.ndarray, k: int | None,
                  linenos: list[int], recs: list):
     """The rows, score matrix and labels of a batch of sidecar records, or None.
 
@@ -419,8 +417,8 @@ def _score_batch(index: dict, lines: np.ndarray, k: int | None,
         return None
     if sum(map(len, recs)) != 2 * len(recs) + sum(map(contains, recs, repeat("label"))):
         return None  # an unknown field, as in _layout_ok
-    rows = list(map(index.get, uids))
-    if None in rows or lines[rows].any() or set(map(type, vecs)) != {list}:
+    rows = index.find(uids)
+    if (rows < 0).any() or lines[rows].any() or set(map(type, vecs)) != {list}:
         return None
     k = len(vecs[0]) if k is None else k
     if k == 0 or set(map(len, vecs)) != {k}:
@@ -435,7 +433,7 @@ def _score_batch(index: dict, lines: np.ndarray, k: int | None,
     return rows, values.reshape(-1, k), [-1 if label is None else label for label in labs]
 
 
-def _name_bad_score_record(path: Path, index: dict, lines: np.ndarray, k: int | None,
+def _name_bad_score_record(path: Path, index: tables.IdIndex, lines: np.ndarray, k: int | None,
                            linenos: list[int], recs: list) -> None:
     """Raise the error of the first record of a batch that fails a check, record by record.
 
@@ -454,8 +452,8 @@ def _name_bad_score_record(path: Path, index: dict, lines: np.ndarray, k: int | 
         if type(rec["id"]) is not str:
             raise _bad_json_id(where, rec["id"])
         (uid,) = tables.ids([rec["id"]], lambda _: where)
-        i = index.get(uid)
-        if i is None:
+        i = int(index.find([uid])[0])
+        if i < 0:
             raise ConsistencyError(f"{where}: id {uid!r} not present in the dataset")
         if lines[i] or i in seen:
             raise ParseError(f"{where}: duplicate id {uid!r}")

@@ -1,15 +1,16 @@
-"""Unit ids: the id rule, and the id column every reader builds.
+"""Unit ids: the id rule, the id column, and its one repeat test.
 
 An id is stripped of surrounding whitespace and must then be nonempty,
 must not start with ``#`` and must not contain a line break: exactly the
 ids that come back unchanged when :func:`strateval.tables.write_csv`
 writes them and :func:`strateval.tables.read_csv` reads them.  Readers
-apply this rule through :class:`IdColumn` (:func:`ids` for a list of
-cells), which also refuses a repeated id, and writers of id columns
-through :func:`writable_ids`.  The ids are tested against the rule 4096
-at a time, and for a repeat by sorting their hashes, 8 bytes an id where
-a set of them takes about 40; only equal hashes make the reader walk the
-ids to name the repeat.
+convert ids as one more :class:`strateval.tables.Converted` column with
+:func:`id_cells` (stripped, tested against the rule 4096 at a time,
+hashed and encoded), and :func:`id_column` joins it and runs the one
+repeat test, :func:`first_repeat`: the hashes are sorted, 8 bytes an id
+where a set of the ids takes about 40, and the ids are walked only when
+two are equal.  :class:`IdIndex` finds ids by the sorted hashes, and
+writers apply the rule through :func:`writable_ids`.
 
 An id column (:class:`Ids`) is one uint8 array of the ids' UTF-8, each id
 followed by a line feed, and an int64 array of the N + 1 offsets where
@@ -68,23 +69,6 @@ def _first_unreadable(uids: Sequence[str], stripped: bool) -> int:
     return -1
 
 
-def may_repeat(uids: Sequence) -> bool:
-    """Whether two of ``uids`` may be equal: two of their hashes are.
-
-    The hashes are sorted in one int64 array, 8 bytes an id, where a set
-    of the ids would take about 40.  A caller that gets True walks the ids
-    to name the repeat, so equal hashes of distinct ids cost time, never a
-    wrong answer.
-    """
-    return _equal_neighbours(np.fromiter(map(hash, uids), np.int64, len(uids)))
-
-
-def _equal_neighbours(hashes: np.ndarray) -> bool:
-    """Whether two of ``hashes`` are equal; sorts them in place."""
-    hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any())
-
-
 _ID_RULE = "ids must be nonempty, must not start with '#' and must not contain a line break"
 # the UTF-8 of ids in memory: a lone surrogate, which a JSON string can
 # spell, is kept as the str holds it rather than refused
@@ -92,21 +76,23 @@ _ENCODING = ("utf-8", "surrogatepass")
 
 
 def _encoded(strs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``strs`` as UTF-8 bytes, each ended by a line feed, and each one's end in them."""
-    if not strs:
-        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    text = "\n".join(strs)
-    text += "\n"
-    data = np.frombuffer(text.encode(*_ENCODING), dtype=np.uint8)
-    ends = np.flatnonzero(data == 10) + 1
+    """``strs`` as UTF-8 bytes, each ended by a line feed, and each one's length in them."""
+    data = np.frombuffer(("\n".join(strs) + "\n" if strs else "").encode(*_ENCODING), np.uint8)
+    ends = np.flatnonzero(data == 10)
     if ends.size != len(strs):  # some id holds a line feed of its own
-        ends = np.cumsum([len(s.encode(*_ENCODING)) + 1 for s in strs])
-    return data, ends
+        return data, np.array([len(s.encode(*_ENCODING)) + 1 for s in strs], dtype=np.int64)
+    return data, np.diff(ends, prepend=-1)
 
 
-def _fill(out: np.ndarray, parts: list[np.ndarray], start: int = 0) -> np.ndarray:
-    """``parts`` copied end to end into ``out`` from ``start``; each part is
-    released once it is copied, so ``parts`` ends empty."""
+def joined(parts: list):
+    """``parts``, 1-D arrays or tuples of them, joined end to end: the arrays at
+    one place of the tuples make one array.  Each part is released once it is
+    copied, so ``parts`` ends empty."""
+    if isinstance(parts[0], tuple):
+        columns = [list(column) for column in zip(*parts)]
+        parts.clear()
+        return tuple(map(joined, columns))
+    out, start = np.empty(sum(part.size for part in parts), dtype=parts[0].dtype), 0
     parts.reverse()
     while parts:
         part = parts.pop()
@@ -139,10 +125,9 @@ class Ids(Sequence):
         """The column of any ``str`` values, encoded ``_ID_BATCH`` at a time."""
         if isinstance(strs, Ids):
             return strs
-        column, it = _IdParts(), iter(strs)
-        while batch := list(islice(it, _ID_BATCH)):
-            column.add(batch)
-        return column.ids()
+        it = iter(strs)
+        parts = [_encoded(batch) for batch in iter(lambda: list(islice(it, _ID_BATCH)), [])]
+        return _column(*joined(parts or [_encoded([])]))
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -218,85 +203,95 @@ class Ids(Sequence):
         return f"Ids({self[:4]!r}{more}, n={len(self)})"
 
 
-class _IdParts:
-    """The bytes and id ends of a column of ids, a batch at a time."""
-
-    def __init__(self) -> None:
-        self.data: list[np.ndarray] = []
-        self.ends: list[np.ndarray] = []  # from the column's first byte
-        self.count = self.size = 0  # ids and bytes so far
-
-    def add(self, strs: Sequence[str]) -> None:
-        data, ends = _encoded(strs)
-        self.data.append(data)
-        self.ends.append(ends + self.size)
-        self.count += len(strs)
-        self.size += data.size
-
-    def ids(self) -> Ids:
-        """The column, each part released as it is copied in."""
-        offsets = np.empty(self.count + 1, dtype=np.int64)
-        offsets[0] = 0
-        _fill(offsets, self.ends, 1)
-        return Ids(_fill(np.empty(self.size, dtype=np.uint8), self.data), offsets)
+def _column(data: np.ndarray, lengths: np.ndarray) -> Ids:
+    """The column of the ids' bytes ``data`` and each id's length in them."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return Ids(data, offsets)
 
 
-class IdColumn:
-    """A column of unit ids built a batch of text cells at a time (see :func:`ids`).
+def id_cells(cells: Sequence[str], name: str, where: Where) -> tuple[np.ndarray, ...]:
+    """Convert a batch of id cells: stripped and tested against the id rule,
+    their int64 hashes, their UTF-8 each ended by a line feed, and each one's
+    length in it.  ``where(i)`` names the place of ``cells[i]``."""
+    batch = list(map(str.strip, cells))
+    i = _first_unreadable(batch, stripped=True)
+    if i >= 0:
+        raise ParseError(f"{where(i)}: bad id {batch[i]!r} ({_ID_RULE})")
+    return np.fromiter(map(hash, batch), np.int64, len(batch)), *_encoded(batch)
 
-    Each batch is stripped, tested against the id rule, hashed for the
-    repeat test and encoded, and its ``str`` objects are then dropped.
-    The first bad id becomes the column's error and ends the work;
-    :meth:`ids` raises it, so that a reader can raise the errors that come
-    before it first.
+
+def id_column(parts: list, where: Where) -> Ids:
+    """The column of :func:`id_cells`'s batches ``parts``, or the error of its
+    first id that repeats an earlier one; ``where(i)`` names the place of id ``i``."""
+    hashes, data, lengths = joined(parts)
+    uids = _column(data, lengths)
+    del lengths  # released before the repeat test
+    i = first_repeat(uids, hashes)
+    if i >= 0:
+        raise ParseError(f"{where(i)}: duplicate id {uids[i]!r}")
+    return uids
+
+
+def first_repeat(uids: Sequence[str], hashes: np.ndarray | None = None) -> int:
+    """Position of the first id that repeats an earlier one, or -1.
+
+    The ids' int64 ``hashes`` (made here when not given) are sorted in
+    place, 8 bytes an id where a set of the ids would take about 40.  Only
+    when two are equal are the ids walked, keeping only those whose hash
+    repeats, so equal hashes of distinct ids cost time, never a wrong answer.
+    """
+    if hashes is None:
+        hashes = np.fromiter(map(hash, uids), np.int64, len(uids))
+    hashes.sort()
+    twice = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    if not twice:
+        return -1
+    seen: set[str] = set()
+    for i, uid in enumerate(uids):
+        if hash(uid) in twice:
+            if uid in seen:
+                return i
+            seen.add(uid)
+    return -1
+
+
+class IdIndex:
+    """The places of a column's ids, found by the ids' sorted hashes: 16 bytes
+    an id, where a dict of the decoded ids takes about 110.
+
+    An id is placed by its hash and then checked against the column's id
+    at that place, so equal hashes of distinct ids cost time, never a
+    wrong place.
     """
 
-    def __init__(self) -> None:
-        self.parts = _IdParts()
-        self.hashes: list[np.ndarray] = []
-        self.outcome: Ids | ParseError | None = None
+    def __init__(self, uids: Ids):
+        self.uids = uids
+        self.hashes = np.fromiter(map(hash, uids), np.int64, len(uids))
+        self.order = np.argsort(self.hashes)
+        self.hashes.sort()
 
-    def add(self, cells: Sequence[str], where: Where) -> None:
-        """Take in a batch of cells; ``where(i)`` names the place of ``cells[i]``."""
-        if self.outcome is not None:
-            return
-        batch = list(map(str.strip, cells))
-        i = _first_unreadable(batch, stripped=True)
-        if i >= 0:
-            self.outcome = ParseError(f"{where(i)}: bad id {batch[i]!r} ({_ID_RULE})")
-            self.parts, self.hashes = _IdParts(), []
-            return
-        self.hashes.append(np.fromiter(map(hash, batch), np.int64, len(batch)))
-        self.parts.add(batch)
-
-    def ids(self, where: Where) -> Ids:
-        """The column, or the error of its first bad id, else of its first
-        repeated one; ``where(i)`` names the place of id ``i``."""
-        if self.outcome is None:
-            # the hashes are tested and released before the column is joined
-            repeats = _equal_neighbours(_fill(np.empty(self.parts.count, np.int64), self.hashes))
-            self.outcome = self.parts.ids()
-            if repeats:
-                first: dict[str, int] = {}
-                for i, uid in enumerate(self.outcome):
-                    if first.setdefault(uid, i) != i:
-                        self.outcome = ParseError(f"{where(i)}: duplicate id {uid!r}")
-                        break
-        if isinstance(self.outcome, ParseError):
-            raise self.outcome
-        return self.outcome
+    def find(self, uids: Sequence[str]) -> np.ndarray:
+        """The place in the column of each of ``uids``, -1 where it has none."""
+        hashes = np.fromiter(map(hash, uids), np.int64, len(uids))
+        if not self.hashes.size:
+            return np.full(hashes.size, -1, dtype=np.int64)
+        # the first sorted hash not below each id's, or the last one
+        at = np.minimum(np.searchsorted(self.hashes, hashes), self.hashes.size - 1)
+        places = self.order[at]
+        found = self.uids.take(places)
+        if found != uids:  # some id is not in the column, or shares its hash with another
+            for j in np.flatnonzero(list(map(operator.ne, found, uids))):
+                same = self.order[at[j]:np.searchsorted(self.hashes, hashes[j], "right")]
+                places[j] = next((k for k in same if self.uids[int(k)] == uids[j]), -1)
+        return places
 
 
 def ids(cells: Sequence[str], where: Where) -> Ids:
-    """Unit ids from text cells: stripped, nonempty, not ``#``-led, one line, unique.
-
-    The cells are taken in ``_ID_BATCH`` at a time, as a reader takes in
-    its batches; ``where(i)`` names the place of ``cells[i]``.
-    """
-    column = IdColumn()
-    for start in range(0, len(cells), _ID_BATCH):
-        column.add(cells[start:start + _ID_BATCH], lambda i: where(start + i))
-    return column.ids(where)
+    """Unit ids from text cells, converted and finished as a reader's column:
+    stripped, nonempty, not ``#``-led, one line, unique.  ``where(i)`` names
+    the place of ``cells[i]``."""
+    return id_column([id_cells(cells, "id", where)], where)
 
 
 def writable_ids(uids: Sequence[str]) -> Sequence[str]:

@@ -12,7 +12,6 @@ reader in :mod:`strateval.tables`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,7 +31,7 @@ class SampleDraw:
     """Result of one sampling pass: who to annotate, with what weight."""
 
     indices: np.ndarray  # canonical-order unit positions, selection order
-    ids: Sequence[str]  # the pool's ids at ``indices``
+    ids: tables.Ids  # the pool's ids at ``indices``
     strata: np.ndarray  # stratum label per sampled unit
     pi: np.ndarray  # inclusion probability per sampled unit
 
@@ -115,7 +114,7 @@ class Worksheet:
 def load_worksheet(path) -> Worksheet:
     t = tables.read_csv(path, ids="id", floats=("pi",), ints=("stratum",), optional=("loss",))
     t.require("id", "stratum", "pi")
-    ids = t.ids()
+    ids = t.ids("id")
     strata = t.numbers("stratum")
     pi = t.numbers("pi")
     tables.check((pi > 0) & (pi <= 1), t.where, lambda i: f"pi {float(pi[i])!r} outside (0, 1]")

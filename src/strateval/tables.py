@@ -16,10 +16,10 @@ step:
   must not start with ``#`` and must not contain a line break: exactly
   the ids that come back unchanged when :func:`write_csv` writes them and
   :func:`read_csv` reads them.  :mod:`strateval.idcolumn` holds this
-  rule and the id column (:class:`Ids`), and this module re-exports
-  them: readers apply the rule through :class:`IdColumn` (:func:`ids`
-  for a list of cells), which also refuses a repeated id, and writers of
-  id columns through :func:`writable_ids`;
+  rule, the id column (:class:`Ids`) and its repeat test, and this
+  module re-exports them: readers convert ids as one more
+  :class:`Converted` column (:func:`id_cells`, then :func:`id_column`;
+  :func:`ids` for a list of cells), writers through :func:`writable_ids`;
 * a NaN of a float column is written as a blank cell, which an optional
   column reads back as NaN: "no value yet", such as a loss not annotated.
 
@@ -36,11 +36,11 @@ commas, and each column is sliced out of its cells; from the first slice
 that has one, the ``csv`` module reads the rest of the file line by
 line.  The split is only a faster way to the same table.  The numeric
 columns a caller names are converted by numpy a slice at a time, before
-the next slice is split, and the id column is built the same way: each
-slice's ids are stripped, tested against the id rule, hashed for the
-repeat test and encoded, and their ``str`` objects dropped.  So only one
-slice's cells are ever held as ``str``; cells are scanned one by one only
-when a slice's column fails, to name the line.  A bad byte is raised when
+the next slice is split, and so is the id column: each slice's ids are
+stripped, tested against the id rule, hashed for the repeat test and
+encoded, and their ``str`` objects dropped.  So only one slice's cells
+are ever held as ``str``; cells are scanned one by one only when a
+slice's column fails, to name the line.  A bad byte is raised when
 its slice is decoded, a field too long for the ``csv`` module once the
 rest of the file has decoded, and every other error waits until the
 whole file is read, so the error that wins does not depend on the
@@ -65,8 +65,8 @@ JSONL files are read column first too, in bounded batches:
 each decoded by the C scanner that ``json.loads`` runs, and its callers
 test a whole batch at once and take each field into its column a batch
 at a time: :func:`json_numbers` converts a batch of a numeric field in one
-numpy call, and a pool's ids go into an :class:`IdColumn` as a CSV
-file's do.  A JSON number field must hold a JSON number, not a string or
+numpy call, and a pool's ids are converted by :func:`id_cells` as a CSV
+file's are.  A JSON number field must hold a JSON number, not a string or
 a bool.  On a 2-core host this costs about 2-3 µs per record of an
 ``id,proxy,loss`` pool and about 7.5 µs per record of a 10-class score
 sidecar (7 and 11 µs read record by record).
@@ -90,8 +90,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError
-# the id column's names, part of this module's interface
-from .idcolumn import IdColumn, Ids, Where, ids, may_repeat, writable_ids  # noqa: F401
+# the id column's names and the join of every converted column, part of this module's interface
+from .idcolumn import (IdIndex, Ids, Where, first_repeat, id_cells, id_column,  # noqa: F401
+                       ids, joined, writable_ids)
 
 
 def _content(line: str) -> bool:
@@ -211,7 +212,7 @@ class CsvTable:
     order, of each column not read as numbers or ids.  A numeric column
     was converted a batch at a time; :meth:`numbers` returns it, or raises
     the error of its first cell that did not convert.  The id column was
-    built a batch at a time too; :meth:`ids` returns it.
+    converted a batch at a time too; :meth:`ids` returns it.
     """
 
     path: Path
@@ -220,7 +221,6 @@ class CsvTable:
     lines: np.ndarray
     columns: dict[str, list[str]]
     converted: dict[str, Converted]
-    id_column: IdColumn | None
 
     def where(self, i: int) -> str:
         return f"{self.path} line {self.lines[i]}"
@@ -241,9 +241,9 @@ class CsvTable:
             return np.full(self.lines.size, np.nan), np.zeros(self.lines.size, dtype=bool)
         return self.converted[name].values()
 
-    def ids(self) -> Ids:
+    def ids(self, name: str) -> Ids:
         """The id column as :func:`ids` makes it, or the error of its first bad or repeated id."""
-        return self.id_column.ids(self.where)
+        return self.converted[name].values(lambda parts: id_column(parts, self.where))
 
 
 def read_csv(path, *, ids: str | None = None, floats: Iterable[str] = (),
@@ -258,9 +258,10 @@ def read_csv(path, *, ids: str | None = None, floats: Iterable[str] = (),
     text.
     """
     path = Path(path)
-    table = _Rows(path, ids, {**dict.fromkeys(floats, numbers),
-                              **dict.fromkeys(ints, partial(numbers, dtype=np.int64)),
-                              **dict.fromkeys(optional, optional_numbers)})
+    table = _Rows(path, {**({} if ids is None else {ids: id_cells}),
+                         **dict.fromkeys(floats, numbers),
+                         **dict.fromkeys(ints, partial(numbers, dtype=np.int64)),
+                         **dict.fromkeys(optional, optional_numbers)})
     with _open(path, binary=True) as f:
         slices = _decoded(path, f)
         first = 1  # physical line number of the slice's first line
@@ -349,21 +350,19 @@ class _Rows:
     """The rows of a CSV file as they are read, a batch at a time.
 
     The file's first row is its header.  Each later batch of rows is cut
-    into columns, and the batch's id cells and each of its numeric
-    columns are taken in at once (:class:`IdColumn`, :class:`Converted`),
-    before the next batch is read.  An error found on the way waits until
-    the whole file is read, so that the error that wins does not depend on
-    the batches: no header, repeated column, no data rows, ragged row,
-    then the ids and the conversions, in the order a caller asks for the
-    columns (:meth:`CsvTable.ids`, :meth:`CsvTable.numbers`).  A field too
-    long for the csv module comes first of all; it is raised where it is
-    read.
+    into columns, and each of its id and numeric columns is converted at
+    once (:class:`Converted`), before the next batch is read.  An error
+    found on the way waits until the whole file is read, so that the error
+    that wins does not depend on the batches: no header, repeated column,
+    no data rows, ragged row, then the ids and the conversions, in the
+    order a caller asks for the columns (:meth:`CsvTable.ids`,
+    :meth:`CsvTable.numbers`).  A field too long for the csv module comes
+    first of all; it is raised where it is read.
     """
 
-    def __init__(self, path: Path, ids: str | None, numeric: dict[str, Callable]):
+    def __init__(self, path: Path, converters: dict[str, Callable]):
         self.path = path
-        self.id_name = ids
-        self.numeric = numeric  # name -> converter, (cells, col, where) -> the converted cells
+        self.converters = converters  # name -> (cells, col, where) -> the converted cells
         self.header: list[str] | None = None
         self.header_line = 0
         self.rows = 0  # data rows read
@@ -372,7 +371,6 @@ class _Rows:
         self.lines: list[np.ndarray] = []
         self.text: dict[str, list[str]] = {}
         self.converted: dict[str, Converted] = {}
-        self.id_column: IdColumn | None = None
 
     def _start(self, cells: list[str], line: int) -> None:
         """Take the file's first row as its header."""
@@ -380,10 +378,8 @@ class _Rows:
         self.header_line = int(line)
         self.refused = len(set(self.header)) < len(self.header)
         for name in self.header:
-            if name == self.id_name:
-                self.id_column = IdColumn()
-            elif name in self.numeric:
-                self.converted[name] = Converted(name, self.numeric[name])
+            if name in self.converters:
+                self.converted[name] = Converted(name, self.converters[name])
             else:
                 self.text[name] = []
 
@@ -423,7 +419,7 @@ class _Rows:
         self._keep(linenos, list(map(list, zip(*rows))))
 
     def _keep(self, linenos: np.ndarray, columns: list[list[str]]) -> None:
-        """Keep a batch's text columns and take in its ids and numeric columns."""
+        """Keep a batch's text columns and convert its id and numeric columns."""
         self.lines.append(linenos)
 
         def where(i: int) -> str:
@@ -432,8 +428,6 @@ class _Rows:
         for name, cells in zip(self.header, columns):
             if name in self.text:
                 self.text[name] += cells
-            elif name == self.id_name:
-                self.id_column.add(cells, where)
             else:
                 self.converted[name].add(cells, where)
 
@@ -451,8 +445,7 @@ class _Rows:
             line, got = self.ragged
             raise ParseError(f"{path} line {line}: expected {len(header)} fields, got {got}")
         lines, self.lines = np.concatenate(self.lines), []
-        return CsvTable(path, header, self.header_line, lines, self.text, self.converted,
-                        self.id_column)
+        return CsvTable(path, header, self.header_line, lines, self.text, self.converted)
 
 
 class Converted:
@@ -466,7 +459,7 @@ class Converted:
     def __init__(self, name: str, convert: Callable):
         self.name, self.convert = name, convert
         self.parts: list = []
-        self.outcome: np.ndarray | tuple[np.ndarray, np.ndarray] | ParseError | None = None
+        self.outcome: object = None  # the finished column, or its error
 
     def add(self, cells: Sequence, where: Where) -> None:
         """Convert a batch of cells; ``where(i)`` names the place of ``cells[i]``."""
@@ -476,14 +469,17 @@ class Converted:
             except ParseError as e:
                 self.outcome, self.parts = e, []
 
-    def values(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """The converted column -- its values, with their present-mask when
-        ``convert`` gives one -- or the error of its first bad cell.  The
-        parts are released as they are joined."""
+    def values(self, finish: Callable[[list], object] = joined):
+        """The converted column, ``finish`` of its converted batches -- by
+        default their values joined, with their present-mask when ``convert``
+        gives one -- or the error of its first bad cell, else of ``finish``.
+        The batches are released as they are joined."""
         if self.outcome is None:
             parts, self.parts = self.parts, []
-            self.outcome = (tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple)
-                            else np.concatenate(parts))
+            try:
+                self.outcome = finish(parts)
+            except ParseError as e:
+                self.outcome = e
         if isinstance(self.outcome, ParseError):
             raise self.outcome
         return self.outcome

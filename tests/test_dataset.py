@@ -194,11 +194,17 @@ def test_take_subsets_in_given_order(tmp_path):
 
 def test_ids_are_checked_where_they_can_repeat(tmp_path):
     # construction and a take with a repeated index (also as a negative
-    # one) are refused; copies that keep the ids skip the check
+    # one) are refused; copies that keep the ids skip the check.  The error
+    # names the first position that repeats an earlier id, as a reader does
     with pytest.raises(ParseError, match="duplicate id 'a'"):
         Population(ids=("a", "b", "a"), proxy=[0.1, 0.2, 0.3], loss=[0.0, 1.0, 0.0],
                    loss_kind=LossKind.ACCURACY)
+    with pytest.raises(ParseError, match="^duplicate id 'b'$"):
+        Population(ids=("a", "b", "b", "a"), proxy=[0.1, 0.2, 0.3, 0.4],
+                   loss=[0.0, 1.0, 0.0, 1.0], loss_kind=LossKind.ACCURACY)
     pop = ingest(write(tmp_path, "d.csv", BASIC), "accuracy")
+    with pytest.raises(ParseError, match="^duplicate id 'b'$"):
+        pop.take([0, 1, 1, 0])
     with pytest.raises(ParseError, match="duplicate id 'c'"):
         pop.take([2, 0, 2])
     with pytest.raises(ParseError, match="duplicate id 'a'"):

@@ -177,10 +177,10 @@ def test_ties_and_the_normalized_sum_place_uniforms_as_numpy_does():
 def test_generate_skips_the_id_repeat_test(monkeypatch):
     # its ids are distinct by construction; at 10**6 units the test took
     # about a sixth of generate's time
-    def no_repeat_test(ids):
+    def no_repeat_test(ids, hashes=None):
         raise AssertionError("ids tested for a repeat")
 
-    monkeypatch.setattr(tables, "may_repeat", no_repeat_test)
+    monkeypatch.setattr(tables, "first_repeat", no_repeat_test)
     pop = generate(two_point_spec(1001, seed=4))
     assert len(set(pop.ids)) == 1001 and pop.ids[0] == "u0000"
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from functools import partial
 from itertools import compress
 from unittest import mock
 
@@ -446,9 +447,10 @@ def test_a_bad_byte_after_a_field_longer_than_the_csv_limit_wins(tmp_path, head,
 INGEST_PEAK_BOUND_MB = 6.55
 
 # Peak of the traced allocations of building the id column below, per id,
-# plus 10%: 31.0 bytes on Python 3.11 and numpy 2, as the repeat test joins
-# the hashes (twice 8 bytes an id) while each batch's UTF-8 and id ends
-# (7 and 8 bytes an id) are alive; the column then holds 14.9.  This test
+# plus 10%: 31.0 bytes on Python 3.11 and numpy 2, as the batches' hashes,
+# UTF-8 and id lengths (8, 7 and 8 bytes an id) are joined one column after
+# another, each batch released as it is copied, and the offsets (8 bytes an
+# id) are then summed from the lengths; the column then holds 14.9.  This test
 # makes the ids' str objects inside the traced span, a batch at a time: a
 # tuple of them takes about 64 bytes an id, which the test of the tuple
 # did not count (its ids were made before tracing, and it bounded the
@@ -464,10 +466,10 @@ def test_an_id_column_holds_no_str_per_id():
     n = 100_000
     tracemalloc.start()
     try:
-        column = tables.IdColumn()
+        column = tables.Converted("id", tables.id_cells)
         for start in range(0, n, idcolumn._ID_BATCH):
             column.add([f"u{i}" for i in range(start, min(start + idcolumn._ID_BATCH, n))], str)
-        uids = column.ids(str)
+        uids = column.values(partial(tables.id_column, where=str))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -658,11 +660,22 @@ def test_equal_hashes_of_distinct_ids_are_not_a_repeat(tmp_path, monkeypatch):
     # with every hash equal, the repeat test always finds two equal hashes:
     # distinct ids must still pass, and a true repeat must still be named
     monkeypatch.setattr(idcolumn, "hash", lambda _: 7, raising=False)
-    assert tables.may_repeat(("a", "b"))
+    assert tables.first_repeat(("a", "b")) == -1
     assert tuple(tables.ids([" a", "b ", "c"], str)) == ("a", "b", "c")
     pool = tmp_path / "pool.csv"
     pool.write_text("id,proxy\n# c\na,0.1\nb,0.5\nc,0.9\n")
     assert tuple(ingest(pool, "accuracy").ids) == ("a", "b", "c")
+    # a sidecar's records are placed row for row, and an id the pool lacks is named
+    side = tmp_path / "scores.jsonl"
+    side.write_text('{"id": "c", "label": 0, "scores": [1.0, 0.0]}\n# c\n'
+                    '{"id": "a", "label": 1, "scores": [0.25, 0.75]}\n')
+    pop = ingest(pool, "accuracy", scores_path=side)
+    assert pop.labels.tolist() == [1, -1, 0]
+    assert pop.scores[[0, 2]].tolist() == [[0.25, 0.75], [1.0, 0.0]]
+    assert np.isnan(pop.scores[1]).all()
+    side.write_text('{"id": "c", "scores": [1.0]}\n# c\n{"id": "d", "scores": [1.0]}\n')
+    with pytest.raises(ConsistencyError, match=f"{side} line 3: id 'd' not present in the dataset"):
+        ingest(pool, "accuracy", scores_path=side)
     assert tuple(Population(ids=("a", "b", "c"), proxy=[0.1, 0.2, 0.3], loss=[0.0, 1.0, 0.0],
                             loss_kind=LossKind.ACCURACY).ids) == ("a", "b", "c")
     pool.write_text("id,proxy\n# c\na,0.1\nb,0.5\na,0.9\n")
@@ -968,12 +981,13 @@ def test_the_error_a_jsonl_file_gets_does_not_depend_on_the_batches(scratch, fil
 
 
 # Peak of the traced allocations of `ingest` on the pool and sidecar below,
-# plus 10%: 2.94 MB on Python 3.11 and numpy 2, with each batch's ids and
-# numbers taken into their columns before the next batch is read; 2.87 MB
-# with every field gathered as a list of Python objects and converted at
-# the end, and 3.26 MB at commit 6b73999, which read the records one at a
-# time.  The batched read must not hold more at once.
-JSONL_INGEST_PEAK_BOUND_MB = 3.24
+# plus 10%: 2.02 MB on Python 3.11 and numpy 2, with the sidecar's records
+# placed by the pool's sorted id hashes (16 bytes an id); 2.92 MB when they
+# were placed by a dict of the decoded pool ids, 2.87 MB with every field
+# gathered as a list of Python objects and converted at the end, and
+# 3.26 MB at commit 6b73999, which read the records one at a time.  The
+# batched read must not hold more at once.
+JSONL_INGEST_PEAK_BOUND_MB = 2.22
 
 # Peak of the traced allocations of `ingest` of the 10**5-record JSONL pool
 # below, plus 10%: 6.28 MB on Python 3.11 and numpy 2.  Gathering each field
